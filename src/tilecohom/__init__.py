@@ -19,6 +19,7 @@ from .spectral import (
     e2_page,
     hull_cohomology,
     rigid_hull_cohomology,
+    spectral_sequence,
     winding_chain,
 )
 from .tilings import TilingSpec, builtin, builtin_names, load_spec, save_spec, validate_spec
@@ -48,6 +49,7 @@ __all__ = [
     "d2_image",
     "rigid_hull_cohomology",
     "hull_cohomology",
+    "spectral_sequence",
     "TilingSpec",
     "builtin",
     "builtin_names",

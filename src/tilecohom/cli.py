@@ -55,10 +55,6 @@ def _add_target(sub):
     sub.add_argument("--builtin", help="name of a builtin spec")
 
 
-def _render(group):
-    return group.render()
-
-
 def _element_json(el):
     return {"free": list(el.free_coords), "torsion": list(el.torsion_coords)}
 
@@ -79,31 +75,43 @@ def _cmd_check(args):
 
 def _cmd_homology(args):
     spec = _load_target(args)
-    mode = _MODE_FLAG[args.mode]
-    cplx = complexes.build_chain_complex(spec, mode)
-    degrees = range(cplx.top_dim + 1) if args.degree is None else [args.degree]
+    analysis = complexes.Analysis(spec, _MODE_FLAG[args.mode])
+    top = analysis.complex.top_dim
+    degrees = range(top + 1) if args.degree is None else [args.degree]
     for k in degrees:
-        if not 0 <= k <= cplx.top_dim:
-            raise complexes.ComplexError(
-                "degree %d out of range 0..%d" % (k, cplx.top_dim))
+        if not 0 <= k <= top:
+            raise complexes.ComplexError("degree %d out of range 0..%d" % (k, top))
+    results = {k: analysis.homology(k).structure for k in degrees}
     if args.limit:
-        maps = complexes.substitution_homology_maps(spec, mode)
-        results = {k: direct_limit(complexes.homology(cplx, k).structure, maps[k])
-                   for k in degrees}
-    else:
-        results = {k: complexes.homology(cplx, k).structure for k in degrees}
+        maps = analysis.substitution_maps
+        results = {k: direct_limit(g, maps[k]) for k, g in results.items()}
     if args.json:
         doc = {
             "spec": spec.name,
             "mode": args.mode,
             "limit": bool(args.limit),
-            "groups": {str(k): _render(results[k]) for k in degrees},
+            "groups": {str(k): results[k].render() for k in degrees},
         }
         if args.limit:
             doc["status"] = {str(k): results[k].status for k in degrees}
         return CommandResult(0, json.dumps(doc, indent=2) + "\n")
-    lines = ["H_%d = %s" % (k, _render(results[k])) for k in degrees]
+    lines = ["H_%d = %s" % (k, results[k].render()) for k in degrees]
     return CommandResult(0, "\n".join(lines) + "\n")
+
+
+def _cech_output(hc, as_json, inline=False):
+    """Cech groups, extension flags and notes of a hull: JSON fields, or text
+    lines with the groups one per line or, if inline, on one line."""
+    if as_json:
+        return {"cech": [g.render() for g in hc.groups],
+                "flags": [list(f) for f in hc.extension_flags],
+                "notes": list(hc.notes)}
+    groups = ["H^%d = %s" % (i, g.render()) for i, g in enumerate(hc.groups)]
+    lines = ["Cech: " + "  ".join(groups)] if inline else groups
+    lines.extend("flag H^%d: %s" % (i, f)
+                 for i, flags in enumerate(hc.extension_flags) for f in flags)
+    lines.extend("note: " + n for n in hc.notes)
+    return lines
 
 
 def _cmd_cohomology(args):
@@ -115,57 +123,41 @@ def _cmd_cohomology(args):
     else:
         hc = spectral.hull_cohomology(spec, spectral.HULL_TRANSLATION)
     if args.json:
-        doc = {
-            "spec": spec.name,
-            "hull": args.hull,
-            "cech": [_render(g) for g in hc.groups],
-            "flags": [list(f) for f in hc.extension_flags],
-            "notes": list(hc.notes),
-        }
+        doc = {"spec": spec.name, "hull": args.hull}
+        doc.update(_cech_output(hc, True))
         return CommandResult(0, json.dumps(doc, indent=2) + "\n")
-    lines = ["H^%d = %s" % (i, _render(g)) for i, g in enumerate(hc.groups)]
-    for i, flags in enumerate(hc.extension_flags):
-        for f in flags:
-            lines.append("flag H^%d: %s" % (i, f))
-    lines.extend("note: " + n for n in hc.notes)
-    return CommandResult(0, "\n".join(lines) + "\n")
+    return CommandResult(0, "\n".join(_cech_output(hc, False)) + "\n")
+
+
+def _page_row(page, q):
+    return [page.entry(p, q).render() for p in range(3)]
 
 
 def _cmd_spectral(args):
     spec = _load_target(args)
-    page2 = spectral.e2_page(spec)
-    sigma, order = spectral.d2_image(spec)
-    pageinf = spectral.einf_page(spec)
-    hc = spectral.rigid_hull_cohomology(spec)
-    order_str = "infinite" if order is None else str(order)
+    ss = spectral.spectral_sequence(spec)
+    sigma = ss.d2_class
+    order_str = "infinite" if ss.d2_order is None else str(ss.d2_order)
     if args.json:
         doc = {
             "spec": spec.name,
-            "e2": {"q1": [_render(page2.entry(p, 1)) for p in range(3)],
-                   "q0": [_render(page2.entry(p, 0)) for p in range(3)]},
+            "e2": {"q1": _page_row(ss.e2, 1), "q0": _page_row(ss.e2, 0)},
             "d2": {"image": _element_json(sigma),
-                   "in": _render(sigma.owner),
+                   "in": sigma.owner.render(),
                    "order": order_str},
-            "einf": {"q1": [_render(pageinf.entry(p, 1)) for p in range(3)],
-                     "q0": [_render(pageinf.entry(p, 0)) for p in range(3)]},
-            "cech": [_render(g) for g in hc.groups],
-            "flags": [list(f) for f in hc.extension_flags],
-            "notes": list(hc.notes),
+            "einf": {"q1": _page_row(ss.einf, 1), "q0": _page_row(ss.einf, 0)},
         }
+        doc.update(_cech_output(ss.cohomology, True))
         return CommandResult(0, json.dumps(doc, indent=2) + "\n")
-    lines = []
-    lines.append("E2  q=1: " + "  ".join(_render(page2.entry(p, 1)) for p in range(3)))
-    lines.append("E2  q=0: " + "  ".join(_render(page2.entry(p, 0)) for p in range(3)))
-    lines.append("d2 image = %s in %s, order %s"
-                 % (_element_text(sigma), _render(sigma.owner), order_str))
-    lines.append("Einf q=1: " + "  ".join(_render(pageinf.entry(p, 1)) for p in range(3)))
-    lines.append("Einf q=0: " + "  ".join(_render(pageinf.entry(p, 0)) for p in range(3)))
-    lines.append("Cech: " + "  ".join("H^%d = %s" % (i, _render(g))
-                                      for i, g in enumerate(hc.groups)))
-    for i, flags in enumerate(hc.extension_flags):
-        for f in flags:
-            lines.append("flag H^%d: %s" % (i, f))
-    lines.extend("note: " + n for n in hc.notes)
+    lines = [
+        "E2  q=1: " + "  ".join(_page_row(ss.e2, 1)),
+        "E2  q=0: " + "  ".join(_page_row(ss.e2, 0)),
+        "d2 image = %s in %s, order %s"
+        % (_element_text(sigma), sigma.owner.render(), order_str),
+        "Einf q=1: " + "  ".join(_page_row(ss.einf, 1)),
+        "Einf q=0: " + "  ".join(_page_row(ss.einf, 0)),
+    ]
+    lines.extend(_cech_output(ss.cohomology, False, inline=True))
     return CommandResult(0, "\n".join(lines) + "\n")
 
 
@@ -178,14 +170,17 @@ def parse_group(text: str) -> FgAbelianGroup:
     torsion = []
     for token in text.split("+"):
         token = token.strip()
-        if token == "Z":
-            free += 1
-        elif token.startswith("Z^"):
-            free += int(token[2:])
-        elif token.startswith("Z/"):
-            torsion.append(int(token[2:]))
-        else:
-            raise GroupError("cannot parse group token %r" % token)
+        try:
+            if token == "Z":
+                free += 1
+            elif token.startswith("Z^"):
+                free += int(token[2:])
+            elif token.startswith("Z/"):
+                torsion.append(int(token[2:]))
+            else:
+                raise ValueError(token)
+        except ValueError:
+            raise GroupError("cannot parse group token %r" % token) from None
     from .groups import from_divisors
 
     return from_divisors(torsion, extra_free=free)
@@ -195,9 +190,11 @@ def parse_matrix(text: str) -> IntMatrix:
     """Rows separated by ';', entries by ','."""
     rows = []
     for row in text.strip().split(";"):
-        row = row.strip()
-        entries = [e for e in row.replace(",", " ").split() if e]
-        rows.append([int(e) for e in entries])
+        entries = row.replace(",", " ").split()
+        try:
+            rows.append([int(e) for e in entries])
+        except ValueError:
+            raise ExactAlgError("cannot parse matrix row %r" % row.strip()) from None
     return IntMatrix.from_rows(rows)
 
 

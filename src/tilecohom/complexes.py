@@ -9,6 +9,7 @@ symmetry order, dividing boundary entries accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactalg import IntMatrix
 from .groups import SubquotientPresentation, homology_presentation, induced_hom
@@ -66,23 +67,27 @@ class ChainMapReport:
 
 def _mode_cells(spec, mode):
     """Visible cell types per degree for the given mode (index lists)."""
-    keep = {}
-    for k in range(spec.dimension + 1):
-        cells = spec.cells[k]
-        if mode == MODE_TRANSLATION:
-            keep[k] = list(range(len(cells)))
-        else:
-            keep[k] = [i for i, c in enumerate(cells) if not c.reverses_orientation]
-    return keep
+    return {k: [i for i, c in enumerate(spec.cells[k])
+                if mode == MODE_TRANSLATION or not c.reverses_orientation]
+            for k in range(spec.dimension + 1)}
 
 
 def _restrict(matrix, row_idx, col_idx):
-    rows = [[matrix[i, j] for j in col_idx] for i in row_idx]
-    if not rows:
-        return IntMatrix.zero(len(row_idx), len(col_idx))
-    if not rows[0]:
-        return IntMatrix.zero(len(row_idx), 0)
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(len(row_idx), len(col_idx),
+                     tuple(matrix[i, j] for i in row_idx for j in col_idx))
+
+
+def _rescale(matrix, row_scale, col_scale):
+    """(matrix with entry (i, j) times col_scale[j] / row_scale[i], None), or
+    (None, (i, j)) for the first entry where that is not an integer."""
+    out = []
+    for i in range(matrix.rows):
+        for j, x in enumerate(matrix.row(i)):
+            num = x * col_scale[j]
+            if num % row_scale[i] != 0:
+                return None, (i, j)
+            out.append(num // row_scale[i])
+    return IntMatrix(matrix.rows, matrix.cols, tuple(out)), None
 
 
 def build_chain_complex(spec, mode) -> ChainComplex:
@@ -118,26 +123,15 @@ def build_chain_complex(spec, mode) -> ChainComplex:
         labels.append(tuple(row))
 
     if mode == MODE_RIGID_MODIFIED:
-        rescaled = [boundaries[0]]
+        scale = [[spec.cells[k][i].symmetry for i in keep[k]]
+                 for k in range(spec.dimension + 1)]
         for k in range(1, spec.dimension + 1):
-            b = boundaries[k]
-            rows = []
-            for ri, i in enumerate(keep[k - 1]):
-                nv = spec.cells[k - 1][i].symmetry
-                row = []
-                for rj, j in enumerate(keep[k]):
-                    ne = spec.cells[k][j].symmetry
-                    num = b[ri, rj] * ne
-                    if num % nv != 0:
-                        raise ComplexError(
-                            "non-integral rescaled boundary entry at degree %d, "
-                            "cell %r over %r" % (k, spec.cells[k][j].id,
-                                                 spec.cells[k - 1][i].id))
-                    row.append(num // nv)
-                rows.append(row)
-            rescaled.append(IntMatrix.from_rows(rows) if rows
-                            else IntMatrix.zero(0, len(keep[k])))
-        boundaries = rescaled
+            boundaries[k], bad = _rescale(boundaries[k], scale[k - 1], scale[k])
+            if bad:
+                i, j = keep[k - 1][bad[0]], keep[k][bad[1]]
+                raise ComplexError(
+                    "non-integral rescaled boundary entry at degree %d, "
+                    "cell %r over %r" % (k, spec.cells[k][j].id, spec.cells[k - 1][i].id))
 
     for k in range(2, spec.dimension + 1):
         if not (boundaries[k - 1] * boundaries[k]).is_zero():
@@ -163,84 +157,91 @@ def validate_chain_map(f: ChainMap) -> ChainMapReport:
         lhs = f.target.boundary[k] * f.matrices[k]
         rhs = f.matrices[k - 1] * f.source.boundary[k]
         if lhs.entries != rhs.entries:
-            for i in range(lhs.rows):
-                for j in range(lhs.cols):
-                    if lhs[i, j] != rhs[i, j]:
-                        violations.append(
-                            "degree %d: boundary/f mismatch at row %d, col %d "
-                            "(%d != %d)" % (k, i, j, lhs[i, j], rhs[i, j]))
-                        break
-                else:
-                    continue
-                break
+            at = next(n for n, (x, y) in enumerate(zip(lhs.entries, rhs.entries)) if x != y)
+            i, j = divmod(at, lhs.cols)
+            violations.append("degree %d: boundary/f mismatch at row %d, col %d "
+                              "(%d != %d)" % (k, i, j, lhs[i, j], rhs[i, j]))
     return ChainMapReport(not violations, tuple(violations))
-
-
-def _modified_scaling(spec, keep):
-    return [tuple(spec.cells[k][i].symmetry for i in keep[k])
-            for k in range(spec.dimension + 1)]
 
 
 def chain_map_from_spec(spec, mode) -> ChainMap:
     """The spec's substitution chain data, restricted/rescaled for the mode."""
-    sub = spec.substitution
-    if sub is None or sub.kind != "chain_map":
-        raise ComplexError("spec carries no chain-level substitution data")
-    cplx = build_chain_complex(spec, mode)
-    keep = _mode_cells(spec, mode)
-    mats = []
-    for k in range(spec.dimension + 1):
-        if k not in sub.chain_map:
-            raise ComplexError("substitution chain map missing degree %d" % k)
-        m = _restrict(sub.chain_map[k], keep[k], keep[k])
-        if mode == MODE_RIGID_MODIFIED:
-            scale = _modified_scaling(spec, keep)[k]
-            rows = []
-            for i in range(m.rows):
-                row = []
-                for j in range(m.cols):
-                    num = m[i, j] * scale[j]
-                    if num % scale[i] != 0:
-                        raise ComplexError(
-                            "substitution does not preserve the modified complex "
-                            "at degree %d (%d, %d)" % (k, i, j))
-                    row.append(num // scale[i])
-                rows.append(row)
-            m = IntMatrix.from_rows(rows) if rows else m
-        mats.append(m)
-    return ChainMap(source=cplx, target=cplx, matrices=tuple(mats))
+    return Analysis(spec, mode).chain_map()
+
+
+class Analysis:
+    """The chain complex of a spec in one mode, built once, with each degree's
+    homology and the substitution homology maps computed on first use.
+
+    An analysis serves one computation and is not shared between calls.
+    """
+
+    def __init__(self, spec, mode):
+        self.spec = spec
+        self.mode = mode
+        self.complex = build_chain_complex(spec, mode)
+        self._homology = {}
+
+    def homology(self, k) -> SubquotientPresentation:
+        if k not in self._homology:
+            self._homology[k] = homology(self.complex, k)
+        return self._homology[k]
+
+    def chain_map(self) -> ChainMap:
+        """The spec's substitution chain data, restricted/rescaled for the mode."""
+        spec, sub = self.spec, self.spec.substitution
+        if sub is None or sub.kind != "chain_map":
+            raise ComplexError("spec carries no chain-level substitution data")
+        keep = _mode_cells(spec, self.mode)
+        mats = []
+        for k in range(spec.dimension + 1):
+            if k not in sub.chain_map:
+                raise ComplexError("substitution chain map missing degree %d" % k)
+            m = _restrict(sub.chain_map[k], keep[k], keep[k])
+            if self.mode == MODE_RIGID_MODIFIED:
+                scale = [spec.cells[k][i].symmetry for i in keep[k]]
+                m, bad = _rescale(m, scale, scale)
+                if bad:
+                    raise ComplexError("substitution does not preserve the modified "
+                                       "complex at degree %d (%d, %d)" % ((k,) + bad))
+            mats.append(m)
+        return ChainMap(source=self.complex, target=self.complex, matrices=tuple(mats))
+
+    @cached_property
+    def substitution_maps(self):
+        """Induced substitution endomorphisms on homology, one per degree.
+
+        Chain-level data is validated for boundary-compatibility and pushed to
+        homology; homology-level data goes through the generator/image route.
+        The modified complex needs chain-level data, since homology generators
+        of the unmodified complex say nothing about the rescaled one.
+        """
+        sub = self.spec.substitution
+        if sub is None:
+            raise ComplexError("spec carries no substitution data")
+        pres = {k: self.homology(k) for k in range(self.complex.top_dim + 1)}
+        out = {}
+        if sub.kind == "chain_map":
+            f = self.chain_map()
+            report = validate_chain_map(f)
+            if not report.ok:
+                raise ComplexError("substitution chain data: %s" % report)
+            for k, p in pres.items():
+                gens = p.generator_cycles()
+                images = [f.matrices[k].mul_vector(g) for g in gens]
+                out[k] = induced_hom(p, gens, images)
+            return out
+        if self.mode == MODE_RIGID_MODIFIED:
+            raise ComplexError(
+                "modified-complex substitution maps require chain-level data")
+        for k, p in pres.items():
+            if k not in sub.homology_map:
+                raise ComplexError("substitution homology map missing degree %d" % k)
+            gens, images = sub.homology_map[k]
+            out[k] = induced_hom(p, list(gens), list(images))
+        return out
 
 
 def substitution_homology_maps(spec, mode):
-    """Induced substitution endomorphisms on homology, one per degree.
-
-    Chain-level data is validated for boundary-compatibility and pushed to
-    homology; homology-level data goes through the generator/image route.
-    The modified complex needs chain-level data, since homology generators of
-    the unmodified complex say nothing about the rescaled one.
-    """
-    sub = spec.substitution
-    if sub is None:
-        raise ComplexError("spec carries no substitution data")
-    cplx = build_chain_complex(spec, mode)
-    pres = {k: homology(cplx, k) for k in range(cplx.top_dim + 1)}
-    out = {}
-    if sub.kind == "chain_map":
-        f = chain_map_from_spec(spec, mode)
-        report = validate_chain_map(f)
-        if not report.ok:
-            raise ComplexError("substitution chain data: %s" % report)
-        for k, p in pres.items():
-            gens = p.generator_cycles()
-            images = [f.matrices[k].mul_vector(g) for g in gens]
-            out[k] = induced_hom(p, gens, images)
-        return out
-    if mode == MODE_RIGID_MODIFIED:
-        raise ComplexError(
-            "modified-complex substitution maps require chain-level data")
-    for k, p in pres.items():
-        if k not in sub.homology_map:
-            raise ComplexError("substitution homology map missing degree %d" % k)
-        gens, images = sub.homology_map[k]
-        out[k] = induced_hom(p, list(gens), list(images))
-    return out
+    """Induced substitution endomorphisms on homology, one per degree."""
+    return Analysis(spec, mode).substitution_maps

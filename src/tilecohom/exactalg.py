@@ -76,26 +76,25 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        e, n = self.entries, self.cols
+        return IntMatrix(n, self.rows, tuple(x for j in range(n) for x in e[j::n]))
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ExactAlgError("shape mismatch in product")
-            rows = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                rows.append([sum(ri[k] * other[k, j] for k in range(self.cols))
-                             for j in range(other.cols)])
-            return IntMatrix(self.rows, other.cols, tuple(x for r in rows for x in r))
+            b, m = other.entries, other.cols
+            cols = [b[j::m] for j in range(m)]
+            return IntMatrix(self.rows, m, tuple(
+                sum(x * y for x, y in zip(self.row(i), c))
+                for i in range(self.rows) for c in cols))
         raise TypeError("can only multiply by IntMatrix")
 
     def mul_vector(self, vec):
         vec = list(vec)
         if len(vec) != self.cols:
             raise ExactAlgError("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols))
+        return tuple(sum(x * y for x, y in zip(self.row(i), vec))
                      for i in range(self.rows))
 
     def hstack(self, other):
@@ -260,10 +259,6 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     if n == 0 or m == 0:
         S = IntMatrix.zero(n, m)
     return SnfResult(U=U, S=S, V=V)
-
-
-def rank(A: IntMatrix) -> int:
-    return smith_normal_form(A).rank
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:

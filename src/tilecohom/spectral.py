@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .dirlimit import direct_limit
-from .groups import FgAbelianGroup, quotient_by
+from .groups import FgAbelianGroup, GroupElement, quotient_by
 
 
 class SpectralError(Exception):
@@ -62,48 +62,33 @@ def winding_chain(spec):
     return tuple(chain)
 
 
-def _rigid_presentations(spec):
-    rigid = complexes.build_chain_complex(spec, MODE_RIGID)
-    modified = complexes.build_chain_complex(spec, MODE_RIGID_MODIFIED)
-    pres_u = {k: complexes.homology(rigid, k) for k in range(3)}
-    pres_m = {k: complexes.homology(modified, k) for k in range(3)}
-    return pres_u, pres_m
+def _e2(spec):
+    """The E2 page and the degree-0 homology of the rigid complex.
 
-
-def _check_stationary(spec):
-    """Hierarchical specs enter the spectral pipeline only when the substitution
-    acts by isomorphisms on all six E2 groups."""
-    if spec.substitution is None:
-        return
-    maps_u = complexes.substitution_homology_maps(spec, MODE_RIGID)
-    if not all(h.is_isomorphism() for h in maps_u.values()):
-        raise SpectralError("non-stationary homology unsupported")
-    try:
-        maps_m = complexes.substitution_homology_maps(spec, MODE_RIGID_MODIFIED)
-    except complexes.ComplexError as e:
-        raise SpectralError(str(e))
-    if not all(h.is_isomorphism() for h in maps_m.values()):
-        raise SpectralError("non-stationary homology unsupported")
-
-
-def e2_page(spec) -> SpectralPage:
+    Each complex is built and, for hierarchical specs, its substitution maps
+    are checked to act by isomorphisms before the next complex is built: the
+    pipeline handles only stationary homology.
+    """
     _require_rigid_2d(spec)
-    _check_stationary(spec)
-    pres_u, pres_m = _rigid_presentations(spec)
+    analyses = []
+    for mode in (MODE_RIGID, MODE_RIGID_MODIFIED):
+        analysis = complexes.Analysis(spec, mode)
+        if spec.substitution is not None:
+            try:
+                maps = analysis.substitution_maps
+            except complexes.ComplexError as e:
+                if mode == MODE_RIGID:
+                    raise
+                raise SpectralError(str(e))
+            if not all(h.is_isomorphism() for h in maps.values()):
+                raise SpectralError("non-stationary homology unsupported")
+        analyses.append(analysis)
+    rigid, modified = analyses
     entries = {}
     for p in range(3):
-        entries[(p, 0)] = pres_m[p].structure
-        entries[(p, 1)] = pres_u[p].structure
-    return SpectralPage(entries=entries)
-
-
-def d2_image(spec):
-    """Class of the winding chain in degree-0 homology, with its order."""
-    _require_rigid_2d(spec)
-    _check_stationary(spec)
-    pres_u, _ = _rigid_presentations(spec)
-    sigma = pres_u[0].class_of(winding_chain(spec))
-    return sigma, sigma.order()
+        entries[(p, 0)] = modified.homology(p).structure
+        entries[(p, 1)] = rigid.homology(p).structure
+    return SpectralPage(entries=entries), rigid.homology(0)
 
 
 def _total_degree(entries_by_pq, n):
@@ -118,49 +103,67 @@ def _total_degree(entries_by_pq, n):
     return total, flags
 
 
-def _einf_entries(spec):
-    """E-infinity differs from E2 only through d2: the (0,1) entry is divided
-    by the winding class and the (2,0) entry survives exactly when that class
-    has finite order."""
-    _require_rigid_2d(spec)
-    _check_stationary(spec)
-    pres_u, pres_m = _rigid_presentations(spec)
-    sigma = pres_u[0].class_of(winding_chain(spec))
-    notes = []
-    entries = {
-        (0, 0): pres_m[0].structure,
-        (1, 0): pres_m[1].structure,
-        (0, 1): quotient_by(pres_u[0].structure, [sigma]),
-        (1, 1): pres_u[1].structure,
-        (2, 1): pres_u[2].structure,
-    }
+@dataclass(frozen=True)
+class SpectralSequence:
+    """The whole rigid-hull computation for one spec."""
+
+    e2: SpectralPage
+    d2_class: GroupElement   # class of the winding chain in E2_{0,1}
+    einf: SpectralPage
+    cohomology: HullCohomology
+
+    @property
+    def d2_order(self):
+        return self.d2_class.order()
+
+
+def spectral_sequence(spec) -> SpectralSequence:
+    """E2, the d2 class, E-infinity and the Cech cohomology of the rigid hull.
+
+    E-infinity differs from E2 only through d2: the (0,1) entry is divided by
+    the winding class and the (2,0) entry survives exactly when that class
+    has finite order.  Degreewise totals, regraded by n -> 3 - n, give the
+    Cech groups.
+    """
+    e2, h0 = _e2(spec)
+    sigma = h0.class_of(winding_chain(spec))
+    einf = dict(e2.entries)
+    einf[(0, 1)] = quotient_by(e2.entry(0, 1), [sigma])
+    notes = ()
     if sigma.order() is None:
-        entries[(2, 0)] = FgAbelianGroup.trivial()
-        notes.append("winding class has infinite order; the (2,0) entry dies")
+        einf[(2, 0)] = FgAbelianGroup.trivial()
+        notes = ("winding class has infinite order; the (2,0) entry dies",)
     else:
-        entries[(2, 0)] = FgAbelianGroup.free(1)
-    return entries, tuple(notes)
+        einf[(2, 0)] = FgAbelianGroup.free(1)
+    totals = [_total_degree(einf, n) for n in range(4)]
+    cech = HullCohomology(groups=tuple(totals[3 - i][0] for i in range(4)),
+                          extension_flags=tuple(totals[3 - i][1] for i in range(4)),
+                          notes=notes)
+    return SpectralSequence(e2=e2, d2_class=sigma, einf=SpectralPage(entries=einf),
+                            cohomology=cech)
 
 
-def rigid_hull_cohomology(spec) -> HullCohomology:
-    """Cech cohomology of the rigid hull, assembled degreewise from E-infinity."""
-    einf, notes = _einf_entries(spec)
-    totals = []
-    flags = []
-    for n in range(4):
-        g, f = _total_degree(einf, n)
-        totals.append(g)
-        flags.append(f)
-    # Regrade: Cech degree i is homological degree 3 - i.
-    groups = tuple(totals[3 - i] for i in range(4))
-    ext = tuple(flags[3 - i] for i in range(4))
-    return HullCohomology(groups=groups, extension_flags=ext, notes=notes)
+# The four page functions below are views of one spectral_sequence value.
+
+def e2_page(spec) -> SpectralPage:
+    """The E2 page; unlike the later pages it needs no rotation data."""
+    return _e2(spec)[0]
+
+
+def d2_image(spec):
+    """Class of the winding chain in degree-0 homology, with its order."""
+    ss = spectral_sequence(spec)
+    return ss.d2_class, ss.d2_order
 
 
 def einf_page(spec) -> SpectralPage:
     """The stabilized page, for reporting."""
-    entries, _ = _einf_entries(spec)
-    return SpectralPage(entries=entries)
+    return spectral_sequence(spec).einf
+
+
+def rigid_hull_cohomology(spec) -> HullCohomology:
+    """Cech cohomology of the rigid hull, assembled degreewise from E-infinity."""
+    return spectral_sequence(spec).cohomology
 
 
 HULL_TRANSLATION = "translation"
@@ -186,16 +189,14 @@ def hull_cohomology(spec, hull) -> HullCohomology:
     else:
         raise SpectralError("unknown hull %r" % (hull,))
 
-    cplx = complexes.build_chain_complex(spec, mode)
-    pres = {k: complexes.homology(cplx, k) for k in range(top + 1)}
+    analysis = complexes.Analysis(spec, mode)
+    by_degree = {k: analysis.homology(k).structure for k in range(top + 1)}
     if spec.is_hierarchical:
         try:
-            maps = complexes.substitution_homology_maps(spec, mode)
+            maps = analysis.substitution_maps
         except complexes.ComplexError as e:
             raise SpectralError(str(e))
-        by_degree = {k: direct_limit(pres[k].structure, maps[k]) for k in pres}
-    else:
-        by_degree = {k: pres[k].structure for k in pres}
+        by_degree = {k: direct_limit(g, maps[k]) for k, g in by_degree.items()}
     groups = tuple(by_degree[top - i] for i in range(top + 1))
     return HullCohomology(groups=groups,
                           extension_flags=tuple(() for _ in range(top + 1)))

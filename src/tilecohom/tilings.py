@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import IntMatrix
+from .exactalg import ExactAlgError, IntMatrix
 
 
 class SpecError(Exception):
@@ -202,11 +202,13 @@ def _check_rotation_shape(rot, cell_map, dimension, geometry_mode):
     for vid, star in rot.vertex_stars.items():
         for i, (eid, sign) in enumerate(star):
             path = "rotation.vertex_stars.%s[%d]" % (vid, i)
+            if not isinstance(eid, str):
+                raise SpecError("%s.edge: expected a string" % path)
             if eid not in edge_ids:
                 raise SpecError("%s.edge: unknown edge %r" % (path, eid))
             if eid not in rot.edge_rotations:
                 raise SpecError("%s.edge: no rotation assigned to %r" % (path, eid))
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise SpecError("%s.sign: must be 1 or -1" % path)
 
 
@@ -230,9 +232,14 @@ def _parse_frac(s, path):
         raise SpecError("%s: cannot parse rational %r" % (path, s))
 
 
-def _require_keys(obj, allowed, required, path):
+def _object(obj, path):
     if not isinstance(obj, dict):
         raise SpecError("%s: expected an object" % path)
+    return obj
+
+
+def _require_keys(obj, allowed, required, path):
+    _object(obj, path)
     for key in obj:
         if key not in allowed:
             raise SpecError("%s.%s: unknown key" % (path, key))
@@ -278,13 +285,11 @@ def load_spec(document: str) -> TilingSpec:
     geometry_mode = data["geometry_mode"]
     if not isinstance(name, str):
         raise SpecError("name: expected a string")
-    if dimension not in (1, 2):
+    if type(dimension) is not int or dimension not in (1, 2):
         raise SpecError("dimension: must be 1 or 2")
 
     cells = {}
-    if not isinstance(data["cells"], dict):
-        raise SpecError("cells: expected an object")
-    for key, arr in data["cells"].items():
+    for key, arr in _object(data["cells"], "cells").items():
         if key not in ("0", "1", "2"):
             raise SpecError("cells.%s: unknown degree" % key)
         k = int(key)
@@ -307,9 +312,7 @@ def load_spec(document: str) -> TilingSpec:
         cells[k] = tuple(row)
 
     boundaries = {}
-    if not isinstance(data["boundaries"], dict):
-        raise SpecError("boundaries: expected an object")
-    for key, mat in data["boundaries"].items():
+    for key, mat in _object(data["boundaries"], "boundaries").items():
         if key not in ("1", "2"):
             raise SpecError("boundaries.%s: unknown degree" % key)
         boundaries[int(key)] = _parse_matrix(mat, "boundaries.%s" % key)
@@ -323,7 +326,7 @@ def load_spec(document: str) -> TilingSpec:
         if kind == "chain_map":
             _require_keys(sdata, ("kind", "chain_map"), ("chain_map",), "substitution")
             cm = {}
-            for key, mat in sdata["chain_map"].items():
+            for key, mat in _object(sdata["chain_map"], "substitution.chain_map").items():
                 if key not in ("0", "1", "2"):
                     raise SpecError("substitution.chain_map.%s: unknown degree" % key)
                 cm[int(key)] = _parse_matrix(mat, "substitution.chain_map.%s" % key)
@@ -332,7 +335,8 @@ def load_spec(document: str) -> TilingSpec:
             _require_keys(sdata, ("kind", "homology_map"), ("homology_map",),
                           "substitution")
             hm = {}
-            for key, entry in sdata["homology_map"].items():
+            for key, entry in _object(sdata["homology_map"],
+                                      "substitution.homology_map").items():
                 if key not in ("0", "1", "2"):
                     raise SpecError("substitution.homology_map.%s: unknown degree" % key)
                 path = "substitution.homology_map.%s" % key
@@ -350,10 +354,10 @@ def load_spec(document: str) -> TilingSpec:
         _require_keys(rdata, ("edge_rotations", "vertex_stars"),
                       ("edge_rotations", "vertex_stars"), "rotation")
         rots = {}
-        for eid, s in rdata["edge_rotations"].items():
+        for eid, s in _object(rdata["edge_rotations"], "rotation.edge_rotations").items():
             rots[eid] = _parse_frac(s, "rotation.edge_rotations.%s" % eid)
         stars = {}
-        for vid, lap in rdata["vertex_stars"].items():
+        for vid, lap in _object(rdata["vertex_stars"], "rotation.vertex_stars").items():
             if not isinstance(lap, list):
                 raise SpecError("rotation.vertex_stars.%s: expected an array" % vid)
             entries = []
@@ -430,6 +434,7 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
     """Semantic checks: the complex builds in every applicable mode, rotation
     laps close up, and substitution data is consistent; all failures reported."""
     from . import complexes
+    from .groups import GroupError
 
     issues = []
 
@@ -440,9 +445,10 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
         modes = [complexes.MODE_TRANSLATION]
     else:
         modes = [complexes.MODE_RIGID, complexes.MODE_RIGID_MODIFIED]
+    analyses = []
     for mode in modes:
         try:
-            complexes.build_chain_complex(spec, mode)
+            analyses.append(complexes.Analysis(spec, mode))
         except complexes.ComplexError as e:
             issues.append("build[%s]: %s" % (mode, e))
 
@@ -455,16 +461,14 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
                               "turn; rotations must close up" % (c.id, total))
 
     if spec.substitution is not None and not issues:
-        base = modes[0]
-        try:
-            complexes.substitution_homology_maps(spec, base)
-        except Exception as e:
-            issues.append("substitution[%s]: %s" % (base, e))
-        if spec.substitution.kind == "chain_map" and spec.geometry_mode == "rigid":
+        # Homology-level data says nothing about the modified complex.
+        if spec.substitution.kind != "chain_map":
+            analyses = analyses[:1]
+        for analysis in analyses:
             try:
-                complexes.substitution_homology_maps(spec, complexes.MODE_RIGID_MODIFIED)
-            except Exception as e:
-                issues.append("substitution[rigid_modified]: %s" % e)
+                analysis.substitution_maps
+            except (complexes.ComplexError, GroupError, ExactAlgError) as e:
+                issues.append("substitution[%s]: %s" % (analysis.mode, e))
 
     return ValidationReport(passed=not issues, issues=tuple(issues))
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from tilecohom import complexes
 from tilecohom.cli import parse_group, parse_matrix, run_command
+from tilecohom.exactalg import ExactAlgError
 from tilecohom.groups import FgAbelianGroup, GroupError
 from tilecohom.tilings import builtin, builtin_names, save_spec
 
@@ -126,6 +128,21 @@ class TestLimitCommand:
     def test_parse_matrix(self):
         assert parse_matrix("1,1;1,0").to_rows() == [[1, 1], [1, 0]]
 
+    def test_unparsable_numbers_raise_domain_errors(self):
+        with pytest.raises(GroupError, match="Z\\^x"):
+            parse_group("Z^x")
+        with pytest.raises(GroupError):
+            parse_group("Z + Z/two")
+        with pytest.raises(ExactAlgError):
+            parse_matrix("1,a;0,1")
+
+    @pytest.mark.parametrize("group, matrix", [("Z", "a"), ("Z^x", "1")])
+    def test_unparsable_input_is_one_error_line(self, capsys, group, matrix):
+        res = run("limit", "--group", group, "--matrix", matrix)
+        assert (res.exit_code, res.stdout) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestUsageAndDeterminism:
     def test_builtin_list(self):
@@ -164,3 +181,34 @@ class TestUsageAndDeterminism:
     def test_json_single_document(self):
         res = run("spectral", "--builtin", "square-periodic-rigid", "--json")
         json.loads(res.stdout)  # would fail if more than one document
+
+
+class TestWorkCounts:
+    """Each command builds every (mode, degree) homology presentation it uses
+    exactly once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = complexes.homology_presentation
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(complexes, "homology_presentation", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("spectral", 6),
+        ("spectral --json", 6),
+        ("cohomology --hull rigid", 6),
+        ("cohomology --hull rotation-quotient", 3),
+        ("homology --mode rigid --limit", 3),
+        ("homology --mode rigid --degree 0", 1),
+    ])
+    def test_one_build_per_mode_and_degree(self, builds, argv, expected):
+        command, *options = argv.split()
+        res = run(command, "--builtin", "penrose-kite-dart", *options)
+        assert res.exit_code == 0
+        assert len(builds) == expected

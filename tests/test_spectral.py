@@ -14,6 +14,7 @@ from tilecohom.spectral import (
     einf_page,
     hull_cohomology,
     rigid_hull_cohomology,
+    spectral_sequence,
     winding_chain,
 )
 from tilecohom.tilings import RotationData, builtin, make_spec
@@ -141,6 +142,29 @@ class TestE2Page:
     def test_translation_spec_rejected(self):
         with pytest.raises(SpectralError):
             e2_page(builtin("triangle-periodic-translation"))
+
+    def test_needs_no_rotation_data(self):
+        spec = builtin("penrose-kite-dart")
+        bare = make_spec(spec.name, 2, "rigid", spec.cells, spec.boundaries,
+                         spec.substitution, None, spec.symmetric_tilings)
+        page = e2_page(bare)
+        assert [page.entry(p, 1) for p in range(3)] == [
+            FgAbelianGroup(2, (5,)), Z, Z]
+        assert page == e2_page(spec)
+        with pytest.raises(SpectralError, match="rotation"):
+            d2_image(bare)
+
+
+class TestSpectralSequence:
+    def test_page_functions_are_views(self):
+        for name in ("penrose-kite-dart", "triangle-periodic-rigid",
+                     "square-periodic-rigid"):
+            spec = builtin(name)
+            ss = spectral_sequence(spec)
+            assert e2_page(spec) == ss.e2, name
+            assert d2_image(spec) == (ss.d2_class, ss.d2_order), name
+            assert einf_page(spec) == ss.einf, name
+            assert rigid_hull_cohomology(spec) == ss.cohomology, name
 
 
 class TestD2Image:

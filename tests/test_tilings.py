@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tilecohom.cli import run_command
 from tilecohom.complexes import MODE_RIGID, build_chain_complex, homology
 from tilecohom.groups import FgAbelianGroup
 from tilecohom.tilings import (
@@ -106,6 +107,31 @@ class TestSchema:
         doc["rotation"]["vertex_stars"]["sun"][0]["edge"] = "E99"
         with pytest.raises(SpecError, match="E99"):
             load_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("builtin_name, path, value", [
+        ("penrose-kite-dart", ("substitution", "chain_map"), [[1]]),
+        ("fibonacci", ("substitution", "homology_map"), []),
+        ("penrose-kite-dart", ("rotation", "edge_rotations"), ["E1"]),
+        ("penrose-kite-dart", ("rotation", "vertex_stars"), []),
+        ("penrose-kite-dart", ("rotation", "vertex_stars", "sun", 0, "edge"), ["E1"]),
+        ("penrose-kite-dart", ("rotation", "vertex_stars", "ace", 1, "sign"), True),
+        ("penrose-kite-dart", ("rotation", "vertex_stars", "ace", 1, "sign"), 1.0),
+        ("fibonacci", ("dimension",), True),
+    ])
+    def test_mistyped_values_rejected_by_check(self, tmp_path, capsys,
+                                               builtin_name, path, value):
+        doc = json.loads(save_spec(builtin(builtin_name)))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(doc))
+        res = run_command(["check", str(spec_path)])
+        assert (res.exit_code, res.stdout) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + ".".join(str(k) for k in path[:2]))
+        assert err.count("\n") == 1
 
 
 class TestValidate:
