@@ -277,10 +277,22 @@ def _build_parser():
     return parser
 
 
+def _attach_negative_matrix(argv):
+    """'--matrix -1,0;0,1' as '--matrix=-1,0;0,1'.  argparse reads a spaced
+    value that starts with '-' as an option unless it is a plain number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--matrix" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = "--matrix=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run_command(argv) -> CommandResult:
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_attach_negative_matrix(argv))
     except SystemExit as e:
         return CommandResult(2 if e.code not in (0, None) else 0, "")
     try:

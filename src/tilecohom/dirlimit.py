@@ -13,7 +13,6 @@ from fractions import Fraction
 from .exactalg import (
     IntMatrix,
     determinant,
-    inverse_unimodular,
     kernel_basis,
     smith_normal_form,
 )
@@ -94,6 +93,8 @@ def _torsion_limit(group: FgAbelianGroup, endo: GroupHom) -> FgAbelianGroup:
                           tuple(1 if i == k else 0 for i in range(t)))
             for k in range(t)]
     current = [endo.apply(g) for g in gens]
+    # The images are nested, so their orders fall until two agree: the loop
+    # breaks with struct the stable image.
     prev_order = None
     for _ in range(group.torsion_order() + 1):
         struct = subgroup_structure(group, current)
@@ -101,7 +102,7 @@ def _torsion_limit(group: FgAbelianGroup, endo: GroupHom) -> FgAbelianGroup:
             break
         prev_order = struct.torsion_order()
         current = [endo.apply(g) for g in current]
-    return subgroup_structure(group, current)
+    return struct
 
 
 def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
@@ -116,20 +117,20 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     k = K.cols
     if k:
         snf = smith_normal_form(K)
-        assert all(d == 1 for d in snf.invariant_factors)  # kernel is saturated
-        U = snf.U
+        if any(d != 1 for d in snf.invariant_factors):
+            raise DirectLimitError("internal invariant: eventual kernel is not saturated")
+        U, Uinv = snf.U, snf.Uinv
     else:
-        U = IntMatrix.identity(r)
+        U = Uinv = IntMatrix.identity(r)
     proj_rows = [list(U.row(i)) for i in range(k, r)]
     proj = IntMatrix.from_rows(proj_rows) if proj_rows else IntMatrix.zero(0, r)
-    Uinv = inverse_unimodular(U) if r else IntMatrix.zero(0, 0)
     section_cols = [list(Uinv.column(j)) for j in range(k, r)]
     section = (IntMatrix.from_columns(section_cols, rows=r)
                if section_cols else IntMatrix.zero(r, 0))
     induced = proj * F * section
     # phi maps the eventual kernel into itself, so the quotient map is defined.
-    if k:
-        assert (proj * F * K).is_zero()
+    if k and not (proj * F * K).is_zero():
+        raise DirectLimitError("internal invariant: phi does not preserve the eventual kernel")
     if induced.rows and determinant(induced) == 0:
         raise DirectLimitError("induced lattice map is not injective")
     return EventualData(
@@ -203,7 +204,8 @@ def _char_poly(A: IntMatrix):
         AM = A * Mk
         tr = sum(AM[i, i] for i in range(n))
         ck = Fraction(-tr, k)
-        assert ck.denominator == 1
+        if ck.denominator != 1:
+            raise DirectLimitError("internal invariant: char poly coefficient %s" % ck)
         cs.append(int(ck))
         Mk = IntMatrix.from_rows([[AM[i, j] + (int(ck) if i == j else 0)
                                    for j in range(n)] for i in range(n)])
@@ -246,7 +248,8 @@ def _integer_roots(poly):
         for i in range(len(p) - 2, -1, -1):
             q[i] = carry
             carry = p[i] + carry * root
-        assert carry == 0
+        if carry != 0:
+            raise DirectLimitError("internal invariant: %d is not a root" % root)
         p = q
     return sorted(roots)
 

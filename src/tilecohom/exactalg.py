@@ -115,11 +115,16 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U * A * V = S with U, V unimodular and S the Smith normal form of A."""
+    """U * A * V = S with U, V unimodular and S the Smith normal form of A.
+
+    Uinv is the inverse of U.  One factorization answers every kernel and
+    lattice-solve question about A.
+    """
 
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
+    Uinv: IntMatrix
 
     @property
     def invariant_factors(self):
@@ -128,6 +133,27 @@ class SnfResult:
     @property
     def rank(self):
         return len(self.invariant_factors)
+
+    def kernel(self) -> IntMatrix:
+        """Basis of the integer kernel {x : A x = 0}, as matrix columns.
+
+        The kernel of an integer matrix is automatically a saturated sublattice,
+        and the returned basis spans it exactly: cols(A) - rank(A) columns.
+        """
+        m = self.V.rows
+        return IntMatrix.from_columns([self.V.column(j) for j in range(self.rank, m)], rows=m)
+
+    def solve(self, b) -> tuple | None:
+        """Some integer x with A x = b, or None if b is outside the column span."""
+        b = [int(x) for x in b]
+        if len(b) != self.U.rows:
+            raise ExactAlgError("rhs length %d != %d rows" % (len(b), self.U.rows))
+        y = self.U.mul_vector(b)
+        d = self.invariant_factors
+        r = len(d)
+        if any(y[i] % d[i] for i in range(r)) or any(y[r:]):
+            return None
+        return self.V.mul_vector([y[i] // d[i] for i in range(r)] + [0] * (self.V.rows - r))
 
 
 def _smallest_pivot(a, t):
@@ -165,15 +191,19 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     which keeps coefficient growth tame; the divisibility chain is enforced
     afterwards by explicit Bezout 2x2 transforms on adjacent diagonal entries.
     The diagonal is normalised to d1 | d2 | ... with all entries nonnegative.
+    U^-1 is a by-product: each row operation on U is applied, inverted, to the
+    columns of U^-1 (held transposed, one list per column).
     """
     n, m = A.rows, A.cols
     a = A.to_rows()
     u = IntMatrix.identity(n).to_rows()
+    uinv_t = IntMatrix.identity(n).to_rows()
     v = IntMatrix.identity(m).to_rows()
 
-    def row_op(i, k, q):  # row i -= q * row k
+    def row_op(i, k, q):  # row i -= q * row k; U^-1 column k += q * column i
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        uinv_t[k] = [x + q * y for x, y in zip(uinv_t[k], uinv_t[i])]
 
     def col_op(j, k, q):  # col j -= q * col k
         for r in a:
@@ -184,6 +214,7 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
+        uinv_t[i], uinv_t[k] = uinv_t[k], uinv_t[i]
 
     def swap_cols(j, k):
         for r in a:
@@ -230,10 +261,12 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
+            uinv_t[i] = [-x for x in uinv_t[i]]
 
     # Enforce d_i | d_{i+1} by replacing adjacent pairs with (gcd, lcm):
     # [[x, y], [-b/g, a/g]] . diag(a, b) . [[1, -y b/g], [1, x a/g]]
-    # equals diag(g, a b/g), and both transforms are unimodular.
+    # equals diag(g, a b/g), and both transforms are unimodular; the row
+    # transform's inverse [[a/g, -y], [b/g, x]] acts on the columns of U^-1.
     changed = True
     while changed:
         changed = False
@@ -245,6 +278,9 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
             pa, pb = da // g, db // g
             u[i], u[i + 1] = ([x * s + y * t2 for s, t2 in zip(u[i], u[i + 1])],
                               [-pb * s + pa * t2 for s, t2 in zip(u[i], u[i + 1])])
+            uinv_t[i], uinv_t[i + 1] = (
+                [pa * s + pb * t2 for s, t2 in zip(uinv_t[i], uinv_t[i + 1])],
+                [-y * s + x * t2 for s, t2 in zip(uinv_t[i], uinv_t[i + 1])])
             a[i], a[i + 1] = ([x * s + y * t2 for s, t2 in zip(a[i], a[i + 1])],
                               [-pb * s + pa * t2 for s, t2 in zip(a[i], a[i + 1])])
             for row in (a, v):
@@ -254,51 +290,22 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
             changed = True
 
     U = IntMatrix.from_rows(u) if n else IntMatrix.zero(0, 0)
+    Uinv = IntMatrix.from_columns(uinv_t, rows=n)
     V = IntMatrix.from_rows(v) if m else IntMatrix.zero(0, 0)
     S = IntMatrix.from_rows(a) if a else IntMatrix.zero(n, m)
     if n == 0 or m == 0:
         S = IntMatrix.zero(n, m)
-    return SnfResult(U=U, S=S, V=V)
+    return SnfResult(U=U, S=S, V=V, Uinv=Uinv)
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : A x = 0}, as matrix columns.
-
-    The kernel of an integer matrix is automatically a saturated sublattice,
-    and the returned basis spans it exactly: cols(A) - rank(A) columns.
-    """
-    if A.cols == 0:
-        return IntMatrix.zero(0, 0)
-    if A.rows == 0:
-        return IntMatrix.identity(A.cols)
-    snf = smith_normal_form(A)
-    r = snf.rank
-    cols = [snf.V.column(j) for j in range(r, A.cols)]
-    if not cols:
-        return IntMatrix.zero(A.cols, 0)
-    return IntMatrix.from_columns(cols, rows=A.cols)
+    """Basis of the integer kernel {x : A x = 0}, as matrix columns."""
+    return smith_normal_form(A).kernel()
 
 
 def solve_in_lattice(A: IntMatrix, b) -> tuple | None:
     """Some integer x with A x = b, or None if b is outside the column span."""
-    b = [int(x) for x in b]
-    if len(b) != A.rows:
-        raise ExactAlgError("rhs length %d != %d rows" % (len(b), A.rows))
-    if A.cols == 0:
-        return () if all(x == 0 for x in b) else None
-    snf = smith_normal_form(A)
-    y = snf.U.mul_vector(b)
-    r = snf.rank
-    xprime = [0] * A.cols
-    for i in range(A.rows):
-        d = snf.S[i, i] if i < min(A.rows, A.cols) else 0
-        if i < r:
-            if y[i] % d != 0:
-                return None
-            xprime[i] = y[i] // d
-        elif y[i] != 0:
-            return None
-    return snf.V.mul_vector(xprime)
+    return smith_normal_form(A).solve(b)
 
 
 def determinant(A: IntMatrix) -> int:
@@ -340,18 +347,3 @@ def inverse_unimodular(A: IntMatrix) -> IntMatrix:
     if any(d != 1 for d in snf.S.diagonal()) or snf.rank != A.rows:
         raise ExactAlgError("matrix is not unimodular")
     return snf.V * snf.U
-
-
-def column_span_basis(A: IntMatrix) -> IntMatrix:
-    """Basis (columns) of the lattice spanned by the columns of A."""
-    if A.cols == 0 or A.rows == 0:
-        return IntMatrix.zero(A.rows, 0)
-    snf = smith_normal_form(A)
-    uinv = inverse_unimodular(snf.U)
-    cols = []
-    for i in range(snf.rank):
-        d = snf.S[i, i]
-        cols.append([d * x for x in uinv.column(i)])
-    if not cols:
-        return IntMatrix.zero(A.rows, 0)
-    return IntMatrix.from_columns(cols, rows=A.rows)

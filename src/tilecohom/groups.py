@@ -12,8 +12,7 @@ from math import gcd
 
 from .exactalg import (
     IntMatrix,
-    column_span_basis,
-    inverse_unimodular,
+    SnfResult,
     kernel_basis,
     smith_normal_form,
     solve_in_lattice,
@@ -216,11 +215,10 @@ def cokernel_structure(relations: IntMatrix, ambient_rank: int):
     torsion_idx = tuple(i for i in range(n) if diag[i] >= 2)
     free_idx = tuple(i for i in range(n) if diag[i] == 0)
     structure = FgAbelianGroup(len(free_idx), tuple(diag[i] for i in torsion_idx))
-    U = snf.U if n else IntMatrix.zero(0, 0)
     cmap = CoordinateMap(
         ambient_rank=n,
-        U=U,
-        Uinv=inverse_unimodular(U) if n else IntMatrix.zero(0, 0),
+        U=snf.U,
+        Uinv=snf.Uinv,
         diag=tuple(diag),
         torsion_idx=torsion_idx,
         free_idx=free_idx,
@@ -321,19 +319,24 @@ class GroupHom:
             return IntMatrix.zero(self.codomain.free_rank, self.domain.free_rank)
         return IntMatrix.from_rows(rows)
 
-    def kernel_structure(self) -> FgAbelianGroup:
-        """Isomorphism type of the kernel."""
+    def _factor(self):
+        """One factorization of [matrix | codomain relations]: the x-parts of
+        its kernel generate the preimage lattice of 0, its cokernel is coker(f)."""
+        return smith_normal_form(self.matrix.hstack(relation_lattice(self.codomain)))
+
+    def _kernel(self, snf) -> FgAbelianGroup:
+        # ker(f) is the preimage lattice of 0 modulo the domain relations.
         nd = self.domain.free_rank + len(self.domain.torsion)
-        rel_c = relation_lattice(self.codomain)
-        stacked = self.matrix.hstack(rel_c)
-        ker = kernel_basis(stacked)
-        # x-parts of the kernel generate the preimage lattice of 0; its
-        # quotient by the domain relations is ker(f).
+        ker = snf.kernel()
         f = self.domain.free_rank
         gens = [self.domain.element(tuple(ker[i, j] for i in range(f)),
                                     tuple(ker[i, j] for i in range(f, nd)))
                 for j in range(ker.cols)]
         return subgroup_structure(self.domain, gens)
+
+    def kernel_structure(self) -> FgAbelianGroup:
+        """Isomorphism type of the kernel."""
+        return self._kernel(self._factor())
 
     def cokernel(self) -> FgAbelianGroup:
         images = [self.apply(g) for g in self.domain.generators()]
@@ -343,7 +346,9 @@ class GroupHom:
         return self.kernel_structure().is_trivial
 
     def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.cokernel().is_trivial
+        # Onto exactly when every invariant factor of the factored matrix is 1.
+        snf = self._factor()
+        return snf.invariant_factors == (1,) * snf.U.rows and self._kernel(snf).is_trivial
 
 
 def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
@@ -357,17 +362,15 @@ def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
     cols += [list(rel.column(j)) for j in range(rel.cols)]
     if not cols:
         return FgAbelianGroup.trivial()
-    lattice = column_span_basis(IntMatrix.from_columns(cols, rows=n))
-    if lattice.cols == 0:
+    snf = smith_normal_form(IntMatrix.from_columns(cols, rows=n))
+    d = snf.invariant_factors
+    if not d:
         return FgAbelianGroup.trivial()
-    # Quotient the lattice by the relation lattice, expressed in its basis.
-    rcols = []
-    for j in range(rel.cols):
-        sol = solve_in_lattice(lattice, rel.column(j))
-        rcols.append(list(sol))
-    rel_in_basis = (IntMatrix.from_columns(rcols, rows=lattice.cols)
-                    if rcols else IntMatrix.zero(lattice.cols, 0))
-    return cokernel_structure(rel_in_basis, lattice.cols)[0]
+    # The span has basis U^-1 diag(d); a relation r lies in it, with
+    # coordinates (U r)_i / d_i.  Quotient the span by the relation lattice.
+    Ur = snf.U * rel
+    rel_in_basis = IntMatrix.from_rows([[y // di for y in Ur.row(i)] for i, di in enumerate(d)])
+    return cokernel_structure(rel_in_basis, len(d))[0]
 
 
 def quotient_by(group: FgAbelianGroup, elements) -> FgAbelianGroup:
@@ -402,6 +405,7 @@ class SubquotientPresentation:
 
     ambient_rank: int
     cycle_basis: IntMatrix
+    cycle_snf: SnfResult
     boundary_in_cycle_coords: IntMatrix
     structure: FgAbelianGroup
     coordinate_map: CoordinateMap
@@ -411,7 +415,7 @@ class SubquotientPresentation:
         if len(cycle) != self.ambient_rank:
             raise GroupError("chain has length %d, ambient rank is %d"
                              % (len(cycle), self.ambient_rank))
-        coords = solve_in_lattice(self.cycle_basis, cycle)
+        coords = self.cycle_snf.solve(cycle)
         if coords is None:
             raise GroupError("chain is not a cycle")
         return self.coordinate_map.to_canonical(coords)
@@ -432,16 +436,16 @@ def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresent
     if not (d_k * d_k1).is_zero():
         raise GroupError("d_k * d_{k+1} != 0: corrupt chain complex")
     Z = kernel_basis(d_k)
-    cols = []
-    for j in range(d_k1.cols):
-        sol = solve_in_lattice(Z, d_k1.column(j))
-        assert sol is not None  # guaranteed by d*d = 0 and saturation of Z
-        cols.append(list(sol))
-    Y = IntMatrix.from_columns(cols, rows=Z.cols) if cols else IntMatrix.zero(Z.cols, 0)
+    zsnf = smith_normal_form(Z)
+    cols = [zsnf.solve(d_k1.column(j)) for j in range(d_k1.cols)]
+    if None in cols:
+        raise GroupError("internal invariant: a boundary is not in the cycle lattice")
+    Y = IntMatrix.from_columns(cols, rows=Z.cols)
     structure, cmap = cokernel_structure(Y, Z.cols)
     return SubquotientPresentation(
         ambient_rank=d_k.cols,
         cycle_basis=Z,
+        cycle_snf=zsnf,
         boundary_in_cycle_coords=Y,
         structure=structure,
         coordinate_map=cmap,
@@ -463,9 +467,9 @@ def induced_hom(pres: SubquotientPresentation, generator_cycles, image_cycles) -
     rel = relation_lattice(G)
     cols = [list(g.int_coords()) for g in gcls]
     cols += [list(rel.column(j)) for j in range(rel.cols)]
-    A = IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zero(n, 0)
+    snf = smith_normal_form(IntMatrix.from_columns(cols, rows=n))
     # Relations among the generators must map to relations among the images.
-    relations = kernel_basis(A)
+    relations = snf.kernel()
     for j in range(relations.cols):
         coeffs = relations.column(j)[:len(gcls)]
         acc = G.zero()
@@ -475,7 +479,7 @@ def induced_hom(pres: SubquotientPresentation, generator_cycles, image_cycles) -
             raise GroupError("images violate a relation among the generators")
     images = []
     for e in G.generators():
-        sol = solve_in_lattice(A, e.int_coords())
+        sol = snf.solve(e.int_coords())
         if sol is None:
             raise GroupError("generator cycles do not generate the homology group")
         acc = G.zero()

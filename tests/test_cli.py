@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
-from tilecohom import complexes
+from tilecohom import complexes, exactalg, groups
 from tilecohom.cli import parse_group, parse_matrix, run_command
-from tilecohom.exactalg import ExactAlgError
+from tilecohom.exactalg import ExactAlgError, IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, GroupError
 from tilecohom.tilings import builtin, builtin_names, save_spec
 
@@ -136,6 +137,15 @@ class TestLimitCommand:
         with pytest.raises(ExactAlgError):
             parse_matrix("1,a;0,1")
 
+    @pytest.mark.parametrize("matrix", ["-1,0;0,1", "-2,1;1,-1", "-3", "-1 0;0 1"])
+    def test_negative_matrix_spaced_or_attached(self, matrix):
+        spaced = run("limit", "--group", "Z^%d" % (matrix.count(";") + 1),
+                     "--matrix", matrix)
+        attached = run("limit", "--group", "Z^%d" % (matrix.count(";") + 1),
+                       "--matrix=" + matrix)
+        assert spaced.exit_code == 0
+        assert (spaced.exit_code, spaced.stdout) == (attached.exit_code, attached.stdout)
+
     @pytest.mark.parametrize("group, matrix", [("Z", "a"), ("Z^x", "1")])
     def test_unparsable_input_is_one_error_line(self, capsys, group, matrix):
         res = run("limit", "--group", group, "--matrix", matrix)
@@ -212,3 +222,53 @@ class TestWorkCounts:
         res = run(command, "--builtin", "penrose-kite-dart", *options)
         assert res.exit_code == 0
         assert len(builds) == expected
+
+
+def _random_complex(boundary_cols, seed=7):
+    """d_1 (6 x 12, entries in -1..1) and a d_2 with the given number of
+    columns, each an integer combination of a kernel basis of d_1.  The first
+    kernel vector is never used and the second only with even coefficients,
+    so the homology has a free and a torsion part."""
+    rng = random.Random(seed)
+    d1 = IntMatrix.from_rows([[rng.randint(-1, 1) for _ in range(12)] for _ in range(6)])
+    K = kernel_basis(d1)
+    scale = [0, 2] + [1] * (K.cols - 2)
+    C = IntMatrix.from_rows([[s * rng.randint(-1, 1) for _ in range(boundary_cols)]
+                             for s in scale])
+    return d1, K * C
+
+
+class TestFactorizationCounts:
+    """One factorization per matrix: a homology presentation factors d_k, its
+    cycle basis and the boundary coordinates once each, and class_of reuses
+    the cycle basis's factorization."""
+
+    @pytest.fixture
+    def snfs(self, monkeypatch):
+        calls = []
+        original = exactalg.smith_normal_form
+
+        def counting(A):
+            calls.append((A.rows, A.cols))
+            return original(A)
+
+        monkeypatch.setattr(exactalg, "smith_normal_form", counting)
+        monkeypatch.setattr(groups, "smith_normal_form", counting)
+        return calls
+
+    @pytest.mark.parametrize("boundary_cols", [20, 45])
+    def test_presentation_independent_of_boundary_count(self, snfs, boundary_cols):
+        d1, d2 = _random_complex(boundary_cols)
+        snfs.clear()
+        groups.homology_presentation(d1, d2)
+        assert len(snfs) <= 3
+
+    def test_class_of_runs_no_snf(self, snfs):
+        d1, d2 = _random_complex(20)
+        pres = groups.homology_presentation(d1, d2)
+        snfs.clear()
+        for j in range(d2.cols):
+            assert pres.class_of(d2.column(j)).is_zero
+        for g, cycle in zip(pres.structure.generators(), pres.generator_cycles()):
+            assert pres.class_of(cycle) == g
+        assert snfs == []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tilecohom.exactalg import (
     ExactAlgError,
     IntMatrix,
-    column_span_basis,
     determinant,
     inverse_unimodular,
     is_unimodular,
@@ -46,6 +45,7 @@ def check_snf_contract(A):
         assert abs(determinant(snf.U)) == 1
     if A.cols:
         assert abs(determinant(snf.V)) == 1
+    assert (snf.U * snf.Uinv).entries == IntMatrix.identity(A.rows).entries
     factors = snf.invariant_factors
     assert all(d >= 1 for d in factors)
     for a, b in zip(factors, factors[1:]):
@@ -69,6 +69,9 @@ class TestSmithNormalForm:
     def test_examples_2x2(self):
         snf = check_snf_contract(IntMatrix.from_rows([[2, 4], [6, 8]]))
         assert snf.S.diagonal() == (2, 4)
+        # diag(2, 3) -> diag(1, 6) needs the Bezout step
+        snf = check_snf_contract(IntMatrix.from_rows([[2, 0], [0, 3]]))
+        assert snf.S.diagonal() == (1, 6)
 
     def test_zero_matrix(self):
         snf = check_snf_contract(IntMatrix.zero(3, 3))
@@ -188,10 +191,3 @@ class TestHelpers:
         with pytest.raises(ExactAlgError):
             inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
         assert is_unimodular(U)
-
-    def test_column_span_basis(self):
-        A = IntMatrix.from_rows([[2, 4], [0, 0]])
-        B = column_span_basis(A)
-        assert B.cols == 1
-        assert solve_in_lattice(B, (2, 0)) is not None
-        assert solve_in_lattice(B, (1, 0)) is None

@@ -327,3 +327,38 @@ class TestHomStructure:
         el = g.element((), (1, 1))
         assert subgroup_structure(g, [el]) == FgAbelianGroup(0, (4,))
         assert subgroup_structure(g, []).is_trivial
+
+    def test_subgroup_structure_of_span(self):
+        # The span of (2, 0) and (4, 0) in Z^2 has the one basis vector (2, 0).
+        z2 = FgAbelianGroup.free(2)
+        assert subgroup_structure(z2, [z2.element((2, 0)), z2.element((4, 0))]) \
+            == FgAbelianGroup.free(1)
+        assert subgroup_structure(z2, [z2.element((2, 0)), z2.element((0, 3))]) \
+            == FgAbelianGroup.free(2)
+        assert subgroup_structure(z2, [z2.zero()]).is_trivial
+        # A free generator spans Z even when its torsion part is nonzero.
+        g = FgAbelianGroup(1, (6,))
+        assert subgroup_structure(g, [g.element((2,), (3,))]) == FgAbelianGroup.free(1)
+        assert subgroup_structure(g, [g.element((0,), (2,)), g.element((0,), (3,))]) \
+            == FgAbelianGroup(0, (6,))
+
+    def test_subgroup_order_matches_closure(self):
+        """Oracle: in a finite group, the subgroup's order is the size of the
+        closure of its generators under addition."""
+        rng = random.Random(20240601)
+        for torsion in [(2, 4), (3, 6), (2, 2, 4), (12,)]:
+            g = FgAbelianGroup(0, torsion)
+            for _ in range(10):
+                gens = [g.element((), [rng.randrange(d) for d in torsion])
+                        for _ in range(rng.randint(1, 3))]
+                seen = {g.zero()}
+                frontier = [g.zero()]
+                while frontier:
+                    x = frontier.pop()
+                    for h in gens:
+                        if x + h not in seen:
+                            seen.add(x + h)
+                            frontier.append(x + h)
+                sub = subgroup_structure(g, gens)
+                assert sub.free_rank == 0
+                assert sub.torsion_order() == len(seen)
