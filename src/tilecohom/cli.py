@@ -219,9 +219,9 @@ def _cmd_limit(args):
     lines = ["limit = %s (status %s)" % (lim.render(), lim.status)]
     lines.extend("note: " + n for n in lim.notes)
     if lim.status == "undetermined":
+        profile = ", ".join("%d:%d" % pr for pr in lim.p_divisible_ranks)
         lines.append("lattice rank %d, p-divisible ranks %s"
-                     % (lim.lattice_rank,
-                        ", ".join("%d:%d" % pr for pr in lim.p_divisible_ranks)))
+                     % (lim.lattice_rank, profile or "none"))
     return CommandResult(0, "\n".join(lines) + "\n")
 
 

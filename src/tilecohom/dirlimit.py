@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exactalg import (
     IntMatrix,
@@ -21,6 +22,12 @@ from .groups import FgAbelianGroup, GroupHom, subgroup_structure
 STATUS_EXACT = "exact"
 STATUS_VERIFIED = "verified_profile"
 STATUS_UNDETERMINED = "undetermined"
+
+# Trial division stops here, after about 10^6 candidates; a larger cofactor of
+# the determinant must be proven prime, or the limit is left undetermined.
+TRIAL_DIVISION_BOUND = 1 << 20
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 class DirectLimitError(Exception):
@@ -141,15 +148,53 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     )
 
 
-def _is_prime(p):
-    if p < 2:
+def _is_prime(n):
+    """Miller-Rabin with the prime bases 2..41: True only for a proven prime.
+
+    These bases decide primality exactly below _MR_EXACT_BELOW (Sorenson and
+    Webster 2015); a larger n is never reported prime.
+    """
+    if n in _MR_BASES:
+        return True
+    if n < 2 or n >= _MR_EXACT_BELOW or any(n % a == 0 for a in _MR_BASES):
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
+
+
+def _factorize(n):
+    """Prime factorization of |n| > 0 as ({prime: exponent}, cofactor).
+
+    Trial division divides out each prime as it finds it and stops at
+    TRIAL_DIVISION_BOUND; whatever is left is taken as a prime only when
+    _is_prime proves it.  Otherwise it comes back as the unfactored cofactor,
+    which is 1 when the factorization is complete.
+    """
+    n = abs(n)
+    factors = {}
+    d = 2
+    while n > 1 and not _is_prime(n):
+        while n % d and d <= TRIAL_DIVISION_BOUND:
+            d += 1
+        if d > TRIAL_DIVISION_BOUND:
+            return factors, n
+        while n % d == 0:
+            n //= d
+            factors[d] = factors.get(d, 0) + 1
+    if n > 1:
+        factors[n] = 1
+    return factors, 1
 
 
 def _rank_mod_p(M: IntMatrix, p: int) -> int:
@@ -181,7 +226,7 @@ def _rank_mod_p(M: IntMatrix, p: int) -> int:
 def stable_rank_mod_p(induced: IntMatrix, p: int) -> int:
     """Rank over F_p of induced^n, n = dimension (the stabilized power)."""
     if not _is_prime(p):
-        raise DirectLimitError("%d is not prime" % p)
+        raise DirectLimitError("%d is not a proven prime" % p)
     if induced.rows != induced.cols:
         raise DirectLimitError("induced matrix must be square")
     n = induced.rows
@@ -212,76 +257,31 @@ def _char_poly(A: IntMatrix):
     return [c for c in reversed(cs)] + [1]
 
 
-def _eval_poly(poly, x):
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
+def _integer_roots(poly, factors, bound):
+    """Integer roots with multiplicity, or None if the monic poly does not split.
 
-
-def _integer_roots(poly):
-    """Integer roots with multiplicity, or None if the poly does not split."""
+    Every integer root divides the constant term, whose prime factorization is
+    `factors`, and no root exceeds `bound` in absolute value.  Candidates are
+    tried in ascending order, each divided out as often as it divides.
+    """
+    divisors = [1]
+    for p, e in factors.items():
+        divisors = [d * p ** k for d in divisors for k in range(e + 1) if d * p ** k <= bound]
     roots = []
-    p = list(poly)
-    while len(p) > 1:
-        a0 = p[0]
-        if a0 == 0:
-            root = 0
-        else:
-            root = None
-            cands = set()
-            d = 1
-            while d * d <= abs(a0):
-                if a0 % d == 0:
-                    cands.update({d, -d, abs(a0) // d, -(abs(a0) // d)})
-                d += 1
-            for c in sorted(cands, key=abs):
-                if _eval_poly(p, c) == 0:
-                    root = c
+    for d in sorted(divisors):
+        for c in (d, -d):
+            while len(poly) > 1:
+                # synthetic division by (x - c); the remainder is poly(c)
+                q = [0] * (len(poly) - 1)
+                carry = poly[-1]
+                for i in range(len(poly) - 2, -1, -1):
+                    q[i] = carry
+                    carry = poly[i] + carry * c
+                if carry:
                     break
-            if root is None:
-                return None
-        roots.append(root)
-        # synthetic division by (x - root)
-        q = [0] * (len(p) - 1)
-        carry = p[-1]
-        for i in range(len(p) - 2, -1, -1):
-            q[i] = carry
-            carry = p[i] + carry * root
-        if carry != 0:
-            raise DirectLimitError("internal invariant: %d is not a root" % root)
-        p = q
-    return sorted(roots)
-
-
-def _radical(n):
-    n = abs(n)
-    rad = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            rad *= d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        rad *= n
-    return rad
-
-
-def _prime_factors(n):
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+                roots.append(c)
+                poly = q
+    return sorted(roots) if len(poly) == 1 else None
 
 
 def _is_diagonalizable(A: IntMatrix, distinct_roots) -> bool:
@@ -316,22 +316,29 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
     if abs(det) == 1:
         return DirectLimitGroup(data.torsion_limit, ((1, r),), STATUS_EXACT)
 
-    poly = _char_poly(D)
-    roots = _integer_roots(poly)
+    factors, cofactor = _factorize(det)
+    profile = tuple((p, r - stable_rank_mod_p(D, p)) for p in sorted(factors))
+    roots = None
+    if cofactor == 1:
+        norm = max(sum(abs(x) for x in D.row(i)) for i in range(r))
+        roots = _integer_roots(_char_poly(D), factors, norm)
+    else:
+        notes.append("determinant cofactor %d has no prime factor up to %d and is not "
+                     "a proven prime; the eigenvalues were not checked"
+                     % (cofactor, TRIAL_DIVISION_BOUND))
     if roots is not None and _is_diagonalizable(D, sorted(set(roots))):
         # Conjectured limit: one Z[1/|lambda|] per eigenvalue.  Verify the
         # p-divisible rank for every prime dividing the determinant before
         # asserting it.
-        for p in _prime_factors(det):
+        for p, actual in profile:
             expected = sum(1 for lam in roots if lam % p == 0)
-            actual = r - stable_rank_mod_p(D, p)
             if expected != actual:
                 raise ProfileMismatchError(
                     "p=%d divisible rank %d does not match eigenvalue count %d"
                     % (p, actual, expected))
         counts = {}
         for lam in roots:
-            m = _radical(lam)
+            m = prod(p for p in factors if lam % p == 0)
             if m != abs(lam):
                 note = "inverted integer %d canonicalized to its radical %d" % (abs(lam), m)
                 if note not in notes:
@@ -341,7 +348,6 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
         return DirectLimitGroup(data.torsion_limit, summands, STATUS_VERIFIED,
                                 notes=tuple(notes))
 
-    profile = tuple((p, r - stable_rank_mod_p(D, p)) for p in _prime_factors(det))
     return DirectLimitGroup(
         data.torsion_limit,
         (),
@@ -349,4 +355,5 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
         lattice_rank=r,
         endo_matrix=D,
         p_divisible_ranks=profile,
+        notes=tuple(notes),
     )

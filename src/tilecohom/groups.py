@@ -240,20 +240,24 @@ def relation_lattice(group: FgAbelianGroup) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=n)
 
 
+def _with_relations(group: FgAbelianGroup, elements) -> IntMatrix:
+    """[elements | relations]: the integer coordinates of the elements, then
+    the columns of relation_lattice(group).  Its column span is the preimage
+    in Z^n of the subgroup the elements generate."""
+    if any(e.owner != group for e in elements):
+        raise GroupError("element does not belong to the group")
+    n = group.free_rank + len(group.torsion)
+    lifted = IntMatrix.from_columns([e.int_coords() for e in elements], rows=n)
+    return lifted.hstack(relation_lattice(group))
+
+
 def express(group: FgAbelianGroup, element: GroupElement, generators):
     """Coefficients a with element = sum a_j * generators[j], or None."""
     if element.owner != group:
         raise GroupError("element does not belong to the group")
-    for g in generators:
-        if g.owner != group:
-            raise GroupError("generator does not belong to the group")
-    n = group.free_rank + len(group.torsion)
-    gen_cols = [list(g.int_coords()) for g in generators]
-    rel = relation_lattice(group)
-    cols = gen_cols + [list(rel.column(j)) for j in range(rel.cols)]
-    if not cols:
+    A = _with_relations(group, generators)
+    if not A.cols:
         return () if element.is_zero else None
-    A = IntMatrix.from_columns(cols, rows=n)
     sol = solve_in_lattice(A, element.int_coords())
     if sol is None:
         return None
@@ -353,37 +357,24 @@ class GroupHom:
 
 def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
     """Isomorphism type of the subgroup generated by the elements."""
-    n = group.free_rank + len(group.torsion)
-    rel = relation_lattice(group)
-    cols = [list(e.int_coords()) for e in elements]
-    for e in elements:
-        if e.owner != group:
-            raise GroupError("element does not belong to the group")
-    cols += [list(rel.column(j)) for j in range(rel.cols)]
-    if not cols:
+    A = _with_relations(group, elements)
+    if not A.cols:
         return FgAbelianGroup.trivial()
-    snf = smith_normal_form(IntMatrix.from_columns(cols, rows=n))
+    snf = smith_normal_form(A)
     d = snf.invariant_factors
     if not d:
         return FgAbelianGroup.trivial()
     # The span has basis U^-1 diag(d); a relation r lies in it, with
     # coordinates (U r)_i / d_i.  Quotient the span by the relation lattice.
-    Ur = snf.U * rel
+    Ur = snf.U * relation_lattice(group)
     rel_in_basis = IntMatrix.from_rows([[y // di for y in Ur.row(i)] for i, di in enumerate(d)])
     return cokernel_structure(rel_in_basis, len(d))[0]
 
 
 def quotient_by(group: FgAbelianGroup, elements) -> FgAbelianGroup:
     """Normal form of group / <elements>."""
-    n = group.free_rank + len(group.torsion)
-    cols = [list(e.int_coords()) for e in elements]
-    for e in elements:
-        if e.owner != group:
-            raise GroupError("element does not belong to the group")
-    rel = relation_lattice(group)
-    cols += [list(rel.column(j)) for j in range(rel.cols)]
-    relations = IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zero(n, 0)
-    return cokernel_structure(relations, n)[0]
+    return cokernel_structure(_with_relations(group, elements),
+                              group.free_rank + len(group.torsion))[0]
 
 
 def symmetry_defect(orders) -> FgAbelianGroup:
@@ -463,11 +454,7 @@ def induced_hom(pres: SubquotientPresentation, generator_cycles, image_cycles) -
     G = pres.structure
     gcls = [pres.class_of(c) for c in generator_cycles]
     icls = [pres.class_of(c) for c in image_cycles]
-    n = G.free_rank + len(G.torsion)
-    rel = relation_lattice(G)
-    cols = [list(g.int_coords()) for g in gcls]
-    cols += [list(rel.column(j)) for j in range(rel.cols)]
-    snf = smith_normal_form(IntMatrix.from_columns(cols, rows=n))
+    snf = smith_normal_form(_with_relations(G, gcls))
     # Relations among the generators must map to relations among the images.
     relations = snf.kernel()
     for j in range(relations.cols):

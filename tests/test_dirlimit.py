@@ -1,18 +1,23 @@
 import random
+from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecohom.dirlimit import (
     DirectLimitError,
      STATUS_EXACT,
     STATUS_UNDETERMINED,
     STATUS_VERIFIED,
+    TRIAL_DIVISION_BOUND,
     direct_limit,
     eventual_data,
     stable_rank_mod_p,
 )
+from tilecohom.cli import run_command
 from tilecohom.exactalg import IntMatrix, determinant
 from tilecohom.groups import FgAbelianGroup, GroupHom, from_divisors
 
@@ -82,9 +87,16 @@ class TestStableRank:
         D = eventual_data(g, e).induced
         assert stable_rank_mod_p(D, 2) == 1
 
-    def test_rejects_composite(self):
+    def test_rejects_composite(self, time_limit):
         with pytest.raises(DirectLimitError):
             stable_rank_mod_p(IntMatrix.identity(2), 6)
+        with time_limit(5), pytest.raises(DirectLimitError):
+            stable_rank_mod_p(IntMatrix.identity(2), 1000000007 * 1000000009)
+
+    def test_large_prime(self, time_limit):
+        p = 10 ** 20 + 39
+        with time_limit(5):
+            assert stable_rank_mod_p(IntMatrix.from_rows([[p, 0], [0, 1]]), p) == 1
 
 
 class TestDirectLimit:
@@ -288,3 +300,104 @@ class TestMixedLimits:
         lim = direct_limit(g, e)
         assert lim.torsion.is_trivial
         assert lim.render() == "0"
+
+
+def _primes_dividing(n):
+    return [p for p in range(2, abs(n) + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _radical(n):
+    return prod(_primes_dividing(n))
+
+
+_PRIMES_900S = tuple(p for p in range(900, 1000) if all(p % d for d in range(2, 32)))
+_NON_UNITS = (4, -12, 18, 25) + _PRIMES_900S + tuple(-p for p in _PRIMES_900S)
+_EIGENVALUES = (1, -1) + _NON_UNITS
+# Elementary column operations (i, j, c): column j += c * column i.
+_UNIMODULAR_OPS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                     st.sampled_from((-2, -1, 1, 2))), max_size=8)
+
+
+def _conjugate(J, ops):
+    """P J P^-1 for P the product of the elementary operations (unimodular)."""
+    n = len(J)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for i, j, c in ops:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        for row in P:
+            row[j] += c * row[i]
+        Pinv[i] = [x - c * y for x, y in zip(Pinv[i], Pinv[j])]
+    P, Pinv = IntMatrix.from_rows(P), IntMatrix.from_rows(Pinv)
+    assert (P * Pinv).entries == IntMatrix.identity(n).entries
+    return P * IntMatrix.from_rows(J) * Pinv
+
+
+def _diagonal(values):
+    n = len(values)
+    return [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+class TestEigenvalueOracle:
+    """Limits of P J P^-1 against the answer read off the eigenvalues of J."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=1, max_size=4),
+           ops=_UNIMODULAR_OPS)
+    def test_diagonalizable(self, eigenvalues, ops):
+        lim = direct_limit(*free_endo(_conjugate(_diagonal(eigenvalues), ops)))
+        if all(abs(lam) == 1 for lam in eigenvalues):
+            assert (lim.status, lim.free_summands) == (STATUS_EXACT, ((1, len(eigenvalues)),))
+            return
+        notes = ["inverted integer %d canonicalized to its radical %d" % (abs(lam), _radical(lam))
+                 for lam in sorted(eigenvalues) if _radical(lam) != abs(lam)]
+        assert lim.status == STATUS_VERIFIED
+        assert lim.free_summands == tuple(sorted(Counter(map(_radical, eigenvalues)).items()))
+        assert lim.notes == tuple(dict.fromkeys(notes))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.sampled_from(_NON_UNITS),
+           others=st.lists(st.sampled_from(_EIGENVALUES), max_size=2), ops=_UNIMODULAR_OPS)
+    def test_jordan_block(self, lam, others, ops):
+        J = _diagonal([lam, lam] + others)
+        J[0][1] = 1
+        lim = direct_limit(*free_endo(_conjugate(J, ops)))
+        eigenvalues = [lam, lam] + others
+        primes = sorted({p for v in eigenvalues for p in _primes_dividing(v)})
+        assert lim.status == STATUS_UNDETERMINED
+        assert lim.lattice_rank == len(eigenvalues)
+        assert lim.p_divisible_ranks == tuple(
+            (p, sum(1 for v in eigenvalues if v % p == 0)) for p in primes)
+
+
+class TestFactorizationBound:
+    """|det| is factored by trial division up to TRIAL_DIVISION_BOUND plus a
+    primality proof; a cofactor beyond both leaves the limit undetermined."""
+
+    def limit(self, time_limit, matrix):
+        with time_limit(5):
+            res = run_command(["limit", "--group", "Z", "--matrix", matrix])
+        assert res.exit_code == 0
+        return res.stdout
+
+    def test_large_prime_determinant(self, time_limit):
+        assert self.limit(time_limit, "100000000000000000039") == (
+            "limit = Z[1/100000000000000000039] (status verified_profile)\n")
+
+    def test_unfactored_cofactor(self, time_limit):
+        assert 1000000007 > TRIAL_DIVISION_BOUND
+        assert self.limit(time_limit, "1000000016000000063") == (
+            "limit = (undetermined rank 1) (status undetermined)\n"
+            "note: determinant cofactor 1000000016000000063 has no prime factor up to "
+            "1048576 and is not a proven prime; the eigenvalues were not checked\n"
+            "lattice rank 1, p-divisible ranks none\n")
+
+    def test_profile_over_found_primes(self, time_limit):
+        g, e = free_endo(IntMatrix.from_rows([[12 * 1000000007 * 1000000009]]))
+        with time_limit(5):
+            lim = direct_limit(g, e)
+        assert lim.status == STATUS_UNDETERMINED
+        assert lim.p_divisible_ranks == ((2, 1), (3, 1))
+        assert len(lim.notes) == 1 and "1000000016000000063" in lim.notes[0]

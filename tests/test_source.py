@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tilecohom
@@ -15,3 +16,22 @@ def test_no_assert_in_library():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark tracer wraps exists, so deleting or renaming one
+    fails here instead of crashing the traced benchmark."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    traced = next(ast.literal_eval(node.value)
+                  for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    assert ("dirlimit", "direct_limit") in traced
+    missing = []
+    for module, *attrs in traced:
+        obj = importlib.import_module("tilecohom." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(".".join([module, *attrs]))
+    assert missing == []

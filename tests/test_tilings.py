@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecohom.cli import run_command
 from tilecohom.complexes import MODE_RIGID, build_chain_complex, homology
@@ -132,6 +138,60 @@ class TestSchema:
         err = capsys.readouterr().err
         assert err.startswith("error: " + ".".join(str(k) for k in path[:2]))
         assert err.count("\n") == 1
+
+
+_DELETE = object()
+_MUTANT_VALUES = (_DELETE, True, False, None, 1.5, "x", [], {}, 10 ** 30)
+
+
+def _paths(node, prefix=()):
+    """Key paths of every value below a JSON node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+class TestSpecFuzz:
+    """A builtin's document with one key deleted or one value replaced by a
+    value of another type: every command ends with exit 0, 1 or 2 and at most
+    one `error:` line, never an uncaught exception."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_spec(self, data, time_limit):
+        doc = json.loads(save_spec(builtin(data.draw(st.sampled_from(builtin_names())))))
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        value = data.draw(st.sampled_from(_MUTANT_VALUES))
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        mode = data.draw(st.sampled_from(("translation", "rigid", "rigid-modified")))
+        hull = data.draw(st.sampled_from(("translation", "rotation-quotient", "rigid")))
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = os.path.join(tmp, "mutant.json")
+            with open(spec_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in (["check", spec_path],
+                         ["homology", spec_path, "--mode", mode, "--limit"],
+                         ["cohomology", spec_path, "--hull", hull],
+                         ["spectral", spec_path]):
+                err = io.StringIO()
+                with time_limit(10), contextlib.redirect_stderr(err):
+                    res = run_command(argv)
+                assert res.exit_code in (0, 1, 2), argv
+                errors = [line for line in err.getvalue().splitlines()
+                          if line.startswith("error:")]
+                assert len(errors) <= 1, argv
 
 
 class TestValidate:
