@@ -46,7 +46,11 @@ def _load_target(args) -> tilings.TilingSpec:
         return tilings.builtin(args.builtin)
     if args.path:
         with open(args.path, "r", encoding="utf-8") as fh:
-            return tilings.load_spec(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as e:
+                raise tilings.SpecError("%s: not UTF-8 text (%s)" % (args.path, e)) from None
+        return tilings.load_spec(text)
     raise _UsageError("a spec path or --builtin is required")
 
 

@@ -50,9 +50,6 @@ class ChainMap:
     target: ChainComplex
     matrices: tuple
 
-    def matrix(self, k):
-        return self.matrices[k]
-
 
 @dataclass(frozen=True)
 class ChainMapReport:

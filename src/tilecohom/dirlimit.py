@@ -14,7 +14,6 @@ from math import prod
 from .exactalg import (
     IntMatrix,
     determinant,
-    kernel_basis,
     smith_normal_form,
 )
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
@@ -26,12 +25,25 @@ STATUS_UNDETERMINED = "undetermined"
 # Trial division stops here, after about 10^6 candidates; a larger cofactor of
 # the determinant must be proven prime, or the limit is left undetermined.
 TRIAL_DIVISION_BOUND = 1 << 20
+# At most this many divisors of |det| are tried as integer eigenvalues; with
+# more, the limit is left undetermined.
+EIGENVALUE_CANDIDATE_BOUND = 1 << 16
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 class DirectLimitError(Exception):
     pass
+
+
+def _decimal(n):
+    """n in decimal, or DirectLimitError when it has more digits than Python
+    converts to text."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DirectLimitError("a %d-bit integer of the result is too long to print"
+                               % n.bit_length()) from None
 
 
 class ProfileMismatchError(DirectLimitError):
@@ -66,7 +78,8 @@ class DirectLimitGroup:
             if m == 1:
                 parts.append("Z" if r == 1 else "Z^%d" % r)
             else:
-                parts.append("Z[1/%d]" % m if r == 1 else "Z[1/%d]^%d" % (m, r))
+                parts.append("Z[1/%s]" % _decimal(m) if r == 1
+                             else "Z[1/%s]^%d" % (_decimal(m), r))
         if self.status == STATUS_UNDETERMINED and self.lattice_rank:
             parts.append("(undetermined rank %d)" % self.lattice_rank)
         parts.extend("Z/%d" % d for d in self.torsion.torsion)
@@ -82,7 +95,6 @@ class EventualData:
 
     torsion_limit: FgAbelianGroup
     eventual_kernel: IntMatrix
-    projection: IntMatrix
     induced: IntMatrix
 
 
@@ -120,20 +132,16 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     power = IntMatrix.identity(r)
     for _ in range(r):
         power = power * F
-    K = kernel_basis(power)
+    snf = smith_normal_form(power)
+    K = snf.kernel()
     k = K.cols
     if k:
-        snf = smith_normal_form(K)
-        if any(d != 1 for d in snf.invariant_factors):
-            raise DirectLimitError("internal invariant: eventual kernel is not saturated")
-        U, Uinv = snf.U, snf.Uinv
+        # K = V[:, r-k:], so the rows :r-k of V^-1 project Z^r onto Z^r / K
+        # and the columns :r-k of V are a section of that projection.
+        proj = IntMatrix(r - k, r, snf.Vinv.entries[:(r - k) * r])
+        section = IntMatrix.from_columns([snf.V.column(j) for j in range(r - k)], rows=r)
     else:
-        U = Uinv = IntMatrix.identity(r)
-    proj_rows = [list(U.row(i)) for i in range(k, r)]
-    proj = IntMatrix.from_rows(proj_rows) if proj_rows else IntMatrix.zero(0, r)
-    section_cols = [list(Uinv.column(j)) for j in range(k, r)]
-    section = (IntMatrix.from_columns(section_cols, rows=r)
-               if section_cols else IntMatrix.zero(r, 0))
+        proj = section = IntMatrix.identity(r)
     induced = proj * F * section
     # phi maps the eventual kernel into itself, so the quotient map is defined.
     if k and not (proj * F * K).is_zero():
@@ -143,7 +151,6 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     return EventualData(
         torsion_limit=_torsion_limit(group, endo),
         eventual_kernel=K,
-        projection=proj,
         induced=induced,
     )
 
@@ -257,18 +264,32 @@ def _char_poly(A: IntMatrix):
     return [c for c in reversed(cs)] + [1]
 
 
-def _integer_roots(poly, factors, bound):
-    """Integer roots with multiplicity, or None if the monic poly does not split.
-
-    Every integer root divides the constant term, whose prime factorization is
-    `factors`, and no root exceeds `bound` in absolute value.  Candidates are
-    tried in ascending order, each divided out as often as it divides.
-    """
+def _divisors(factors, bound):
+    """The divisors up to bound of the number factored as `factors`, ascending,
+    or None when there are more than EIGENVALUE_CANDIDATE_BOUND of them."""
     divisors = [1]
     for p, e in factors.items():
-        divisors = [d * p ** k for d in divisors for k in range(e + 1) if d * p ** k <= bound]
+        grown = []
+        for d in divisors:
+            for _ in range(e + 1):
+                if d > bound:
+                    break
+                grown.append(d)
+                d *= p
+            if len(grown) > EIGENVALUE_CANDIDATE_BOUND:
+                return None
+        divisors = grown
+    return sorted(divisors)
+
+
+def _integer_roots(poly, divisors):
+    """Integer roots with multiplicity, or None if the monic poly does not split.
+
+    `divisors` holds every |root| that is possible, in ascending order; each
+    candidate is divided out as often as it divides.
+    """
     roots = []
-    for d in sorted(divisors):
+    for d in divisors:
         for c in (d, -d):
             while len(poly) > 1:
                 # synthetic division by (x - c); the remainder is poly(c)
@@ -320,12 +341,18 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
     profile = tuple((p, r - stable_rank_mod_p(D, p)) for p in sorted(factors))
     roots = None
     if cofactor == 1:
+        # Every integer eigenvalue divides det, and none exceeds the row-sum norm.
         norm = max(sum(abs(x) for x in D.row(i)) for i in range(r))
-        roots = _integer_roots(_char_poly(D), factors, norm)
+        divisors = _divisors(factors, norm)
+        if divisors is None:
+            notes.append("the determinant has more than %d divisors up to the row-sum "
+                         "norm; the eigenvalues were not checked" % EIGENVALUE_CANDIDATE_BOUND)
+        else:
+            roots = _integer_roots(_char_poly(D), divisors)
     else:
-        notes.append("determinant cofactor %d has no prime factor up to %d and is not "
+        notes.append("determinant cofactor %s has no prime factor up to %d and is not "
                      "a proven prime; the eigenvalues were not checked"
-                     % (cofactor, TRIAL_DIVISION_BOUND))
+                     % (_decimal(cofactor), TRIAL_DIVISION_BOUND))
     if roots is not None and _is_diagonalizable(D, sorted(set(roots))):
         # Conjectured limit: one Z[1/|lambda|] per eigenvalue.  Verify the
         # p-divisible rank for every prime dividing the determinant before
@@ -340,7 +367,8 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
         for lam in roots:
             m = prod(p for p in factors if lam % p == 0)
             if m != abs(lam):
-                note = "inverted integer %d canonicalized to its radical %d" % (abs(lam), m)
+                note = ("inverted integer %s canonicalized to its radical %s"
+                        % (_decimal(abs(lam)), _decimal(m)))
                 if note not in notes:
                     notes.append(note)
             counts[m] = counts.get(m, 0) + 1

@@ -75,10 +75,6 @@ class IntMatrix:
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self):
-        e, n = self.entries, self.cols
-        return IntMatrix(n, self.rows, tuple(x for j in range(n) for x in e[j::n]))
-
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
@@ -117,14 +113,15 @@ class IntMatrix:
 class SnfResult:
     """U * A * V = S with U, V unimodular and S the Smith normal form of A.
 
-    Uinv is the inverse of U.  One factorization answers every kernel and
-    lattice-solve question about A.
+    Uinv and Vinv are the inverses of U and V.  One factorization answers
+    every kernel and lattice-solve question about A.
     """
 
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
     Uinv: IntMatrix
+    Vinv: IntMatrix
 
     @property
     def invariant_factors(self):
@@ -170,46 +167,37 @@ def _smallest_pivot(a, t):
     return best
 
 
-def _egcd(a, b):
-    """(g, x, y) with g = gcd(a, b) = x a + y b, g >= 0, small x and y."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def smith_normal_form(A: IntMatrix) -> SnfResult:
     """Diagonalise A over the integers.
 
     Gcd-driven row/column reduction.  The pivot is re-selected as the entry of
     least magnitude in the remaining submatrix after every remainder round,
-    which keeps coefficient growth tame; the divisibility chain is enforced
-    afterwards by explicit Bezout 2x2 transforms on adjacent diagonal entries.
-    The diagonal is normalised to d1 | d2 | ... with all entries nonnegative.
-    U^-1 is a by-product: each row operation on U is applied, inverted, to the
-    columns of U^-1 (held transposed, one list per column).
+    which keeps coefficient growth tame.  Once a pivot p has cleared its row
+    and column, an entry of the remaining submatrix that p does not divide is
+    added into the pivot row; its remainder mod p then becomes a smaller
+    pivot, so the diagonal comes out as d1 | d2 | ... with no second pass.
+    U^-1 and V^-1 are by-products: each row operation on U is applied,
+    inverted, to the columns of U^-1 (held transposed, one list per column),
+    and each column operation on V, inverted, to the rows of V^-1.
     """
     n, m = A.rows, A.cols
     a = A.to_rows()
     u = IntMatrix.identity(n).to_rows()
     uinv_t = IntMatrix.identity(n).to_rows()
     v = IntMatrix.identity(m).to_rows()
+    vinv = IntMatrix.identity(m).to_rows()
 
     def row_op(i, k, q):  # row i -= q * row k; U^-1 column k += q * column i
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
         uinv_t[k] = [x + q * y for x, y in zip(uinv_t[k], uinv_t[i])]
 
-    def col_op(j, k, q):  # col j -= q * col k
+    def col_op(j, k, q):  # col j -= q * col k; V^-1 row k += q * row j
         for r in a:
             r[j] -= q * r[k]
         for r in v:
             r[j] -= q * r[k]
+        vinv[k] = [x + q * y for x, y in zip(vinv[k], vinv[j])]
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
@@ -221,6 +209,7 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
             r[j], r[k] = r[k], r[j]
         for r in v:
             r[j], r[k] = r[k], r[j]
+        vinv[j], vinv[k] = vinv[k], vinv[j]
 
     t = 0
     while t < n and t < m:
@@ -251,51 +240,26 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
                         col_op(j, t, q)
                     if a[t][j]:
                         clean = False
+            if clean and abs(p) > 1:
+                i = next((i for i in range(t + 1, n)
+                          if any(x % p for x in a[i][t + 1:])), None)
+                if i is not None:
+                    row_op(t, i, -1)
+                    clean = False
             if clean:
                 break
             pos = _smallest_pivot(a, t)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+            uinv_t[t] = [-x for x in uinv_t[t]]
         t += 1
 
-    r = t
-    for i in range(r):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-            uinv_t[i] = [-x for x in uinv_t[i]]
+    def matrix(rows, cols, lists):
+        return IntMatrix(rows, cols, tuple(x for r in lists for x in r))
 
-    # Enforce d_i | d_{i+1} by replacing adjacent pairs with (gcd, lcm):
-    # [[x, y], [-b/g, a/g]] . diag(a, b) . [[1, -y b/g], [1, x a/g]]
-    # equals diag(g, a b/g), and both transforms are unimodular; the row
-    # transform's inverse [[a/g, -y], [b/g, x]] acts on the columns of U^-1.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            da, db = a[i][i], a[i + 1][i + 1]
-            if db % da == 0:
-                continue
-            g, x, y = _egcd(da, db)
-            pa, pb = da // g, db // g
-            u[i], u[i + 1] = ([x * s + y * t2 for s, t2 in zip(u[i], u[i + 1])],
-                              [-pb * s + pa * t2 for s, t2 in zip(u[i], u[i + 1])])
-            uinv_t[i], uinv_t[i + 1] = (
-                [pa * s + pb * t2 for s, t2 in zip(uinv_t[i], uinv_t[i + 1])],
-                [-y * s + x * t2 for s, t2 in zip(uinv_t[i], uinv_t[i + 1])])
-            a[i], a[i + 1] = ([x * s + y * t2 for s, t2 in zip(a[i], a[i + 1])],
-                              [-pb * s + pa * t2 for s, t2 in zip(a[i], a[i + 1])])
-            for row in (a, v):
-                for rr in row:
-                    rr[i], rr[i + 1] = (rr[i] + rr[i + 1],
-                                        -y * pb * rr[i] + x * pa * rr[i + 1])
-            changed = True
-
-    U = IntMatrix.from_rows(u) if n else IntMatrix.zero(0, 0)
-    Uinv = IntMatrix.from_columns(uinv_t, rows=n)
-    V = IntMatrix.from_rows(v) if m else IntMatrix.zero(0, 0)
-    S = IntMatrix.from_rows(a) if a else IntMatrix.zero(n, m)
-    if n == 0 or m == 0:
-        S = IntMatrix.zero(n, m)
-    return SnfResult(U=U, S=S, V=V, Uinv=Uinv)
+    return SnfResult(U=matrix(n, n, u), S=matrix(n, m, a), V=matrix(m, m, v),
+                     Uinv=matrix(n, n, zip(*uinv_t)), Vinv=matrix(m, m, vinv))
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:

@@ -13,7 +13,6 @@ from math import gcd
 from .exactalg import (
     IntMatrix,
     SnfResult,
-    kernel_basis,
     smith_normal_form,
     solve_in_lattice,
 )
@@ -54,10 +53,6 @@ class FgAbelianGroup:
     @property
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
-
-    @property
-    def is_free(self):
-        return not self.torsion
 
     def torsion_order(self):
         n = 1
@@ -306,15 +301,6 @@ class GroupHom:
         f = self.codomain.free_rank
         return self.codomain.element(img[:f], img[f:])
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        if inner.codomain != self.domain:
-            raise GroupError("composition domain mismatch")
-        images = [self.apply(self.domain.element(
-            inner.matrix.column(j)[:self.domain.free_rank],
-            inner.matrix.column(j)[self.domain.free_rank:]))
-            for j in range(inner.matrix.cols)]
-        return GroupHom.from_columns(inner.domain, self.codomain, images)
-
     def free_block(self) -> IntMatrix:
         """Induced matrix on the free quotients (torsion discarded)."""
         rows = [[self.matrix[i, j] for j in range(self.domain.free_rank)]
@@ -396,8 +382,7 @@ class SubquotientPresentation:
 
     ambient_rank: int
     cycle_basis: IntMatrix
-    cycle_snf: SnfResult
-    boundary_in_cycle_coords: IntMatrix
+    d_k_snf: SnfResult
     structure: FgAbelianGroup
     coordinate_map: CoordinateMap
 
@@ -406,10 +391,11 @@ class SubquotientPresentation:
         if len(cycle) != self.ambient_rank:
             raise GroupError("chain has length %d, ambient rank is %d"
                              % (len(cycle), self.ambient_rank))
-        coords = self.cycle_snf.solve(cycle)
-        if coords is None:
+        y = self.d_k_snf.Vinv.mul_vector(cycle)
+        r = self.d_k_snf.rank
+        if any(y[:r]):
             raise GroupError("chain is not a cycle")
-        return self.coordinate_map.to_canonical(coords)
+        return self.coordinate_map.to_canonical(y[r:])
 
     def lift(self, element: GroupElement):
         """An ambient cycle representing the class."""
@@ -424,20 +410,19 @@ def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresent
     """Presentation of ker d_k / im d_{k+1}; rejects non-complexes."""
     if d_k.cols != d_k1.rows:
         raise GroupError("boundary shapes are incompatible")
-    if not (d_k * d_k1).is_zero():
+    snf = smith_normal_form(d_k)
+    r = snf.rank
+    # U d_k V = S, so d_k x = 0 exactly when the rows :r of V^-1 x vanish,
+    # and the rows r: are the coordinates of x in the cycle basis V[:, r:].
+    B = snf.Vinv * d_k1
+    if any(B.entries[:r * B.cols]):
         raise GroupError("d_k * d_{k+1} != 0: corrupt chain complex")
-    Z = kernel_basis(d_k)
-    zsnf = smith_normal_form(Z)
-    cols = [zsnf.solve(d_k1.column(j)) for j in range(d_k1.cols)]
-    if None in cols:
-        raise GroupError("internal invariant: a boundary is not in the cycle lattice")
-    Y = IntMatrix.from_columns(cols, rows=Z.cols)
-    structure, cmap = cokernel_structure(Y, Z.cols)
+    Y = IntMatrix(B.rows - r, B.cols, B.entries[r * B.cols:])
+    structure, cmap = cokernel_structure(Y, Y.rows)
     return SubquotientPresentation(
         ambient_rank=d_k.cols,
-        cycle_basis=Z,
-        cycle_snf=zsnf,
-        boundary_in_cycle_coords=Y,
+        cycle_basis=snf.kernel(),
+        d_k_snf=snf,
         structure=structure,
         coordinate_map=cmap,
     )

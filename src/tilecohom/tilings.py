@@ -59,12 +59,6 @@ class TilingSpec:
     def cell_ids(self, degree):
         return tuple(c.id for c in self.cells[degree])
 
-    def cell_index(self, degree, cell_id):
-        for i, c in enumerate(self.cells[degree]):
-            if c.id == cell_id:
-                return i
-        raise SpecError("unknown %d-cell %r" % (degree, cell_id))
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -276,7 +270,7 @@ def load_spec(document: str) -> TilingSpec:
     """Parse a spec document; structural violations raise path-addressed errors."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too deep, or too many digits
         raise SpecError("document: invalid JSON (%s)" % e)
     _require_keys(data, _TOP_KEYS, ("name", "dimension", "geometry_mode",
                                     "cells", "boundaries"), "document")

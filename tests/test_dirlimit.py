@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from tilecohom.dirlimit import (
     DirectLimitError,
-     STATUS_EXACT,
+    EIGENVALUE_CANDIDATE_BOUND,
+    STATUS_EXACT,
     STATUS_UNDETERMINED,
     STATUS_VERIFIED,
     TRIAL_DIVISION_BOUND,
@@ -401,3 +402,13 @@ class TestFactorizationBound:
         assert lim.status == STATUS_UNDETERMINED
         assert lim.p_divisible_ranks == ((2, 1), (3, 1))
         assert len(lim.notes) == 1 and "1000000016000000063" in lim.notes[0]
+
+    def test_eigenvalue_candidates_bounded(self, time_limit):
+        # (p1 ... p14)^2 has 3^14 divisors, all below the row-sum norm.
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+        assert 3 ** len(primes) > EIGENVALUE_CANDIDATE_BOUND
+        assert self.limit(time_limit, str(prod(primes) ** 2)) == (
+            "limit = (undetermined rank 1) (status undetermined)\n"
+            "note: the determinant has more than 65536 divisors up to the row-sum norm; "
+            "the eigenvalues were not checked\n"
+            "lattice rank 1, p-divisible ranks %s\n" % ", ".join("%d:1" % p for p in primes))

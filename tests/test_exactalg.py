@@ -46,6 +46,7 @@ def check_snf_contract(A):
     if A.cols:
         assert abs(determinant(snf.V)) == 1
     assert (snf.U * snf.Uinv).entries == IntMatrix.identity(A.rows).entries
+    assert (snf.V * snf.Vinv).entries == IntMatrix.identity(A.cols).entries
     factors = snf.invariant_factors
     assert all(d >= 1 for d in factors)
     for a, b in zip(factors, factors[1:]):
@@ -69,7 +70,7 @@ class TestSmithNormalForm:
     def test_examples_2x2(self):
         snf = check_snf_contract(IntMatrix.from_rows([[2, 4], [6, 8]]))
         assert snf.S.diagonal() == (2, 4)
-        # diag(2, 3) -> diag(1, 6) needs the Bezout step
+        # diag(2, 3) -> diag(1, 6): 2 does not divide 3, so row 2 joins row 1
         snf = check_snf_contract(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert snf.S.diagonal() == (1, 6)
 

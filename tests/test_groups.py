@@ -160,8 +160,17 @@ class TestHomologyPresentation:
         assert hom.is_isomorphism()
 
     def test_rejects_non_complex(self):
-        with pytest.raises(GroupError):
+        with pytest.raises(GroupError, match="corrupt chain complex"):
             homology_presentation(IntMatrix.identity(2), IntMatrix.identity(2))
+
+    @pytest.mark.parametrize("d_k, d_k1", [
+        (IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1], [0]])),
+        (IntMatrix.from_rows([[2, 4], [0, 0]]), IntMatrix.from_rows([[2, 1], [-1, 0]])),
+        (PENROSE_D1, IntMatrix.from_columns([[1, 1, 0, 0, 0, -1, 0], [1, 0, 0, 0, 0, 0, 0]])),
+    ])
+    def test_rejects_non_complex_with_kernel(self, d_k, d_k1):
+        with pytest.raises(GroupError, match="corrupt chain complex"):
+            homology_presentation(d_k, d_k1)
 
     def test_boundaries_die(self):
         d1 = IntMatrix.zero(1, 3)
@@ -193,8 +202,18 @@ class TestClassOf:
     def test_non_cycle_rejected(self):
         d1 = IntMatrix.from_rows([[1, -1], [-1, 1], [0, 0]])
         pres = homology_presentation(d1, IntMatrix.zero(2, 0))
-        with pytest.raises(GroupError):
+        with pytest.raises(GroupError, match="not a cycle"):
             pres.class_of((1, 0))  # not in ker d1
+
+    @pytest.mark.parametrize("d1, chain", [
+        (IntMatrix.from_rows([[2]]), (1,)),
+        (PENROSE_D1, (1, 0, 0, 0, 0, 0, 0)),
+        (PENROSE_D1, (1, 1, 0, 0, 0, -1, 1)),
+    ])
+    def test_non_cycle_rejected_by_rank_rows(self, d1, chain):
+        pres = homology_presentation(d1, IntMatrix.zero(d1.cols, 0))
+        with pytest.raises(GroupError, match="not a cycle"):
+            pres.class_of(chain)
 
     def test_lift_round_trip(self):
         for g in self.pres.structure.generators():
