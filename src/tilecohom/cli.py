@@ -45,7 +45,11 @@ def _load_target(args) -> tilings.TilingSpec:
     if args.builtin:
         return tilings.builtin(args.builtin)
     if args.path:
-        with open(args.path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(args.path, "r", encoding="utf-8")
+        except ValueError as e:  # a NUL byte in the path
+            raise tilings.SpecError("%r: %s" % (args.path, e)) from None
+        with fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as e:

@@ -70,8 +70,8 @@ def _mode_cells(spec, mode):
 
 
 def _restrict(matrix, row_idx, col_idx):
-    return IntMatrix(len(row_idx), len(col_idx),
-                     tuple(matrix[i, j] for i in row_idx for j in col_idx))
+    rows = [matrix.row(i) for i in row_idx]
+    return IntMatrix(len(row_idx), len(col_idx), tuple(r[j] for r in rows for j in col_idx))
 
 
 def _rescale(matrix, row_scale, col_scale):

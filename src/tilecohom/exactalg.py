@@ -1,13 +1,16 @@
 """Exact integer linear algebra: Smith normal form, kernels, lattice solves.
 
 Everything runs on Python's arbitrary-precision ints; there is no floating
-point anywhere.  Matrices are immutable, so values can be shared freely
-between threads.
+point anywhere.  Matrices and factorizations are immutable values, so they
+can be shared freely between threads.  The transforms of a factorization are
+built from its recorded operations on first read and then kept; two threads
+that read one at the same time may both build it, and get equal matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ExactAlgError(Exception):
@@ -70,21 +73,28 @@ class IntMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise ExactAlgError("shape mismatch in product")
-            b, m = other.entries, other.cols
-            cols = [b[j::m] for j in range(m)]
-            return IntMatrix(self.rows, m, tuple(
-                sum(x * y for x, y in zip(self.row(i), c))
-                for i in range(self.rows) for c in cols))
-        raise TypeError("can only multiply by IntMatrix")
+        """Each row of the product sums a_ik * row k of other over the
+        nonzero a_ik only, so sparse factors cost little."""
+        if not isinstance(other, IntMatrix):
+            raise TypeError("can only multiply by IntMatrix")
+        if self.cols != other.rows:
+            raise ExactAlgError("shape mismatch in product")
+        m = other.cols
+        b = [other.row(k) for k in range(other.rows)]
+        out = []
+        for i in range(self.rows):
+            acc = [0] * m
+            for x, row in zip(self.row(i), b):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, row)]
+            out.extend(acc)
+        return IntMatrix(self.rows, m, tuple(out))
 
     def mul_vector(self, vec):
         vec = list(vec)
@@ -103,25 +113,81 @@ class IntMatrix:
         return all(x == 0 for x in self.entries)
 
     def diagonal(self):
-        return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
+        return self.entries[::self.cols + 1][:min(self.rows, self.cols)]
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+
+
+def _replay(log, rows, inverse=False):
+    """Apply logged elementary operations, in order, to a list of rows.
+
+    (i, k, q) is row i -= q * row k, (i, k) swaps rows i and k and (i,)
+    negates row i.  On the identity this builds the product P of the
+    operations; with inverse, each (i, k, q) is applied as row k += q * row i
+    instead, which builds the transpose of P^-1 (swaps and negations are
+    their own inverses).
+    """
+    for op in log:
+        if len(op) == 3:
+            i, k, q = op
+            if inverse:
+                rows[k] = [x + q * y for x, y in zip(rows[k], rows[i])]
+            else:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+        elif len(op) == 2:
+            i, k = op
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            (i,) = op
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+def _from_rows(rows, cols):
+    return IntMatrix(len(rows), cols, tuple(x for r in rows for x in r))
 
 
 @dataclass(frozen=True)
 class SnfResult:
     """U * A * V = S with U, V unimodular and S the Smith normal form of A.
 
-    Uinv and Vinv are the inverses of U and V.  One factorization answers
-    every kernel and lattice-solve question about A.
+    The elimination is kept as two logs of elementary operations, in the
+    order applied: row_ops on the rows of A (U is their product) and col_ops
+    on its columns (V).  U, V and their inverses Uinv, Vinv are built from a
+    log the first time they are read.  One factorization answers every
+    kernel and lattice-solve question about A.
     """
 
-    U: IntMatrix
     S: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
+    row_ops: tuple
+    col_ops: tuple
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        rows = _replay(self.row_ops, IntMatrix.identity(self.S.rows).to_rows())
+        return _from_rows(rows, self.S.rows)
+
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        rows = _replay(self.row_ops, IntMatrix.identity(self.S.rows).to_rows(), True)
+        return _from_rows(list(zip(*rows)), self.S.rows)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        rows = _replay(self.col_ops, IntMatrix.identity(self.S.cols).to_rows())
+        return _from_rows(list(zip(*rows)), self.S.cols)
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        rows = _replay(self.col_ops, IntMatrix.identity(self.S.cols).to_rows(), True)
+        return _from_rows(rows, self.S.cols)
+
+    def vinv_times(self, M: IntMatrix) -> IntMatrix:
+        """Vinv * M, by replaying the column operations on the rows of M."""
+        if M.rows != self.S.cols:
+            raise ExactAlgError("shape mismatch in product")
+        return _from_rows(_replay(self.col_ops, M.to_rows(), True), M.cols)
 
     @property
     def invariant_factors(self):
@@ -137,20 +203,20 @@ class SnfResult:
         The kernel of an integer matrix is automatically a saturated sublattice,
         and the returned basis spans it exactly: cols(A) - rank(A) columns.
         """
-        m = self.V.rows
-        return IntMatrix.from_columns([self.V.column(j) for j in range(self.rank, m)], rows=m)
+        m, r = self.S.cols, self.rank
+        return _from_rows([self.V.row(i)[r:] for i in range(m)], m - r)
 
     def solve(self, b) -> tuple | None:
         """Some integer x with A x = b, or None if b is outside the column span."""
         b = [int(x) for x in b]
-        if len(b) != self.U.rows:
-            raise ExactAlgError("rhs length %d != %d rows" % (len(b), self.U.rows))
+        if len(b) != self.S.rows:
+            raise ExactAlgError("rhs length %d != %d rows" % (len(b), self.S.rows))
         y = self.U.mul_vector(b)
         d = self.invariant_factors
         r = len(d)
         if any(y[i] % d[i] for i in range(r)) or any(y[r:]):
             return None
-        return self.V.mul_vector([y[i] // d[i] for i in range(r)] + [0] * (self.V.rows - r))
+        return self.V.mul_vector([y[i] // d[i] for i in range(r)] + [0] * (self.S.cols - r))
 
 
 def _smallest_pivot(a, t):
@@ -176,40 +242,24 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     and column, an entry of the remaining submatrix that p does not divide is
     added into the pivot row; its remainder mod p then becomes a smaller
     pivot, so the diagonal comes out as d1 | d2 | ... with no second pass.
-    U^-1 and V^-1 are by-products: each row operation on U is applied,
-    inverted, to the columns of U^-1 (held transposed, one list per column),
-    and each column operation on V, inverted, to the rows of V^-1.
+    Only A itself is reduced; each operation is logged for the transforms.
+    Rows and columns before the pivot t are zero beyond the diagonal, so
+    every operation at step t touches entries t: only.
     """
     n, m = A.rows, A.cols
     a = A.to_rows()
-    u = IntMatrix.identity(n).to_rows()
-    uinv_t = IntMatrix.identity(n).to_rows()
-    v = IntMatrix.identity(m).to_rows()
-    vinv = IntMatrix.identity(m).to_rows()
+    row_ops = []
+    col_ops = []
 
-    def row_op(i, k, q):  # row i -= q * row k; U^-1 column k += q * column i
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        uinv_t[k] = [x + q * y for x, y in zip(uinv_t[k], uinv_t[i])]
+    def row_op(i, k, q):  # row i -= q * row k
+        a[i][t:] = [x - q * y for x, y in zip(a[i][t:], a[k][t:])]
+        row_ops.append((i, k, q))
 
-    def col_op(j, k, q):  # col j -= q * col k; V^-1 row k += q * row j
-        for r in a:
-            r[j] -= q * r[k]
-        for r in v:
-            r[j] -= q * r[k]
-        vinv[k] = [x + q * y for x, y in zip(vinv[k], vinv[j])]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        uinv_t[i], uinv_t[k] = uinv_t[k], uinv_t[i]
-
-    def swap_cols(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
+    def col_op(j, k, q):  # col j -= q * col k
+        for r in a[t:]:
+            if r[k]:
+                r[j] -= q * r[k]
+        col_ops.append((j, k, q))
 
     t = 0
     while t < n and t < m:
@@ -221,9 +271,12 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
         while True:
             i, j = pos
             if i != t:
-                swap_rows(i, t)
+                a[i], a[t] = a[t], a[i]
+                row_ops.append((i, t))
             if j != t:
-                swap_cols(j, t)
+                for r in a[t:]:
+                    r[j], r[t] = r[t], r[j]
+                col_ops.append((j, t))
             p = a[t][t]
             clean = True
             for i in range(t + 1, n):
@@ -250,16 +303,11 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
                 break
             pos = _smallest_pivot(a, t)
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-            uinv_t[t] = [-x for x in uinv_t[t]]
+            a[t][t] = -a[t][t]
+            row_ops.append((t,))
         t += 1
 
-    def matrix(rows, cols, lists):
-        return IntMatrix(rows, cols, tuple(x for r in lists for x in r))
-
-    return SnfResult(U=matrix(n, n, u), S=matrix(n, m, a), V=matrix(m, m, v),
-                     Uinv=matrix(n, n, zip(*uinv_t)), Vinv=matrix(m, m, vinv))
+    return SnfResult(S=_from_rows(a, m), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:

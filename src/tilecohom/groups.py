@@ -165,13 +165,13 @@ def from_divisors(divisors, extra_free=0):
 class CoordinateMap:
     """Unimodular change of basis identifying Z^n / relations with its normal form.
 
-    y = U x diagonalises the relation lattice; torsion_idx/free_idx pick the
-    surviving y-coordinates, diag the corresponding invariant factors.
+    y = U x diagonalises the relation lattice, with U (and Uinv) from snf, the
+    factorization of the relations; torsion_idx/free_idx pick the surviving
+    y-coordinates, diag the corresponding invariant factors.
     """
 
     ambient_rank: int
-    U: IntMatrix
-    Uinv: IntMatrix
+    snf: SnfResult
     diag: tuple
     torsion_idx: tuple
     free_idx: tuple
@@ -181,7 +181,7 @@ class CoordinateMap:
         x = [int(v) for v in x]
         if len(x) != self.ambient_rank:
             raise GroupError("ambient vector length mismatch")
-        y = self.U.mul_vector(x)
+        y = self.snf.U.mul_vector(x)
         free = tuple(y[i] for i in self.free_idx)
         tors = tuple(y[i] % self.diag[i] for i in self.torsion_idx)
         return self.structure.element(free, tors)
@@ -194,7 +194,7 @@ class CoordinateMap:
             y[i] = element.free_coords[k]
         for k, i in enumerate(self.torsion_idx):
             y[i] = element.torsion_coords[k]
-        return self.Uinv.mul_vector(y)
+        return self.snf.Uinv.mul_vector(y)
 
 
 def cokernel_structure(relations: IntMatrix, ambient_rank: int):
@@ -204,16 +204,13 @@ def cokernel_structure(relations: IntMatrix, ambient_rank: int):
                          % (relations.rows, ambient_rank))
     snf = smith_normal_form(relations)
     n = ambient_rank
-    diag = [0] * n
-    for i in range(min(n, relations.cols)):
-        diag[i] = snf.S[i, i]
+    diag = list(snf.S.diagonal()) + [0] * (n - relations.cols)
     torsion_idx = tuple(i for i in range(n) if diag[i] >= 2)
     free_idx = tuple(i for i in range(n) if diag[i] == 0)
     structure = FgAbelianGroup(len(free_idx), tuple(diag[i] for i in torsion_idx))
     cmap = CoordinateMap(
         ambient_rank=n,
-        U=snf.U,
-        Uinv=snf.Uinv,
+        snf=snf,
         diag=tuple(diag),
         torsion_idx=torsion_idx,
         free_idx=free_idx,
@@ -273,11 +270,10 @@ class GroupHom:
         if (self.matrix.rows, self.matrix.cols) != (nc, nd):
             raise GroupError("hom matrix shape mismatch")
         fc = self.codomain.free_rank
-        reduced = IntMatrix.from_rows(
-            [[self.matrix[i, j] if i < fc
-              else self.matrix[i, j] % self.codomain.torsion[i - fc]
-              for j in range(nd)] for i in range(nc)]) if nc and nd else self.matrix
-        object.__setattr__(self, "matrix", reduced)
+        reduced = self.matrix.entries[:fc * nd] + tuple(
+            x % d for k, d in enumerate(self.codomain.torsion)
+            for x in self.matrix.row(fc + k))
+        object.__setattr__(self, "matrix", IntMatrix(nc, nd, reduced))
         # A torsion generator of order d must map to an element killed by d.
         for j, d in enumerate(self.domain.torsion):
             col = self.matrix.column(self.domain.free_rank + j)
@@ -303,11 +299,8 @@ class GroupHom:
 
     def free_block(self) -> IntMatrix:
         """Induced matrix on the free quotients (torsion discarded)."""
-        rows = [[self.matrix[i, j] for j in range(self.domain.free_rank)]
-                for i in range(self.codomain.free_rank)]
-        if not rows:
-            return IntMatrix.zero(self.codomain.free_rank, self.domain.free_rank)
-        return IntMatrix.from_rows(rows)
+        fd, fc = self.domain.free_rank, self.codomain.free_rank
+        return IntMatrix(fc, fd, tuple(x for i in range(fc) for x in self.matrix.row(i)[:fd]))
 
     def _factor(self):
         """One factorization of [matrix | codomain relations]: the x-parts of
@@ -319,9 +312,8 @@ class GroupHom:
         nd = self.domain.free_rank + len(self.domain.torsion)
         ker = snf.kernel()
         f = self.domain.free_rank
-        gens = [self.domain.element(tuple(ker[i, j] for i in range(f)),
-                                    tuple(ker[i, j] for i in range(f, nd)))
-                for j in range(ker.cols)]
+        gens = [self.domain.element(col[:f], col[f:nd])
+                for col in map(ker.column, range(ker.cols))]
         return subgroup_structure(self.domain, gens)
 
     def kernel_structure(self) -> FgAbelianGroup:
@@ -338,7 +330,7 @@ class GroupHom:
     def is_isomorphism(self) -> bool:
         # Onto exactly when every invariant factor of the factored matrix is 1.
         snf = self._factor()
-        return snf.invariant_factors == (1,) * snf.U.rows and self._kernel(snf).is_trivial
+        return snf.invariant_factors == (1,) * snf.S.rows and self._kernel(snf).is_trivial
 
 
 def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
@@ -381,17 +373,21 @@ class SubquotientPresentation:
     """Homology group ker d_k / im d_{k+1} with canonical coordinates."""
 
     ambient_rank: int
-    cycle_basis: IntMatrix
     d_k_snf: SnfResult
     structure: FgAbelianGroup
     coordinate_map: CoordinateMap
+
+    @property
+    def cycle_basis(self) -> IntMatrix:
+        """The basis V[:, r:] of ker d_k that the coordinates refer to."""
+        return self.d_k_snf.kernel()
 
     def class_of(self, cycle) -> GroupElement:
         cycle = [int(v) for v in cycle]
         if len(cycle) != self.ambient_rank:
             raise GroupError("chain has length %d, ambient rank is %d"
                              % (len(cycle), self.ambient_rank))
-        y = self.d_k_snf.Vinv.mul_vector(cycle)
+        y = self.d_k_snf.vinv_times(IntMatrix(len(cycle), 1, tuple(cycle))).entries
         r = self.d_k_snf.rank
         if any(y[:r]):
             raise GroupError("chain is not a cycle")
@@ -414,14 +410,13 @@ def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresent
     r = snf.rank
     # U d_k V = S, so d_k x = 0 exactly when the rows :r of V^-1 x vanish,
     # and the rows r: are the coordinates of x in the cycle basis V[:, r:].
-    B = snf.Vinv * d_k1
+    B = snf.vinv_times(d_k1)
     if any(B.entries[:r * B.cols]):
         raise GroupError("d_k * d_{k+1} != 0: corrupt chain complex")
     Y = IntMatrix(B.rows - r, B.cols, B.entries[r * B.cols:])
     structure, cmap = cokernel_structure(Y, Y.rows)
     return SubquotientPresentation(
         ambient_rank=d_k.cols,
-        cycle_basis=snf.kernel(),
         d_k_snf=snf,
         structure=structure,
         coordinate_map=cmap,

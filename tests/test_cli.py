@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom import complexes, exactalg, groups
+from tilecohom import complexes, dirlimit, exactalg, groups
 from tilecohom.cli import parse_group, parse_matrix, run_command
 from tilecohom.exactalg import ExactAlgError, IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, GroupError
@@ -216,6 +216,16 @@ class TestMalformedInput:
         assert (res.exit_code, res.stdout) == (1, "")
         assert _one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", [
+        ("check",), ("homology", "--mode", "rigid"), ("cohomology", "--hull", "rigid"),
+        ("spectral",),
+    ], ids=lambda c: c[0])
+    def test_nul_byte_in_path(self, capsys, command):
+        res = run(command[0], "a\x00b", *command[1:])
+        assert (res.exit_code, res.stdout) == (1, "")
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "'a\\x00b'" in err
+
     def test_limit_result_too_long_to_print(self, capsys):
         # 2^14284 has 4,300 digits, the most int() reads; the limit inverts
         # the eigenvalue 2^14285, one digit more than str() writes.
@@ -244,8 +254,7 @@ class TestArgvFuzz:
     @given(st.sampled_from(_COMMANDS),
            st.lists(st.tuples(st.sampled_from(_FLAGS),
                               st.one_of(st.sampled_from(_VALUES),
-                                        st.text(st.characters(blacklist_characters="\x00"),
-                                                max_size=6))),
+                                        st.text(max_size=6))),
                     max_size=4))
     def test_exit_code_and_one_error_line(self, time_limit, command, options):
         argv = [command] + [token for pair in options for token in pair if token is not None]
@@ -335,3 +344,37 @@ class TestFactorizationCounts:
         for g, cycle in zip(pres.structure.generators(), pres.generator_cycles()):
             assert pres.class_of(cycle) == g
         assert snfs == []
+
+
+_TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
+class TestTransformBuilds:
+    """A factorization builds U, U^-1, V and V^-1 from its logged operations
+    only when they are read."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        made = []
+        original = exactalg.smith_normal_form
+
+        def recording(A):
+            made.append(original(A))
+            return made[-1]
+
+        for module in (exactalg, groups, dirlimit):
+            monkeypatch.setattr(module, "smith_normal_form", recording)
+        return made
+
+    def test_structure_only_homology_builds_no_transform(self, factorizations):
+        res = run("homology", "--builtin", "penrose-kite-dart", "--mode", "rigid")
+        assert res.exit_code == 0
+        assert len(factorizations) == 6
+        assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+
+    def test_presentation_never_builds_vinv(self, factorizations):
+        d1, d2 = _random_complex(20)
+        pres = groups.homology_presentation(d1, d2)
+        for g, cycle in zip(pres.structure.generators(), pres.generator_cycles()):
+            assert pres.class_of(cycle) == g
+        assert all("Vinv" not in vars(f) for f in factorizations)

@@ -38,8 +38,21 @@ def matrices(max_dim=6, max_entry=9):
                   else IntMatrix.zero(n, m))))
 
 
+_TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
 def check_snf_contract(A):
     snf = smith_normal_form(A)
+    # The transforms are built when first read; any reading order, on a fresh
+    # factorization of A, gives the same matrices.
+    first = {name: getattr(snf, name) for name in _TRANSFORMS}
+    for order in (_TRANSFORMS[::-1], ("V", "U", "Vinv", "Uinv")):
+        again = smith_normal_form(A)
+        assert {name: getattr(again, name) for name in order} == first
+    # Replaying the column operations on M gives V^-1 M.
+    rng = random.Random(repr(A.entries))
+    M = IntMatrix(A.cols, 3, tuple(rng.randint(-4, 4) for _ in range(A.cols * 3)))
+    assert snf.vinv_times(M) == snf.Vinv * M
     assert (snf.U * A * snf.V).entries == snf.S.entries
     if A.rows:
         assert abs(determinant(snf.U)) == 1
@@ -84,6 +97,22 @@ class TestSmithNormalForm:
         assert snf.invariant_factors == (1, 1, 1, 1, 5)
         assert snf.rank == 5
 
+    @pytest.mark.parametrize("rows, U, V, Uinv, Vinv", [
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+         [[1, 0, 0], [3, 1, 0], [1, 2, 1]], [[1, 0, -2], [0, -1, 4], [0, 1, -3]],
+         [[1, 0, 0], [-3, 1, 0], [5, -2, 1]], [[1, 2, 2], [0, 3, 4], [0, 1, 1]]),
+        # 2 does not divide 3: the divisibility repair adds row 2 into row 1
+        ([[2, 0], [0, 3]],
+         [[1, 1], [3, 2]], [[-1, 3], [1, -2]], [[-2, 1], [3, -1]], [[2, 3], [1, 1]]),
+    ], ids=["3x3", "diag-2-3"])
+    def test_transforms_pinned(self, rows, U, V, Uinv, Vinv):
+        """The transforms are exact values: canonical coordinates depend on them."""
+        snf = check_snf_contract(IntMatrix.from_rows(rows))
+        assert snf.U.to_rows() == U
+        assert snf.V.to_rows() == V
+        assert snf.Uinv.to_rows() == Uinv
+        assert snf.Vinv.to_rows() == Vinv
+
     def test_empty_shapes(self):
         for shape in [(0, 0), (0, 3), (3, 0)]:
             snf = check_snf_contract(IntMatrix.zero(*shape))
@@ -113,6 +142,36 @@ class TestSmithNormalForm:
                 assert g == prod
             else:
                 assert g == 0
+
+
+def _sparse_pairs(max_dim=5):
+    """(A, B) with A n x k and B k x m, any of n, k, m possibly 0, entries
+    mostly zero."""
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -7))
+
+    def mat(n, m):
+        return st.lists(entry, min_size=n * m, max_size=n * m).map(
+            lambda e: IntMatrix(n, m, tuple(e)))
+
+    dim = st.integers(0, max_dim)
+    return st.tuples(dim, dim, dim).flatmap(
+        lambda nkm: st.tuples(mat(nkm[0], nkm[1]), mat(nkm[1], nkm[2])))
+
+
+class TestProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_pairs())
+    def test_matches_triple_loop(self, pair):
+        A, B = pair
+        naive = tuple(sum(A.entries[i * A.cols + k] * B.entries[k * B.cols + j]
+                          for k in range(A.cols))
+                      for i in range(A.rows) for j in range(B.cols))
+        C = A * B
+        assert (C.rows, C.cols, C.entries) == (A.rows, B.cols, naive)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ExactAlgError):
+            IntMatrix.zero(2, 3) * IntMatrix.zero(2, 3)
 
 
 class TestKernel:
