@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactalg import IntMatrix
-from .groups import SubquotientPresentation, homology_presentation, induced_hom
+from .groups import GroupHom, SubquotientPresentation, homology_presentation, induced_hom
 
 MODE_TRANSLATION = "translation"
 MODE_RIGID = "rigid"
@@ -69,11 +69,6 @@ def _mode_cells(spec, mode):
             for k in range(spec.dimension + 1)}
 
 
-def _restrict(matrix, row_idx, col_idx):
-    rows = [matrix.row(i) for i in row_idx]
-    return IntMatrix(len(row_idx), len(col_idx), tuple(r[j] for r in rows for j in col_idx))
-
-
 def _rescale(matrix, row_scale, col_scale):
     """(matrix with entry (i, j) times col_scale[j] / row_scale[i], None), or
     (None, (i, j)) for the first entry where that is not an integer."""
@@ -106,7 +101,7 @@ def build_chain_complex(spec, mode) -> ChainComplex:
     ranks = tuple(len(keep[k]) for k in range(spec.dimension + 1))
     boundaries = [IntMatrix.zero(0, ranks[0])]
     for k in range(1, spec.dimension + 1):
-        boundaries.append(_restrict(spec.boundaries[k], keep[k - 1], keep[k]))
+        boundaries.append(spec.boundaries[k].submatrix(keep[k - 1], keep[k]))
 
     labels = []
     for k in range(spec.dimension + 1):
@@ -194,7 +189,7 @@ class Analysis:
         for k in range(spec.dimension + 1):
             if k not in sub.chain_map:
                 raise ComplexError("substitution chain map missing degree %d" % k)
-            m = _restrict(sub.chain_map[k], keep[k], keep[k])
+            m = sub.chain_map[k].submatrix(keep[k], keep[k])
             if self.mode == MODE_RIGID_MODIFIED:
                 scale = [spec.cells[k][i].symmetry for i in keep[k]]
                 m, bad = _rescale(m, scale, scale)
@@ -209,7 +204,11 @@ class Analysis:
         """Induced substitution endomorphisms on homology, one per degree.
 
         Chain-level data is validated for boundary-compatibility and pushed to
-        homology; homology-level data goes through the generator/image route.
+        homology in bulk: the lifts of the canonical generators, one matrix,
+        are mapped by F in one product and read back in canonical coordinates
+        with one replay of the factorization of d_k.  Homology-level data goes
+        through the generator/image route, which checks that the generators
+        generate and that the images respect their relations.
         The modified complex needs chain-level data, since homology generators
         of the unmodified complex say nothing about the rescaled one.
         """
@@ -223,10 +222,12 @@ class Analysis:
             report = validate_chain_map(f)
             if not report.ok:
                 raise ComplexError("substitution chain data: %s" % report)
+            # F commutes with d, so it maps cycles to cycles and boundaries to
+            # boundaries: the classes of F applied to the generator lifts are
+            # the images of the generators, and no relation needs checking.
             for k, p in pres.items():
-                gens = p.generator_cycles()
-                images = [f.matrices[k].mul_vector(g) for g in gens]
-                out[k] = induced_hom(p, gens, images)
+                images = p.classes_of(f.matrices[k] * p.generator_matrix())
+                out[k] = GroupHom(p.structure, p.structure, images)
             return out
         if self.mode == MODE_RIGID_MODIFIED:
             raise ComplexError(

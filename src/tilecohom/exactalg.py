@@ -78,6 +78,12 @@ class IntMatrix:
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def submatrix(self, row_idx, col_idx):
+        """The entries in rows row_idx and columns col_idx, in those orders."""
+        rows = [self.row(i) for i in row_idx]
+        col_idx = tuple(col_idx)
+        return IntMatrix(len(rows), len(col_idx), tuple(r[j] for r in rows for j in col_idx))
+
     def __mul__(self, other):
         """Each row of the product sums a_ik * row k of other over the
         nonzero a_ik only, so sparse factors cost little."""

@@ -167,24 +167,27 @@ class CoordinateMap:
 
     y = U x diagonalises the relation lattice, with U (and Uinv) from snf, the
     factorization of the relations; torsion_idx/free_idx pick the surviving
-    y-coordinates, diag the corresponding invariant factors.
+    y-coordinates, whose invariant factors are those of structure.
     """
 
     ambient_rank: int
     snf: SnfResult
-    diag: tuple
     torsion_idx: tuple
     free_idx: tuple
     structure: FgAbelianGroup
 
     def to_canonical(self, x):
-        x = [int(v) for v in x]
-        if len(x) != self.ambient_rank:
+        x = tuple(int(v) for v in x)
+        return _element(self.structure, self.coordinates(IntMatrix(len(x), 1, x)))
+
+    def coordinates(self, X: IntMatrix) -> IntMatrix:
+        """Canonical coordinates of the columns of X, one column each: the rows
+        free_idx + torsion_idx of U X, torsion rows reduced mod their factors."""
+        if X.rows != self.ambient_rank:
             raise GroupError("ambient vector length mismatch")
-        y = self.snf.U.mul_vector(x)
-        free = tuple(y[i] for i in self.free_idx)
-        tors = tuple(y[i] % self.diag[i] for i in self.torsion_idx)
-        return self.structure.element(free, tors)
+        U = self.snf.U
+        return _reduced(U.submatrix(self.free_idx + self.torsion_idx, range(U.cols)) * X,
+                       self.structure)
 
     def lift(self, element):
         if element.owner != self.structure:
@@ -211,12 +214,25 @@ def cokernel_structure(relations: IntMatrix, ambient_rank: int):
     cmap = CoordinateMap(
         ambient_rank=n,
         snf=snf,
-        diag=tuple(diag),
         torsion_idx=torsion_idx,
         free_idx=free_idx,
         structure=structure,
     )
     return structure, cmap
+
+
+def _reduced(coords: IntMatrix, group: FgAbelianGroup) -> IntMatrix:
+    """coords, integer coordinates of elements of group one per column, with
+    each torsion row reduced mod its invariant factor: canonical coordinates."""
+    f, n = group.free_rank, coords.cols
+    return IntMatrix(coords.rows, n, coords.entries[:f * n] + tuple(
+        x % d for k, d in enumerate(group.torsion) for x in coords.row(f + k)))
+
+
+def _element(group: FgAbelianGroup, coords: IntMatrix) -> GroupElement:
+    """The element of group whose coordinates are the one column of coords."""
+    f = group.free_rank
+    return group.element(coords.entries[:f], coords.entries[f:])
 
 
 def relation_lattice(group: FgAbelianGroup) -> IntMatrix:
@@ -269,11 +285,7 @@ class GroupHom:
         nc = self.codomain.free_rank + len(self.codomain.torsion)
         if (self.matrix.rows, self.matrix.cols) != (nc, nd):
             raise GroupError("hom matrix shape mismatch")
-        fc = self.codomain.free_rank
-        reduced = self.matrix.entries[:fc * nd] + tuple(
-            x % d for k, d in enumerate(self.codomain.torsion)
-            for x in self.matrix.row(fc + k))
-        object.__setattr__(self, "matrix", IntMatrix(nc, nd, reduced))
+        object.__setattr__(self, "matrix", _reduced(self.matrix, self.codomain))
         # A torsion generator of order d must map to an element killed by d.
         for j, d in enumerate(self.domain.torsion):
             col = self.matrix.column(self.domain.free_rank + j)
@@ -382,24 +394,47 @@ class SubquotientPresentation:
         """The basis V[:, r:] of ker d_k that the coordinates refer to."""
         return self.d_k_snf.kernel()
 
-    def class_of(self, cycle) -> GroupElement:
-        cycle = [int(v) for v in cycle]
-        if len(cycle) != self.ambient_rank:
+    def classes_of(self, chains: IntMatrix) -> IntMatrix:
+        """Canonical coordinates of the classes of the columns of chains, as the
+        columns of a matrix; raises if a column is not a cycle.
+
+        One replay of the column operations of d_k takes every column to its
+        coordinates y = V^-1 c: c is a cycle exactly when the rows :r of y
+        vanish, and the rows r: are its coordinates in the cycle basis.
+        """
+        if chains.rows != self.ambient_rank:
             raise GroupError("chain has length %d, ambient rank is %d"
-                             % (len(cycle), self.ambient_rank))
-        y = self.d_k_snf.vinv_times(IntMatrix(len(cycle), 1, tuple(cycle))).entries
+                             % (chains.rows, self.ambient_rank))
+        Y = self.d_k_snf.vinv_times(chains)
         r = self.d_k_snf.rank
-        if any(y[:r]):
+        if any(Y.entries[:r * Y.cols]):
             raise GroupError("chain is not a cycle")
-        return self.coordinate_map.to_canonical(y[r:])
+        return self.coordinate_map.coordinates(
+            IntMatrix(Y.rows - r, Y.cols, Y.entries[r * Y.cols:]))
+
+    def class_of(self, cycle) -> GroupElement:
+        """The class of one cycle: the one-column case of classes_of."""
+        cycle = tuple(int(v) for v in cycle)
+        return _element(self.structure, self.classes_of(IntMatrix(len(cycle), 1, cycle)))
 
     def lift(self, element: GroupElement):
         """An ambient cycle representing the class."""
         coords = self.coordinate_map.lift(element)
         return self.cycle_basis.mul_vector(coords)
 
+    def generator_matrix(self) -> IntMatrix:
+        """The cycles lifting the canonical generators, free ones first, as
+        columns: the cycle basis times the columns free_idx + torsion_idx of
+        the cokernel's U^-1."""
+        cmap = self.coordinate_map
+        Uinv = cmap.snf.Uinv
+        return self.cycle_basis * Uinv.submatrix(range(Uinv.rows),
+                                                 cmap.free_idx + cmap.torsion_idx)
+
     def generator_cycles(self):
-        return [self.lift(g) for g in self.structure.generators()]
+        """The columns of generator_matrix(), one lifted cycle per generator."""
+        G = self.generator_matrix()
+        return [G.column(j) for j in range(G.cols)]
 
 
 def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresentation:

@@ -51,14 +51,13 @@ def winding_chain(spec):
     _require_rigid_2d(spec)
     if spec.rotation is None:
         raise SpectralError("spec carries no rotation data")
-    rot = spec.rotation
+    turns = spec.rotation.lap_turns()
     chain = []
     for c in spec.cells[0]:
-        total = sum(sign * rot.edge_rotations[eid] for eid, sign in rot.vertex_stars[c.id])
-        if total.denominator != 1:
+        if turns[c.id].denominator != 1:
             raise SpectralError("vertex %r: lap sums to %s, not a whole number of turns"
-                                % (c.id, total))
-        chain.append(int(total))
+                                % (c.id, turns[c.id]))
+        chain.append(int(turns[c.id]))
     return tuple(chain)
 
 

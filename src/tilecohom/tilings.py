@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .exactalg import ExactAlgError, IntMatrix
 
@@ -32,6 +34,16 @@ class CellType:
 class RotationData:
     edge_rotations: dict      # edge id -> Fraction, in full turns
     vertex_stars: dict        # vertex id -> tuple of (edge id, sign) for one clockwise lap
+
+    def lap_turns(self):
+        """Total rotation of each vertex's lap, in full turns.  The edge
+        rotations are scaled to the lcm L of their denominators, so a lap is
+        an integer sum over L, and one Fraction per vertex."""
+        L = lcm(*(f.denominator for f in self.edge_rotations.values()))
+        scaled = {eid: f.numerator * (L // f.denominator)
+                  for eid, f in self.edge_rotations.items()}
+        return {vid: Fraction(sum(sign * scaled[eid] for eid, sign in star), L)
+                for vid, star in self.vertex_stars.items()}
 
 
 @dataclass(frozen=True)
@@ -245,13 +257,19 @@ def _require_keys(obj, allowed, required, path):
 def _parse_matrix(data, path):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise SpecError("%s: expected a list of integer rows" % path)
-    for i, r in enumerate(data):
-        for j, x in enumerate(r):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise SpecError("%s[%d][%d]: expected an integer" % (path, i, j))
+    entries = tuple(chain.from_iterable(data))
+    if not set(map(type, entries)) <= {int}:  # bool is not int here
+        i, j = next((i, j) for i, r in enumerate(data)
+                    for j, x in enumerate(r) if type(x) is not int)
+        raise SpecError("%s[%d][%d]: expected an integer" % (path, i, j))
     if not data:
         raise SpecError("%s: empty matrix needs explicit shape; declare cells instead" % path)
-    return IntMatrix.from_rows(data)
+    cols = len(data[0])
+    for i, r in enumerate(data):
+        if len(r) != cols:
+            raise SpecError("%s[%d]: row has %d entries, row 0 has %d"
+                            % (path, i, len(r), cols))
+    return IntMatrix(len(data), cols, entries)
 
 
 def _parse_vectors(data, path):
@@ -447,12 +465,11 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
             issues.append("build[%s]: %s" % (mode, e))
 
     if spec.rotation is not None:
+        turns = spec.rotation.lap_turns()
         for c in spec.cells[0]:
-            star = spec.rotation.vertex_stars[c.id]
-            total = sum(sign * spec.rotation.edge_rotations[eid] for eid, sign in star)
-            if total.denominator != 1:
+            if turns[c.id].denominator != 1:
                 issues.append("rotation.vertex_stars.%s: lap sums to %s of a full "
-                              "turn; rotations must close up" % (c.id, total))
+                              "turn; rotations must close up" % (c.id, turns[c.id]))
 
     if spec.substitution is not None and not issues:
         # Homology-level data says nothing about the modified complex.

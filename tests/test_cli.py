@@ -11,7 +11,14 @@ from tilecohom import complexes, dirlimit, exactalg, groups
 from tilecohom.cli import parse_group, parse_matrix, run_command
 from tilecohom.exactalg import ExactAlgError, IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, GroupError
-from tilecohom.tilings import builtin, builtin_names, save_spec
+from tilecohom.tilings import (
+    CellType,
+    SubstitutionData,
+    builtin,
+    builtin_names,
+    make_spec,
+    save_spec,
+)
 
 
 def run(*argv):
@@ -344,6 +351,140 @@ class TestFactorizationCounts:
         for g, cycle in zip(pres.structure.generators(), pres.generator_cycles()):
             assert pres.class_of(cycle) == g
         assert snfs == []
+
+    @pytest.mark.parametrize("mode", [complexes.MODE_RIGID, complexes.MODE_RIGID_MODIFIED])
+    def test_chain_level_maps_factor_only_presentations(self, snfs, monkeypatch, mode):
+        """Chain-level substitution maps read every class from the
+        presentations' factorizations: 2 SNFs per degree and no vector
+        products."""
+        products = []
+        original = IntMatrix.mul_vector
+
+        def counting(self, vec):
+            products.append(self.rows)
+            return original(self, vec)
+
+        monkeypatch.setattr(IntMatrix, "mul_vector", counting)
+        maps = complexes.Analysis(builtin("penrose-kite-dart"), mode).substitution_maps
+        assert sorted(maps) == [0, 1, 2]
+        assert len(snfs) == 6
+        assert products == []
+
+
+def _chain_map_spec(d1, d2, maps):
+    """A 2-dimensional translation spec on the complex d1, d2 whose chain-level
+    substitution data is maps (degrees 0, 1, 2)."""
+    cells = {k: tuple(CellType("c%d.%d" % (k, i), k) for i in range(n))
+             for k, n in enumerate((d1.rows, d1.cols, d2.cols))}
+    return make_spec("random", 2, "translation", cells, {1: d1, 2: d2},
+                     SubstitutionData("chain_map", chain_map=dict(enumerate(maps))))
+
+
+def _homotopic_to_scalar(d1, d2, m, rng):
+    """F_k = m I + d_{k+1} h_k + h_{k-1} d_k for random h_0: C_0 -> C_1 and
+    h_1: C_1 -> C_2, a chain map chain homotopic to m times the identity."""
+    n0, n1, n2 = d1.rows, d1.cols, d2.cols
+
+    def rand(rows, cols):
+        return IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)]
+                                    for _ in range(rows)])
+
+    def scalar(n):
+        return IntMatrix(n, n, tuple(m if i == j else 0 for i in range(n) for j in range(n)))
+
+    def plus(*terms):
+        return IntMatrix(terms[0].rows, terms[0].cols,
+                         tuple(map(sum, zip(*(t.entries for t in terms)))))
+
+    h0, h1 = rand(n1, n0), rand(n2, n1)
+    return (plus(scalar(n0), d1 * h0),
+            plus(scalar(n1), d2 * h1, h0 * d1),
+            plus(scalar(n2), h1 * d2))
+
+
+class TestChainLevelMaps:
+    """The bulk route of Analysis.substitution_maps for chain-level data."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), boundary_cols=st.integers(1, 6),
+           m=st.integers(-6, 6))
+    def test_homotopy_to_scalar_induces_scalar(self, seed, boundary_cols, m):
+        """A chain map chain homotopic to m I induces m I on every H_k: an
+        oracle that needs no factorization."""
+        d1, d2 = _random_complex(boundary_cols, seed)
+        maps = _homotopic_to_scalar(d1, d2, m, random.Random(seed))
+        analysis = complexes.Analysis(_chain_map_spec(d1, d2, maps), complexes.MODE_TRANSLATION)
+        for k, hom in analysis.substitution_maps.items():
+            G = analysis.homology(k).structure
+            f, n = G.free_rank, G.free_rank + len(G.torsion)
+            diag = [m] * f + [m % d for d in G.torsion]
+            assert hom.matrix.to_rows() == [[diag[i] if i == j else 0 for j in range(n)]
+                                            for i in range(n)]
+
+    @staticmethod
+    def _check_reference_route(analysis):
+        """The bulk classes equal those of induced_hom, the per-generator route."""
+        f = analysis.chain_map()
+        for k in range(analysis.complex.top_dim + 1):
+            p = analysis.homology(k)
+            gens = p.generator_cycles()
+            images = [f.matrices[k].mul_vector(g) for g in gens]
+            bulk = p.classes_of(f.matrices[k] * p.generator_matrix())
+            assert bulk == groups.induced_hom(p, gens, images).matrix
+            assert bulk == analysis.substitution_maps[k].matrix
+
+    @pytest.mark.parametrize("mode", [complexes.MODE_RIGID, complexes.MODE_RIGID_MODIFIED])
+    def test_penrose_matches_reference_route(self, mode):
+        self._check_reference_route(complexes.Analysis(builtin("penrose-kite-dart"), mode))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), boundary_cols=st.integers(1, 6),
+           m=st.integers(-6, 6))
+    def test_random_chain_maps_match_reference_route(self, seed, boundary_cols, m):
+        d1, d2 = _random_complex(boundary_cols, seed)
+        maps = _homotopic_to_scalar(d1, d2, m, random.Random(seed))
+        self._check_reference_route(
+            complexes.Analysis(_chain_map_spec(d1, d2, maps), complexes.MODE_TRANSLATION))
+
+    def test_generator_matrix_columns_are_the_lifts(self):
+        d1, d2 = _random_complex(20)
+        pres = groups.homology_presentation(d1, d2)
+        assert pres.generator_cycles() == [pres.lift(g) for g in pres.structure.generators()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), count=st.integers(0, 5),
+           bad=st.none() | st.integers(0, 4))
+    def test_classes_of_agrees_with_class_of(self, seed, count, bad):
+        """Column by column, including the error when one column, anywhere,
+        is not a cycle: a cycle plus V e_i for some i < rank d_1, whose only
+        nonzero coordinate y_i can sit in any of the rows :r."""
+        rng = random.Random(seed)
+        d1, d2 = _random_complex(rng.randint(1, 6), seed)
+        pres = groups.homology_presentation(d1, d2)
+        K, snf = pres.cycle_basis, pres.d_k_snf
+        columns = [K.mul_vector([rng.randint(-3, 3) for _ in range(K.cols)])
+                   for _ in range(count)]
+        if bad is not None and count:
+            bad %= count
+            off = snf.V.column(rng.randrange(snf.rank))
+            columns[bad] = [x + y for x, y in zip(columns[bad], off)]
+            assert any(d1.mul_vector(columns[bad]))
+            with pytest.raises(GroupError, match="chain is not a cycle"):
+                pres.classes_of(IntMatrix.from_columns(columns, rows=d1.cols))
+            with pytest.raises(GroupError, match="chain is not a cycle"):
+                pres.class_of(columns[bad])
+        else:
+            classes = pres.classes_of(IntMatrix.from_columns(columns, rows=d1.cols))
+            assert [classes.column(j) for j in range(count)] == \
+                [pres.class_of(c).int_coords() for c in columns]
+
+    def test_length_mismatch(self):
+        d1, d2 = _random_complex(20)
+        pres = groups.homology_presentation(d1, d2)
+        with pytest.raises(GroupError, match="chain has length 11, ambient rank is 12"):
+            pres.classes_of(IntMatrix.zero(11, 2))
+        with pytest.raises(GroupError, match="chain has length 11, ambient rank is 12"):
+            pres.class_of((0,) * 11)
 
 
 _TRANSFORMS = ("U", "Uinv", "V", "Vinv")

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import tilecohom
@@ -16,6 +17,28 @@ def test_no_assert_in_library():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_imports_are_stdlib_or_relative():
+    """The runtime needs nothing outside the standard library: every import in
+    the package is relative or names a standard-library module."""
+    sources = sorted(Path(tilecohom.__file__).parent.glob("*.py"))
+    imported = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], []).append(
+                    "%s:%d" % (path.name, node.lineno))
+    assert {"json", "itertools", "math"} <= set(imported)
+    outside = {name: where for name, where in imported.items()
+               if name not in sys.stdlib_module_names}
+    assert outside == {}
 
 
 def test_traced_names_resolve():

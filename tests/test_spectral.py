@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecohom.complexes import MODE_RIGID, build_chain_complex, homology
 from tilecohom.groups import FgAbelianGroup, quotient_by
@@ -17,7 +19,7 @@ from tilecohom.spectral import (
     spectral_sequence,
     winding_chain,
 )
-from tilecohom.tilings import RotationData, builtin, make_spec
+from tilecohom.tilings import RotationData, builtin, make_spec, validate_spec
 
 Z = FgAbelianGroup.free(1)
 
@@ -72,6 +74,34 @@ class TestWindingChain:
         rots["b"] = Fraction(1, 5)
         with pytest.raises(SpectralError):
             winding_chain(respec_rotation(spec, rots))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_integer_lap_sums_match_fractions(self, data):
+        """Laps summed as integers over the lcm of the denominators agree with
+        Fraction sums step by step: the same turns, chain and error texts."""
+        spec = builtin("triangle-periodic-rigid")
+        fraction = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
+        rots = {e: data.draw(fraction) for e in spec.rotation.edge_rotations}
+        step = st.tuples(st.sampled_from(sorted(rots)), st.sampled_from((1, -1)))
+        stars = {c.id: tuple(data.draw(st.lists(step, max_size=8))) for c in spec.cells[0]}
+        spec = make_spec(spec.name, 2, "rigid", spec.cells, spec.boundaries,
+                         rotation=RotationData(edge_rotations=rots, vertex_stars=stars),
+                         symmetric_tilings=spec.symmetric_tilings)
+        totals = [sum((sign * rots[e] for e, sign in stars[c.id]), Fraction(0))
+                  for c in spec.cells[0]]
+        assert [spec.rotation.lap_turns()[c.id] for c in spec.cells[0]] == totals
+        open_laps = [(c.id, t) for c, t in zip(spec.cells[0], totals) if t.denominator != 1]
+        assert [i for i in validate_spec(spec).issues if i.startswith("rotation")] == [
+            "rotation.vertex_stars.%s: lap sums to %s of a full turn; rotations must "
+            "close up" % lap for lap in open_laps]
+        if open_laps:
+            with pytest.raises(SpectralError) as err:
+                winding_chain(spec)
+            assert str(err.value) == ("vertex %r: lap sums to %s, not a whole number "
+                                      "of turns" % open_laps[0])
+        else:
+            assert winding_chain(spec) == tuple(int(t) for t in totals)
 
     def test_direction_rechoice_leaves_chain_identical(self):
         rng = random.Random(3141)

@@ -82,6 +82,25 @@ class TestSchema:
         with pytest.raises(SpecError, match="integer"):
             load_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("where", [("boundaries", "1"),
+                                       ("substitution", "chain_map", "0")])
+    @pytest.mark.parametrize("value, message", [
+        ([[1, 0], [0, True]], "%s[1][1]: expected an integer"),
+        ([[1.5]], "%s[0][0]: expected an integer"),
+        ([[1], 2], "%s: expected a list of integer rows"),
+        ([], "%s: empty matrix needs explicit shape; declare cells instead"),
+        ([[1], [1, 2]], "%s[1]: row has 2 entries, row 0 has 1"),
+    ])
+    def test_matrix_messages(self, where, value, message):
+        doc = self.penrose_doc()
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(SpecError) as err:
+            load_spec(json.dumps(doc))
+        assert str(err.value) == message % ".".join(where)
+
     def test_bad_fraction(self):
         doc = self.penrose_doc()
         doc["rotation"]["edge_rotations"]["E1"] = "0.2"
@@ -123,6 +142,7 @@ class TestSchema:
         ("penrose-kite-dart", ("rotation", "vertex_stars", "ace", 1, "sign"), True),
         ("penrose-kite-dart", ("rotation", "vertex_stars", "ace", 1, "sign"), 1.0),
         ("fibonacci", ("dimension",), True),
+        ("penrose-kite-dart", ("boundaries", "1"), [[1], [1, 2]]),
     ])
     def test_mistyped_values_rejected_by_check(self, tmp_path, capsys,
                                                builtin_name, path, value):
