@@ -17,6 +17,7 @@ from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .dirlimit import direct_limit
 from .groups import FgAbelianGroup, GroupElement, quotient_by
+from .tilings import lap_text
 
 
 class SpectralError(Exception):
@@ -56,7 +57,7 @@ def winding_chain(spec):
     for c in spec.cells[0]:
         if turns[c.id].denominator != 1:
             raise SpectralError("vertex %r: lap sums to %s, not a whole number of turns"
-                                % (c.id, turns[c.id]))
+                                % (c.id, lap_text(c.id, turns[c.id])))
         chain.append(int(turns[c.id]))
     return tuple(chain)
 

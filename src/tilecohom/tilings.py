@@ -10,6 +10,7 @@ and the orders of the rotationally invariant tilings in the hull.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -44,6 +45,17 @@ class RotationData:
                   for eid, f in self.edge_rotations.items()}
         return {vid: Fraction(sum(sign * scaled[eid] for eid, sign in star), L)
                 for vid, star in self.vertex_stars.items()}
+
+
+def lap_text(vid, turns):
+    """A vertex's lap sum as text, or SpecError naming the vertex when the
+    fraction has more digits than Python converts to text."""
+    try:
+        return str(turns)
+    except ValueError:
+        bits = max(abs(turns.numerator).bit_length(), turns.denominator.bit_length())
+        raise SpecError("rotation.vertex_stars.%s: lap sum of %d bits is too long to print"
+                        % (vid, bits)) from None
 
 
 @dataclass(frozen=True)
@@ -89,31 +101,33 @@ class ValidationReport:
 
 def make_spec(name, dimension, geometry_mode, cells, boundaries,
               substitution=None, rotation=None, symmetric_tilings=()):
-    """Build a TilingSpec from plain data, enforcing the structural schema."""
-    if dimension not in (1, 2):
+    """Build a TilingSpec from plain data, enforcing every structural rule:
+    value types, degree ranges, ids, shapes and cross-references.  The
+    builtins, library callers and load_spec all meet these same checks."""
+    if not isinstance(name, str):
+        raise SpecError("name: expected a string")
+    if type(dimension) is not int or dimension not in (1, 2):
         raise SpecError("dimension: must be 1 or 2")
     if geometry_mode not in ("translation", "rigid"):
         raise SpecError("geometry_mode: must be 'translation' or 'rigid'")
+    _check_degrees(cells, "cells", 0, dimension)
+    _check_degrees(boundaries, "boundaries", 1, dimension)
 
-    for k in cells:
-        if not 0 <= k <= dimension:
-            raise SpecError("cells.%d: beyond the spec dimension" % k)
-    for k in boundaries:
-        if not 1 <= k <= dimension:
-            raise SpecError("boundaries.%d: beyond the spec dimension" % k)
-
-    cell_map = {}
+    cell_map = {k: tuple(cells[k]) for k in range(dimension + 1)}
     seen = set()
-    for k in range(dimension + 1):
-        if k not in cells:
-            raise SpecError("cells.%d: missing" % k)
-        row = []
-        for i, c in enumerate(cells[k]):
+    for k, row in cell_map.items():
+        for i, c in enumerate(row):
             path = "cells.%d[%d]" % (k, i)
             if not isinstance(c, CellType):
                 raise SpecError("%s: expected CellType" % path)
             if c.dimension != k:
                 raise SpecError("%s: dimension %d != %d" % (path, c.dimension, k))
+            if not isinstance(c.id, str):
+                raise SpecError("%s.id: expected a string" % path)
+            if type(c.symmetry) is not int:
+                raise SpecError("%s.symmetry: expected an integer" % path)
+            if type(c.reverses_orientation) is not bool:
+                raise SpecError("%s.reverses_orientation: expected a boolean" % path)
             if c.id in seen:
                 raise SpecError("%s: duplicate id %r" % (path, c.id))
             seen.add(c.id)
@@ -121,31 +135,38 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
                 raise SpecError("%s.symmetry: must be >= 1" % path)
             if geometry_mode == "translation" and (c.symmetry != 1 or c.reverses_orientation):
                 raise SpecError("%s: translation specs have trivial cell symmetry" % path)
-            row.append(c)
-        cell_map[k] = tuple(row)
 
-    bmap = {}
     for k in range(1, dimension + 1):
-        if k not in boundaries:
-            raise SpecError("boundaries.%d: missing" % k)
         b = boundaries[k]
         want = (len(cell_map[k - 1]), len(cell_map[k]))
         if (b.rows, b.cols) != want:
             raise SpecError("boundaries.%d: shape (%d, %d) != expected (%d, %d)"
                             % (k, b.rows, b.cols, want[0], want[1]))
-        bmap[k] = b
 
     if substitution is not None:
         _check_substitution_shape(substitution, cell_map, dimension, geometry_mode)
     if rotation is not None:
         _check_rotation_shape(rotation, cell_map, dimension, geometry_mode)
-    orders = tuple(sorted(int(n) for n in symmetric_tilings))
+    if not isinstance(symmetric_tilings, (list, tuple)) or any(
+            type(n) is not int for n in symmetric_tilings):
+        raise SpecError("symmetric_tilings: expected an array of integers")
+    orders = tuple(sorted(symmetric_tilings))
     if any(n < 2 for n in orders):
         raise SpecError("symmetric_tilings: orders must be >= 2")
 
     return TilingSpec(name=name, dimension=dimension, geometry_mode=geometry_mode,
-                      cells=cell_map, boundaries=bmap, substitution=substitution,
+                      cells=cell_map, boundaries=dict(boundaries), substitution=substitution,
                       rotation=rotation, symmetric_tilings=orders)
+
+
+def _check_degrees(mapping, path, lo, dimension):
+    """A degree-keyed map has exactly the degrees lo..dimension."""
+    for k in mapping:
+        if not lo <= k <= dimension:
+            raise SpecError("%s.%d: beyond the spec dimension" % (path, k))
+    for k in range(lo, dimension + 1):
+        if k not in mapping:
+            raise SpecError("%s.%d: missing" % (path, k))
 
 
 def _visible_count(cell_map, k, geometry_mode):
@@ -155,42 +176,29 @@ def _visible_count(cell_map, k, geometry_mode):
 
 
 def _check_substitution_shape(sub, cell_map, dimension, geometry_mode):
-    if sub.kind not in ("chain_map", "homology_map"):
+    if sub.kind not in _KINDS:
         raise SpecError("substitution.kind: unknown kind %r" % sub.kind)
-    if sub.kind == "chain_map":
-        if not sub.chain_map:
-            raise SpecError("substitution.chain_map: missing")
-        for k in sub.chain_map:
-            if not 0 <= k <= dimension:
-                raise SpecError("substitution.chain_map.%d: beyond the spec "
-                                "dimension" % k)
-        for k in range(dimension + 1):
-            if k not in sub.chain_map:
-                raise SpecError("substitution.chain_map.%d: missing" % k)
-            m = sub.chain_map[k]
+    path = "substitution." + sub.kind
+    maps = getattr(sub, sub.kind)
+    if not maps:
+        raise SpecError("%s: missing" % path)
+    _check_degrees(maps, path, 0, dimension)
+    for k in range(dimension + 1):
+        if sub.kind == "chain_map":
+            m = maps[k]
             n = len(cell_map[k])
             if (m.rows, m.cols) != (n, n):
-                raise SpecError("substitution.chain_map.%d: expected %dx%d matrix" % (k, n, n))
-    else:
-        if not sub.homology_map:
-            raise SpecError("substitution.homology_map: missing")
-        for k in sub.homology_map:
-            if not 0 <= k <= dimension:
-                raise SpecError("substitution.homology_map.%d: beyond the spec "
-                                "dimension" % k)
-        for k in range(dimension + 1):
-            if k not in sub.homology_map:
-                raise SpecError("substitution.homology_map.%d: missing" % k)
-            gens, images = sub.homology_map[k]
-            if len(gens) != len(images):
-                raise SpecError("substitution.homology_map.%d: generator/image "
-                                "count mismatch" % k)
-            n = _visible_count(cell_map, k, geometry_mode)
-            for label, vecs in (("generators", gens), ("images", images)):
-                for i, v in enumerate(vecs):
-                    if len(v) != n:
-                        raise SpecError("substitution.homology_map.%d.%s[%d]: length %d "
-                                        "!= %d chain coordinates" % (k, label, i, len(v), n))
+                raise SpecError("%s.%d: expected %dx%d matrix" % (path, k, n, n))
+            continue
+        gens, images = maps[k]
+        if len(gens) != len(images):
+            raise SpecError("%s.%d: generator/image count mismatch" % (path, k))
+        n = _visible_count(cell_map, k, geometry_mode)
+        for label, vecs in (("generators", gens), ("images", images)):
+            for i, v in enumerate(vecs):
+                if len(v) != n:
+                    raise SpecError("%s.%d.%s[%d]: length %d != %d chain coordinates"
+                                    % (path, k, label, i, len(v), n))
 
 
 def _check_rotation_shape(rot, cell_map, dimension, geometry_mode):
@@ -223,6 +231,13 @@ def _check_rotation_shape(rot, cell_map, dimension, geometry_mode):
 
 _TOP_KEYS = ("name", "dimension", "geometry_mode", "cells", "boundaries",
              "substitution", "rotation", "symmetric_tilings")
+_CELL_KEYS = ("id", "symmetry", "reverses_orientation")
+_MAP_KEYS = ("generators", "images")
+_KINDS = ("chain_map", "homology_map")
+_DEGREES = ("0", "1", "2")
+# Fraction() also reads exponents, whose cost grows with the exponent, and
+# spaces and underscores; a spec spells a rational only as [sign]digits[/digits].
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _frac_str(f: Fraction) -> str:
@@ -232,15 +247,23 @@ def _frac_str(f: Fraction) -> str:
 def _parse_frac(s, path):
     if not isinstance(s, str) or "." in s:
         raise SpecError("%s: rationals are reduced-fraction strings" % path)
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise SpecError("%s: cannot parse rational %r" % (path, s))
+    if _RATIONAL.fullmatch(s):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):  # too many digits, or p/0
+            pass
+    raise SpecError("%s: cannot parse rational %r" % (path, s))
 
 
 def _object(obj, path):
     if not isinstance(obj, dict):
         raise SpecError("%s: expected an object" % path)
+    return obj
+
+
+def _array(obj, path):
+    if not isinstance(obj, list):
+        raise SpecError("%s: expected an array" % path)
     return obj
 
 
@@ -252,6 +275,22 @@ def _require_keys(obj, allowed, required, path):
     for key in required:
         if key not in obj:
             raise SpecError("%s.%s: missing" % (path, key))
+
+
+def _degrees(obj, path, parse, keys):
+    """{degree: parse(value, path)} for a JSON object keyed by degree strings."""
+    out = {}
+    for key, value in _object(obj, path).items():
+        if key not in keys:
+            raise SpecError("%s.%s: unknown degree" % (path, key))
+        out[int(key)] = parse(value, "%s.%s" % (path, key))
+    return out
+
+
+def _parse_cells(arr, path):
+    for i, c in enumerate(_array(arr, path)):
+        _require_keys(c, _CELL_KEYS, _CELL_KEYS[:2], "%s[%d]" % (path, i))
+    return arr
 
 
 def _parse_matrix(data, path):
@@ -275,13 +314,41 @@ def _parse_matrix(data, path):
 def _parse_vectors(data, path):
     if not isinstance(data, list):
         raise SpecError("%s: expected a list of integer vectors" % path)
-    out = []
     for i, v in enumerate(data):
-        if not isinstance(v, list) or any(isinstance(x, bool) or not isinstance(x, int)
-                                          for x in v):
+        if not isinstance(v, list) or not set(map(type, v)) <= {int}:
             raise SpecError("%s[%d]: expected an integer vector" % (path, i))
-        out.append(tuple(v))
-    return tuple(out)
+    return tuple(map(tuple, data))
+
+
+def _parse_homology_entry(entry, path):
+    _require_keys(entry, _MAP_KEYS, _MAP_KEYS, path)
+    return tuple(_parse_vectors(entry[key], "%s.%s" % (path, key)) for key in _MAP_KEYS)
+
+
+def _parse_substitution(sdata):
+    kind = _object(sdata, "substitution").get("kind")
+    if kind not in _KINDS:
+        _require_keys(sdata, ("kind",) + _KINDS, ("kind",), "substitution")
+        raise SpecError("substitution.kind: unknown kind %r" % kind)
+    _require_keys(sdata, ("kind", kind), ("kind", kind), "substitution")
+    parse = _parse_matrix if kind == "chain_map" else _parse_homology_entry
+    maps = _degrees(sdata[kind], "substitution." + kind, parse, _DEGREES)
+    return SubstitutionData(kind=kind, **{kind: maps})
+
+
+def _parse_rotation(rdata):
+    keys = ("edge_rotations", "vertex_stars")
+    _require_keys(rdata, keys, keys, "rotation")
+    path = "rotation.edge_rotations"
+    rots = {eid: _parse_frac(s, "%s.%s" % (path, eid))
+            for eid, s in _object(rdata["edge_rotations"], path).items()}
+    stars = {}
+    for vid, lap in _object(rdata["vertex_stars"], "rotation.vertex_stars").items():
+        path = "rotation.vertex_stars.%s" % vid
+        for i, step in enumerate(_array(lap, path)):
+            _require_keys(step, ("edge", "sign"), ("edge", "sign"), "%s[%d]" % (path, i))
+        stars[vid] = tuple((step["edge"], step["sign"]) for step in lap)
+    return RotationData(edge_rotations=rots, vertex_stars=stars)
 
 
 def load_spec(document: str) -> TilingSpec:
@@ -290,104 +357,17 @@ def load_spec(document: str) -> TilingSpec:
         data = json.loads(document)
     except (ValueError, RecursionError) as e:  # also too deep, or too many digits
         raise SpecError("document: invalid JSON (%s)" % e)
-    _require_keys(data, _TOP_KEYS, ("name", "dimension", "geometry_mode",
-                                    "cells", "boundaries"), "document")
-    name = data["name"]
-    dimension = data["dimension"]
-    geometry_mode = data["geometry_mode"]
-    if not isinstance(name, str):
-        raise SpecError("name: expected a string")
-    if type(dimension) is not int or dimension not in (1, 2):
-        raise SpecError("dimension: must be 1 or 2")
-
-    cells = {}
-    for key, arr in _object(data["cells"], "cells").items():
-        if key not in ("0", "1", "2"):
-            raise SpecError("cells.%s: unknown degree" % key)
-        k = int(key)
-        if not isinstance(arr, list):
-            raise SpecError("cells.%s: expected an array" % key)
-        row = []
-        for i, c in enumerate(arr):
-            path = "cells.%s[%d]" % (key, i)
-            _require_keys(c, ("id", "symmetry", "reverses_orientation"),
-                          ("id", "symmetry"), path)
-            if not isinstance(c["id"], str):
-                raise SpecError("%s.id: expected a string" % path)
-            if not isinstance(c["symmetry"], int) or isinstance(c["symmetry"], bool):
-                raise SpecError("%s.symmetry: expected an integer" % path)
-            rev = c.get("reverses_orientation", False)
-            if not isinstance(rev, bool):
-                raise SpecError("%s.reverses_orientation: expected a boolean" % path)
-            row.append(CellType(id=c["id"], dimension=k, symmetry=c["symmetry"],
-                                reverses_orientation=rev))
-        cells[k] = tuple(row)
-
-    boundaries = {}
-    for key, mat in _object(data["boundaries"], "boundaries").items():
-        if key not in ("1", "2"):
-            raise SpecError("boundaries.%s: unknown degree" % key)
-        boundaries[int(key)] = _parse_matrix(mat, "boundaries.%s" % key)
-
-    substitution = None
-    if "substitution" in data:
-        sdata = data["substitution"]
-        _require_keys(sdata, ("kind", "chain_map", "homology_map"), ("kind",),
-                      "substitution")
-        kind = sdata["kind"]
-        if kind == "chain_map":
-            _require_keys(sdata, ("kind", "chain_map"), ("chain_map",), "substitution")
-            cm = {}
-            for key, mat in _object(sdata["chain_map"], "substitution.chain_map").items():
-                if key not in ("0", "1", "2"):
-                    raise SpecError("substitution.chain_map.%s: unknown degree" % key)
-                cm[int(key)] = _parse_matrix(mat, "substitution.chain_map.%s" % key)
-            substitution = SubstitutionData(kind="chain_map", chain_map=cm)
-        elif kind == "homology_map":
-            _require_keys(sdata, ("kind", "homology_map"), ("homology_map",),
-                          "substitution")
-            hm = {}
-            for key, entry in _object(sdata["homology_map"],
-                                      "substitution.homology_map").items():
-                if key not in ("0", "1", "2"):
-                    raise SpecError("substitution.homology_map.%s: unknown degree" % key)
-                path = "substitution.homology_map.%s" % key
-                _require_keys(entry, ("generators", "images"),
-                              ("generators", "images"), path)
-                hm[int(key)] = (_parse_vectors(entry["generators"], path + ".generators"),
-                                _parse_vectors(entry["images"], path + ".images"))
-            substitution = SubstitutionData(kind="homology_map", homology_map=hm)
-        else:
-            raise SpecError("substitution.kind: unknown kind %r" % kind)
-
-    rotation = None
-    if "rotation" in data:
-        rdata = data["rotation"]
-        _require_keys(rdata, ("edge_rotations", "vertex_stars"),
-                      ("edge_rotations", "vertex_stars"), "rotation")
-        rots = {}
-        for eid, s in _object(rdata["edge_rotations"], "rotation.edge_rotations").items():
-            rots[eid] = _parse_frac(s, "rotation.edge_rotations.%s" % eid)
-        stars = {}
-        for vid, lap in _object(rdata["vertex_stars"], "rotation.vertex_stars").items():
-            if not isinstance(lap, list):
-                raise SpecError("rotation.vertex_stars.%s: expected an array" % vid)
-            entries = []
-            for i, step in enumerate(lap):
-                path = "rotation.vertex_stars.%s[%d]" % (vid, i)
-                _require_keys(step, ("edge", "sign"), ("edge", "sign"), path)
-                entries.append((step["edge"], step["sign"]))
-            stars[vid] = tuple(entries)
-        rotation = RotationData(edge_rotations=rots, vertex_stars=stars)
-
-    symmetric = data.get("symmetric_tilings", [])
-    if not isinstance(symmetric, list) or any(isinstance(n, bool) or not isinstance(n, int)
-                                              for n in symmetric):
-        raise SpecError("symmetric_tilings: expected an array of integers")
-
-    return make_spec(name=name, dimension=dimension, geometry_mode=geometry_mode,
-                     cells=cells, boundaries=boundaries, substitution=substitution,
-                     rotation=rotation, symmetric_tilings=tuple(symmetric))
+    _require_keys(data, _TOP_KEYS, _TOP_KEYS[:5], "document")
+    rows = _degrees(data["cells"], "cells", _parse_cells, _DEGREES)
+    return make_spec(
+        name=data["name"], dimension=data["dimension"],
+        geometry_mode=data["geometry_mode"],
+        cells={k: tuple(CellType(dimension=k, **c) for c in row) for k, row in rows.items()},
+        boundaries=_degrees(data["boundaries"], "boundaries", _parse_matrix, _DEGREES[1:]),
+        substitution=(_parse_substitution(data["substitution"])
+                      if "substitution" in data else None),
+        rotation=_parse_rotation(data["rotation"]) if "rotation" in data else None,
+        symmetric_tilings=data.get("symmetric_tilings", ()))
 
 
 def save_spec(spec: TilingSpec) -> str:
@@ -409,21 +389,13 @@ def save_spec(spec: TilingSpec) -> str:
     }
     if spec.substitution is not None:
         sub = spec.substitution
+        maps = getattr(sub, sub.kind)
         if sub.kind == "chain_map":
-            doc["substitution"] = {
-                "kind": "chain_map",
-                "chain_map": {str(k): sub.chain_map[k].to_rows()
-                              for k in sorted(sub.chain_map)},
-            }
+            rows = {str(k): maps[k].to_rows() for k in sorted(maps)}
         else:
-            doc["substitution"] = {
-                "kind": "homology_map",
-                "homology_map": {
-                    str(k): {"generators": [list(v) for v in gens],
-                             "images": [list(v) for v in images]}
-                    for k, (gens, images) in sorted(sub.homology_map.items())
-                },
-            }
+            rows = {str(k): {"generators": [list(v) for v in maps[k][0]],
+                             "images": [list(v) for v in maps[k][1]]} for k in sorted(maps)}
+        doc["substitution"] = {"kind": sub.kind, sub.kind: rows}
     if spec.rotation is not None:
         doc["rotation"] = {
             "edge_rotations": {c.id: _frac_str(spec.rotation.edge_rotations[c.id])
@@ -469,7 +441,8 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
         for c in spec.cells[0]:
             if turns[c.id].denominator != 1:
                 issues.append("rotation.vertex_stars.%s: lap sums to %s of a full "
-                              "turn; rotations must close up" % (c.id, turns[c.id]))
+                              "turn; rotations must close up"
+                              % (c.id, lap_text(c.id, turns[c.id])))
 
     if spec.substitution is not None and not issues:
         # Homology-level data says nothing about the modified complex.

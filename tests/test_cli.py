@@ -208,6 +208,13 @@ def _one_error_line(err):
     return err.startswith("error: ") and err.count("\n") == 1
 
 
+def _penrose_rotations(rotations):
+    """The penrose document with some edge rotations replaced."""
+    doc = json.loads(save_spec(builtin("penrose-kite-dart")))
+    doc["rotation"]["edge_rotations"].update(rotations)
+    return json.dumps(doc).encode()
+
+
 class TestMalformedInput:
     """Malformed input ends with exit 1 and one error line, not a traceback."""
 
@@ -215,13 +222,21 @@ class TestMalformedInput:
         b"[" * 100000,
         b'{"name": ' + b"1" * 4400 + b"}",
         b'\xff\xfe{"name": "x"}',
-    ], ids=["deep-nesting", "long-integer", "not-utf8"])
-    def test_spec_file(self, tmp_path, capsys, content):
+        _penrose_rotations({"E1": "1e-5000"}),
+        _penrose_rotations({"E1": "1e10000000"}),
+        # Laps whose lcm denominator has more digits than str() writes.
+        _penrose_rotations({"E%d" % (i + 1): "1/%d" % (10 ** 4000 + 2 * i + 1)
+                            for i in range(7)}),
+    ], ids=["deep-nesting", "long-integer", "not-utf8", "exponent-rational",
+            "huge-exponent-rational", "lap-too-long-to-print"])
+    def test_spec_file(self, tmp_path, capsys, time_limit, content):
         path = tmp_path / "spec.json"
         path.write_bytes(content)
-        res = run("check", str(path))
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert _one_error_line(capsys.readouterr().err)
+        for command in ("check", "spectral"):
+            with time_limit(5):
+                res = run(command, str(path))
+            assert (res.exit_code, res.stdout) == (1, ""), command
+            assert _one_error_line(capsys.readouterr().err), command
 
     @pytest.mark.parametrize("command", [
         ("check",), ("homology", "--mode", "rigid"), ("cohomology", "--hull", "rigid"),

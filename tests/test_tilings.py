@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 from tilecohom.cli import run_command
 from tilecohom.complexes import MODE_RIGID, build_chain_complex, homology
+from tilecohom.exactalg import IntMatrix
 from tilecohom.groups import FgAbelianGroup
 from tilecohom.tilings import (
+    CellType,
     RotationData,
     SpecError,
+    SubstitutionData,
     builtin,
     builtin_names,
     load_spec,
@@ -22,6 +26,49 @@ from tilecohom.tilings import (
     save_spec,
     validate_spec,
 )
+
+
+@st.composite
+def _generated_specs(draw):
+    """A random translation spec with chain_map data, or a random rigid spec
+    with homology_map and rotation data.  Every degree has a cell, because
+    an empty matrix has no JSON spelling."""
+    rigid = draw(st.booleans())
+    dimension = 2 if rigid else draw(st.sampled_from((1, 2)))
+    counts = [draw(st.integers(1, 4)) for _ in range(dimension + 1)]
+    entry = st.integers(-3, 3)
+
+    def matrix(rows, cols):
+        return IntMatrix.from_rows([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+    def cell(k, i):
+        if not rigid:
+            return CellType("c%d.%d" % (k, i), k)
+        return CellType("c%d.%d" % (k, i), k, draw(st.integers(1, 6)), draw(st.booleans()))
+
+    cells = {k: tuple(cell(k, i) for i in range(n)) for k, n in enumerate(counts)}
+    boundaries = {k: matrix(counts[k - 1], counts[k]) for k in range(1, dimension + 1)}
+    name = draw(st.text(max_size=8))
+    if not rigid:
+        return make_spec(name, dimension, "translation", cells, boundaries, SubstitutionData(
+            "chain_map", chain_map={k: matrix(n, n) for k, n in enumerate(counts)}))
+
+    def vectors(count, n):
+        return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(count))
+
+    homology_map = {}
+    for k, row in cells.items():
+        n, count = sum(not c.reverses_orientation for c in row), draw(st.integers(0, 3))
+        homology_map[k] = (vectors(count, n), vectors(count, n))
+    rotations = {c.id: Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+                 for c in cells[1] if draw(st.booleans())}
+    laps = st.lists(st.tuples(st.sampled_from(sorted(rotations)), st.sampled_from((1, -1))),
+                    max_size=4) if rotations else st.just([])
+    stars = {c.id: tuple(draw(laps)) for c in cells[0]}
+    return make_spec(name, 2, "rigid", cells, boundaries,
+                     SubstitutionData("homology_map", homology_map=homology_map),
+                     RotationData(rotations, stars),
+                     draw(st.lists(st.integers(2, 6), max_size=3)))
 
 
 class TestRoundTrip:
@@ -46,6 +93,158 @@ class TestRoundTrip:
         spec = load_spec(save_spec(builtin("penrose-kite-dart")))
         cplx = build_chain_complex(spec, MODE_RIGID)
         assert homology(cplx, 0).structure == FgAbelianGroup(2, (5,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_generated_specs())
+    def test_generated_specs_round_trip(self, spec):
+        doc = save_spec(spec)
+        assert load_spec(doc) == spec
+        assert save_spec(load_spec(doc)) == doc
+
+
+_DELETE = object()
+
+
+def _mutated(name, path, value):
+    """The document of a builtin with the value at path replaced, or deleted."""
+    doc = json.loads(save_spec(builtin(name)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _cell(k, i, **changes):
+    def edit(args):
+        row = list(args["cells"][k])
+        row[i] = dataclasses.replace(row[i], **changes)
+        return {"cells": {**args["cells"], k: tuple(row)}}
+    return edit
+
+
+def _substitution_map(k, value):
+    def edit(args):
+        sub = args["substitution"]
+        return {"substitution": SubstitutionData(
+            sub.kind, **{sub.kind: {**getattr(sub, sub.kind), k: value}})}
+    return edit
+
+
+def _rotation(**changes):
+    """changes: field of RotationData -> function of its current value."""
+    def edit(args):
+        rot = args["rotation"]
+        return {"rotation": dataclasses.replace(
+            rot, **{f: change(getattr(rot, f)) for f, change in changes.items()})}
+    return edit
+
+
+def _star(vid, i, step):
+    return _rotation(vertex_stars=lambda stars: {
+        **stars, vid: stars[vid][:i] + (step,) + stars[vid][i + 1:]})
+
+
+def _without(key):
+    return lambda mapping: {k: v for k, v in mapping.items() if k != key}
+
+
+# One row per `raise SpecError` site of the schema: the builtin, the document
+# path and the value that replaces it (or _DELETE), the exact message, and the
+# same violation as a make_spec argument edit where a library caller can make
+# it (None for rules about the JSON spelling alone).
+_PENROSE, _FIBONACCI = "penrose-kite-dart", "fibonacci"
+_SCHEMA_MESSAGES = [
+    (_FIBONACCI, ("name",), 5, "name: expected a string", lambda a: {"name": 5}),
+    (_FIBONACCI, ("dimension",), True, "dimension: must be 1 or 2",
+     lambda a: {"dimension": True}),
+    (_FIBONACCI, ("geometry_mode",), "affine",
+     "geometry_mode: must be 'translation' or 'rigid'", lambda a: {"geometry_mode": "affine"}),
+    (_FIBONACCI, ("cells", "2"), [], "cells.2: beyond the spec dimension",
+     lambda a: {"cells": {**a["cells"], 2: ()}}),
+    (_FIBONACCI, ("cells", "1"), _DELETE, "cells.1: missing",
+     lambda a: {"cells": {0: a["cells"][0]}}),
+    (_FIBONACCI, None, None, "cells.0[0]: expected CellType",
+     lambda a: {"cells": {**a["cells"], 0: ("0.1",)}}),
+    (_FIBONACCI, None, None, "cells.0[0]: dimension 1 != 0", _cell(0, 0, dimension=1)),
+    (_PENROSE, ("cells", "0", 0, "id"), 5, "cells.0[0].id: expected a string",
+     _cell(0, 0, id=5)),
+    (_PENROSE, ("cells", "0", 0, "symmetry"), True, "cells.0[0].symmetry: expected an integer",
+     _cell(0, 0, symmetry=True)),
+    (_PENROSE, ("cells", "0", 0, "reverses_orientation"), 1,
+     "cells.0[0].reverses_orientation: expected a boolean",
+     _cell(0, 0, reverses_orientation=1)),
+    (_PENROSE, ("cells", "1", 1, "id"), "E1", "cells.1[1]: duplicate id 'E1'",
+     _cell(1, 1, id="E1")),
+    (_PENROSE, ("cells", "0", 0, "symmetry"), 0, "cells.0[0].symmetry: must be >= 1",
+     _cell(0, 0, symmetry=0)),
+    (_FIBONACCI, ("cells", "0", 0, "symmetry"), 5,
+     "cells.0[0]: translation specs have trivial cell symmetry", _cell(0, 0, symmetry=5)),
+    (_PENROSE, ("boundaries", "1"), [[1]], "boundaries.1: shape (1, 1) != expected (7, 7)",
+     lambda a: {"boundaries": {**a["boundaries"], 1: IntMatrix.from_rows([[1]])}}),
+    (_PENROSE, ("substitution", "kind"), "cochain", "substitution.kind: unknown kind 'cochain'",
+     lambda a: {"substitution": SubstitutionData("cochain")}),
+    (_PENROSE, ("substitution", "chain_map"), {}, "substitution.chain_map: missing",
+     lambda a: {"substitution": SubstitutionData("chain_map", chain_map={})}),
+    (_PENROSE, ("substitution", "chain_map", "0"), [[1]],
+     "substitution.chain_map.0: expected 7x7 matrix",
+     _substitution_map(0, IntMatrix.from_rows([[1]]))),
+    (_FIBONACCI, ("substitution", "homology_map", "1", "images"), [],
+     "substitution.homology_map.1: generator/image count mismatch",
+     _substitution_map(1, (((1, 1),), ()))),
+    (_FIBONACCI, ("substitution", "homology_map", "1", "generators"), [[1]],
+     "substitution.homology_map.1.generators[0]: length 1 != 2 chain coordinates",
+     _substitution_map(1, (((1,),), ((1, 1),)))),
+    (_FIBONACCI, ("rotation",), {"edge_rotations": {}, "vertex_stars": {}},
+     "rotation: only meaningful for 2-dimensional rigid specs",
+     lambda a: {"rotation": RotationData({}, {})}),
+    (_PENROSE, ("rotation", "edge_rotations", "E9"), "1/5",
+     "rotation.edge_rotations.E9: unknown edge",
+     _rotation(edge_rotations=lambda rots: {**rots, "E9": Fraction(1, 5)})),
+    (_PENROSE, ("rotation", "vertex_stars", "sun"), _DELETE,
+     "rotation.vertex_stars: missing ['sun'], unknown []",
+     _rotation(vertex_stars=_without("sun"))),
+    (_PENROSE, ("rotation", "vertex_stars", "sun", 0, "edge"), 5,
+     "rotation.vertex_stars.sun[0].edge: expected a string", _star("sun", 0, (5, -1))),
+    (_PENROSE, ("rotation", "vertex_stars", "sun", 0, "edge"), "E99",
+     "rotation.vertex_stars.sun[0].edge: unknown edge 'E99'", _star("sun", 0, ("E99", -1))),
+    (_PENROSE, ("rotation", "edge_rotations", "E1"), _DELETE,
+     "rotation.vertex_stars.sun[0].edge: no rotation assigned to 'E1'",
+     _rotation(edge_rotations=_without("E1"))),
+    (_PENROSE, ("rotation", "vertex_stars", "sun", 0, "sign"), 2,
+     "rotation.vertex_stars.sun[0].sign: must be 1 or -1", _star("sun", 0, ("E1", 2))),
+    (_PENROSE, ("symmetric_tilings",), [5, "5"],
+     "symmetric_tilings: expected an array of integers",
+     lambda a: {"symmetric_tilings": (5, "5")}),
+    (_PENROSE, ("symmetric_tilings",), [1], "symmetric_tilings: orders must be >= 2",
+     lambda a: {"symmetric_tilings": (1,)}),
+    (_FIBONACCI, ("cells",), [], "cells: expected an object", None),
+    (_FIBONACCI, ("cells", "0"), {}, "cells.0: expected an array", None),
+    (_FIBONACCI, ("cells", "0", 0, "area"), 1, "cells.0[0].area: unknown key", None),
+    (_FIBONACCI, ("cells", "0", 0, "symmetry"), _DELETE, "cells.0[0].symmetry: missing", None),
+    (_FIBONACCI, ("cells", "3"), [], "cells.3: unknown degree", None),
+    (_PENROSE, ("boundaries", "1"), [[1], 2], "boundaries.1: expected a list of integer rows",
+     None),
+    (_PENROSE, ("boundaries", "1"), [[1.5]], "boundaries.1[0][0]: expected an integer", None),
+    (_PENROSE, ("boundaries", "1"), [],
+     "boundaries.1: empty matrix needs explicit shape; declare cells instead", None),
+    (_PENROSE, ("boundaries", "1"), [[1], [1, 2]], "boundaries.1[1]: row has 2 entries, row 0 has 1",
+     None),
+    (_FIBONACCI, ("substitution", "homology_map", "0", "generators"), 5,
+     "substitution.homology_map.0.generators: expected a list of integer vectors", None),
+    (_FIBONACCI, ("substitution", "homology_map", "0", "generators", 0), [1, True, 0],
+     "substitution.homology_map.0.generators[0]: expected an integer vector", None),
+    (_PENROSE, ("substitution", "homology_map"), {}, "substitution.homology_map: unknown key",
+     None),
+    (_PENROSE, ("substitution", "kind"), _DELETE, "substitution.kind: missing", None),
+    (_PENROSE, ("rotation", "edge_rotations", "E1"), "0.2",
+     "rotation.edge_rotations.E1: rationals are reduced-fraction strings", None),
+    (_PENROSE, ("rotation", "edge_rotations", "E1"), "1/0",
+     "rotation.edge_rotations.E1: cannot parse rational '1/0'", None),
+]
 
 
 class TestSchema:
@@ -92,13 +291,8 @@ class TestSchema:
         ([[1], [1, 2]], "%s[1]: row has 2 entries, row 0 has 1"),
     ])
     def test_matrix_messages(self, where, value, message):
-        doc = self.penrose_doc()
-        node = doc
-        for key in where[:-1]:
-            node = node[key]
-        node[where[-1]] = value
         with pytest.raises(SpecError) as err:
-            load_spec(json.dumps(doc))
+            load_spec(_mutated("penrose-kite-dart", where, value))
         assert str(err.value) == message % ".".join(where)
 
     def test_bad_fraction(self):
@@ -127,6 +321,21 @@ class TestSchema:
         with pytest.raises(SpecError, match="beyond the spec dimension"):
             load_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("name, path, value, message, edit", _SCHEMA_MESSAGES,
+                             ids=[row[3] for row in _SCHEMA_MESSAGES])
+    def test_path_addressed_message(self, name, path, value, message, edit):
+        """Each rule gives the same message from load_spec and from make_spec."""
+        if path is not None:
+            with pytest.raises(SpecError) as err:
+                load_spec(_mutated(name, path, value))
+            assert str(err.value) == message
+        if edit is not None:
+            spec = builtin(name)
+            args = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+            with pytest.raises(SpecError) as err:
+                make_spec(**{**args, **edit(args)})
+            assert str(err.value) == message
+
     def test_star_referencing_unknown_edge(self):
         doc = self.penrose_doc()
         doc["rotation"]["vertex_stars"]["sun"][0]["edge"] = "E99"
@@ -146,13 +355,8 @@ class TestSchema:
     ])
     def test_mistyped_values_rejected_by_check(self, tmp_path, capsys,
                                                builtin_name, path, value):
-        doc = json.loads(save_spec(builtin(builtin_name)))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
         spec_path = tmp_path / "bad.json"
-        spec_path.write_text(json.dumps(doc))
+        spec_path.write_text(_mutated(builtin_name, path, value))
         res = run_command(["check", str(spec_path)])
         assert (res.exit_code, res.stdout) == (1, "")
         err = capsys.readouterr().err
@@ -160,7 +364,6 @@ class TestSchema:
         assert err.count("\n") == 1
 
 
-_DELETE = object()
 _MUTANT_VALUES = (_DELETE, True, False, None, 1.5, "x", [], {}, 10 ** 30)
 
 
