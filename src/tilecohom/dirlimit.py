@@ -11,11 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exactalg import (
-    IntMatrix,
-    determinant,
-    smith_normal_form,
-)
+from .exactalg import IntMatrix, smith_normal_form
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
 
 STATUS_EXACT = "exact"
@@ -91,11 +87,15 @@ class DirectLimitGroup:
 
 @dataclass(frozen=True)
 class EventualData:
-    """Reduction of (G, phi): stable torsion, eventual kernel, induced lattice map."""
+    """Reduction of (G, phi): stable torsion, eventual kernel, induced lattice map.
+
+    induced is injective, and induced_abs_det is |det induced|.
+    """
 
     torsion_limit: FgAbelianGroup
     eventual_kernel: IntMatrix
     induced: IntMatrix
+    induced_abs_det: int
 
 
 def _check_endo(group, endo):
@@ -104,54 +104,63 @@ def _check_endo(group, endo):
 
 
 def _torsion_limit(group: FgAbelianGroup, endo: GroupHom) -> FgAbelianGroup:
-    """Eventual image of phi on the torsion subgroup (stabilizes on finite parts)."""
-    t = len(group.torsion)
+    """Eventual image of phi on the torsion subgroup T.
+
+    The images phi^k(T) are nested, and once two consecutive ones agree all
+    later ones do.  Each strict shrink divides the order by at least 2, so
+    there are fewer than bit_length(|T|) of them, and phi^N(T) is the stable
+    image for every N >= bit_length(|T|).  phi^N, with N the first power of 2
+    that large, is formed by squaring the restriction of phi to T, whose
+    entries GroupHom keeps reduced mod the invariant factors.
+    """
+    f, t = group.free_rank, len(group.torsion)
     if t == 0:
         return FgAbelianGroup.trivial()
-    gens = [group.element((0,) * group.free_rank,
-                          tuple(1 if i == k else 0 for i in range(t)))
-            for k in range(t)]
-    current = [endo.apply(g) for g in gens]
-    # The images are nested, so their orders fall until two agree: the loop
-    # breaks with struct the stable image.
-    prev_order = None
-    for _ in range(group.torsion_order() + 1):
-        struct = subgroup_structure(group, current)
-        if struct.torsion_order() == prev_order:
-            break
-        prev_order = struct.torsion_order()
-        current = [endo.apply(g) for g in current]
-    return struct
+    T = FgAbelianGroup(0, group.torsion)
+    power = GroupHom(T, T, endo.matrix.submatrix(range(f, f + t), range(f, f + t)))
+    N = 1
+    while N < T.torsion_order().bit_length():
+        power = GroupHom(T, T, power.matrix * power.matrix)
+        N *= 2
+    return subgroup_structure(T, [power.apply(g) for g in T.generators()])
 
 
 def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
-    """Split off the stable torsion and the injective map on the free quotient."""
+    """Split off the stable torsion and the injective map on the free quotient.
+
+    The kernel chain ker F, ker F^2, ... is walked one induced map at a time:
+    G is the map F induces on Z^r / K, in the basis that proj and section
+    give, with K = ker F^m.  If U G V = S has rank k, then p = rows :k of V^-1
+    and s = columns :k of V satisfy p^-1(X) = ker p + s(X) = ker G + s(X), so
+    lifting ker G by the section extends K to a saturated basis of
+    ker F^(m+1), and p G s is the map induced on the new quotient.  The chain
+    grows until G is injective, after at most r steps, and then K = ker F^r.
+    No power of F is formed.
+    """
     _check_endo(group, endo)
     F = endo.free_block()
     r = group.free_rank
-    power = IntMatrix.identity(r)
-    for _ in range(r):
-        power = power * F
-    snf = smith_normal_form(power)
-    K = snf.kernel()
-    k = K.cols
-    if k:
-        # K = V[:, r-k:], so the rows :r-k of V^-1 project Z^r onto Z^r / K
-        # and the columns :r-k of V are a section of that projection.
-        proj = IntMatrix(r - k, r, snf.Vinv.entries[:(r - k) * r])
-        section = IntMatrix.from_columns([snf.V.column(j) for j in range(r - k)], rows=r)
-    else:
-        proj = section = IntMatrix.identity(r)
-    induced = proj * F * section
+    G = F
+    proj = section = IntMatrix.identity(r)
+    kernel = []
+    snf = smith_normal_form(G)
+    while snf.rank < G.rows:
+        k = snf.rank
+        lifted = section * snf.kernel()
+        kernel.extend(lifted.column(j) for j in range(lifted.cols))
+        p = IntMatrix(k, G.rows, snf.Vinv.entries[:k * G.rows])
+        s = snf.V.submatrix(range(G.rows), range(k))
+        G, proj, section = p * G * s, p * proj, section * s
+        snf = smith_normal_form(G)
+    K = IntMatrix.from_columns(kernel, rows=r)
     # phi maps the eventual kernel into itself, so the quotient map is defined.
-    if k and not (proj * F * K).is_zero():
+    if kernel and not (proj * F * K).is_zero():
         raise DirectLimitError("internal invariant: phi does not preserve the eventual kernel")
-    if induced.rows and determinant(induced) == 0:
-        raise DirectLimitError("induced lattice map is not injective")
     return EventualData(
         torsion_limit=_torsion_limit(group, endo),
         eventual_kernel=K,
-        induced=induced,
+        induced=G,
+        induced_abs_det=prod(snf.invariant_factors),
     )
 
 
@@ -231,15 +240,23 @@ def _rank_mod_p(M: IntMatrix, p: int) -> int:
 
 
 def stable_rank_mod_p(induced: IntMatrix, p: int) -> int:
-    """Rank over F_p of induced^n, n = dimension (the stabilized power)."""
+    """Rank over F_p of D^e for every e >= n, with D = induced of dimension n.
+
+    Over a field the ranks of D, D^2, ... fall until two consecutive ones
+    agree and are constant from then on; each fall loses at least 1 from at
+    most n, so they are constant from e = n on.  D^e, with e the first power
+    of 2 at least n, is formed by squaring mod p, so no entry reaches p.
+    """
     if not _is_prime(p):
         raise DirectLimitError("%d is not a proven prime" % p)
     if induced.rows != induced.cols:
         raise DirectLimitError("induced matrix must be square")
     n = induced.rows
-    power = IntMatrix.identity(n)
-    for _ in range(n):
-        power = power * induced
+    power = IntMatrix(n, n, tuple(x % p for x in induced.entries))
+    e = 1
+    while e < n:
+        power = IntMatrix(n, n, tuple(x % p for x in (power * power).entries))
+        e *= 2
     return _rank_mod_p(power, p)
 
 
@@ -333,11 +350,10 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
     if r == 0:
         return DirectLimitGroup(data.torsion_limit, (), STATUS_EXACT)
 
-    det = determinant(D)
-    if abs(det) == 1:
+    if data.induced_abs_det == 1:
         return DirectLimitGroup(data.torsion_limit, ((1, r),), STATUS_EXACT)
 
-    factors, cofactor = _factorize(det)
+    factors, cofactor = _factorize(data.induced_abs_det)
     profile = tuple((p, r - stable_rank_mod_p(D, p)) for p in sorted(factors))
     roots = None
     if cofactor == 1:

@@ -113,6 +113,9 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
     _check_degrees(cells, "cells", 0, dimension)
     _check_degrees(boundaries, "boundaries", 1, dimension)
 
+    for k in range(dimension + 1):
+        if not isinstance(cells[k], (list, tuple)):
+            raise SpecError("cells.%d: expected a tuple of CellType" % k)
     cell_map = {k: tuple(cells[k]) for k in range(dimension + 1)}
     seen = set()
     for k, row in cell_map.items():
@@ -138,14 +141,20 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
 
     for k in range(1, dimension + 1):
         b = boundaries[k]
+        if not isinstance(b, IntMatrix):
+            raise SpecError("boundaries.%d: expected IntMatrix" % k)
         want = (len(cell_map[k - 1]), len(cell_map[k]))
         if (b.rows, b.cols) != want:
             raise SpecError("boundaries.%d: shape (%d, %d) != expected (%d, %d)"
                             % (k, b.rows, b.cols, want[0], want[1]))
 
     if substitution is not None:
+        if not isinstance(substitution, SubstitutionData):
+            raise SpecError("substitution: expected SubstitutionData")
         _check_substitution_shape(substitution, cell_map, dimension, geometry_mode)
     if rotation is not None:
+        if not isinstance(rotation, RotationData):
+            raise SpecError("rotation: expected RotationData")
         _check_rotation_shape(rotation, cell_map, dimension, geometry_mode)
     if not isinstance(symmetric_tilings, (list, tuple)) or any(
             type(n) is not int for n in symmetric_tilings):
@@ -160,8 +169,12 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
 
 
 def _check_degrees(mapping, path, lo, dimension):
-    """A degree-keyed map has exactly the degrees lo..dimension."""
+    """A degree-keyed dict has exactly the int degrees lo..dimension."""
+    if not isinstance(mapping, dict):
+        raise SpecError("%s: expected a dict keyed by degree" % path)
     for k in mapping:
+        if type(k) is not int:
+            raise SpecError("%s.%r: degree is not an int" % (path, k))
         if not lo <= k <= dimension:
             raise SpecError("%s.%d: beyond the spec dimension" % (path, k))
     for k in range(lo, dimension + 1):
@@ -187,10 +200,21 @@ def _check_substitution_shape(sub, cell_map, dimension, geometry_mode):
         if sub.kind == "chain_map":
             m = maps[k]
             n = len(cell_map[k])
+            if not isinstance(m, IntMatrix):
+                raise SpecError("%s.%d: expected IntMatrix" % (path, k))
             if (m.rows, m.cols) != (n, n):
                 raise SpecError("%s.%d: expected %dx%d matrix" % (path, k, n, n))
             continue
+        if not isinstance(maps[k], (list, tuple)) or len(maps[k]) != 2:
+            raise SpecError("%s.%d: expected a (generators, images) pair" % (path, k))
         gens, images = maps[k]
+        for label, vecs in (("generators", gens), ("images", images)):
+            if not isinstance(vecs, (list, tuple)):
+                raise SpecError("%s.%d.%s: expected a list of integer vectors" % (path, k, label))
+            for i, v in enumerate(vecs):
+                if not isinstance(v, (list, tuple)) or any(type(x) is not int for x in v):
+                    raise SpecError("%s.%d.%s[%d]: expected an integer vector"
+                                    % (path, k, label, i))
         if len(gens) != len(images):
             raise SpecError("%s.%d: generator/image count mismatch" % (path, k))
         n = _visible_count(cell_map, k, geometry_mode)
@@ -206,16 +230,28 @@ def _check_rotation_shape(rot, cell_map, dimension, geometry_mode):
         raise SpecError("rotation: only meaningful for 2-dimensional rigid specs")
     edge_ids = {c.id for c in cell_map[1]}
     vertex_ids = {c.id for c in cell_map[0]}
-    for eid in rot.edge_rotations:
+    for field in ("edge_rotations", "vertex_stars"):
+        if not isinstance(getattr(rot, field), dict):
+            raise SpecError("rotation.%s: expected a dict" % field)
+    for eid, turns in rot.edge_rotations.items():
         if eid not in edge_ids:
             raise SpecError("rotation.edge_rotations.%s: unknown edge" % eid)
+        if type(turns) is not int and not isinstance(turns, Fraction):
+            raise SpecError("rotation.edge_rotations.%s: expected a Fraction" % eid)
     if set(rot.vertex_stars) != vertex_ids:
-        missing = sorted(vertex_ids - set(rot.vertex_stars))
-        extra = sorted(set(rot.vertex_stars) - vertex_ids)
+        # key=str: a library caller's ids need not be strings, or comparable
+        missing = sorted(vertex_ids - set(rot.vertex_stars), key=str)
+        extra = sorted(set(rot.vertex_stars) - vertex_ids, key=str)
         raise SpecError("rotation.vertex_stars: missing %r, unknown %r" % (missing, extra))
     for vid, star in rot.vertex_stars.items():
-        for i, (eid, sign) in enumerate(star):
+        if not isinstance(star, (list, tuple)):
+            raise SpecError("rotation.vertex_stars.%s: expected a list of (edge, sign) pairs"
+                            % vid)
+        for i, step in enumerate(star):
             path = "rotation.vertex_stars.%s[%d]" % (vid, i)
+            if not isinstance(step, (list, tuple)) or len(step) != 2:
+                raise SpecError("%s: expected an (edge, sign) pair" % path)
+            eid, sign = step
             if not isinstance(eid, str):
                 raise SpecError("%s.edge: expected a string" % path)
             if eid not in edge_ids:

@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from collections import Counter
 from itertools import combinations
 from math import gcd, prod
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilecohom import dirlimit as dirlimit_module
 from tilecohom.dirlimit import (
     DirectLimitError,
     EIGENVALUE_CANDIDATE_BOUND,
@@ -14,13 +16,14 @@ from tilecohom.dirlimit import (
     STATUS_UNDETERMINED,
     STATUS_VERIFIED,
     TRIAL_DIVISION_BOUND,
+    _rank_mod_p,
     direct_limit,
     eventual_data,
     stable_rank_mod_p,
 )
 from tilecohom.cli import run_command
 from tilecohom.exactalg import IntMatrix, determinant
-from tilecohom.groups import FgAbelianGroup, GroupHom, from_divisors
+from tilecohom.groups import FgAbelianGroup, GroupHom, from_divisors, subgroup_structure
 
 TM = IntMatrix.from_rows([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
 
@@ -371,6 +374,178 @@ class TestEigenvalueOracle:
         assert lim.lattice_rank == len(eigenvalues)
         assert lim.p_divisible_ranks == tuple(
             (p, sum(1 for v in eigenvalues if v % p == 0)) for p in primes)
+
+
+def _rank_over_q(M):
+    """Rank over Q by fraction-free elimination, with no SNF."""
+    a = M.to_rows()
+    rank = 0
+    for col in range(M.cols):
+        pivot = next((i for i in range(rank, M.rows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, M.rows):
+            a[i] = [a[rank][col] * x - a[i][col] * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def _power(M, e):
+    out = IntMatrix.identity(M.rows)
+    for _ in range(e):
+        out = out * M
+    return out
+
+
+def _shifted_det(M, c):
+    """det(cI - M)."""
+    n = M.rows
+    return determinant(IntMatrix.from_rows([[(c if i == j else 0) - M[i, j] for j in range(n)]
+                                            for i in range(n)]))
+
+
+# Jordan blocks (eigenvalue, size); zero blocks make F singular, and a list of
+# zero blocks alone makes it nilpotent.
+_JORDAN_BLOCKS = st.lists(st.tuples(st.sampled_from((0, 0, 1, -1, 2, -3, 6, 997)),
+                                    st.integers(1, 3)), min_size=1, max_size=5)
+
+
+def _jordan(blocks):
+    sizes = [size for _, size in blocks]
+    while sum(sizes) > 5:
+        sizes.pop()
+    J = _diagonal([lam for (lam, _), size in zip(blocks, sizes) for _ in range(size)])
+    i = 0
+    for size in sizes:
+        for k in range(i, i + size - 1):
+            J[k][k + 1] = 1
+        i += size
+    return J
+
+
+class TestEventualKernelOracle:
+    """eventual_data of P J P^-1 against ker F^r and the characteristic
+    polynomial, computed here without any SNF."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=_JORDAN_BLOCKS, nilpotent=st.booleans(), ops=_UNIMODULAR_OPS)
+    def test_kernel_and_induced_map(self, blocks, nilpotent, ops):
+        if nilpotent:
+            blocks = [(0, size) for _, size in blocks]
+        F = _conjugate(_jordan(blocks), ops)
+        r = F.rows
+        data = eventual_data(*free_endo(F))
+        K, D = data.eventual_kernel, data.induced
+        k = K.cols
+        assert _power(F, r) * K == IntMatrix.zero(r, k)
+        assert k == r - _rank_over_q(_power(F, r))
+        assert D.rows == D.cols == r - k
+        # Saturated: the k x k minors of K have gcd 1.
+        minors = [determinant(K.submatrix(rows, range(k))) for rows in combinations(range(r), k)]
+        assert gcd(*minors) == 1
+        assert data.induced_abs_det == abs(determinant(D)) != 0
+        for c in (-3, -1, 2, 5, 11):
+            assert _shifted_det(F, c) == c ** k * _shifted_det(D, c)
+
+
+@contextmanager
+def _factored():
+    """The list of matrices that dirlimit factors inside the block."""
+    made = []
+    original = dirlimit_module.smith_normal_form
+
+    def recording(A):
+        made.append(A)
+        return original(A)
+
+    dirlimit_module.smith_normal_form = recording
+    try:
+        yield made
+    finally:
+        dirlimit_module.smith_normal_form = original
+
+
+class TestNoMatrixPowers:
+    """eventual_data factors F and the maps induced on the quotients of the
+    kernel chain, never a power of F."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=2, max_size=5),
+           ops=_UNIMODULAR_OPS)
+    def test_nonsingular_factors_only_f(self, eigenvalues, ops):
+        F = _conjugate(_diagonal(eigenvalues), ops)
+        with _factored() as made:
+            data = eventual_data(*free_endo(F))
+        assert made == [F]
+        assert data.induced == F
+
+    def test_heavy_case_factors_only_f(self):
+        F = IntMatrix.from_rows([[-2811, -60, 1874, 0, -1814], [2812, -937, -1874, 0, 2812],
+                                 [-936, 0, 937, 0, -936], [0, -1916, 0, 919, 1916],
+                                 [2812, 60, -1874, 0, 1815]])
+        with _factored() as made:
+            eventual_data(*free_endo(F))
+        assert made == [F]
+
+    def test_singular_factors_one_map_per_kernel_step(self):
+        # ker F < ker F^2 = ker F^3: F, then the 2x2 and 1x1 induced maps.
+        F = IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+        with _factored() as made:
+            data = eventual_data(*free_endo(F))
+        assert [(A.rows, A.cols) for A in made] == [(3, 3), (2, 2), (1, 1)]
+        assert data.induced.entries == (2,)
+
+
+def _old_stable_rank(D, p):
+    """The integer route: D^n with n = dimension, then its rank mod p."""
+    return _rank_mod_p(_power(D, D.rows), p)
+
+
+class TestStableRankReference:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 5).flatmap(lambda n: st.lists(
+               st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((0, 1, 2, 3, 997)),
+                        min_size=n, max_size=n), min_size=n, max_size=n)),
+           p=st.sampled_from((2, 3, 5, 7, 997, 10 ** 20 + 39)))
+    def test_matches_integer_power(self, rows, p):
+        D = IntMatrix(len(rows), len(rows), tuple(x for row in rows for x in row))
+        assert stable_rank_mod_p(D, p) == _old_stable_rank(D, p)
+
+
+def _old_torsion_limit(group, endo):
+    """Apply phi until two consecutive images of the torsion have one order."""
+    f, t = group.free_rank, len(group.torsion)
+    current = [group.element((0,) * f, tuple(int(i == k) for i in range(t)))
+               for k in range(t)]
+    prev = None
+    while True:
+        current = [endo.apply(g) for g in current]
+        struct = subgroup_structure(group, current)
+        if struct.torsion_order() == prev:
+            return struct
+        prev = struct.torsion_order()
+
+
+class TestTorsionLimitReference:
+    @settings(max_examples=60, deadline=None)
+    @given(torsion=st.sampled_from(((2,), (2, 4), (3, 9), (2, 2, 12), (4, 8, 16), (6, 36))),
+           free_rank=st.integers(0, 2), data=st.data())
+    def test_matches_iterated_images(self, torsion, free_rank, data):
+        g = FgAbelianGroup(free_rank, torsion)
+        n = free_rank + len(torsion)
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i < free_rank and j >= free_rank:
+                    continue  # torsion maps into torsion
+                scale = 1
+                if i >= free_rank and j >= free_rank:
+                    di, dj = torsion[i - free_rank], torsion[j - free_rank]
+                    scale = di // gcd(di, dj)
+                M[i][j] = scale * data.draw(st.integers(-4, 4))
+        e = GroupHom(g, g, IntMatrix.from_rows(M))
+        assert eventual_data(g, e).torsion_limit == _old_torsion_limit(g, e)
 
 
 class TestFactorizationBound:

@@ -244,6 +244,40 @@ _SCHEMA_MESSAGES = [
      "rotation.edge_rotations.E1: rationals are reduced-fraction strings", None),
     (_PENROSE, ("rotation", "edge_rotations", "E1"), "1/0",
      "rotation.edge_rotations.E1: cannot parse rational '1/0'", None),
+    # Container types only a library caller can get wrong: make_spec alone.
+    (_FIBONACCI, None, None, "cells: expected a dict keyed by degree",
+     lambda a: {"cells": list(a["cells"].values())}),
+    (_FIBONACCI, None, None, "cells.'0': degree is not an int",
+     lambda a: {"cells": {str(k): v for k, v in a["cells"].items()}}),
+    (_FIBONACCI, None, None, "cells.0: expected a tuple of CellType",
+     lambda a: {"cells": {**a["cells"], 0: None}}),
+    (_FIBONACCI, None, None, "boundaries: expected a dict keyed by degree",
+     lambda a: {"boundaries": [a["boundaries"][1]]}),
+    (_FIBONACCI, None, None, "boundaries.1: expected IntMatrix",
+     lambda a: {"boundaries": {1: a["boundaries"][1].to_rows()}}),
+    (_PENROSE, None, None, "substitution: expected SubstitutionData",
+     lambda a: {"substitution": {"kind": "chain_map"}}),
+    (_PENROSE, None, None, "substitution.chain_map.0: expected IntMatrix",
+     lambda a: _substitution_map(0, a["substitution"].chain_map[0].to_rows())(a)),
+    (_FIBONACCI, None, None, "substitution.homology_map.1: expected a (generators, images) pair",
+     _substitution_map(1, ((1, 1),))),
+    (_FIBONACCI, None, None, "substitution.homology_map.1.images: expected a list of integer "
+     "vectors", lambda a: _substitution_map(1, (a["substitution"].homology_map[1][0], 5))(a)),
+    (_FIBONACCI, None, None, "substitution.homology_map.1.images[0]: expected an integer vector",
+     lambda a: _substitution_map(1, (a["substitution"].homology_map[1][0], ((1, True),)))(a)),
+    (_PENROSE, None, None, "rotation: expected RotationData", lambda a: {"rotation": {}}),
+    (_PENROSE, None, None, "rotation.edge_rotations: expected a dict",
+     _rotation(edge_rotations=list)),
+    (_PENROSE, None, None, "rotation.edge_rotations.E1: expected a Fraction",
+     _rotation(edge_rotations=lambda rots: {**rots, "E1": 0.2})),
+    (_PENROSE, None, None, "rotation.vertex_stars: expected a dict",
+     _rotation(vertex_stars=lambda stars: list(stars.items()))),
+    (_PENROSE, None, None, "rotation.vertex_stars: missing [], unknown [5, 'zz']",
+     _rotation(vertex_stars=lambda stars: {**stars, 5: (), "zz": ()})),
+    (_PENROSE, None, None, "rotation.vertex_stars.sun: expected a list of (edge, sign) pairs",
+     _rotation(vertex_stars=lambda stars: {**stars, "sun": None})),
+    (_PENROSE, None, None, "rotation.vertex_stars.sun[0]: expected an (edge, sign) pair",
+     _star("sun", 0, "E1")),
 ]
 
 
