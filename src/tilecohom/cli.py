@@ -84,12 +84,8 @@ def _cmd_check(args):
 def _cmd_homology(args):
     spec = _load_target(args)
     analysis = complexes.Analysis(spec, _MODE_FLAG[args.mode])
-    top = analysis.complex.top_dim
-    degrees = range(top + 1) if args.degree is None else [args.degree]
-    for k in degrees:
-        if not 0 <= k <= top:
-            raise complexes.ComplexError("degree %d out of range 0..%d" % (k, top))
-    results = {k: analysis.homology(k).structure for k in degrees}
+    degrees = range(analysis.complex.top_dim + 1) if args.degree is None else [args.degree]
+    results = {k: analysis.structure(k) for k in degrees}
     if args.limit:
         maps = analysis.substitution_maps
         results = {k: direct_limit(g, maps[k]) for k, g in results.items()}

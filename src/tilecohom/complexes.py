@@ -11,8 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactalg import IntMatrix
-from .groups import GroupHom, SubquotientPresentation, homology_presentation, induced_hom
+from .exactalg import IntMatrix, smith_normal_form
+from .groups import (
+    FgAbelianGroup,
+    GroupHom,
+    SubquotientPresentation,
+    homology_presentation,
+    induced_hom,
+    presentation_from,
+)
 
 MODE_TRANSLATION = "translation"
 MODE_RIGID = "rigid"
@@ -101,7 +108,11 @@ def build_chain_complex(spec, mode) -> ChainComplex:
     ranks = tuple(len(keep[k]) for k in range(spec.dimension + 1))
     boundaries = [IntMatrix.zero(0, ranks[0])]
     for k in range(1, spec.dimension + 1):
-        boundaries.append(spec.boundaries[k].submatrix(keep[k - 1], keep[k]))
+        b = spec.boundaries[k]
+        # Matrices are immutable: a mode that keeps every cell uses b itself.
+        if (b.rows, b.cols) != (ranks[k - 1], ranks[k]):
+            b = b.submatrix(keep[k - 1], keep[k])
+        boundaries.append(b)
 
     labels = []
     for k in range(spec.dimension + 1):
@@ -133,9 +144,13 @@ def build_chain_complex(spec, mode) -> ChainComplex:
                         boundary=tuple(boundaries), generator_labels=tuple(labels))
 
 
-def homology(complex: ChainComplex, k: int) -> SubquotientPresentation:
+def _check_degree(complex: ChainComplex, k: int):
     if not 0 <= k <= complex.top_dim:
         raise ComplexError("degree %d out of range 0..%d" % (k, complex.top_dim))
+
+
+def homology(complex: ChainComplex, k: int) -> SubquotientPresentation:
+    _check_degree(complex, k)
     return homology_presentation(complex.boundary_or_zero(k),
                                  complex.boundary_or_zero(k + 1))
 
@@ -162,9 +177,13 @@ def chain_map_from_spec(spec, mode) -> ChainMap:
 
 
 class Analysis:
-    """The chain complex of a spec in one mode, built once, with each degree's
-    homology and the substitution homology maps computed on first use.
+    """The chain complex of a spec in one mode, built once, with each
+    boundary's factorization, each degree's homology and the substitution
+    homology maps computed on first use.
 
+    Each boundary d_k is factored at most once.  The group H_k is read from
+    the factorizations of d_k and d_{k+1}; a presentation, with canonical
+    coordinates, is built only for a caller that reads coordinates.
     An analysis serves one computation and is not shared between calls.
     """
 
@@ -172,11 +191,36 @@ class Analysis:
         self.spec = spec
         self.mode = mode
         self.complex = build_chain_complex(spec, mode)
+        self._snfs = {}
         self._homology = {}
 
+    def _snf(self, k):
+        """The factorization of d_k, 0 <= k <= top_dim + 1."""
+        if k not in self._snfs:
+            self._snfs[k] = smith_normal_form(self.complex.boundary_or_zero(k))
+        return self._snfs[k]
+
+    def structure(self, k) -> FgAbelianGroup:
+        """The group H_k: Z^(n_k - rank d_k - rank d_{k+1}) plus Z/d for each
+        invariant factor d > 1 of d_{k+1}.  im d_{k+1} lies in ker d_k, which
+        is saturated, so the torsion of H_k is that of Z^n_k / im d_{k+1}."""
+        _check_degree(self.complex, k)
+        top = self.complex.top_dim
+        rank = self._snf(k).rank if k else 0
+        factors = self._snf(k + 1).invariant_factors if k < top else ()
+        return FgAbelianGroup(self.complex.ranks[k] - rank - len(factors),
+                              tuple(d for d in factors if d > 1))
+
     def homology(self, k) -> SubquotientPresentation:
+        """H_k with canonical coordinates, from the factorization of d_k."""
         if k not in self._homology:
-            self._homology[k] = homology(self.complex, k)
+            _check_degree(self.complex, k)
+            d_k = self._snf(k)
+            # A zero d_k has V = I, so H_k's relation matrix is d_{k+1} itself,
+            # and one factorization of d_{k+1} serves both.
+            relations = self._snf(k + 1) if d_k.rank == 0 else None
+            self._homology[k] = presentation_from(
+                d_k, self.complex.boundary_or_zero(k + 1), relations)
         return self._homology[k]
 
     def chain_map(self) -> ChainMap:

@@ -21,8 +21,8 @@ STATUS_UNDETERMINED = "undetermined"
 # Trial division stops here, after about 10^6 candidates; a larger cofactor of
 # the determinant must be proven prime, or the limit is left undetermined.
 TRIAL_DIVISION_BOUND = 1 << 20
-# At most this many divisors of |det| are tried as integer eigenvalues; with
-# more, the limit is left undetermined.
+# At most this many divisors of the largest invariant factor are tried as
+# integer eigenvalues; with more, the limit is left undetermined.
 EIGENVALUE_CANDIDATE_BOUND = 1 << 16
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
@@ -89,13 +89,15 @@ class DirectLimitGroup:
 class EventualData:
     """Reduction of (G, phi): stable torsion, eventual kernel, induced lattice map.
 
-    induced is injective, and induced_abs_det is |det induced|.
+    induced is injective, induced_abs_det is |det induced| and
+    induced_exponent is its largest invariant factor (1 when it is empty).
     """
 
     torsion_limit: FgAbelianGroup
     eventual_kernel: IntMatrix
     induced: IntMatrix
     induced_abs_det: int
+    induced_exponent: int
 
 
 def _check_endo(group, endo):
@@ -161,6 +163,7 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
         eventual_kernel=K,
         induced=G,
         induced_abs_det=prod(snf.invariant_factors),
+        induced_exponent=max(snf.invariant_factors, default=1),
     )
 
 
@@ -281,21 +284,21 @@ def _char_poly(A: IntMatrix):
     return [c for c in reversed(cs)] + [1]
 
 
-def _divisors(factors, bound):
-    """The divisors up to bound of the number factored as `factors`, ascending,
+def _divisors(n, primes):
+    """The divisors of n, all of whose prime factors are in primes, ascending,
     or None when there are more than EIGENVALUE_CANDIDATE_BOUND of them."""
+    exponents = {}
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        exponents[p] = e
+    if prod(e + 1 for e in exponents.values()) > EIGENVALUE_CANDIDATE_BOUND:
+        return None
     divisors = [1]
-    for p, e in factors.items():
-        grown = []
-        for d in divisors:
-            for _ in range(e + 1):
-                if d > bound:
-                    break
-                grown.append(d)
-                d *= p
-            if len(grown) > EIGENVALUE_CANDIDATE_BOUND:
-                return None
-        divisors = grown
+    for p, e in exponents.items():
+        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
     return sorted(divisors)
 
 
@@ -357,12 +360,14 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
     profile = tuple((p, r - stable_rank_mod_p(D, p)) for p in sorted(factors))
     roots = None
     if cofactor == 1:
-        # Every integer eigenvalue divides det, and none exceeds the row-sum norm.
-        norm = max(sum(abs(x) for x in D.row(i)) for i in range(r))
-        divisors = _divisors(factors, norm)
+        # Every integer eigenvalue divides the largest invariant factor e of
+        # D, which does not depend on the basis: e D^-1 is integral, so if
+        # D v = lam v with v primitive, then (e / lam) v = e D^-1 v is too.
+        # e divides det, so its primes are among those of det.
+        divisors = _divisors(data.induced_exponent, factors)
         if divisors is None:
-            notes.append("the determinant has more than %d divisors up to the row-sum "
-                         "norm; the eigenvalues were not checked" % EIGENVALUE_CANDIDATE_BOUND)
+            notes.append("the largest invariant factor has more than %d divisors; "
+                         "the eigenvalues were not checked" % EIGENVALUE_CANDIDATE_BOUND)
         else:
             roots = _integer_roots(_char_poly(D), divisors)
     else:

@@ -205,9 +205,13 @@ def cokernel_structure(relations: IntMatrix, ambient_rank: int):
     if relations.rows != ambient_rank:
         raise GroupError("relations have %d rows, ambient rank is %d"
                          % (relations.rows, ambient_rank))
-    snf = smith_normal_form(relations)
-    n = ambient_rank
-    diag = list(snf.S.diagonal()) + [0] * (n - relations.cols)
+    return _cokernel(smith_normal_form(relations))
+
+
+def _cokernel(snf: SnfResult):
+    """cokernel_structure from snf, the factorization of the relations."""
+    n = snf.S.rows
+    diag = list(snf.S.diagonal()) + [0] * (n - snf.S.cols)
     torsion_idx = tuple(i for i in range(n) if diag[i] >= 2)
     free_idx = tuple(i for i in range(n) if diag[i] == 0)
     structure = FgAbelianGroup(len(free_idx), tuple(diag[i] for i in torsion_idx))
@@ -441,17 +445,34 @@ def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresent
     """Presentation of ker d_k / im d_{k+1}; rejects non-complexes."""
     if d_k.cols != d_k1.rows:
         raise GroupError("boundary shapes are incompatible")
-    snf = smith_normal_form(d_k)
+    return presentation_from(smith_normal_form(d_k), d_k1)
+
+
+def presentation_from(d_k_snf: SnfResult, d_k1: IntMatrix,
+                      relations: SnfResult | None = None) -> SubquotientPresentation:
+    """homology_presentation from d_k_snf, the factorization of d_k.
+
+    relations, if given, is the factorization of the relation matrix, the
+    rows r: of V^-1 d_{k+1}.  When d_k is zero, V = I and that matrix is
+    d_{k+1} itself, so a caller holding its factorization passes it here.
+    """
+    snf = d_k_snf
+    if snf.S.cols != d_k1.rows:
+        raise GroupError("boundary shapes are incompatible")
     r = snf.rank
-    # U d_k V = S, so d_k x = 0 exactly when the rows :r of V^-1 x vanish,
-    # and the rows r: are the coordinates of x in the cycle basis V[:, r:].
-    B = snf.vinv_times(d_k1)
-    if any(B.entries[:r * B.cols]):
-        raise GroupError("d_k * d_{k+1} != 0: corrupt chain complex")
-    Y = IntMatrix(B.rows - r, B.cols, B.entries[r * B.cols:])
-    structure, cmap = cokernel_structure(Y, Y.rows)
+    if relations is None:
+        # U d_k V = S, so d_k x = 0 exactly when the rows :r of V^-1 x vanish,
+        # and the rows r: are the coordinates of x in the cycle basis V[:, r:].
+        B = snf.vinv_times(d_k1)
+        if any(B.entries[:r * B.cols]):
+            raise GroupError("d_k * d_{k+1} != 0: corrupt chain complex")
+        relations = smith_normal_form(IntMatrix(B.rows - r, B.cols, B.entries[r * B.cols:]))
+    elif relations.S.rows != snf.S.cols - r:
+        raise GroupError("relations have %d rows, the cycle basis has %d"
+                         % (relations.S.rows, snf.S.cols - r))
+    structure, cmap = _cokernel(relations)
     return SubquotientPresentation(
-        ambient_rank=d_k.cols,
+        ambient_rank=d_k1.rows,
         d_k_snf=snf,
         structure=structure,
         coordinate_map=cmap,

@@ -63,7 +63,7 @@ def winding_chain(spec):
 
 
 def _e2(spec):
-    """The E2 page and the degree-0 homology of the rigid complex.
+    """The E2 page and the analysis of the rigid complex.
 
     Each complex is built and, for hierarchical specs, its substitution maps
     are checked to act by isomorphisms before the next complex is built: the
@@ -86,9 +86,9 @@ def _e2(spec):
     rigid, modified = analyses
     entries = {}
     for p in range(3):
-        entries[(p, 0)] = modified.homology(p).structure
-        entries[(p, 1)] = rigid.homology(p).structure
-    return SpectralPage(entries=entries), rigid.homology(0)
+        entries[(p, 0)] = modified.structure(p)
+        entries[(p, 1)] = rigid.structure(p)
+    return SpectralPage(entries=entries), rigid
 
 
 def _total_degree(entries_by_pq, n):
@@ -125,8 +125,8 @@ def spectral_sequence(spec) -> SpectralSequence:
     has finite order.  Degreewise totals, regraded by n -> 3 - n, give the
     Cech groups.
     """
-    e2, h0 = _e2(spec)
-    sigma = h0.class_of(winding_chain(spec))
+    e2, rigid = _e2(spec)
+    sigma = rigid.homology(0).class_of(winding_chain(spec))
     einf = dict(e2.entries)
     einf[(0, 1)] = quotient_by(e2.entry(0, 1), [sigma])
     notes = ()
@@ -190,7 +190,7 @@ def hull_cohomology(spec, hull) -> HullCohomology:
         raise SpectralError("unknown hull %r" % (hull,))
 
     analysis = complexes.Analysis(spec, mode)
-    by_degree = {k: analysis.homology(k).structure for k in range(top + 1)}
+    by_degree = {k: analysis.structure(k) for k in range(top + 1)}
     if spec.is_hierarchical:
         try:
             maps = analysis.substitution_maps

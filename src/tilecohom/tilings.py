@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import itemgetter
 
 from .exactalg import ExactAlgError, IntMatrix
 
@@ -243,6 +244,17 @@ def _check_rotation_shape(rot, cell_map, dimension, geometry_mode):
         missing = sorted(vertex_ids - set(rot.vertex_stars), key=str)
         extra = sorted(set(rot.vertex_stars) - vertex_ids, key=str)
         raise SpecError("rotation.vertex_stars: missing %r, unknown %r" % (missing, extra))
+    # One pass over every step checks the common, well-formed case; types
+    # come before the set tests, which hash.  The loop below names the first
+    # bad step.  Every rotated edge is a known edge, checked above.
+    stars = rot.vertex_stars.values()
+    if all(isinstance(star, (list, tuple)) for star in stars):
+        steps = [step for star in stars for step in star]
+        if (all(isinstance(step, (list, tuple)) and len(step) == 2 for step in steps)
+                and all(isinstance(eid, str) and type(sign) is int for eid, sign in steps)
+                and {eid for eid, _ in steps} <= rot.edge_rotations.keys()
+                and {sign for _, sign in steps} <= {1, -1}):
+            return
     for vid, star in rot.vertex_stars.items():
         if not isinstance(star, (list, tuple)):
             raise SpecError("rotation.vertex_stars.%s: expected a list of (edge, sign) pairs"
@@ -271,6 +283,8 @@ _CELL_KEYS = ("id", "symmetry", "reverses_orientation")
 _MAP_KEYS = ("generators", "images")
 _KINDS = ("chain_map", "homology_map")
 _DEGREES = ("0", "1", "2")
+_STEP_KEYS = {"edge", "sign"}
+_step_pair = itemgetter("edge", "sign")
 # Fraction() also reads exponents, whose cost grows with the exponent, and
 # spaces and underscores; a spec spells a rational only as [sign]digits[/digits].
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -381,9 +395,12 @@ def _parse_rotation(rdata):
     stars = {}
     for vid, lap in _object(rdata["vertex_stars"], "rotation.vertex_stars").items():
         path = "rotation.vertex_stars.%s" % vid
-        for i, step in enumerate(_array(lap, path)):
-            _require_keys(step, ("edge", "sign"), ("edge", "sign"), "%s[%d]" % (path, i))
-        stars[vid] = tuple((step["edge"], step["sign"]) for step in lap)
+        # One test for the common case; the loop names the first bad step.
+        if not all(isinstance(step, dict) and step.keys() == _STEP_KEYS
+                   for step in _array(lap, path)):
+            for i, step in enumerate(lap):
+                _require_keys(step, ("edge", "sign"), ("edge", "sign"), "%s[%d]" % (path, i))
+        stars[vid] = tuple(map(_step_pair, lap))
     return RotationData(edge_rotations=rots, vertex_stars=stars)
 
 

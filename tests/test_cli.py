@@ -288,19 +288,21 @@ class TestArgvFuzz:
 
 
 class TestWorkCounts:
-    """Each command builds every (mode, degree) homology presentation it uses
-    exactly once."""
+    """Each command builds a (mode, degree) homology presentation only where
+    it reads coordinates, and then exactly once: the substitution maps of a
+    hierarchical spec, and the d2 class in the rigid H_0.  Commands that print
+    only groups build none."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        original = complexes.homology_presentation
+        original = complexes.presentation_from
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(complexes, "homology_presentation", counting)
+        monkeypatch.setattr(complexes, "presentation_from", counting)
         return calls
 
     @pytest.mark.parametrize("argv, expected", [
@@ -309,11 +311,24 @@ class TestWorkCounts:
         ("cohomology --hull rigid", 6),
         ("cohomology --hull rotation-quotient", 3),
         ("homology --mode rigid --limit", 3),
-        ("homology --mode rigid --degree 0", 1),
+        ("homology --mode rigid --degree 0", 0),
+        ("homology --mode rigid", 0),
     ])
     def test_one_build_per_mode_and_degree(self, builds, argv, expected):
         command, *options = argv.split()
         res = run(command, "--builtin", "penrose-kite-dart", *options)
+        assert res.exit_code == 0
+        assert len(builds) == expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("spectral --builtin square-periodic-rigid", 1),
+        ("cohomology --builtin square-periodic-rigid --hull rigid", 1),
+        ("cohomology --builtin square-periodic-rigid --hull rotation-quotient", 0),
+        ("homology --builtin fibonacci --mode translation", 0),
+        ("cohomology --builtin triangle-periodic-translation --hull translation", 0),
+    ])
+    def test_non_hierarchical_builds(self, builds, argv, expected):
+        res = run(*argv.split())
         assert res.exit_code == 0
         assert len(builds) == expected
 
@@ -346,8 +361,8 @@ class TestFactorizationCounts:
             calls.append((A.rows, A.cols))
             return original(A)
 
-        monkeypatch.setattr(exactalg, "smith_normal_form", counting)
-        monkeypatch.setattr(groups, "smith_normal_form", counting)
+        for module in (exactalg, groups, complexes):
+            monkeypatch.setattr(module, "smith_normal_form", counting)
         return calls
 
     @pytest.mark.parametrize("boundary_cols", [20, 45])
@@ -370,8 +385,9 @@ class TestFactorizationCounts:
     @pytest.mark.parametrize("mode", [complexes.MODE_RIGID, complexes.MODE_RIGID_MODIFIED])
     def test_chain_level_maps_factor_only_presentations(self, snfs, monkeypatch, mode):
         """Chain-level substitution maps read every class from the
-        presentations' factorizations: 2 SNFs per degree and no vector
-        products."""
+        presentations' factorizations, and no vector products.  Five SNFs:
+        d_0, d_1 and d_2 once each, and the relation matrices of H_1 and H_2;
+        H_0's relation matrix is d_1 itself."""
         products = []
         original = IntMatrix.mul_vector
 
@@ -382,7 +398,7 @@ class TestFactorizationCounts:
         monkeypatch.setattr(IntMatrix, "mul_vector", counting)
         maps = complexes.Analysis(builtin("penrose-kite-dart"), mode).substitution_maps
         assert sorted(maps) == [0, 1, 2]
-        assert len(snfs) == 6
+        assert len(snfs) == 5
         assert products == []
 
 
@@ -518,15 +534,38 @@ class TestTransformBuilds:
             made.append(original(A))
             return made[-1]
 
-        for module in (exactalg, groups, dirlimit):
+        for module in (exactalg, groups, dirlimit, complexes):
             monkeypatch.setattr(module, "smith_normal_form", recording)
         return made
 
-    def test_structure_only_homology_builds_no_transform(self, factorizations):
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(exactalg.SnfResult, "vinv_times", lambda self, M: made.append(M))
+        return made
+
+    def test_structure_only_homology_builds_no_transform(self, factorizations, replays):
+        # The groups come from the factorizations of d_1 and d_2 alone.
         res = run("homology", "--builtin", "penrose-kite-dart", "--mode", "rigid")
         assert res.exit_code == 0
-        assert len(factorizations) == 6
+        assert len(factorizations) == 2
         assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+        assert replays == []
+
+    @pytest.mark.parametrize("argv, boundaries", [
+        ("homology --builtin fibonacci --mode translation", 1),
+        ("cohomology --builtin triangle-periodic-translation --hull translation", 2),
+        ("cohomology --builtin square-periodic-rigid --hull rotation-quotient", 2),
+    ])
+    def test_structure_only_commands_build_no_transform(self, factorizations, replays,
+                                                         argv, boundaries):
+        """A command that prints only groups factors each boundary d_1 ... d_top
+        once, and runs no cokernel SNF and no V^-1 replay."""
+        res = run(*argv.split())
+        assert res.exit_code == 0
+        assert len(factorizations) == boundaries
+        assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+        assert replays == []
 
     def test_presentation_never_builds_vinv(self, factorizations):
         d1, d2 = _random_complex(20)

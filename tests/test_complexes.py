@@ -1,11 +1,16 @@
 import random
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tilecohom import complexes, groups
 from tilecohom.complexes import (
     MODE_RIGID,
     MODE_RIGID_MODIFIED,
     MODE_TRANSLATION,
+    Analysis,
     ChainMap,
     ComplexError,
     build_chain_complex,
@@ -14,8 +19,8 @@ from tilecohom.complexes import (
     substitution_homology_maps,
     validate_chain_map,
 )
-from tilecohom.exactalg import IntMatrix
-from tilecohom.groups import FgAbelianGroup
+from tilecohom.exactalg import IntMatrix, kernel_basis
+from tilecohom.groups import FgAbelianGroup, homology_presentation
 from tilecohom.tilings import CellType, builtin, builtin_names, make_spec
 
 
@@ -67,6 +72,14 @@ class TestBuild:
         assert rigid.boundary[1].entries == mod.boundary[1].entries
         assert rigid.boundary[2].entries == mod.boundary[2].entries
         assert rigid.generator_labels == mod.generator_labels
+
+    def test_spec_boundaries_kept_whole_are_not_copied(self):
+        translation = builtin("triangle-solenoid-translation")
+        cplx = build_chain_complex(translation, MODE_TRANSLATION)
+        assert all(cplx.boundary[k] is translation.boundaries[k] for k in (1, 2))
+        penrose = builtin("penrose-kite-dart")
+        rigid = build_chain_complex(penrose, MODE_RIGID)
+        assert all(rigid.boundary[k] is penrose.boundaries[k] for k in (1, 2))
 
     def test_mode_spec_mismatch(self):
         with pytest.raises(ComplexError):
@@ -239,3 +252,146 @@ class TestBoundaryFuzz:
             bad = spec_with_boundary(spec, degree, perturb(b, i, j))
             with pytest.raises(ComplexError):
                 build_chain_complex(bad, MODE_RIGID)
+
+
+def _random_spec(seed, rigid):
+    """A random 2-dimensional spec whose homology has torsion in every mode.
+
+    Rigid specs give their 0- and 2-cells symmetry orders and make some edges
+    reverse orientation.  Row i of d_1 is a multiple of the order of vertex i,
+    so the modified complex is integral.  The columns of d_2 are combinations
+    of the cycles of the kept edges, the first never used and the second
+    only doubled, and d_2 is zero on the reversing edges, so d_1 d_2 = 0 in
+    every mode.
+    """
+    rng = random.Random(seed)
+    n0, n1, n2 = rng.randint(1, 4), rng.randint(2, 8), rng.randint(1, 6)
+    sym0 = [rng.choice((1, 2, 3, 4)) if rigid else 1 for _ in range(n0)]
+    sym2 = [rng.choice((1, 2, 3)) if rigid else 1 for _ in range(n2)]
+    reverses = [rigid and rng.random() < 0.25 for _ in range(n1)]
+    d1 = IntMatrix.from_rows([[sym0[i] * rng.randint(-1, 1) for _ in range(n1)]
+                              for i in range(n0)])
+    kept = [j for j in range(n1) if not reverses[j]]
+    K = kernel_basis(d1.submatrix(range(n0), kept))
+    scale = [0, 2] + [rng.randint(1, 3) for _ in range(K.cols)]
+    cycles = K * IntMatrix(K.cols, n2, tuple(scale[i] * rng.randint(-1, 1)
+                                             for i in range(K.cols) for _ in range(n2)))
+    rows = iter(cycles.to_rows())
+    d2 = IntMatrix.from_rows([[0] * n2 if reverses[j] else next(rows) for j in range(n1)])
+    cells = {0: tuple(CellType("v%d" % i, 0, symmetry=s) for i, s in enumerate(sym0)),
+             1: tuple(CellType("e%d" % j, 1, reverses_orientation=r)
+                      for j, r in enumerate(reverses)),
+             2: tuple(CellType("f%d" % j, 2, symmetry=s) for j, s in enumerate(sym2))}
+    return make_spec("random", 2, "rigid" if rigid else "translation", cells,
+                     {1: d1, 2: d2})
+
+
+def _random_analyses(seed):
+    return [Analysis(_random_spec(seed, False), MODE_TRANSLATION),
+            Analysis(_random_spec(seed, True), MODE_RIGID),
+            Analysis(_random_spec(seed, True), MODE_RIGID_MODIFIED)]
+
+
+class TestStructureFromFactorizations:
+    """Analysis.structure reads H_k from rank d_k and the invariant factors of
+    d_{k+1}; the presentation's cokernel factorization must agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_matches_presentation_in_every_mode(self, seed):
+        for analysis in _random_analyses(seed):
+            cplx = analysis.complex
+            for k in range(cplx.top_dim + 1):
+                expected = homology_presentation(cplx.boundary_or_zero(k),
+                                                 cplx.boundary_or_zero(k + 1)).structure
+                assert analysis.structure(k) == expected
+                assert analysis.homology(k).structure == expected
+
+    def test_random_specs_have_torsion_in_every_mode(self):
+        torsion = [any(a.structure(k).torsion for k in range(3)) for seed in range(10)
+                   for a in _random_analyses(seed)]
+        assert all(any(torsion[m::3]) for m in range(3))
+
+    def test_builtins_match_presentation(self):
+        for name in builtin_names():
+            spec = builtin(name)
+            modes = ([MODE_TRANSLATION] if spec.geometry_mode == "translation"
+                     else [MODE_RIGID, MODE_RIGID_MODIFIED])
+            for mode in modes:
+                analysis = Analysis(spec, mode)
+                for k in range(spec.dimension + 1):
+                    assert analysis.structure(k) == homology(analysis.complex, k).structure
+
+    def test_degree_out_of_range(self):
+        analysis = Analysis(builtin("fibonacci"), MODE_TRANSLATION)
+        for k in (-1, 2):
+            with pytest.raises(ComplexError, match="degree %d out of range 0..1" % k):
+                analysis.structure(k)
+            with pytest.raises(ComplexError, match="degree %d out of range 0..1" % k):
+                analysis.homology(k)
+
+
+@contextmanager
+def _factored():
+    """The list of matrices that complexes and groups factor inside the block."""
+    made = []
+    original = complexes.smith_normal_form
+
+    def recording(A):
+        made.append(A)
+        return original(A)
+
+    complexes.smith_normal_form = groups.smith_normal_form = recording
+    try:
+        yield made
+    finally:
+        complexes.smith_normal_form = groups.smith_normal_form = original
+
+
+class TestOneFactorizationPerMatrix:
+    """Within one Analysis each boundary d_k is factored at most once, and no
+    relation matrix that equals one of them or another relation matrix."""
+
+    @staticmethod
+    def _read_everything(analysis):
+        top = analysis.complex.top_dim
+        for k in range(top + 1):
+            analysis.structure(k)
+        # Homology-level data factors its generator matrices, not the complex.
+        sub = analysis.spec.substitution
+        if sub is not None and sub.kind == "chain_map":
+            analysis.substitution_maps
+        for k in range(top + 1):
+            analysis.homology(k).generator_matrix()
+            analysis.structure(k)
+
+    def _check(self, analysis):
+        with _factored() as made:
+            self._read_everything(analysis)
+        # Empty matrices, such as d_0 and the relations of a degree whose cycles
+        # all bound, may coincide; factoring them costs nothing.
+        keys = [(A.rows, A.cols, A.entries) for A in made if A.entries]
+        assert len(set(keys)) == len(keys)
+        for b in analysis.complex.boundary[1:]:
+            assert sum(A is b for A in made) == 1
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtins(self, name):
+        spec = builtin(name)
+        modes = ([MODE_TRANSLATION] if spec.geometry_mode == "translation"
+                 else [MODE_RIGID, MODE_RIGID_MODIFIED])
+        for mode in modes:
+            self._check(Analysis(spec, mode))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_random_complexes(self, seed):
+        for analysis in _random_analyses(seed):
+            self._check(analysis)
+
+    def test_structure_factors_only_the_boundaries(self):
+        analysis = Analysis(builtin("penrose-kite-dart"), MODE_RIGID)
+        with _factored() as factored:
+            for k in range(3):
+                analysis.structure(k)
+        assert [id(A) for A in factored] == [id(b) for b in analysis.complex.boundary[1:]]

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilecohom import dirlimit as dirlimit_module
@@ -579,11 +579,51 @@ class TestFactorizationBound:
         assert len(lim.notes) == 1 and "1000000016000000063" in lim.notes[0]
 
     def test_eigenvalue_candidates_bounded(self, time_limit):
-        # (p1 ... p14)^2 has 3^14 divisors, all below the row-sum norm.
+        # (p1 ... p14)^2, its own largest invariant factor, has 3^14 divisors.
         primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
         assert 3 ** len(primes) > EIGENVALUE_CANDIDATE_BOUND
         assert self.limit(time_limit, str(prod(primes) ** 2)) == (
             "limit = (undetermined rank 1) (status undetermined)\n"
-            "note: the determinant has more than 65536 divisors up to the row-sum norm; "
+            "note: the largest invariant factor has more than 65536 divisors; "
             "the eigenvalues were not checked\n"
             "lattice rank 1, p-divisible ranks %s\n" % ", ".join("%d:1" % p for p in primes))
+
+
+# 4 * 3 * 5 * ... * 29: N^2, the determinant of diag(N, -N), has 5 * 3^9 > 2^16
+# divisors, while N, its largest invariant factor, has 3 * 2^9.
+_N = 4 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
+
+
+class TestEigenvalueCandidatesBasisFree:
+    """The candidates are the divisors of the largest invariant factor of the
+    induced map, so conjugate maps give the same answer."""
+
+    @pytest.mark.parametrize("matrix", [
+        "%d,0;0,%d" % (_N, -_N),
+        "%d,%d;0,%d" % (_N, -2 * _N * _N, -_N),  # P diag(N, -N) P^-1, P = [[1, N], [0, 1]]
+    ])
+    def test_conjugates_of_diag_n_minus_n(self, time_limit, matrix):
+        with time_limit(5):
+            res = run_command(["limit", "--group", "Z^2", "--matrix=" + matrix])
+        assert (res.exit_code, res.stdout) == (0, (
+            "limit = Z[1/6469693230]^2 (status verified_profile)\n"
+            "note: inverted integer 12939386460 canonicalized to its radical 6469693230\n"))
+
+    @settings(max_examples=40, deadline=None)
+    @example(rows=_diagonal([_N, -_N, 7]), ops=[(0, 1, _N), (2, 0, 1)])
+    @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+               st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+           | st.lists(st.sampled_from(_EIGENVALUES + (_N, -_N)), min_size=1,
+                      max_size=3).map(_diagonal),
+           ops=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                  st.sampled_from((-2, -1, 1, 2, _N))), max_size=6))
+    def test_conjugation_leaves_stdout_unchanged(self, time_limit, rows, ops):
+        def stdout(M):
+            with time_limit(10):
+                res = run_command(["limit", "--group", "Z^%d" % M.rows,
+                                   "--matrix=" + ";".join(",".join(map(str, M.row(i)))
+                                                          for i in range(M.rows))])
+            assert res.exit_code == 0
+            return res.stdout
+
+        assert stdout(_conjugate(rows, ops)) == stdout(IntMatrix.from_rows(rows))

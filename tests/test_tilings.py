@@ -278,6 +278,10 @@ _SCHEMA_MESSAGES = [
      _rotation(vertex_stars=lambda stars: {**stars, "sun": None})),
     (_PENROSE, None, None, "rotation.vertex_stars.sun[0]: expected an (edge, sign) pair",
      _star("sun", 0, "E1")),
+    (_PENROSE, None, None, "rotation.vertex_stars.sun[0].edge: expected a string",
+     _star("sun", 0, (["E1"], -1))),
+    (_PENROSE, None, None, "rotation.vertex_stars.ace[1].sign: must be 1 or -1",
+     _star("ace", 1, ("E1", [1]))),
 ]
 
 
