@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -23,6 +24,10 @@ _MODE_FLAG = {
     "rigid": MODE_RIGID,
     "rigid-modified": MODE_RIGID_MODIFIED,
 }
+
+# An integer on the command line, as in a spec file: int() alone would also
+# read other Unicode digits, underscores and surrounding spaces.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 _DOMAIN_ERRORS = (tilings.SpecError, complexes.ComplexError, GroupError,
                   spectral.SpectralError, DirectLimitError, ExactAlgError,
@@ -165,6 +170,12 @@ def _cmd_spectral(args):
     return CommandResult(0, "\n".join(lines) + "\n")
 
 
+def _integer(token: str) -> int:
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_group(text: str) -> FgAbelianGroup:
     """Inverse of the rendering: '0', 'Z', 'Z^r' and 'Z/d' joined by ' + '."""
     text = text.strip()
@@ -178,9 +189,9 @@ def parse_group(text: str) -> FgAbelianGroup:
             if token == "Z":
                 free += 1
             elif token.startswith("Z^"):
-                free += int(token[2:])
+                free += _integer(token[2:])
             elif token.startswith("Z/"):
-                torsion.append(int(token[2:]))
+                torsion.append(_integer(token[2:]))
             else:
                 raise ValueError(token)
         except ValueError:
@@ -196,7 +207,7 @@ def parse_matrix(text: str) -> IntMatrix:
     for row in text.strip().split(";"):
         entries = row.replace(",", " ").split()
         try:
-            rows.append([int(e) for e in entries])
+            rows.append([_integer(e) for e in entries])
         except ValueError:
             raise ExactAlgError("cannot parse matrix row %r" % row.strip()) from None
     return IntMatrix.from_rows(rows)

@@ -137,7 +137,8 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     lifting ker G by the section extends K to a saturated basis of
     ker F^(m+1), and p G s is the map induced on the new quotient.  The chain
     grows until G is injective, after at most r steps, and then K = ker F^r.
-    No power of F is formed.
+    No power of F is formed, and V and V^-1 are applied through the log of
+    the factorization, never built.
     """
     _check_endo(group, endo)
     F = endo.free_block()
@@ -150,9 +151,11 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
         k = snf.rank
         lifted = section * snf.kernel()
         kernel.extend(lifted.column(j) for j in range(lifted.cols))
-        p = IntMatrix(k, G.rows, snf.Vinv.entries[:k * G.rows])
-        s = snf.V.submatrix(range(G.rows), range(k))
-        G, proj, section = p * G * s, p * proj, section * s
+        s = snf.v_times(IntMatrix.unit_columns(G.rows, range(k)))
+        # p X is the rows :k of V^-1 X.
+        G = snf.vinv_times(G * s).submatrix(range(k), range(k))
+        proj = snf.vinv_times(proj).submatrix(range(k), range(r))
+        section = section * s
         snf = smith_normal_form(G)
     K = IntMatrix.from_columns(kernel, rows=r)
     # phi maps the eventual kernel into itself, so the quotient map is defined.

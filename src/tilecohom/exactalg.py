@@ -2,15 +2,17 @@
 
 Everything runs on Python's arbitrary-precision ints; there is no floating
 point anywhere.  Matrices and factorizations are immutable values, so they
-can be shared freely between threads.  The transforms of a factorization are
-built from its recorded operations on first read and then kept; two threads
-that read one at the same time may both build it, and get equal matrices.
+can be shared freely between threads.  A factorization applies its transforms
+to a matrix by replaying its recorded operations, and builds a transform as a
+matrix only when one is read as such, then keeps it; two threads that read one
+at the same time may both build it, and get equal matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 
 
 class ExactAlgError(Exception):
@@ -49,7 +51,13 @@ class IntMatrix:
 
     @staticmethod
     def identity(n):
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix.unit_columns(n, range(n))
+
+    @staticmethod
+    def unit_columns(n, idx):
+        """The n-row matrix whose column c is the unit vector e_idx[c]."""
+        idx = tuple(idx)
+        return IntMatrix(n, len(idx), tuple(1 if i == j else 0 for i in range(n) for j in idx))
 
     @staticmethod
     def from_columns(columns, rows=None):
@@ -98,7 +106,7 @@ class IntMatrix:
             acc = [0] * m
             for x, row in zip(self.row(i), b):
                 if x:
-                    acc = [s + x * y for s, y in zip(acc, row)]
+                    acc = _plus_times(acc, x, row)
             out.extend(acc)
         return IntMatrix(self.rows, m, tuple(out))
 
@@ -125,22 +133,34 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-def _replay(log, rows, inverse=False):
-    """Apply logged elementary operations, in order, to a list of rows.
+def _plus_times(x, q, y):
+    """x + q * y entrywise, as a list.  Cell-complex boundaries and their
+    eliminations mostly multiply by +-1, which map() adds without a product."""
+    if q == 1:
+        return list(map(add, x, y))
+    if q == -1:
+        return list(map(sub, x, y))
+    return [a + q * b for a, b in zip(x, y)]
+
+
+def _replay(log, rows, columns=False, inverse=False):
+    """Apply the product of logged elementary operations to a list of rows.
 
     (i, k, q) is row i -= q * row k, (i, k) swaps rows i and k and (i,)
-    negates row i.  On the identity this builds the product P of the
-    operations; with inverse, each (i, k, q) is applied as row k += q * row i
-    instead, which builds the transpose of P^-1 (swaps and negations are
-    their own inverses).
+    negates row i.  The row log of A, replayed in order, applies U, and
+    replayed backward with each (i, k, q) undone as row i += q * row k, it
+    applies U^-1.  A column operation (j, k, q), col j -= q * col k, right-
+    multiplies by E with E - I = -q e_k e_j^T; with columns, the log is
+    replayed backward as row k -= q * row j to apply V, and in order as
+    row k += q * row j to apply V^-1.  Swaps and negations are their own
+    inverses.
     """
-    for op in log:
+    for op in (reversed(log) if columns != inverse else log):
         if len(op) == 3:
             i, k, q = op
-            if inverse:
-                rows[k] = [x + q * y for x, y in zip(rows[k], rows[i])]
-            else:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+            if columns:
+                i, k = k, i
+            rows[i] = _plus_times(rows[i], q if inverse else -q, rows[k])
         elif len(op) == 2:
             i, k = op
             rows[i], rows[k] = rows[k], rows[i]
@@ -160,40 +180,57 @@ class SnfResult:
 
     The elimination is kept as two logs of elementary operations, in the
     order applied: row_ops on the rows of A (U is their product) and col_ops
-    on its columns (V).  U, V and their inverses Uinv, Vinv are built from a
-    log the first time they are read.  One factorization answers every
-    kernel and lattice-solve question about A.
+    on its columns (V).  u_times, uinv_times, v_times and vinv_times apply a
+    transform to a matrix by replaying a log on its rows, so no transform is
+    built to be multiplied; U, Uinv, V and Vinv are those replays on the
+    identity, built on first read.  One factorization answers every kernel
+    and lattice-solve question about A.
     """
 
     S: IntMatrix
     row_ops: tuple
     col_ops: tuple
 
+    def _apply(self, M, columns, inverse):
+        n = self.S.cols if columns else self.S.rows
+        if M.rows != n:
+            raise ExactAlgError("shape mismatch in product")
+        if not M.cols:
+            return M
+        log = self.col_ops if columns else self.row_ops
+        return _from_rows(_replay(log, M.to_rows(), columns, inverse), M.cols)
+
+    def u_times(self, M: IntMatrix) -> IntMatrix:
+        """U * M."""
+        return self._apply(M, False, False)
+
+    def uinv_times(self, M: IntMatrix) -> IntMatrix:
+        """U^-1 * M."""
+        return self._apply(M, False, True)
+
+    def v_times(self, M: IntMatrix) -> IntMatrix:
+        """V * M."""
+        return self._apply(M, True, False)
+
+    def vinv_times(self, M: IntMatrix) -> IntMatrix:
+        """V^-1 * M."""
+        return self._apply(M, True, True)
+
     @cached_property
     def U(self) -> IntMatrix:
-        rows = _replay(self.row_ops, IntMatrix.identity(self.S.rows).to_rows())
-        return _from_rows(rows, self.S.rows)
+        return self.u_times(IntMatrix.identity(self.S.rows))
 
     @cached_property
     def Uinv(self) -> IntMatrix:
-        rows = _replay(self.row_ops, IntMatrix.identity(self.S.rows).to_rows(), True)
-        return _from_rows(list(zip(*rows)), self.S.rows)
+        return self.uinv_times(IntMatrix.identity(self.S.rows))
 
     @cached_property
     def V(self) -> IntMatrix:
-        rows = _replay(self.col_ops, IntMatrix.identity(self.S.cols).to_rows())
-        return _from_rows(list(zip(*rows)), self.S.cols)
+        return self.v_times(IntMatrix.identity(self.S.cols))
 
     @cached_property
     def Vinv(self) -> IntMatrix:
-        rows = _replay(self.col_ops, IntMatrix.identity(self.S.cols).to_rows(), True)
-        return _from_rows(rows, self.S.cols)
-
-    def vinv_times(self, M: IntMatrix) -> IntMatrix:
-        """Vinv * M, by replaying the column operations on the rows of M."""
-        if M.rows != self.S.cols:
-            raise ExactAlgError("shape mismatch in product")
-        return _from_rows(_replay(self.col_ops, M.to_rows(), True), M.cols)
+        return self.vinv_times(IntMatrix.identity(self.S.cols))
 
     @property
     def invariant_factors(self):
@@ -207,22 +244,25 @@ class SnfResult:
         """Basis of the integer kernel {x : A x = 0}, as matrix columns.
 
         The kernel of an integer matrix is automatically a saturated sublattice,
-        and the returned basis spans it exactly: cols(A) - rank(A) columns.
+        and the returned basis spans it exactly: cols(A) - rank(A) columns,
+        the columns r: of V.
         """
         m, r = self.S.cols, self.rank
-        return _from_rows([self.V.row(i)[r:] for i in range(m)], m - r)
+        return self.v_times(IntMatrix.unit_columns(m, range(r, m)))
 
     def solve(self, b) -> tuple | None:
         """Some integer x with A x = b, or None if b is outside the column span."""
         b = [int(x) for x in b]
         if len(b) != self.S.rows:
             raise ExactAlgError("rhs length %d != %d rows" % (len(b), self.S.rows))
-        y = self.U.mul_vector(b)
+        y = self.u_times(IntMatrix(len(b), 1, tuple(b))).entries
         d = self.invariant_factors
         r = len(d)
         if any(y[i] % d[i] for i in range(r)) or any(y[r:]):
             return None
-        return self.V.mul_vector([y[i] // d[i] for i in range(r)] + [0] * (self.S.cols - r))
+        m = self.S.cols
+        x = tuple(y[i] // d[i] for i in range(r)) + (0,) * (m - r)
+        return self.v_times(IntMatrix(m, 1, x)).entries
 
 
 def _smallest_pivot(a, t):
@@ -258,11 +298,11 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     col_ops = []
 
     def row_op(i, k, q):  # row i -= q * row k
-        a[i][t:] = [x - q * y for x, y in zip(a[i][t:], a[k][t:])]
+        a[i][t:] = _plus_times(a[i][t:], -q, a[k][t:])
         row_ops.append((i, k, q))
 
-    def col_op(j, k, q):  # col j -= q * col k
-        for r in a[t:]:
+    def col_op(rows, j, k, q):  # col j -= q * col k, on the given rows
+        for r in rows:
             if r[k]:
                 r[j] -= q * r[k]
         col_ops.append((j, k, q))
@@ -292,11 +332,14 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
                         row_op(i, t, q)
                     if a[i][t]:
                         clean = False
+            # Once the pivot column is clear below p, a column operation
+            # changes the pivot row alone.
+            rows = a[t:t + 1] if clean else a[t:]
             for j in range(t + 1, m):
                 if a[t][j]:
                     q = a[t][j] // p
                     if q:
-                        col_op(j, t, q)
+                        col_op(rows, j, t, q)
                     if a[t][j]:
                         clean = False
             if clean and abs(p) > 1:
@@ -364,4 +407,4 @@ def inverse_unimodular(A: IntMatrix) -> IntMatrix:
     snf = smith_normal_form(A)
     if any(d != 1 for d in snf.S.diagonal()) or snf.rank != A.rows:
         raise ExactAlgError("matrix is not unimodular")
-    return snf.V * snf.U
+    return snf.v_times(snf.u_times(IntMatrix.identity(A.rows)))

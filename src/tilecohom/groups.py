@@ -149,25 +149,29 @@ class GroupElement:
 
 
 def from_divisors(divisors, extra_free=0):
-    """Normal form of Z^extra_free + sum of Z/n over the given divisors."""
-    divisors = [int(n) for n in divisors if int(n) != 1]
-    if any(n < 1 for n in divisors):
+    """Normal form of Z^extra_free + sum of Z/n over the given divisors.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), prime by prime.  Replacing each
+    pair i < j in turn by (gcd, lcm) leaves a_i dividing every later entry,
+    so one pass over the pairs gives the invariant factors, after the 1s.
+    """
+    a = [int(n) for n in divisors]
+    if any(n < 1 for n in a):
         raise GroupError("divisors must be positive")
-    if not divisors:
-        return FgAbelianGroup(extra_free, ())
-    rel = IntMatrix.from_rows([[divisors[i] if i == j else 0 for j in range(len(divisors))]
-                               for i in range(len(divisors))])
-    g, _ = cokernel_structure(rel, len(divisors))
-    return FgAbelianGroup(g.free_rank + extra_free, g.torsion)
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            g = gcd(a[i], a[j])
+            a[i], a[j] = g, a[i] // g * a[j]
+    return FgAbelianGroup(extra_free, tuple(n for n in a if n != 1))
 
 
 @dataclass(frozen=True)
 class CoordinateMap:
     """Unimodular change of basis identifying Z^n / relations with its normal form.
 
-    y = U x diagonalises the relation lattice, with U (and Uinv) from snf, the
-    factorization of the relations; torsion_idx/free_idx pick the surviving
-    y-coordinates, whose invariant factors are those of structure.
+    y = U x diagonalises the relation lattice, with U applied (and undone) by
+    snf, the factorization of the relations; torsion_idx/free_idx pick the
+    surviving y-coordinates, whose invariant factors are those of structure.
     """
 
     ambient_rank: int
@@ -185,9 +189,15 @@ class CoordinateMap:
         free_idx + torsion_idx of U X, torsion rows reduced mod their factors."""
         if X.rows != self.ambient_rank:
             raise GroupError("ambient vector length mismatch")
-        U = self.snf.U
-        return _reduced(U.submatrix(self.free_idx + self.torsion_idx, range(U.cols)) * X,
-                       self.structure)
+        Y = self.snf.u_times(X)
+        return _reduced(Y.submatrix(self.free_idx + self.torsion_idx, range(Y.cols)),
+                        self.structure)
+
+    def generator_lifts(self) -> IntMatrix:
+        """Ambient vectors representing the canonical generators, free ones
+        first, as columns: U^-1 applied to the unit vectors free_idx + torsion_idx."""
+        return self.snf.uinv_times(
+            IntMatrix.unit_columns(self.ambient_rank, self.free_idx + self.torsion_idx))
 
     def lift(self, element):
         if element.owner != self.structure:
@@ -197,7 +207,7 @@ class CoordinateMap:
             y[i] = element.free_coords[k]
         for k, i in enumerate(self.torsion_idx):
             y[i] = element.torsion_coords[k]
-        return self.snf.Uinv.mul_vector(y)
+        return self.snf.uinv_times(IntMatrix(self.ambient_rank, 1, tuple(y))).entries
 
 
 def cokernel_structure(relations: IntMatrix, ambient_rank: int):
@@ -360,7 +370,7 @@ def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
         return FgAbelianGroup.trivial()
     # The span has basis U^-1 diag(d); a relation r lies in it, with
     # coordinates (U r)_i / d_i.  Quotient the span by the relation lattice.
-    Ur = snf.U * relation_lattice(group)
+    Ur = snf.u_times(relation_lattice(group))
     rel_in_basis = IntMatrix.from_rows([[y // di for y in Ur.row(i)] for i, di in enumerate(d)])
     return cokernel_structure(rel_in_basis, len(d))[0]
 
@@ -421,19 +431,23 @@ class SubquotientPresentation:
         cycle = tuple(int(v) for v in cycle)
         return _element(self.structure, self.classes_of(IntMatrix(len(cycle), 1, cycle)))
 
+    def _cycles(self, coords: IntMatrix) -> IntMatrix:
+        """The cycles with the columns of coords as coordinates in the cycle
+        basis: V [0; coords], with V from the factorization of d_k."""
+        r = self.d_k_snf.rank
+        return self.d_k_snf.v_times(
+            IntMatrix(r + coords.rows, coords.cols, (0,) * (r * coords.cols) + coords.entries))
+
     def lift(self, element: GroupElement):
         """An ambient cycle representing the class."""
         coords = self.coordinate_map.lift(element)
-        return self.cycle_basis.mul_vector(coords)
+        return self._cycles(IntMatrix(len(coords), 1, coords)).entries
 
     def generator_matrix(self) -> IntMatrix:
         """The cycles lifting the canonical generators, free ones first, as
-        columns: the cycle basis times the columns free_idx + torsion_idx of
-        the cokernel's U^-1."""
-        cmap = self.coordinate_map
-        Uinv = cmap.snf.Uinv
-        return self.cycle_basis * Uinv.submatrix(range(Uinv.rows),
-                                                 cmap.free_idx + cmap.torsion_idx)
+        columns: V [0; U^-1 E], with U from the cokernel's factorization and E
+        its unit columns free_idx + torsion_idx."""
+        return self._cycles(self.coordinate_map.generator_lifts())
 
     def generator_cycles(self):
         """The columns of generator_matrix(), one lifted cycle per generator."""

@@ -157,12 +157,17 @@ class TestLimitCommand:
         assert spaced.exit_code == 0
         assert (spaced.exit_code, spaced.stdout) == (attached.exit_code, attached.stdout)
 
-    @pytest.mark.parametrize("group, matrix", [("Z", "a"), ("Z^x", "1")])
+    @pytest.mark.parametrize("group, matrix", [
+        ("Z", "a"), ("Z^x", "1"),
+        # Integers are ASCII, as in spec files: int() alone reads "\u0663"
+        # (Arabic-Indic three) as 3 and "1_0" as 10.
+        ("Z", "\u0663"), ("Z", "1_0"), ("Z^\u0663", "1"),
+    ])
     def test_unparsable_input_is_one_error_line(self, capsys, group, matrix):
         res = run("limit", "--group", group, "--matrix", matrix)
         assert (res.exit_code, res.stdout) == (1, "")
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: cannot parse ") and err.count("\n") == 1
 
 
 class TestUsageAndDeterminism:
@@ -567,9 +572,60 @@ class TestTransformBuilds:
         assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
         assert replays == []
 
+    @pytest.mark.parametrize("argv", [
+        "homology --builtin fibonacci --mode translation --limit",
+        "spectral --builtin penrose-kite-dart",
+    ])
+    def test_coordinate_commands_build_no_transform(self, factorizations, argv):
+        """Commands that read coordinates, kernels and lattice solves apply
+        every transform through its log and build none as a matrix."""
+        res = run(*argv.split())
+        assert res.exit_code == 0
+        assert factorizations
+        assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+
     def test_presentation_never_builds_vinv(self, factorizations):
         d1, d2 = _random_complex(20)
         pres = groups.homology_presentation(d1, d2)
         for g, cycle in zip(pres.structure.generators(), pres.generator_cycles()):
             assert pres.class_of(cycle) == g
         assert all("Vinv" not in vars(f) for f in factorizations)
+
+
+def _dense_spec(n):
+    """A 1-D translation spec with n vertices and n edges, d_1 filled row by
+    row from random.Random(5).randint(-9, 9), and chain map 2 I in both
+    degrees."""
+    rng = random.Random(5)
+    d1 = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    two = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def cells(prefix):
+        return [{"id": "%s%d" % (prefix, i), "symmetry": 1, "reverses_orientation": False}
+                for i in range(n)]
+
+    return {"name": "dense", "dimension": 1, "geometry_mode": "translation",
+            "cells": {"0": cells("v"), "1": cells("e")}, "boundaries": {"1": d1},
+            "substitution": {"kind": "chain_map", "chain_map": {"0": two, "1": two}}}
+
+
+class TestDenseBoundary:
+    def test_limit_of_dense_80_cell_spec(self, tmp_path, time_limit):
+        """The transforms of a dense 80 x 80 d_1 have entries of tens of
+        thousands of bits.  Applied through their logs to the few columns
+        that are read, they leave `--limit` a matter of seconds."""
+        doc = _dense_spec(80)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(doc))
+        with time_limit(10):
+            res = run("homology", str(path), "--mode", "translation", "--limit")
+        assert res.exit_code == 0
+        # H_0 = Z/|det d_1| and H_1 = 0.  Multiplication by 2 kills the
+        # 2-part of H_0 and is invertible on the rest, its limit.
+        det = abs(exactalg.determinant(IntMatrix.from_rows(doc["boundaries"]["1"])))
+        odd = det
+        while odd % 2 == 0:
+            odd //= 2
+        assert run("homology", str(path), "--mode", "translation").stdout == \
+            "H_0 = Z/%d\nH_1 = 0\n" % det
+        assert res.stdout == "H_0 = Z/%d\nH_1 = 0\n" % odd

@@ -144,6 +144,46 @@ class TestSmithNormalForm:
                 assert g == 0
 
 
+def _low_rank(max_dim=6, max_entry=9):
+    """B * C with an inner dimension below both outer ones: rank-deficient."""
+    def mat(n, m):
+        return st.lists(st.integers(-max_entry, max_entry), min_size=n * m,
+                        max_size=n * m).map(lambda e: IntMatrix(n, m, tuple(e)))
+
+    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(
+        lambda nm: st.integers(0, min(nm) - 1).flatmap(
+            lambda k: st.tuples(mat(nm[0], k), mat(k, nm[1])).map(lambda bc: bc[0] * bc[1])))
+
+
+_BITS_40 = 1 << 40
+
+
+class TestLogReplay:
+    """Each transform applied through its log equals the product with the
+    transform built as a matrix, on empty shapes, rank-deficient matrices and
+    dense 40-bit entries."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(matrices(), _low_rank(), matrices(max_dim=5, max_entry=_BITS_40),
+                     _low_rank(max_dim=5, max_entry=_BITS_40)),
+           st.integers(0, 4), st.randoms(use_true_random=False))
+    def test_products_match_built_transforms(self, A, cols, rng):
+        snf = smith_normal_form(A)
+        for apply, name, dim in ((snf.u_times, "U", A.rows), (snf.uinv_times, "Uinv", A.rows),
+                                 (snf.v_times, "V", A.cols), (snf.vinv_times, "Vinv", A.cols)):
+            M = IntMatrix(dim, cols, tuple(rng.randint(-_BITS_40, _BITS_40)
+                                           for _ in range(dim * cols)))
+            assert apply(M) == getattr(snf, name) * M, name
+            with pytest.raises(ExactAlgError):
+                apply(IntMatrix.zero(dim + 1, cols))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(matrices(), _low_rank(), matrices(max_dim=5, max_entry=_BITS_40)))
+    def test_kernel_is_columns_of_built_v(self, A):
+        snf = smith_normal_form(A)
+        assert snf.kernel() == snf.V.submatrix(range(A.cols), range(snf.rank, A.cols))
+
+
 def _sparse_pairs(max_dim=5):
     """(A, B) with A n x k and B k x m, any of n, k, m possibly 0, entries
     mostly zero."""

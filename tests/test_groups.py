@@ -51,6 +51,22 @@ class TestNormalForm:
         assert from_divisors([2, 4]) == FgAbelianGroup(0, (2, 4))
         assert from_divisors([], extra_free=3) == FgAbelianGroup(3, ())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 720), max_size=6), st.integers(0, 3))
+    def test_from_divisors_matches_cokernel_of_diagonal(self, divisors, free):
+        """The pairwise (gcd, lcm) pass gives the invariant factors that the
+        Smith normal form of diag(divisors) gives."""
+        n = len(divisors)
+        diag = IntMatrix(n, n, tuple(divisors[i] if i == j else 0
+                                     for i in range(n) for j in range(n)))
+        g, _ = cokernel_structure(diag, n)
+        assert from_divisors(divisors, extra_free=free) == FgAbelianGroup(free, g.torsion)
+
+    @pytest.mark.parametrize("divisors", [[0], [2, -3]])
+    def test_from_divisors_rejects_non_positive(self, divisors):
+        with pytest.raises(GroupError, match="divisors must be positive"):
+            from_divisors(divisors)
+
 
 class TestCokernel:
     def test_diag_2_3(self):
