@@ -89,10 +89,16 @@ def _cmd_check(args):
 def _cmd_homology(args):
     spec = _load_target(args)
     analysis = complexes.Analysis(spec, _MODE_FLAG[args.mode])
-    degrees = range(analysis.complex.top_dim + 1) if args.degree is None else [args.degree]
+    if args.degree is None:
+        degrees = range(analysis.complex.top_dim + 1)
+    else:
+        complexes.check_degree(analysis.complex, args.degree)
+        degrees = [args.degree]
+    # Coordinates before groups: the substitution maps factor every boundary
+    # with its logs, and the groups are then read from those factorizations.
+    maps = analysis.substitution_maps if args.limit else None
     results = {k: analysis.structure(k) for k in degrees}
     if args.limit:
-        maps = analysis.substitution_maps
         results = {k: direct_limit(g, maps[k]) for k, g in results.items()}
     if args.json:
         doc = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactalg import IntMatrix, smith_normal_form
+from .exactalg import IntMatrix, invariant_factors, smith_normal_form
 from .groups import (
     FgAbelianGroup,
     GroupHom,
@@ -144,13 +144,13 @@ def build_chain_complex(spec, mode) -> ChainComplex:
                         boundary=tuple(boundaries), generator_labels=tuple(labels))
 
 
-def _check_degree(complex: ChainComplex, k: int):
+def check_degree(complex: ChainComplex, k: int):
     if not 0 <= k <= complex.top_dim:
         raise ComplexError("degree %d out of range 0..%d" % (k, complex.top_dim))
 
 
 def homology(complex: ChainComplex, k: int) -> SubquotientPresentation:
-    _check_degree(complex, k)
+    check_degree(complex, k)
     return homology_presentation(complex.boundary_or_zero(k),
                                  complex.boundary_or_zero(k + 1))
 
@@ -181,9 +181,13 @@ class Analysis:
     boundary's factorization, each degree's homology and the substitution
     homology maps computed on first use.
 
-    Each boundary d_k is factored at most once.  The group H_k is read from
-    the factorizations of d_k and d_{k+1}; a presentation, with canonical
-    coordinates, is built only for a caller that reads coordinates.
+    The group H_k is read from the rank of d_k and the invariant factors of
+    d_{k+1}.  A boundary that a presentation has factored gives them from
+    its logged factorization; any other is diagonalized once, recording no
+    operation (exactalg.invariant_factors).  A presentation, with canonical
+    coordinates, is built only for a caller that reads coordinates, from a
+    logged factorization of d_k.  A caller that reads both reads coordinates
+    first, so that each boundary is eliminated at most once.
     An analysis serves one computation and is not shared between calls.
     """
 
@@ -192,6 +196,7 @@ class Analysis:
         self.mode = mode
         self.complex = build_chain_complex(spec, mode)
         self._snfs = {}
+        self._factors = {}
         self._homology = {}
 
     def _snf(self, k):
@@ -200,21 +205,33 @@ class Analysis:
             self._snfs[k] = smith_normal_form(self.complex.boundary_or_zero(k))
         return self._snfs[k]
 
+    def _invariant_factors(self, k):
+        """The invariant factors of d_k, 1 <= k <= top_dim: those of its
+        factorization or of H_{k-1}'s relations, V^-1 d_k without its zero
+        rows, when one is held; otherwise found without transforms."""
+        if k in self._snfs:
+            return self._snfs[k].invariant_factors
+        if k - 1 in self._homology:
+            return self._homology[k - 1].coordinate_map.snf.invariant_factors
+        if k not in self._factors:
+            self._factors[k] = invariant_factors(self.complex.boundary[k])
+        return self._factors[k]
+
     def structure(self, k) -> FgAbelianGroup:
         """The group H_k: Z^(n_k - rank d_k - rank d_{k+1}) plus Z/d for each
         invariant factor d > 1 of d_{k+1}.  im d_{k+1} lies in ker d_k, which
         is saturated, so the torsion of H_k is that of Z^n_k / im d_{k+1}."""
-        _check_degree(self.complex, k)
+        check_degree(self.complex, k)
         top = self.complex.top_dim
-        rank = self._snf(k).rank if k else 0
-        factors = self._snf(k + 1).invariant_factors if k < top else ()
+        rank = len(self._invariant_factors(k)) if k else 0
+        factors = self._invariant_factors(k + 1) if k < top else ()
         return FgAbelianGroup(self.complex.ranks[k] - rank - len(factors),
                               tuple(d for d in factors if d > 1))
 
     def homology(self, k) -> SubquotientPresentation:
         """H_k with canonical coordinates, from the factorization of d_k."""
         if k not in self._homology:
-            _check_degree(self.complex, k)
+            check_degree(self.complex, k)
             d_k = self._snf(k)
             # A zero d_k has V = I, so H_k's relation matrix is d_{k+1} itself,
             # and one factorization of d_{k+1} serves both.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from operator import add, sub
 
 
@@ -143,7 +144,7 @@ def _plus_times(x, q, y):
     return [a + q * b for a, b in zip(x, y)]
 
 
-def _replay(log, rows, columns=False, inverse=False):
+def _replay(log, rows, columns=False, inverse=False, modulus=None):
     """Apply the product of logged elementary operations to a list of rows.
 
     (i, k, q) is row i -= q * row k, (i, k) swaps rows i and k and (i,)
@@ -153,20 +154,22 @@ def _replay(log, rows, columns=False, inverse=False):
     multiplies by E with E - I = -q e_k e_j^T; with columns, the log is
     replayed backward as row k -= q * row j to apply V, and in order as
     row k += q * row j to apply V^-1.  Swaps and negations are their own
-    inverses.
+    inverses.  With a modulus, each row an operation changes is reduced
+    mod it, which gives the product mod the modulus.
     """
     for op in (reversed(log) if columns != inverse else log):
         if len(op) == 3:
             i, k, q = op
             if columns:
                 i, k = k, i
-            rows[i] = _plus_times(rows[i], q if inverse else -q, rows[k])
+            row = _plus_times(rows[i], q if inverse else -q, rows[k])
+            rows[i] = [x % modulus for x in row] if modulus else row
         elif len(op) == 2:
             i, k = op
             rows[i], rows[k] = rows[k], rows[i]
         else:
             (i,) = op
-            rows[i] = [-x for x in rows[i]]
+            rows[i] = [-x % modulus for x in rows[i]] if modulus else [-x for x in rows[i]]
     return rows
 
 
@@ -191,22 +194,23 @@ class SnfResult:
     row_ops: tuple
     col_ops: tuple
 
-    def _apply(self, M, columns, inverse):
+    def _apply(self, M, columns, inverse, modulus=None):
         n = self.S.cols if columns else self.S.rows
         if M.rows != n:
             raise ExactAlgError("shape mismatch in product")
         if not M.cols:
             return M
         log = self.col_ops if columns else self.row_ops
-        return _from_rows(_replay(log, M.to_rows(), columns, inverse), M.cols)
+        return _from_rows(_replay(log, M.to_rows(), columns, inverse, modulus), M.cols)
 
-    def u_times(self, M: IntMatrix) -> IntMatrix:
-        """U * M."""
-        return self._apply(M, False, False)
+    def u_times(self, M: IntMatrix, modulus=None) -> IntMatrix:
+        """U * M, with every row the replay changes reduced mod modulus if
+        one is given: then only the residues mod modulus are U * M's."""
+        return self._apply(M, False, False, modulus)
 
-    def uinv_times(self, M: IntMatrix) -> IntMatrix:
-        """U^-1 * M."""
-        return self._apply(M, False, True)
+    def uinv_times(self, M: IntMatrix, modulus=None) -> IntMatrix:
+        """U^-1 * M, reduced as in u_times."""
+        return self._apply(M, False, True, modulus)
 
     def v_times(self, M: IntMatrix) -> IntMatrix:
         """V * M."""
@@ -357,6 +361,77 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
         t += 1
 
     return SnfResult(S=_from_rows(a, m), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
+
+
+def divisor_chain(values):
+    """The diagonal matrix of the given positive integers in Smith normal form:
+    the same count of integers, each dividing the next.
+
+    diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent, prime by prime.
+    Replacing each pair i < j in turn by (gcd, lcm) leaves a_i dividing every
+    later entry, so one pass over the pairs gives the chain.  A 1 changes no
+    other entry, so the 1s go first and the pass runs over the rest.
+    """
+    a = [n for n in values if n != 1]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            g = gcd(a[i], a[j])
+            a[i], a[j] = g, a[i] // g * a[j]
+    return [1] * (len(values) - len(a)) + a
+
+
+def invariant_factors(A: IntMatrix) -> tuple:
+    """The invariant factors d1 | d2 | ... of A, the nonzero diagonal of its
+    Smith normal form, so rank A is their count: the same tuple as
+    smith_normal_form(A).invariant_factors, with no operation recorded.
+
+    Each step finds a pivot p at (i, j) with p ⊕ (the rest) equivalent to the
+    matrix, records |p| and drops row i; column j is then zero and stays so.
+    A row holding +-1, found by `in`, gives p at once: row operations clear
+    its column.  Otherwise p starts as an entry of least magnitude, and local
+    Euclid runs around it: row operations reduce its column mod p, and the
+    least remainder there becomes the pivot; once the column is clear, row i
+    is reduced mod p (a column operation that, with column j clear, changes
+    row i alone), and the least remainder there becomes the pivot.  The
+    pivots need not divide one another, so divisor_chain orders them.
+    """
+    a = [r for r in A.to_rows() if any(r)]
+    diag = []
+    while a:
+        i = next((i for i, r in enumerate(a) if 1 in r or -1 in r), None)
+        if i is None:
+            i, j = _smallest_pivot(a, 0)
+        else:
+            j = a[i].index(1) if 1 in a[i] else a[i].index(-1)
+        while True:
+            row = a[i]
+            p = row[j]
+            support = [c for c, x in enumerate(row) if x]
+            rest = []
+            for k, r in enumerate(a):
+                x = r[j]
+                if x and k != i:
+                    q = x // p
+                    if q:
+                        for c in support:
+                            r[c] -= q * row[c]
+                    if r[j]:
+                        rest.append(k)
+            if rest:
+                i = min(rest, key=lambda k: abs(a[k][j]))
+                continue
+            if p in (1, -1):
+                break
+            row = a[i] = [x % p for x in row]
+            row[j] = p
+            rest = [c for c, x in enumerate(row) if x and c != j]
+            if not rest:
+                break
+            j = min(rest, key=lambda c: abs(row[c]))
+        diag.append(abs(p))
+        del a[i]
+        a = [r for r in a if any(r)]
+    return tuple(divisor_chain(diag))
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:

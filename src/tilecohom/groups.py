@@ -13,6 +13,7 @@ from math import gcd
 from .exactalg import (
     IntMatrix,
     SnfResult,
+    divisor_chain,
     smith_normal_form,
     solve_in_lattice,
 )
@@ -149,20 +150,12 @@ class GroupElement:
 
 
 def from_divisors(divisors, extra_free=0):
-    """Normal form of Z^extra_free + sum of Z/n over the given divisors.
-
-    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), prime by prime.  Replacing each
-    pair i < j in turn by (gcd, lcm) leaves a_i dividing every later entry,
-    so one pass over the pairs gives the invariant factors, after the 1s.
-    """
+    """Normal form of Z^extra_free + sum of Z/n over the given divisors: the
+    divisor chain of the orders (exactalg.divisor_chain), after the 1s."""
     a = [int(n) for n in divisors]
     if any(n < 1 for n in a):
         raise GroupError("divisors must be positive")
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            g = gcd(a[i], a[j])
-            a[i], a[j] = g, a[i] // g * a[j]
-    return FgAbelianGroup(extra_free, tuple(n for n in a if n != 1))
+    return FgAbelianGroup(extra_free, tuple(n for n in divisor_chain(a) if n != 1))
 
 
 @dataclass(frozen=True)
@@ -180,6 +173,15 @@ class CoordinateMap:
     free_idx: tuple
     structure: FgAbelianGroup
 
+    @property
+    def exponent(self):
+        """N, the largest invariant factor, when the group is finite and not
+        trivial, else None.  N Z^n then lies in the relation lattice, so the
+        replays below run mod N: every class, and every coordinate, is the
+        same, and the lifts are representatives with entries in [0, N)."""
+        s = self.structure
+        return s.torsion[-1] if s.torsion and not s.free_rank else None
+
     def to_canonical(self, x):
         x = tuple(int(v) for v in x)
         return _element(self.structure, self.coordinates(IntMatrix(len(x), 1, x)))
@@ -189,15 +191,17 @@ class CoordinateMap:
         free_idx + torsion_idx of U X, torsion rows reduced mod their factors."""
         if X.rows != self.ambient_rank:
             raise GroupError("ambient vector length mismatch")
-        Y = self.snf.u_times(X)
+        Y = self.snf.u_times(X, self.exponent)
         return _reduced(Y.submatrix(self.free_idx + self.torsion_idx, range(Y.cols)),
                         self.structure)
 
     def generator_lifts(self) -> IntMatrix:
         """Ambient vectors representing the canonical generators, free ones
-        first, as columns: U^-1 applied to the unit vectors free_idx + torsion_idx."""
+        first, as columns: U^-1 applied to the unit vectors free_idx + torsion_idx,
+        mod the exponent when the group is finite."""
         return self.snf.uinv_times(
-            IntMatrix.unit_columns(self.ambient_rank, self.free_idx + self.torsion_idx))
+            IntMatrix.unit_columns(self.ambient_rank, self.free_idx + self.torsion_idx),
+            self.exponent)
 
     def lift(self, element):
         if element.owner != self.structure:
@@ -207,7 +211,8 @@ class CoordinateMap:
             y[i] = element.free_coords[k]
         for k, i in enumerate(self.torsion_idx):
             y[i] = element.torsion_coords[k]
-        return self.snf.uinv_times(IntMatrix(self.ambient_rank, 1, tuple(y))).entries
+        return self.snf.uinv_times(IntMatrix(self.ambient_rank, 1, tuple(y)),
+                                   self.exponent).entries
 
 
 def cokernel_structure(relations: IntMatrix, ambient_rank: int):
@@ -493,34 +498,46 @@ def presentation_from(d_k_snf: SnfResult, d_k1: IntMatrix,
     )
 
 
+def _chain_columns(pres: SubquotientPresentation, chains) -> IntMatrix:
+    """The chains as the columns of a matrix, each of the ambient length."""
+    n = pres.ambient_rank
+    cols = [tuple(int(v) for v in c) for c in chains]
+    for c in cols:
+        if len(c) != n:
+            raise GroupError("chain has length %d, ambient rank is %d" % (len(c), n))
+    return IntMatrix.from_columns(cols, rows=n)
+
+
 def induced_hom(pres: SubquotientPresentation, generator_cycles, image_cycles) -> GroupHom:
     """The endomorphism of pres.structure sending generator classes to image classes.
 
     Verified to be well defined: the generator classes must generate, and every
-    relation among them must be satisfied by the images.
+    relation among them must be satisfied by the images.  One factorization
+    of [generator classes | relations of G] answers both, for all columns at
+    once: the rows of its kernel that belong to the generators are the
+    relations among them, and its solve of the unit columns gives the
+    canonical generators in terms of them.
     """
     if len(generator_cycles) != len(image_cycles):
         raise GroupError("generator/image count mismatch")
     G = pres.structure
-    gcls = [pres.class_of(c) for c in generator_cycles]
-    icls = [pres.class_of(c) for c in image_cycles]
-    snf = smith_normal_form(_with_relations(G, gcls))
+    g = len(generator_cycles)
+    gcls = pres.classes_of(_chain_columns(pres, generator_cycles))
+    icls = pres.classes_of(_chain_columns(pres, image_cycles))
+    snf = smith_normal_form(gcls.hstack(relation_lattice(G)))
     # Relations among the generators must map to relations among the images.
     relations = snf.kernel()
-    for j in range(relations.cols):
-        coeffs = relations.column(j)[:len(gcls)]
-        acc = G.zero()
-        for a, h in zip(coeffs, icls):
-            acc = acc + h.scale(a)
-        if not acc.is_zero:
-            raise GroupError("images violate a relation among the generators")
-    images = []
-    for e in G.generators():
-        sol = snf.solve(e.int_coords())
-        if sol is None:
-            raise GroupError("generator cycles do not generate the homology group")
-        acc = G.zero()
-        for a, h in zip(sol[:len(gcls)], icls):
-            acc = acc + h.scale(a)
-        images.append(acc)
-    return GroupHom.from_columns(G, G, images)
+    if not _reduced(icls * relations.submatrix(range(g), range(relations.cols)), G).is_zero():
+        raise GroupError("images violate a relation among the generators")
+    # A x = E for the unit columns E of G's coordinates: y = U E must have
+    # rows :r divisible by the invariant factors and rows r: zero, and then
+    # x = V [y_:r / d; 0].
+    n = gcls.rows
+    Y = snf.u_times(IntMatrix.identity(n))
+    d = snf.invariant_factors
+    r = len(d)
+    if any(Y.entries[r * n:]) or any(x % di for i, di in enumerate(d) for x in Y.row(i)):
+        raise GroupError("generator cycles do not generate the homology group")
+    X = snf.v_times(IntMatrix(snf.S.cols, n, tuple(
+        x // di for i, di in enumerate(d) for x in Y.row(i)) + (0,) * ((snf.S.cols - r) * n)))
+    return GroupHom(G, G, icls * X.submatrix(range(g), range(n)))

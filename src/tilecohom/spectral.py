@@ -62,8 +62,8 @@ def winding_chain(spec):
     return tuple(chain)
 
 
-def _e2(spec):
-    """The E2 page and the analysis of the rigid complex.
+def _analyses(spec):
+    """The analyses of the rigid and the modified complex.
 
     Each complex is built and, for hierarchical specs, its substitution maps
     are checked to act by isomorphisms before the next complex is built: the
@@ -83,12 +83,17 @@ def _e2(spec):
             if not all(h.is_isomorphism() for h in maps.values()):
                 raise SpectralError("non-stationary homology unsupported")
         analyses.append(analysis)
-    rigid, modified = analyses
+    return analyses
+
+
+def _e2(rigid, modified):
+    """The E2 page: the groups of the modified complex in row 0 and of the
+    rigid one in row 1."""
     entries = {}
     for p in range(3):
         entries[(p, 0)] = modified.structure(p)
         entries[(p, 1)] = rigid.structure(p)
-    return SpectralPage(entries=entries), rigid
+    return SpectralPage(entries=entries)
 
 
 def _total_degree(entries_by_pq, n):
@@ -125,8 +130,12 @@ def spectral_sequence(spec) -> SpectralSequence:
     has finite order.  Degreewise totals, regraded by n -> 3 - n, give the
     Cech groups.
     """
-    e2, rigid = _e2(spec)
-    sigma = rigid.homology(0).class_of(winding_chain(spec))
+    rigid, modified = _analyses(spec)
+    # The presentation of H_0 factors d_1 with its logs before E2 reads the
+    # groups, so that d_1 is eliminated once.
+    h0 = rigid.homology(0)
+    e2 = _e2(rigid, modified)
+    sigma = h0.class_of(winding_chain(spec))
     einf = dict(e2.entries)
     einf[(0, 1)] = quotient_by(e2.entry(0, 1), [sigma])
     notes = ()
@@ -147,7 +156,7 @@ def spectral_sequence(spec) -> SpectralSequence:
 
 def e2_page(spec) -> SpectralPage:
     """The E2 page; unlike the later pages it needs no rotation data."""
-    return _e2(spec)[0]
+    return _e2(*_analyses(spec))
 
 
 def d2_image(spec):
@@ -190,12 +199,16 @@ def hull_cohomology(spec, hull) -> HullCohomology:
         raise SpectralError("unknown hull %r" % (hull,))
 
     analysis = complexes.Analysis(spec, mode)
-    by_degree = {k: analysis.structure(k) for k in range(top + 1)}
+    maps = None
     if spec.is_hierarchical:
+        # Coordinates before groups, which are then read from the maps'
+        # factorizations.
         try:
             maps = analysis.substitution_maps
         except complexes.ComplexError as e:
             raise SpectralError(str(e))
+    by_degree = {k: analysis.structure(k) for k in range(top + 1)}
+    if maps is not None:
         by_degree = {k: direct_limit(g, maps[k]) for k, g in by_degree.items()}
     groups = tuple(by_degree[top - i] for i in range(top + 1))
     return HullCohomology(groups=groups,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .exactalg import ExactAlgError, IntMatrix
 
@@ -120,6 +120,10 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
     cell_map = {k: tuple(cells[k]) for k in range(dimension + 1)}
     seen = set()
     for k, row in cell_map.items():
+        fresh = _fresh_ids(k, row, seen, geometry_mode)
+        if fresh is not None:
+            seen |= fresh
+            continue
         for i, c in enumerate(row):
             path = "cells.%d[%d]" % (k, i)
             if not isinstance(c, CellType):
@@ -167,6 +171,29 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
     return TilingSpec(name=name, dimension=dimension, geometry_mode=geometry_mode,
                       cells=cell_map, boundaries=dict(boundaries), substitution=substitution,
                       rotation=rotation, symmetric_tilings=orders)
+
+
+_cell_fields = attrgetter("dimension", "id", "symmetry", "reverses_orientation")
+
+
+def _fresh_ids(k, row, seen, geometry_mode):
+    """The set of ids of row, the degree-k cell types, when every cell meets
+    make_spec's rules and no id repeats or is in seen; else None.  One pass
+    per field checks the common, well-formed case; make_spec's loop over the
+    cells names the first bad one."""
+    if not row:
+        return set()
+    if not set(map(type, row)) <= {CellType}:
+        return None
+    dims, ids, syms, revs = zip(*map(_cell_fields, row))
+    if not (dims.count(k) == len(row) and set(map(type, ids)) <= {str}
+            and set(map(type, syms)) <= {int} and set(map(type, revs)) <= {bool}
+            and min(syms) >= 1):
+        return None
+    if geometry_mode == "translation" and (syms.count(1) < len(row) or any(revs)):
+        return None
+    fresh = set(ids)
+    return fresh if len(fresh) == len(ids) and seen.isdisjoint(fresh) else None
 
 
 def _check_degrees(mapping, path, lo, dimension):
@@ -280,6 +307,8 @@ def _check_rotation_shape(rot, cell_map, dimension, geometry_mode):
 _TOP_KEYS = ("name", "dimension", "geometry_mode", "cells", "boundaries",
              "substitution", "rotation", "symmetric_tilings")
 _CELL_KEYS = ("id", "symmetry", "reverses_orientation")
+_CELL_KEY_SET = frozenset(_CELL_KEYS)
+_CELL_REQUIRED = frozenset(_CELL_KEYS[:2])
 _MAP_KEYS = ("generators", "images")
 _KINDS = ("chain_map", "homology_map")
 _DEGREES = ("0", "1", "2")
@@ -338,8 +367,11 @@ def _degrees(obj, path, parse, keys):
 
 
 def _parse_cells(arr, path):
-    for i, c in enumerate(_array(arr, path)):
-        _require_keys(c, _CELL_KEYS, _CELL_KEYS[:2], "%s[%d]" % (path, i))
+    # One test for the common case; the loop names the first bad cell.
+    if not all(isinstance(c, dict) and _CELL_REQUIRED <= c.keys() <= _CELL_KEY_SET
+               for c in _array(arr, path)):
+        for i, c in enumerate(arr):
+            _require_keys(c, _CELL_KEYS, _CELL_KEYS[:2], "%s[%d]" % (path, i))
     return arr
 
 

@@ -338,6 +338,68 @@ class TestWorkCounts:
         assert len(builds) == expected
 
 
+def _elimination_argvs():
+    """Commands that read coordinates as well as groups, on every builtin
+    they apply to."""
+    argvs = []
+    for name in builtin_names():
+        spec = builtin(name)
+        argvs.append(["check", "--builtin", name])
+        if spec.geometry_mode == "translation":
+            modes = ["translation"]
+            argvs.append(["cohomology", "--builtin", name, "--hull", "translation"])
+        elif spec.is_hierarchical and spec.substitution.kind != "chain_map":
+            # The modified complex needs chain-level substitution data.
+            modes = ["rigid"]
+        else:
+            modes = ["rigid", "rigid-modified"]
+            argvs.append(["spectral", "--builtin", name])
+            argvs.append(["cohomology", "--builtin", name, "--hull", "rotation-quotient"])
+        if spec.is_hierarchical:
+            argvs.extend(["homology", "--builtin", name, "--mode", mode, "--limit"]
+                         for mode in modes)
+    return argvs
+
+
+class TestEliminationsPerBoundary:
+    """Within one command, each boundary of each analysis is eliminated at
+    most once, by a logged SNF where coordinates are read or without
+    transforms where only its group is."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        analyses, made = [], []
+        original_init = complexes.Analysis.__init__
+
+        def init(self, spec, mode):
+            original_init(self, spec, mode)
+            analyses.append(self)
+
+        def recording(eliminate):
+            def run(A):
+                made.append(A)
+                return eliminate(A)
+            return run
+
+        monkeypatch.setattr(complexes.Analysis, "__init__", init)
+        snf = recording(exactalg.smith_normal_form)
+        for module in (exactalg, groups, dirlimit, complexes):
+            monkeypatch.setattr(module, "smith_normal_form", snf)
+        monkeypatch.setattr(complexes, "invariant_factors",
+                            recording(exactalg.invariant_factors))
+        return analyses, made
+
+    @pytest.mark.parametrize("argv", _elimination_argvs(), ids=" ".join)
+    def test_each_boundary_at_most_once(self, eliminated, argv):
+        analyses, made = eliminated
+        res = run(*argv)
+        assert res.exit_code == 0
+        assert analyses
+        boundaries = [b for a in analyses for b in a.complex.boundary[1:]]
+        assert len({id(b) for b in boundaries}) == len(boundaries)
+        assert max((sum(A is b for A in made) for b in boundaries), default=0) <= 1
+
+
 def _random_complex(boundary_cols, seed=7):
     """d_1 (6 x 12, entries in -1..1) and a d_2 with the given number of
     columns, each an integer combination of a kernel basis of d_1.  The first
@@ -549,12 +611,26 @@ class TestTransformBuilds:
         monkeypatch.setattr(exactalg.SnfResult, "vinv_times", lambda self, M: made.append(M))
         return made
 
-    def test_structure_only_homology_builds_no_transform(self, factorizations, replays):
-        # The groups come from the factorizations of d_1 and d_2 alone.
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """The matrices diagonalized without transforms."""
+        made = []
+        original = exactalg.invariant_factors
+
+        def recording(A):
+            made.append(A)
+            return original(A)
+
+        monkeypatch.setattr(complexes, "invariant_factors", recording)
+        return made
+
+    def test_structure_only_homology_builds_no_transform(self, factorizations, replays,
+                                                          eliminations):
+        # The groups come from transform-free eliminations of d_1 and d_2 alone.
         res = run("homology", "--builtin", "penrose-kite-dart", "--mode", "rigid")
         assert res.exit_code == 0
-        assert len(factorizations) == 2
-        assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+        assert len(eliminations) == 2
+        assert factorizations == []
         assert replays == []
 
     @pytest.mark.parametrize("argv, boundaries", [
@@ -563,13 +639,14 @@ class TestTransformBuilds:
         ("cohomology --builtin square-periodic-rigid --hull rotation-quotient", 2),
     ])
     def test_structure_only_commands_build_no_transform(self, factorizations, replays,
-                                                         argv, boundaries):
-        """A command that prints only groups factors each boundary d_1 ... d_top
-        once, and runs no cokernel SNF and no V^-1 replay."""
+                                                         eliminations, argv, boundaries):
+        """A command that prints only groups diagonalizes each boundary
+        d_1 ... d_top once without transforms, and runs no logged SNF and no
+        V^-1 replay."""
         res = run(*argv.split())
         assert res.exit_code == 0
-        assert len(factorizations) == boundaries
-        assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+        assert len(eliminations) == boundaries
+        assert factorizations == []
         assert replays == []
 
     @pytest.mark.parametrize("argv", [
@@ -610,11 +687,9 @@ def _dense_spec(n):
 
 
 class TestDenseBoundary:
-    def test_limit_of_dense_80_cell_spec(self, tmp_path, time_limit):
-        """The transforms of a dense 80 x 80 d_1 have entries of tens of
-        thousands of bits.  Applied through their logs to the few columns
-        that are read, they leave `--limit` a matter of seconds."""
-        doc = _dense_spec(80)
+    @staticmethod
+    def _check_limit(n, tmp_path, time_limit):
+        doc = _dense_spec(n)
         path = tmp_path / "dense.json"
         path.write_text(json.dumps(doc))
         with time_limit(10):
@@ -629,3 +704,15 @@ class TestDenseBoundary:
         assert run("homology", str(path), "--mode", "translation").stdout == \
             "H_0 = Z/%d\nH_1 = 0\n" % det
         assert res.stdout == "H_0 = Z/%d\nH_1 = 0\n" % odd
+
+    def test_limit_of_dense_80_cell_spec(self, tmp_path, time_limit):
+        """The transforms of a dense 80 x 80 d_1 have entries of tens of
+        thousands of bits.  Applied through their logs to the few columns
+        that are read, they leave `--limit` a matter of seconds."""
+        self._check_limit(80, tmp_path, time_limit)
+
+    def test_limit_of_dense_100_cell_spec(self, tmp_path, time_limit):
+        """H_0 = Z/N is all torsion, so the lift of its generator and the
+        coordinates of its image replay the 10^5-step row log of d_1 mod N,
+        with entries of N's size instead of hundreds of thousands of bits."""
+        self._check_limit(100, tmp_path, time_limit)

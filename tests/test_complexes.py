@@ -333,30 +333,34 @@ class TestStructureFromFactorizations:
 
 @contextmanager
 def _factored():
-    """The list of matrices that complexes and groups factor inside the block."""
+    """The list of matrices that complexes and groups eliminate inside the
+    block, by a logged SNF or without transforms."""
     made = []
-    original = complexes.smith_normal_form
+    originals = complexes.smith_normal_form, complexes.invariant_factors
 
-    def recording(A):
-        made.append(A)
-        return original(A)
+    def recording(eliminate):
+        def run(A):
+            made.append(A)
+            return eliminate(A)
+        return run
 
-    complexes.smith_normal_form = groups.smith_normal_form = recording
+    complexes.smith_normal_form = groups.smith_normal_form = recording(originals[0])
+    complexes.invariant_factors = recording(originals[1])
     try:
         yield made
     finally:
-        complexes.smith_normal_form = groups.smith_normal_form = original
+        complexes.smith_normal_form = groups.smith_normal_form = originals[0]
+        complexes.invariant_factors = originals[1]
 
 
 class TestOneFactorizationPerMatrix:
-    """Within one Analysis each boundary d_k is factored at most once, and no
-    relation matrix that equals one of them or another relation matrix."""
+    """Within one Analysis that reads coordinates before groups, each
+    boundary d_k is eliminated at most once, and no relation matrix that
+    equals one of them or another relation matrix."""
 
     @staticmethod
     def _read_everything(analysis):
         top = analysis.complex.top_dim
-        for k in range(top + 1):
-            analysis.structure(k)
         # Homology-level data factors its generator matrices, not the complex.
         sub = analysis.spec.substitution
         if sub is not None and sub.kind == "chain_map":

@@ -10,6 +10,8 @@ from tilecohom.exactalg import (
     ExactAlgError,
     IntMatrix,
     determinant,
+    divisor_chain,
+    invariant_factors,
     inverse_unimodular,
     is_unimodular,
     kernel_basis,
@@ -182,6 +184,69 @@ class TestLogReplay:
     def test_kernel_is_columns_of_built_v(self, A):
         snf = smith_normal_form(A)
         assert snf.kernel() == snf.V.submatrix(range(A.cols), range(snf.rank, A.cols))
+
+
+_BITS_64 = 1 << 64
+
+
+def _with_zero_lines(A, rng):
+    """A with zero rows and zero columns inserted at random places."""
+    rows = A.to_rows() if A.cols else [[] for _ in range(A.rows)]
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, len(rows[0]) if rows else 0)
+        rows = [r[:at] + [0] + r[at:] for r in rows]
+    m = len(rows[0]) if rows else A.cols
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * m)
+    return IntMatrix(len(rows), m, tuple(x for r in rows for x in r))
+
+
+class TestInvariantFactors:
+    """The transform-free elimination gives the invariant factors of the
+    logged Smith normal form, and with them the rank."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(matrices(), matrices(max_entry=1), _low_rank(),
+                     _low_rank(max_entry=1), matrices(max_dim=5, max_entry=_BITS_64),
+                     _low_rank(max_dim=5, max_entry=_BITS_64)),
+           st.randoms(use_true_random=False))
+    def test_matches_smith_normal_form(self, A, rng):
+        for M in (A, _with_zero_lines(A, rng)):
+            snf = smith_normal_form(M)
+            assert invariant_factors(M) == snf.invariant_factors
+            assert len(invariant_factors(M)) == snf.rank
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5)])
+    def test_empty_and_zero(self, shape):
+        assert invariant_factors(IntMatrix.zero(*shape)) == ()
+
+    def test_examples(self):
+        assert invariant_factors(PENROSE_D1) == (1, 1, 1, 1, 5)
+        # No pivot divides the other: the chain comes from divisor_chain.
+        assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+        assert invariant_factors(IntMatrix.from_rows([[4, 6], [6, 4]])) == (2, 10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 60), max_size=6))
+    def test_divisor_chain_is_the_diagonal_snf(self, values):
+        chain = divisor_chain(values)
+        n = len(values)
+        D = IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+        assert tuple(chain) == smith_normal_form(D).invariant_factors
+
+
+class TestModularReplay:
+    """A replay mod N gives the residues of the exact product."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(matrices(), _low_rank()), st.integers(2, 10 ** 6), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_residues_of_exact_product(self, A, N, cols, rng):
+        snf = smith_normal_form(A)
+        M = IntMatrix(A.rows, cols, tuple(rng.randint(-50, 50) for _ in range(A.rows * cols)))
+        for apply in (snf.u_times, snf.uinv_times):
+            exact, reduced = apply(M), apply(M, N)
+            assert [x % N for x in reduced.entries] == [x % N for x in exact.entries]
 
 
 def _sparse_pairs(max_dim=5):

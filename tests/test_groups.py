@@ -128,6 +128,68 @@ class TestCokernel:
             assert g.torsion_order() == det ** n // len(residues)
 
 
+def _unreduced_coordinates(cmap, X):
+    """Canonical coordinates from the exact replay of U, reduced only at the end."""
+    Y = cmap.snf.u_times(X)
+    rows = Y.submatrix(cmap.free_idx + cmap.torsion_idx, range(Y.cols))
+    f = cmap.structure.free_rank
+    return [list(rows.row(i)) if i < f else
+            [x % cmap.structure.torsion[i - f] for x in rows.row(i)] for i in range(rows.rows)]
+
+
+class TestModularCoordinates:
+    """A finite group of exponent N has N Z^n inside its relation lattice, so
+    its replays run mod N: coordinates and classes are those of the exact
+    replay, and lifts are congruent to the exact ones mod N."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(0, 2), st.integers(0, 3))
+    def test_cokernel_coordinates_and_lifts(self, seed, n, extra, cols):
+        rng = random.Random(seed)
+        while True:
+            R = IntMatrix.from_rows([[rng.randint(-30, 30) for _ in range(n + extra)]
+                                     for _ in range(n)])
+            g, cmap = cokernel_structure(R, n)
+            if g.free_rank == 0 and g.torsion:
+                break
+        N = cmap.exponent
+        assert N == g.torsion[-1]
+        X = IntMatrix(n, cols, tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n * cols)))
+        assert cmap.coordinates(X).to_rows() == _unreduced_coordinates(cmap, X)
+        lifts = cmap.generator_lifts()
+        E = IntMatrix.unit_columns(n, cmap.free_idx + cmap.torsion_idx)
+        exact = cmap.snf.uinv_times(E)
+        assert all(0 <= x < N for x in lifts.entries)
+        assert [x % N for x in exact.entries] == list(lifts.entries)
+        assert cmap.coordinates(lifts).to_rows() == _unreduced_coordinates(cmap, exact)
+        for j, el in enumerate(g.generators()):
+            assert cmap.lift(el) == lifts.column(j)
+            assert cmap.to_canonical(cmap.lift(el)) == el
+
+    def test_free_part_replays_exactly(self):
+        g, cmap = cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]), 3)
+        assert g == FgAbelianGroup(1, (6,)) and cmap.exponent is None
+        assert cmap.generator_lifts() == cmap.snf.uinv_times(
+            IntMatrix.unit_columns(3, cmap.free_idx + cmap.torsion_idx))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_homology_classes_match_exact_replay(self, seed):
+        """On a finite H_0 of a random d_1, the classes of chains and of the
+        generator lifts equal those of the exact replay."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        d1 = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)])
+        pres = homology_presentation(IntMatrix.zero(0, n), d1)
+        cmap = pres.coordinate_map
+        if pres.structure.free_rank or not pres.structure.torsion:
+            return
+        chains = IntMatrix(n, 3, tuple(rng.randint(-99, 99) for _ in range(3 * n)))
+        assert pres.classes_of(chains).to_rows() == _unreduced_coordinates(cmap, chains)
+        G = pres.generator_matrix()
+        assert pres.classes_of(G) == IntMatrix.identity(len(pres.structure.torsion))
+
+
 class TestElements:
     def test_order(self):
         g = FgAbelianGroup(1, (2, 6))
