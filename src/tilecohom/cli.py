@@ -17,7 +17,7 @@ from . import complexes, spectral, tilings
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .dirlimit import DirectLimitError, direct_limit
 from .exactalg import ExactAlgError, IntMatrix
-from .groups import FgAbelianGroup, GroupError, GroupHom
+from .groups import FgAbelianGroup, GroupError, GroupHom, from_divisors
 
 _MODE_FLAG = {
     "translation": MODE_TRANSLATION,
@@ -89,28 +89,18 @@ def _cmd_check(args):
 def _cmd_homology(args):
     spec = _load_target(args)
     analysis = complexes.Analysis(spec, _MODE_FLAG[args.mode])
-    if args.degree is None:
-        degrees = range(analysis.complex.top_dim + 1)
-    else:
-        complexes.check_degree(analysis.complex, args.degree)
-        degrees = [args.degree]
-    # Coordinates before groups: the substitution maps factor every boundary
-    # with its logs, and the groups are then read from those factorizations.
-    maps = analysis.substitution_maps if args.limit else None
-    results = {k: analysis.structure(k) for k in degrees}
-    if args.limit:
-        results = {k: direct_limit(g, maps[k]) for k, g in results.items()}
+    results = analysis.groups(None if args.degree is None else [args.degree], args.limit)
     if args.json:
         doc = {
             "spec": spec.name,
             "mode": args.mode,
             "limit": bool(args.limit),
-            "groups": {str(k): results[k].render() for k in degrees},
+            "groups": {str(k): g.render() for k, g in results.items()},
         }
         if args.limit:
-            doc["status"] = {str(k): results[k].status for k in degrees}
+            doc["status"] = {str(k): g.status for k, g in results.items()}
         return CommandResult(0, json.dumps(doc, indent=2) + "\n")
-    lines = ["H_%d = %s" % (k, results[k].render()) for k in degrees]
+    lines = ["H_%d = %s" % (k, g.render()) for k, g in results.items()]
     return CommandResult(0, "\n".join(lines) + "\n")
 
 
@@ -202,8 +192,6 @@ def parse_group(text: str) -> FgAbelianGroup:
                 raise ValueError(token)
         except ValueError:
             raise GroupError("cannot parse group token %r" % token) from None
-    from .groups import from_divisors
-
     return from_divisors(torsion, extra_free=free)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .dirlimit import direct_limit
 from .exactalg import IntMatrix, invariant_factors, smith_normal_form
 from .groups import (
     FgAbelianGroup,
@@ -36,7 +37,6 @@ class ChainComplex:
     top_dim: int
     ranks: tuple
     boundary: tuple  # boundary[k]: degree k -> k-1; boundary[0] has zero rows
-    generator_labels: tuple
 
     def boundary_or_zero(self, k):
         """Boundary map out of degree k, a zero map beyond the ends."""
@@ -95,14 +95,8 @@ def build_chain_complex(spec, mode) -> ChainComplex:
     if mode == MODE_TRANSLATION:
         if spec.geometry_mode != "translation":
             raise ComplexError("translation complex requires a translation-mode spec")
-        for k in range(spec.dimension + 1):
-            for c in spec.cells[k]:
-                if c.symmetry != 1:
-                    raise ComplexError(
-                        "translation mode requires symmetry order 1 (cell %r)" % c.id)
-    else:
-        if spec.geometry_mode != "rigid":
-            raise ComplexError("%s complex requires a rigid-mode spec" % mode)
+    elif spec.geometry_mode != "rigid":
+        raise ComplexError("%s complex requires a rigid-mode spec" % mode)
 
     keep = _mode_cells(spec, mode)
     ranks = tuple(len(keep[k]) for k in range(spec.dimension + 1))
@@ -113,17 +107,6 @@ def build_chain_complex(spec, mode) -> ChainComplex:
         if (b.rows, b.cols) != (ranks[k - 1], ranks[k]):
             b = b.submatrix(keep[k - 1], keep[k])
         boundaries.append(b)
-
-    labels = []
-    for k in range(spec.dimension + 1):
-        row = []
-        for i in keep[k]:
-            c = spec.cells[k][i]
-            if mode == MODE_RIGID_MODIFIED and c.symmetry > 1:
-                row.append("%d*%s" % (c.symmetry, c.id))
-            else:
-                row.append(c.id)
-        labels.append(tuple(row))
 
     if mode == MODE_RIGID_MODIFIED:
         scale = [[spec.cells[k][i].symmetry for i in keep[k]]
@@ -140,17 +123,16 @@ def build_chain_complex(spec, mode) -> ChainComplex:
         if not (boundaries[k - 1] * boundaries[k]).is_zero():
             raise ComplexError("boundary of boundary is nonzero at degree %d" % k)
 
-    return ChainComplex(top_dim=spec.dimension, ranks=ranks,
-                        boundary=tuple(boundaries), generator_labels=tuple(labels))
+    return ChainComplex(top_dim=spec.dimension, ranks=ranks, boundary=tuple(boundaries))
 
 
-def check_degree(complex: ChainComplex, k: int):
+def _check_degree(complex: ChainComplex, k: int):
     if not 0 <= k <= complex.top_dim:
         raise ComplexError("degree %d out of range 0..%d" % (k, complex.top_dim))
 
 
 def homology(complex: ChainComplex, k: int) -> SubquotientPresentation:
-    check_degree(complex, k)
+    _check_degree(complex, k)
     return homology_presentation(complex.boundary_or_zero(k),
                                  complex.boundary_or_zero(k + 1))
 
@@ -177,17 +159,19 @@ def chain_map_from_spec(spec, mode) -> ChainMap:
 
 
 class Analysis:
-    """The chain complex of a spec in one mode, built once, with each
-    boundary's factorization, each degree's homology and the substitution
-    homology maps computed on first use.
+    """The chain complex of a spec in one mode, built once, and per degree k
+    the group H_k, its presentation, its substitution map and its direct
+    limit, each computed on first use.  This is the one place that decides
+    how they are computed; the CLI and the hulls only render `groups`.
 
     The group H_k is read from the rank of d_k and the invariant factors of
     d_{k+1}.  A boundary that a presentation has factored gives them from
     its logged factorization; any other is diagonalized once, recording no
     operation (exactalg.invariant_factors).  A presentation, with canonical
     coordinates, is built only for a caller that reads coordinates, from a
-    logged factorization of d_k.  A caller that reads both reads coordinates
-    first, so that each boundary is eliminated at most once.
+    logged factorization of d_k, and then gives H_k itself.  `groups` reads
+    the substitution maps, which read coordinates, before the groups, so
+    that each boundary is eliminated at most once.
     An analysis serves one computation and is not shared between calls.
     """
 
@@ -198,6 +182,7 @@ class Analysis:
         self._snfs = {}
         self._factors = {}
         self._homology = {}
+        self._maps = {}
 
     def _snf(self, k):
         """The factorization of d_k, 0 <= k <= top_dim + 1."""
@@ -207,21 +192,21 @@ class Analysis:
 
     def _invariant_factors(self, k):
         """The invariant factors of d_k, 1 <= k <= top_dim: those of its
-        factorization or of H_{k-1}'s relations, V^-1 d_k without its zero
-        rows, when one is held; otherwise found without transforms."""
+        factorization when one is held, otherwise found without transforms."""
         if k in self._snfs:
             return self._snfs[k].invariant_factors
-        if k - 1 in self._homology:
-            return self._homology[k - 1].coordinate_map.snf.invariant_factors
         if k not in self._factors:
             self._factors[k] = invariant_factors(self.complex.boundary[k])
         return self._factors[k]
 
     def structure(self, k) -> FgAbelianGroup:
-        """The group H_k: Z^(n_k - rank d_k - rank d_{k+1}) plus Z/d for each
-        invariant factor d > 1 of d_{k+1}.  im d_{k+1} lies in ker d_k, which
-        is saturated, so the torsion of H_k is that of Z^n_k / im d_{k+1}."""
-        check_degree(self.complex, k)
+        """The group H_k: that of its presentation when one is built, else
+        Z^(n_k - rank d_k - rank d_{k+1}) plus Z/d for each invariant factor
+        d > 1 of d_{k+1}.  im d_{k+1} lies in ker d_k, which is saturated,
+        so the torsion of H_k is that of Z^n_k / im d_{k+1}."""
+        if k in self._homology:
+            return self._homology[k].structure
+        _check_degree(self.complex, k)
         top = self.complex.top_dim
         rank = len(self._invariant_factors(k)) if k else 0
         factors = self._invariant_factors(k + 1) if k < top else ()
@@ -231,7 +216,7 @@ class Analysis:
     def homology(self, k) -> SubquotientPresentation:
         """H_k with canonical coordinates, from the factorization of d_k."""
         if k not in self._homology:
-            check_degree(self.complex, k)
+            _check_degree(self.complex, k)
             d_k = self._snf(k)
             # A zero d_k has V = I, so H_k's relation matrix is d_{k+1} itself,
             # and one factorization of d_{k+1} serves both.
@@ -248,8 +233,6 @@ class Analysis:
         keep = _mode_cells(spec, self.mode)
         mats = []
         for k in range(spec.dimension + 1):
-            if k not in sub.chain_map:
-                raise ComplexError("substitution chain map missing degree %d" % k)
             m = sub.chain_map[k].submatrix(keep[k], keep[k])
             if self.mode == MODE_RIGID_MODIFIED:
                 scale = [spec.cells[k][i].symmetry for i in keep[k]]
@@ -261,44 +244,67 @@ class Analysis:
         return ChainMap(source=self.complex, target=self.complex, matrices=tuple(mats))
 
     @cached_property
-    def substitution_maps(self):
-        """Induced substitution endomorphisms on homology, one per degree.
+    def _checked_chain_map(self) -> ChainMap:
+        """chain_map(), checked to commute with the boundary in every degree."""
+        f = self.chain_map()
+        report = validate_chain_map(f)
+        if not report.ok:
+            raise ComplexError("substitution chain data: %s" % report)
+        return f
 
-        Chain-level data is validated for boundary-compatibility and pushed to
-        homology in bulk: the lifts of the canonical generators, one matrix,
-        are mapped by F in one product and read back in canonical coordinates
-        with one replay of the factorization of d_k.  Homology-level data goes
-        through the generator/image route, which checks that the generators
-        generate and that the images respect their relations.
+    def substitution_map(self, k) -> GroupHom:
+        """The substitution endomorphism induced on H_k.
+
+        Chain-level data is validated for boundary-compatibility in every
+        degree before the first map is read, and pushed to homology in bulk:
+        the lifts of the canonical generators, one matrix, are mapped by F in
+        one product and read back in canonical coordinates with one replay of
+        the factorization of d_k.  Homology-level data goes through the
+        generator/image route, which checks that the generators generate and
+        that the images respect their relations.
         The modified complex needs chain-level data, since homology generators
         of the unmodified complex say nothing about the rescaled one.
         """
-        sub = self.spec.substitution
-        if sub is None:
-            raise ComplexError("spec carries no substitution data")
-        pres = {k: self.homology(k) for k in range(self.complex.top_dim + 1)}
-        out = {}
-        if sub.kind == "chain_map":
-            f = self.chain_map()
-            report = validate_chain_map(f)
-            if not report.ok:
-                raise ComplexError("substitution chain data: %s" % report)
-            # F commutes with d, so it maps cycles to cycles and boundaries to
-            # boundaries: the classes of F applied to the generator lifts are
-            # the images of the generators, and no relation needs checking.
-            for k, p in pres.items():
+        if k not in self._maps:
+            _check_degree(self.complex, k)
+            sub = self.spec.substitution
+            if sub is None:
+                raise ComplexError("spec carries no substitution data")
+            if sub.kind == "chain_map":
+                f = self._checked_chain_map
+                p = self.homology(k)
+                # F commutes with d, so it maps cycles to cycles and boundaries
+                # to boundaries: the classes of F applied to the generator lifts
+                # are the images of the generators, and no relation needs checking.
                 images = p.classes_of(f.matrices[k] * p.generator_matrix())
-                out[k] = GroupHom(p.structure, p.structure, images)
-            return out
-        if self.mode == MODE_RIGID_MODIFIED:
-            raise ComplexError(
-                "modified-complex substitution maps require chain-level data")
-        for k, p in pres.items():
-            if k not in sub.homology_map:
-                raise ComplexError("substitution homology map missing degree %d" % k)
-            gens, images = sub.homology_map[k]
-            out[k] = induced_hom(p, list(gens), list(images))
-        return out
+                self._maps[k] = GroupHom(p.structure, p.structure, images)
+            elif self.mode == MODE_RIGID_MODIFIED:
+                raise ComplexError(
+                    "modified-complex substitution maps require chain-level data")
+            else:
+                gens, images = sub.homology_map[k]
+                self._maps[k] = induced_hom(self.homology(k), list(gens), list(images))
+        return self._maps[k]
+
+    @property
+    def substitution_maps(self) -> dict:
+        """substitution_map(k) for every degree k."""
+        return {k: self.substitution_map(k) for k in range(self.complex.top_dim + 1)}
+
+    def groups(self, degrees=None, limit=False) -> dict:
+        """H_k for each of the degrees (all of them if None), or with limit
+        its direct limit under the substitution map, keyed by degree.
+
+        Every degree is checked before any work.  The maps are read before
+        the groups: their presentations give the groups, so no boundary is
+        eliminated twice.
+        """
+        degrees = range(self.complex.top_dim + 1) if degrees is None else list(degrees)
+        for k in degrees:
+            _check_degree(self.complex, k)
+        maps = {k: self.substitution_map(k) for k in degrees if limit}
+        groups = {k: self.structure(k) for k in degrees}
+        return {k: direct_limit(g, maps[k]) if limit else g for k, g in groups.items()}
 
 
 def substitution_homology_maps(spec, mode):

@@ -254,19 +254,19 @@ class SnfResult:
         m, r = self.S.cols, self.rank
         return self.v_times(IntMatrix.unit_columns(m, range(r, m)))
 
-    def solve(self, b) -> tuple | None:
-        """Some integer x with A x = b, or None if b is outside the column span."""
-        b = [int(x) for x in b]
-        if len(b) != self.S.rows:
-            raise ExactAlgError("rhs length %d != %d rows" % (len(b), self.S.rows))
-        y = self.u_times(IntMatrix(len(b), 1, tuple(b))).entries
+    def solve(self, B: IntMatrix) -> IntMatrix | None:
+        """Some integer X with A X = B, or None if a column of B is outside
+        the column span: y = U b must have rows :r divisible by the invariant
+        factors and rows r: zero, and then x = V [y_:r / d; 0]."""
+        if B.rows != self.S.rows:
+            raise ExactAlgError("rhs length %d != %d rows" % (B.rows, self.S.rows))
+        Y = self.u_times(B)
         d = self.invariant_factors
-        r = len(d)
-        if any(y[i] % d[i] for i in range(r)) or any(y[r:]):
+        r, c = len(d), B.cols
+        if any(Y.entries[r * c:]) or any(x % di for i, di in enumerate(d) for x in Y.row(i)):
             return None
-        m = self.S.cols
-        x = tuple(y[i] // d[i] for i in range(r)) + (0,) * (m - r)
-        return self.v_times(IntMatrix(m, 1, x)).entries
+        return self.v_times(IntMatrix(self.S.cols, c, tuple(
+            x // di for i, di in enumerate(d) for x in Y.row(i)) + (0,) * ((self.S.cols - r) * c)))
 
 
 def _smallest_pivot(a, t):
@@ -441,7 +441,9 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
 def solve_in_lattice(A: IntMatrix, b) -> tuple | None:
     """Some integer x with A x = b, or None if b is outside the column span."""
-    return smith_normal_form(A).solve(b)
+    b = tuple(int(x) for x in b)
+    x = smith_normal_form(A).solve(IntMatrix(len(b), 1, b))
+    return None if x is None else x.entries
 
 
 def determinant(A: IntMatrix) -> int:
@@ -469,10 +471,6 @@ def determinant(A: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(A: IntMatrix) -> bool:
-    return A.rows == A.cols and abs(determinant(A)) == 1
 
 
 def inverse_unimodular(A: IntMatrix) -> IntMatrix:

@@ -338,30 +338,26 @@ class GroupHom:
         its kernel generate the preimage lattice of 0, its cokernel is coker(f)."""
         return smith_normal_form(self.matrix.hstack(relation_lattice(self.codomain)))
 
-    def _kernel(self, snf) -> FgAbelianGroup:
-        # ker(f) is the preimage lattice of 0 modulo the domain relations.
+    def kernel_structure(self) -> FgAbelianGroup:
+        """Isomorphism type of the kernel: the preimage lattice of 0 modulo
+        the domain relations."""
         nd = self.domain.free_rank + len(self.domain.torsion)
-        ker = snf.kernel()
+        ker = self._factor().kernel()
         f = self.domain.free_rank
         gens = [self.domain.element(col[:f], col[f:nd])
                 for col in map(ker.column, range(ker.cols))]
         return subgroup_structure(self.domain, gens)
 
-    def kernel_structure(self) -> FgAbelianGroup:
-        """Isomorphism type of the kernel."""
-        return self._kernel(self._factor())
-
     def cokernel(self) -> FgAbelianGroup:
-        images = [self.apply(g) for g in self.domain.generators()]
-        return quotient_by(self.codomain, images)
+        return _cokernel(self._factor())[0]
 
     def is_injective(self) -> bool:
         return self.kernel_structure().is_trivial
 
     def is_isomorphism(self) -> bool:
-        # Onto exactly when every invariant factor of the factored matrix is 1.
-        snf = self._factor()
-        return snf.invariant_factors == (1,) * snf.S.rows and self._kernel(snf).is_trivial
+        # Isomorphic groups have equal normal forms, and an onto endomorphism
+        # of a finitely generated abelian group is one-to-one (it is Hopfian).
+        return self.domain == self.codomain and self.cokernel().is_trivial
 
 
 def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
@@ -462,8 +458,6 @@ class SubquotientPresentation:
 
 def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresentation:
     """Presentation of ker d_k / im d_{k+1}; rejects non-complexes."""
-    if d_k.cols != d_k1.rows:
-        raise GroupError("boundary shapes are incompatible")
     return presentation_from(smith_normal_form(d_k), d_k1)
 
 
@@ -529,15 +523,9 @@ def induced_hom(pres: SubquotientPresentation, generator_cycles, image_cycles) -
     relations = snf.kernel()
     if not _reduced(icls * relations.submatrix(range(g), range(relations.cols)), G).is_zero():
         raise GroupError("images violate a relation among the generators")
-    # A x = E for the unit columns E of G's coordinates: y = U E must have
-    # rows :r divisible by the invariant factors and rows r: zero, and then
-    # x = V [y_:r / d; 0].
-    n = gcls.rows
-    Y = snf.u_times(IntMatrix.identity(n))
-    d = snf.invariant_factors
-    r = len(d)
-    if any(Y.entries[r * n:]) or any(x % di for i, di in enumerate(d) for x in Y.row(i)):
+    # The canonical generators in terms of the generator classes: A X = E
+    # for the unit columns E of G's coordinates.
+    X = snf.solve(IntMatrix.identity(gcls.rows))
+    if X is None:
         raise GroupError("generator cycles do not generate the homology group")
-    X = snf.v_times(IntMatrix(snf.S.cols, n, tuple(
-        x // di for i, di in enumerate(d) for x in Y.row(i)) + (0,) * ((snf.S.cols - r) * n)))
-    return GroupHom(G, G, icls * X.submatrix(range(g), range(n)))
+    return GroupHom(G, G, icls * X.submatrix(range(g), range(gcls.rows)))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
-from .dirlimit import direct_limit
 from .groups import FgAbelianGroup, GroupElement, quotient_by
 from .tilings import lap_text
 
@@ -190,26 +189,16 @@ def hull_cohomology(spec, hull) -> HullCohomology:
         if spec.geometry_mode != "translation":
             raise SpectralError("translation hull needs a translation-mode spec")
         mode = MODE_TRANSLATION
-        top = spec.dimension
     elif hull == HULL_ROTATION_QUOTIENT:
         _require_rigid_2d(spec)
         mode = MODE_RIGID_MODIFIED
-        top = 2
     else:
         raise SpectralError("unknown hull %r" % (hull,))
 
     analysis = complexes.Analysis(spec, mode)
-    maps = None
-    if spec.is_hierarchical:
-        # Coordinates before groups, which are then read from the maps'
-        # factorizations.
-        try:
-            maps = analysis.substitution_maps
-        except complexes.ComplexError as e:
-            raise SpectralError(str(e))
-    by_degree = {k: analysis.structure(k) for k in range(top + 1)}
-    if maps is not None:
-        by_degree = {k: direct_limit(g, maps[k]) for k, g in by_degree.items()}
-    groups = tuple(by_degree[top - i] for i in range(top + 1))
-    return HullCohomology(groups=groups,
-                          extension_flags=tuple(() for _ in range(top + 1)))
+    try:
+        by_degree = analysis.groups(None, spec.is_hierarchical)
+    except complexes.ComplexError as e:
+        raise SpectralError(str(e))
+    groups = tuple(reversed(by_degree.values()))
+    return HullCohomology(groups=groups, extension_flags=((),) * len(groups))

@@ -109,6 +109,27 @@ class TestCheckCommand:
         assert res.exit_code == 1
         assert "boundary" in res.stdout
 
+    def test_bad_map_in_one_degree(self, tmp_path):
+        """check validates the substitution data of every degree; homology
+        --degree k --limit reads only degree k's."""
+        spec = builtin("triangle-solenoid-rigid")
+        maps = dict(spec.substitution.homology_map)
+        maps[2] = (((2, 2),), ((1, 1),))  # twice the fundamental class of H_2 = Z
+        bad = make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
+                        spec.boundaries, SubstitutionData("homology_map", homology_map=maps),
+                        spec.rotation, spec.symmetric_tilings)
+        path = tmp_path / "bad-degree-2.json"
+        path.write_text(save_spec(bad))
+        res = run("check", str(path))
+        assert res.exit_code == 1
+        assert res.stdout.splitlines()[1:] == [
+            "  substitution[rigid]: generator cycles do not generate the homology group"]
+        good = run("homology", "--builtin", spec.name, "--mode", "rigid", "--degree", "0",
+                   "--limit")
+        res = run("homology", str(path), "--mode", "rigid", "--degree", "0", "--limit")
+        assert (res.exit_code, res.stdout) == (0, good.stdout)
+        assert run("homology", str(path), "--mode", "rigid", "--limit").exit_code == 1
+
 
 class TestLimitCommand:
     def test_square_solenoid_arithmetic(self):
@@ -316,6 +337,8 @@ class TestWorkCounts:
         ("cohomology --hull rigid", 6),
         ("cohomology --hull rotation-quotient", 3),
         ("homology --mode rigid --limit", 3),
+        ("homology --mode rigid --degree 0 --limit", 1),
+        ("homology --mode rigid-modified --degree 2 --limit", 1),
         ("homology --mode rigid --degree 0", 0),
         ("homology --mode rigid", 0),
     ])
@@ -336,6 +359,22 @@ class TestWorkCounts:
         res = run(*argv.split())
         assert res.exit_code == 0
         assert len(builds) == expected
+
+    @pytest.mark.parametrize("argv", [
+        "homology --mode rigid-modified --limit",
+        "homology --mode rigid-modified --degree 0 --limit",
+        "cohomology --hull rotation-quotient",
+    ])
+    def test_no_build_before_modified_map_error(self, builds, argv):
+        """Homology-level data cannot give the modified complex's maps, and
+        that is known before any presentation is built."""
+        err = io.StringIO()
+        with redirect_stderr(err):
+            res = run(*argv.split(), "--builtin", "triangle-solenoid-rigid")
+        assert res.exit_code == 1
+        assert err.getvalue() == ("error: modified-complex substitution maps "
+                                  "require chain-level data\n")
+        assert builds == []
 
 
 def _elimination_argvs():

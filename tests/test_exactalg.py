@@ -13,7 +13,6 @@ from tilecohom.exactalg import (
     divisor_chain,
     invariant_factors,
     inverse_unimodular,
-    is_unimodular,
     kernel_basis,
     smith_normal_form,
     solve_in_lattice,
@@ -322,6 +321,23 @@ class TestSolveInLattice:
     def test_length_mismatch(self):
         with pytest.raises(ExactAlgError):
             solve_in_lattice(IntMatrix.identity(2), [1, 2, 3])
+        with pytest.raises(ExactAlgError, match="rhs length 3 != 2 rows"):
+            smith_normal_form(IntMatrix.identity(2)).solve(IntMatrix.zero(3, 2))
+
+    def test_matrix_of_right_hand_sides(self):
+        """SnfResult.solve answers every column at once: X with A X = B when
+        each column lies in the column span, None when any one does not."""
+        snf = smith_normal_form(PENROSE_D1)
+        inside = [(-5, -5, 0, 0, 0, 5, 0), PENROSE_D1.column(2), (0,) * 7]
+        B = IntMatrix.from_columns(inside)
+        X = snf.solve(B)
+        assert (X.rows, X.cols) == (7, 3)
+        assert (PENROSE_D1 * X).entries == B.entries
+        for j in range(3):
+            outside = list(inside)
+            outside[j] = (1, 0, 0, 0, 0, 0, 0)
+            assert snf.solve(IntMatrix.from_columns(outside)) is None
+        assert snf.solve(IntMatrix.zero(7, 0)) == IntMatrix.zero(7, 0)
 
     def test_against_brute_force(self):
         rng = random.Random(20240517)
@@ -330,6 +346,12 @@ class TestSolveInLattice:
                                      for _ in range(2)])
             b = [rng.randint(-4, 4) for _ in range(2)]
             x = solve_in_lattice(A, b)
+            # A second right-hand side in the column span, solved with b.
+            a = A.mul_vector((rng.randint(-2, 2), rng.randint(-2, 2)))
+            X = smith_normal_form(A).solve(IntMatrix.from_columns([a, b]))
+            assert (X is None) == (x is None)
+            if X is not None:
+                assert A * X == IntMatrix.from_columns([a, b])
             hits = [
                 (c0, c1)
                 for c0 in range(-8, 9)
@@ -355,4 +377,3 @@ class TestHelpers:
         assert (U * Uinv).entries == IntMatrix.identity(2).entries
         with pytest.raises(ExactAlgError):
             inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
-        assert is_unimodular(U)

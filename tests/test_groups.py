@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,57 @@ class TestHomStructure:
         assert hom.is_injective()
         assert hom.cokernel() == FgAbelianGroup(0, (3,))
         assert not hom.is_isomorphism()
+
+    @staticmethod
+    def _random_hom(rng, dom, cod):
+        """A random well-defined hom: a torsion generator of order d maps to
+        0 in the free part and to a multiple of c / gcd(c, d) in Z/c."""
+        fd, fc = dom.free_rank, cod.free_rank
+        cols = [[rng.randint(-3, 3) for _ in range(fc)]
+                + [rng.randint(-3, 3) for _ in cod.torsion] for _ in range(fd)]
+        cols += [[0] * fc + [c // gcd(c, d) * rng.randint(-3, 3) for c in cod.torsion]
+                 for d in dom.torsion]
+        n = fc + len(cod.torsion)
+        return GroupHom(dom, cod, IntMatrix.from_columns(cols, rows=n)
+                        if cols else IntMatrix.zero(n, 0))
+
+    @staticmethod
+    def _random_automorphism(rng, g):
+        """Unimodular on the free part (row operations on I), a unit mod d on
+        each Z/d, and random free-to-torsion entries: block triangular with
+        invertible diagonal blocks."""
+        f, n = g.free_rank, g.free_rank + len(g.torsion)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * f):
+            i, k = rng.sample(range(f), 2) if f > 1 else (0, 0)
+            q = rng.randint(-2, 2)
+            if i != k:
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
+        for t, d in enumerate(g.torsion):
+            rows[f + t][f + t] = rng.choice([u for u in range(1, d) if gcd(u, d) == 1])
+            rows[f + t][:f] = [rng.randint(-3, 3) for _ in range(f)]
+        return GroupHom(g, g, IntMatrix.from_rows(rows) if n else IntMatrix.zero(0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_isomorphism_from_the_cokernel(self, seed):
+        """is_isomorphism, read from the domain, the codomain and the cokernel
+        alone, agrees with the kernel route: random homs between equal and
+        between different groups, and automorphisms."""
+        rng = random.Random(seed)
+
+        def group():
+            return from_divisors([rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 2))],
+                                 extra_free=rng.randint(0, 2))
+
+        for _ in range(10):
+            dom = group()
+            hom = self._random_hom(rng, dom, dom if rng.random() < 0.5 else group())
+            assert hom.is_isomorphism() == (hom.kernel_structure().is_trivial
+                                            and hom.cokernel().is_trivial)
+            auto = self._random_automorphism(rng, dom)
+            assert auto.is_isomorphism()
+            assert auto.kernel_structure().is_trivial and auto.cokernel().is_trivial
 
     def test_torsion_well_definedness(self):
         dom = FgAbelianGroup(0, (2,))
