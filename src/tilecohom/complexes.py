@@ -17,10 +17,12 @@ from .groups import (
     FgAbelianGroup,
     GroupHom,
     SubquotientPresentation,
+    from_invariant_factors,
     homology_presentation,
     induced_hom,
     presentation_from,
 )
+from .tilings import kept_cells
 
 MODE_TRANSLATION = "translation"
 MODE_RIGID = "rigid"
@@ -69,13 +71,6 @@ class ChainMapReport:
         return "; ".join(self.violations)
 
 
-def _mode_cells(spec, mode):
-    """Visible cell types per degree for the given mode (index lists)."""
-    return {k: [i for i, c in enumerate(spec.cells[k])
-                if mode == MODE_TRANSLATION or not c.reverses_orientation]
-            for k in range(spec.dimension + 1)}
-
-
 def _rescale(matrix, row_scale, col_scale):
     """(matrix with entry (i, j) times col_scale[j] / row_scale[i], None), or
     (None, (i, j)) for the first entry where that is not an integer."""
@@ -98,7 +93,7 @@ def build_chain_complex(spec, mode) -> ChainComplex:
     elif spec.geometry_mode != "rigid":
         raise ComplexError("%s complex requires a rigid-mode spec" % mode)
 
-    keep = _mode_cells(spec, mode)
+    keep = [kept_cells(spec.cells[k]) for k in range(spec.dimension + 1)]
     ranks = tuple(len(keep[k]) for k in range(spec.dimension + 1))
     boundaries = [IntMatrix.zero(0, ranks[0])]
     for k in range(1, spec.dimension + 1):
@@ -210,8 +205,7 @@ class Analysis:
         top = self.complex.top_dim
         rank = len(self._invariant_factors(k)) if k else 0
         factors = self._invariant_factors(k + 1) if k < top else ()
-        return FgAbelianGroup(self.complex.ranks[k] - rank - len(factors),
-                              tuple(d for d in factors if d > 1))
+        return from_invariant_factors(self.complex.ranks[k] - rank, factors)
 
     def homology(self, k) -> SubquotientPresentation:
         """H_k with canonical coordinates, from the factorization of d_k."""
@@ -230,12 +224,12 @@ class Analysis:
         spec, sub = self.spec, self.spec.substitution
         if sub is None or sub.kind != "chain_map":
             raise ComplexError("spec carries no chain-level substitution data")
-        keep = _mode_cells(spec, self.mode)
         mats = []
         for k in range(spec.dimension + 1):
-            m = sub.chain_map[k].submatrix(keep[k], keep[k])
+            keep = kept_cells(spec.cells[k])
+            m = sub.chain_map[k].submatrix(keep, keep)
             if self.mode == MODE_RIGID_MODIFIED:
-                scale = [spec.cells[k][i].symmetry for i in keep[k]]
+                scale = [spec.cells[k][i].symmetry for i in keep]
                 m, bad = _rescale(m, scale, scale)
                 if bad:
                     raise ComplexError("substitution does not preserve the modified "

@@ -1,8 +1,11 @@
 """Finitely generated abelian groups in invariant-factor normal form.
 
-The canonical coordinates of every group computed here come from a single
-Smith-normal-form pipeline (`cokernel_structure`), so elements, generators and
-homomorphism matrices are reproducible values, not just isomorphism types.
+A group read with canonical coordinates (`cokernel_structure`, a homology
+presentation) comes from a logged Smith normal form, whose logs map elements,
+generators and homomorphism matrices to reproducible values.  A group read as
+an isomorphism type only (a quotient, a cokernel, a subgroup) comes from the
+invariant factors of its relations (`exactalg.invariant_factors`), with no
+operation recorded.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from .exactalg import (
     IntMatrix,
     SnfResult,
     divisor_chain,
+    invariant_factors,
     smith_normal_form,
     solve_in_lattice,
 )
@@ -149,13 +153,19 @@ class GroupElement:
         return tuple(self.free_coords) + tuple(self.torsion_coords)
 
 
+def from_invariant_factors(n, factors) -> FgAbelianGroup:
+    """Z^n / the column span of a matrix with the invariant factors d1 | d2 |
+    ...: Z^(n - their count) + Z/d for each d > 1."""
+    return FgAbelianGroup(n - len(factors), tuple(d for d in factors if d > 1))
+
+
 def from_divisors(divisors, extra_free=0):
     """Normal form of Z^extra_free + sum of Z/n over the given divisors: the
     divisor chain of the orders (exactalg.divisor_chain), after the 1s."""
     a = [int(n) for n in divisors]
     if any(n < 1 for n in a):
         raise GroupError("divisors must be positive")
-    return FgAbelianGroup(extra_free, tuple(n for n in divisor_chain(a) if n != 1))
+    return from_invariant_factors(extra_free + len(a), divisor_chain(a))
 
 
 @dataclass(frozen=True)
@@ -227,14 +237,12 @@ def _cokernel(snf: SnfResult):
     """cokernel_structure from snf, the factorization of the relations."""
     n = snf.S.rows
     diag = list(snf.S.diagonal()) + [0] * (n - snf.S.cols)
-    torsion_idx = tuple(i for i in range(n) if diag[i] >= 2)
-    free_idx = tuple(i for i in range(n) if diag[i] == 0)
-    structure = FgAbelianGroup(len(free_idx), tuple(diag[i] for i in torsion_idx))
+    structure = from_invariant_factors(n, snf.invariant_factors)
     cmap = CoordinateMap(
         ambient_rank=n,
         snf=snf,
-        torsion_idx=torsion_idx,
-        free_idx=free_idx,
+        torsion_idx=tuple(i for i in range(n) if diag[i] >= 2),
+        free_idx=tuple(i for i in range(n) if diag[i] == 0),
         structure=structure,
     )
     return structure, cmap
@@ -333,23 +341,21 @@ class GroupHom:
         fd, fc = self.domain.free_rank, self.codomain.free_rank
         return IntMatrix(fc, fd, tuple(x for i in range(fc) for x in self.matrix.row(i)[:fd]))
 
-    def _factor(self):
-        """One factorization of [matrix | codomain relations]: the x-parts of
-        its kernel generate the preimage lattice of 0, its cokernel is coker(f)."""
-        return smith_normal_form(self.matrix.hstack(relation_lattice(self.codomain)))
-
     def kernel_structure(self) -> FgAbelianGroup:
-        """Isomorphism type of the kernel: the preimage lattice of 0 modulo
-        the domain relations."""
+        """Isomorphism type of the kernel: the x-parts of the kernel of
+        [matrix | codomain relations] generate the preimage lattice of 0,
+        taken modulo the domain relations."""
         nd = self.domain.free_rank + len(self.domain.torsion)
-        ker = self._factor().kernel()
+        ker = smith_normal_form(self.matrix.hstack(relation_lattice(self.codomain))).kernel()
         f = self.domain.free_rank
         gens = [self.domain.element(col[:f], col[f:nd])
                 for col in map(ker.column, range(ker.cols))]
         return subgroup_structure(self.domain, gens)
 
     def cokernel(self) -> FgAbelianGroup:
-        return _cokernel(self._factor())[0]
+        """coker(f): the codomain coordinates modulo the image and the relations."""
+        A = self.matrix.hstack(relation_lattice(self.codomain))
+        return from_invariant_factors(A.rows, invariant_factors(A))
 
     def is_injective(self) -> bool:
         return self.kernel_structure().is_trivial
@@ -373,13 +379,13 @@ def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
     # coordinates (U r)_i / d_i.  Quotient the span by the relation lattice.
     Ur = snf.u_times(relation_lattice(group))
     rel_in_basis = IntMatrix.from_rows([[y // di for y in Ur.row(i)] for i, di in enumerate(d)])
-    return cokernel_structure(rel_in_basis, len(d))[0]
+    return from_invariant_factors(len(d), invariant_factors(rel_in_basis))
 
 
 def quotient_by(group: FgAbelianGroup, elements) -> FgAbelianGroup:
     """Normal form of group / <elements>."""
-    return cokernel_structure(_with_relations(group, elements),
-                              group.free_rank + len(group.torsion))[0]
+    A = _with_relations(group, elements)
+    return from_invariant_factors(A.rows, invariant_factors(A))
 
 
 def symmetry_defect(orders) -> FgAbelianGroup:

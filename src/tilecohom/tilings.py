@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .exactalg import ExactAlgError, IntMatrix
 
@@ -120,29 +120,27 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
     cell_map = {k: tuple(cells[k]) for k in range(dimension + 1)}
     seen = set()
     for k, row in cell_map.items():
-        fresh = _fresh_ids(k, row, seen, geometry_mode)
-        if fresh is not None:
-            seen |= fresh
-            continue
         for i, c in enumerate(row):
-            path = "cells.%d[%d]" % (k, i)
             if not isinstance(c, CellType):
-                raise SpecError("%s: expected CellType" % path)
-            if c.dimension != k:
-                raise SpecError("%s: dimension %d != %d" % (path, c.dimension, k))
-            if not isinstance(c.id, str):
-                raise SpecError("%s.id: expected a string" % path)
-            if type(c.symmetry) is not int:
-                raise SpecError("%s.symmetry: expected an integer" % path)
-            if type(c.reverses_orientation) is not bool:
-                raise SpecError("%s.reverses_orientation: expected a boolean" % path)
-            if c.id in seen:
-                raise SpecError("%s: duplicate id %r" % (path, c.id))
-            seen.add(c.id)
-            if c.symmetry < 1:
-                raise SpecError("%s.symmetry: must be >= 1" % path)
-            if geometry_mode == "translation" and (c.symmetry != 1 or c.reverses_orientation):
-                raise SpecError("%s: translation specs have trivial cell symmetry" % path)
+                bad = ": expected CellType"
+            elif c.dimension != k:
+                bad = ": dimension %d != %d" % (c.dimension, k)
+            elif not isinstance(c.id, str):
+                bad = ".id: expected a string"
+            elif type(c.symmetry) is not int:
+                bad = ".symmetry: expected an integer"
+            elif type(c.reverses_orientation) is not bool:
+                bad = ".reverses_orientation: expected a boolean"
+            elif c.id in seen:
+                bad = ": duplicate id %r" % (c.id,)
+            elif c.symmetry < 1:
+                bad = ".symmetry: must be >= 1"
+            elif geometry_mode == "translation" and (c.symmetry != 1 or c.reverses_orientation):
+                bad = ": translation specs have trivial cell symmetry"
+            else:
+                seen.add(c.id)
+                continue
+            raise SpecError("cells.%d[%d]%s" % (k, i, bad))
 
     for k in range(1, dimension + 1):
         b = boundaries[k]
@@ -156,7 +154,7 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
     if substitution is not None:
         if not isinstance(substitution, SubstitutionData):
             raise SpecError("substitution: expected SubstitutionData")
-        _check_substitution_shape(substitution, cell_map, dimension, geometry_mode)
+        _check_substitution_shape(substitution, cell_map, dimension)
     if rotation is not None:
         if not isinstance(rotation, RotationData):
             raise SpecError("rotation: expected RotationData")
@@ -173,29 +171,6 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
                       rotation=rotation, symmetric_tilings=orders)
 
 
-_cell_fields = attrgetter("dimension", "id", "symmetry", "reverses_orientation")
-
-
-def _fresh_ids(k, row, seen, geometry_mode):
-    """The set of ids of row, the degree-k cell types, when every cell meets
-    make_spec's rules and no id repeats or is in seen; else None.  One pass
-    per field checks the common, well-formed case; make_spec's loop over the
-    cells names the first bad one."""
-    if not row:
-        return set()
-    if not set(map(type, row)) <= {CellType}:
-        return None
-    dims, ids, syms, revs = zip(*map(_cell_fields, row))
-    if not (dims.count(k) == len(row) and set(map(type, ids)) <= {str}
-            and set(map(type, syms)) <= {int} and set(map(type, revs)) <= {bool}
-            and min(syms) >= 1):
-        return None
-    if geometry_mode == "translation" and (syms.count(1) < len(row) or any(revs)):
-        return None
-    fresh = set(ids)
-    return fresh if len(fresh) == len(ids) and seen.isdisjoint(fresh) else None
-
-
 def _check_degrees(mapping, path, lo, dimension):
     """A degree-keyed dict has exactly the int degrees lo..dimension."""
     if not isinstance(mapping, dict):
@@ -210,13 +185,14 @@ def _check_degrees(mapping, path, lo, dimension):
             raise SpecError("%s.%d: missing" % (path, k))
 
 
-def _visible_count(cell_map, k, geometry_mode):
-    if geometry_mode == "translation":
-        return len(cell_map[k])
-    return sum(1 for c in cell_map[k] if not c.reverses_orientation)
+def kept_cells(row):
+    """Indices of the cell types in row, one degree's, that a chain complex
+    keeps in every mode: those that do not reverse orientation (x = -x forces
+    x = 0 over the integers).  Translation specs have none that do."""
+    return [i for i, c in enumerate(row) if not c.reverses_orientation]
 
 
-def _check_substitution_shape(sub, cell_map, dimension, geometry_mode):
+def _check_substitution_shape(sub, cell_map, dimension):
     if sub.kind not in _KINDS:
         raise SpecError("substitution.kind: unknown kind %r" % sub.kind)
     path = "substitution." + sub.kind
@@ -245,7 +221,7 @@ def _check_substitution_shape(sub, cell_map, dimension, geometry_mode):
                                     % (path, k, label, i))
         if len(gens) != len(images):
             raise SpecError("%s.%d: generator/image count mismatch" % (path, k))
-        n = _visible_count(cell_map, k, geometry_mode)
+        n = len(kept_cells(cell_map[k]))
         for label, vecs in (("generators", gens), ("images", images)):
             for i, v in enumerate(vecs):
                 if len(v) != n:
@@ -271,34 +247,24 @@ def _check_rotation_shape(rot, cell_map, dimension, geometry_mode):
         missing = sorted(vertex_ids - set(rot.vertex_stars), key=str)
         extra = sorted(set(rot.vertex_stars) - vertex_ids, key=str)
         raise SpecError("rotation.vertex_stars: missing %r, unknown %r" % (missing, extra))
-    # One pass over every step checks the common, well-formed case; types
-    # come before the set tests, which hash.  The loop below names the first
-    # bad step.  Every rotated edge is a known edge, checked above.
-    stars = rot.vertex_stars.values()
-    if all(isinstance(star, (list, tuple)) for star in stars):
-        steps = [step for star in stars for step in star]
-        if (all(isinstance(step, (list, tuple)) and len(step) == 2 for step in steps)
-                and all(isinstance(eid, str) and type(sign) is int for eid, sign in steps)
-                and {eid for eid, _ in steps} <= rot.edge_rotations.keys()
-                and {sign for _, sign in steps} <= {1, -1}):
-            return
     for vid, star in rot.vertex_stars.items():
         if not isinstance(star, (list, tuple)):
             raise SpecError("rotation.vertex_stars.%s: expected a list of (edge, sign) pairs"
                             % vid)
         for i, step in enumerate(star):
-            path = "rotation.vertex_stars.%s[%d]" % (vid, i)
             if not isinstance(step, (list, tuple)) or len(step) != 2:
-                raise SpecError("%s: expected an (edge, sign) pair" % path)
-            eid, sign = step
-            if not isinstance(eid, str):
-                raise SpecError("%s.edge: expected a string" % path)
-            if eid not in edge_ids:
-                raise SpecError("%s.edge: unknown edge %r" % (path, eid))
-            if eid not in rot.edge_rotations:
-                raise SpecError("%s.edge: no rotation assigned to %r" % (path, eid))
-            if type(sign) is not int or sign not in (1, -1):
-                raise SpecError("%s.sign: must be 1 or -1" % path)
+                bad = ": expected an (edge, sign) pair"
+            elif not isinstance(step[0], str):
+                bad = ".edge: expected a string"
+            elif step[0] not in edge_ids:
+                bad = ".edge: unknown edge %r" % (step[0],)
+            elif step[0] not in rot.edge_rotations:
+                bad = ".edge: no rotation assigned to %r" % (step[0],)
+            elif type(step[1]) is not int or step[1] not in (1, -1):
+                bad = ".sign: must be 1 or -1"
+            else:
+                continue
+            raise SpecError("rotation.vertex_stars.%s[%d]%s" % (vid, i, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +333,9 @@ def _degrees(obj, path, parse, keys):
 
 
 def _parse_cells(arr, path):
-    # One test for the common case; the loop names the first bad cell.
-    if not all(isinstance(c, dict) and _CELL_REQUIRED <= c.keys() <= _CELL_KEY_SET
-               for c in _array(arr, path)):
-        for i, c in enumerate(arr):
+    for i, c in enumerate(_array(arr, path)):
+        # A cell that fails this test fails _require_keys, which names the fault.
+        if not (isinstance(c, dict) and _CELL_REQUIRED <= c.keys() <= _CELL_KEY_SET):
             _require_keys(c, _CELL_KEYS, _CELL_KEYS[:2], "%s[%d]" % (path, i))
     return arr
 
@@ -427,10 +392,9 @@ def _parse_rotation(rdata):
     stars = {}
     for vid, lap in _object(rdata["vertex_stars"], "rotation.vertex_stars").items():
         path = "rotation.vertex_stars.%s" % vid
-        # One test for the common case; the loop names the first bad step.
-        if not all(isinstance(step, dict) and step.keys() == _STEP_KEYS
-                   for step in _array(lap, path)):
-            for i, step in enumerate(lap):
+        for i, step in enumerate(_array(lap, path)):
+            # As in _parse_cells, _require_keys names the fault of a failing step.
+            if not (isinstance(step, dict) and step.keys() == _STEP_KEYS):
                 _require_keys(step, ("edge", "sign"), ("edge", "sign"), "%s[%d]" % (path, i))
         stars[vid] = tuple(map(_step_pair, lap))
     return RotationData(edge_rotations=rots, vertex_stars=stars)

@@ -2,7 +2,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilecohom import complexes, groups
@@ -340,18 +340,19 @@ def _factored():
         return run
 
     complexes.smith_normal_form = groups.smith_normal_form = recording(originals[0])
-    complexes.invariant_factors = recording(originals[1])
+    complexes.invariant_factors = groups.invariant_factors = recording(originals[1])
     try:
         yield made
     finally:
         complexes.smith_normal_form = groups.smith_normal_form = originals[0]
-        complexes.invariant_factors = originals[1]
+        complexes.invariant_factors = groups.invariant_factors = originals[1]
 
 
 class TestOneFactorizationPerMatrix:
     """Within one Analysis that reads coordinates before groups, each
-    boundary d_k is eliminated at most once, and no relation matrix that
-    equals one of them or another relation matrix."""
+    boundary d_k is eliminated exactly once, and no other matrix twice.
+    Boundaries are told apart by identity, since two of them may be equal
+    matrices (d_1 = d_2 = [[0]]), each eliminated once."""
 
     @staticmethod
     def _read_everything(analysis):
@@ -384,9 +385,11 @@ class TestOneFactorizationPerMatrix:
             (read or self._read_everything)(analysis)
         # Empty matrices, such as d_0 and the relations of a degree whose cycles
         # all bound, may coincide; factoring them costs nothing.
-        keys = [(A.rows, A.cols, A.entries) for A in made if A.entries]
+        boundaries = analysis.complex.boundary[1:]
+        keys = [(A.rows, A.cols, A.entries) for A in made
+                if A.entries and not any(A is b for b in boundaries)]
         assert len(set(keys)) == len(keys)
-        for b in analysis.complex.boundary[1:]:
+        for b in boundaries:
             assert sum(A is b for A in made) == 1
 
     @pytest.mark.parametrize("name", builtin_names())
@@ -400,6 +403,8 @@ class TestOneFactorizationPerMatrix:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
+    @example(seed=1027)
+    @example(seed=991615)
     def test_random_complexes(self, seed):
         for analysis in _random_analyses(seed):
             self._check(analysis)

@@ -244,6 +244,29 @@ _SCHEMA_MESSAGES = [
      "rotation.edge_rotations.E1: rationals are reduced-fraction strings", None),
     (_PENROSE, ("rotation", "edge_rotations", "E1"), "1/0",
      "rotation.edge_rotations.E1: cannot parse rational '1/0'", None),
+    # The bad cell or step last in its row, and an id repeated across
+    # degrees: each loop names the item it stops at.
+    (_PENROSE, ("cells", "1", 6, "id"), 5, "cells.1[6].id: expected a string",
+     _cell(1, 6, id=5)),
+    (_PENROSE, None, None, "cells.1[6]: dimension 2 != 1", _cell(1, 6, dimension=2)),
+    (_PENROSE, None, None, "cells.1[6]: expected CellType",
+     lambda a: {"cells": {**a["cells"], 1: a["cells"][1][:6] + ("E7",)}}),
+    (_PENROSE, ("cells", "0", 6, "symmetry"), -1, "cells.0[6].symmetry: must be >= 1",
+     _cell(0, 6, symmetry=-1)),
+    (_PENROSE, ("cells", "2", 1, "id"), "sun", "cells.2[1]: duplicate id 'sun'",
+     _cell(2, 1, id="sun")),
+    (_FIBONACCI, ("cells", "1", 1, "reverses_orientation"), True,
+     "cells.1[1]: translation specs have trivial cell symmetry",
+     _cell(1, 1, reverses_orientation=True)),
+    (_PENROSE, ("cells", "0", 6, "area"), 1, "cells.0[6].area: unknown key", None),
+    (_PENROSE, ("rotation", "vertex_stars", "king", 4, "sign"), 2,
+     "rotation.vertex_stars.king[4].sign: must be 1 or -1", _star("king", 4, ("E5", 2))),
+    (_PENROSE, ("rotation", "vertex_stars", "king", 4, "edge"), "E99",
+     "rotation.vertex_stars.king[4].edge: unknown edge 'E99'", _star("king", 4, ("E99", -1))),
+    (_PENROSE, ("rotation", "vertex_stars", "king", 4, "sign"), _DELETE,
+     "rotation.vertex_stars.king[4].sign: missing", None),
+    (_PENROSE, None, None, "rotation.vertex_stars.king[4]: expected an (edge, sign) pair",
+     _star("king", 4, ("E5", -1, 0))),
     # Container types only a library caller can get wrong: make_spec alone.
     (_FIBONACCI, None, None, "cells: expected a dict keyed by degree",
      lambda a: {"cells": list(a["cells"].values())}),
