@@ -166,7 +166,8 @@ def _cmd_spectral(args):
     return CommandResult(0, "\n".join(lines) + "\n")
 
 
-def _integer(token: str) -> int:
+def integer(token: str) -> int:
+    """token by the _INTEGER rule; argparse names it in a bad --degree's error."""
     if not _INTEGER.fullmatch(token):
         raise ValueError(token)
     return int(token)
@@ -185,9 +186,9 @@ def parse_group(text: str) -> FgAbelianGroup:
             if token == "Z":
                 free += 1
             elif token.startswith("Z^"):
-                free += _integer(token[2:])
+                free += integer(token[2:])
             elif token.startswith("Z/"):
-                torsion.append(_integer(token[2:]))
+                torsion.append(integer(token[2:]))
             else:
                 raise ValueError(token)
         except ValueError:
@@ -201,7 +202,7 @@ def parse_matrix(text: str) -> IntMatrix:
     for row in text.strip().split(";"):
         entries = row.replace(",", " ").split()
         try:
-            rows.append([_integer(e) for e in entries])
+            rows.append([integer(e) for e in entries])
         except ValueError:
             raise ExactAlgError("cannot parse matrix row %r" % row.strip()) from None
     return IntMatrix.from_rows(rows)
@@ -254,7 +255,7 @@ def _build_parser():
     p = sub.add_parser("homology", help="pattern-equivariant homology groups")
     _add_target(p)
     p.add_argument("--mode", choices=sorted(_MODE_FLAG), required=True)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=integer, default=None)
     p.add_argument("--limit", action="store_true",
                    help="substitution direct limits instead of approximant groups")
     p.add_argument("--json", action="store_true")

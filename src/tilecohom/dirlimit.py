@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exactalg import IntMatrix, smith_normal_form
+from .exactalg import IntMatrix, invariant_factors, smith_normal_form
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
 
 STATUS_EXACT = "exact"
@@ -137,8 +137,10 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     lifting ker G by the section extends K to a saturated basis of
     ker F^(m+1), and p G s is the map induced on the new quotient.  The chain
     grows until G is injective, after at most r steps, and then K = ker F^r.
-    No power of F is formed, and V and V^-1 are applied through the log of
-    the factorization, never built.
+    Each G is tested for injectivity by its invariant factors, with no
+    operation recorded; only a singular G is factored with logs, which
+    give the section and the next map.  No power of F is formed, and V and
+    V^-1 are applied through those logs, never built.
     """
     _check_endo(group, endo)
     F = endo.free_block()
@@ -146,8 +148,8 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     G = F
     proj = section = IntMatrix.identity(r)
     kernel = []
-    snf = smith_normal_form(G)
-    while snf.rank < G.rows:
+    while len(factors := invariant_factors(G)) < G.rows:
+        snf = smith_normal_form(G)
         k = snf.rank
         lifted = section * snf.kernel()
         kernel.extend(lifted.column(j) for j in range(lifted.cols))
@@ -156,7 +158,6 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
         G = snf.vinv_times(G * s).submatrix(range(k), range(k))
         proj = snf.vinv_times(proj).submatrix(range(k), range(r))
         section = section * s
-        snf = smith_normal_form(G)
     K = IntMatrix.from_columns(kernel, rows=r)
     # phi maps the eventual kernel into itself, so the quotient map is defined.
     if kernel and not (proj * F * K).is_zero():
@@ -165,8 +166,8 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
         torsion_limit=_torsion_limit(group, endo),
         eventual_kernel=K,
         induced=G,
-        induced_abs_det=prod(snf.invariant_factors),
-        induced_exponent=max(snf.invariant_factors, default=1),
+        induced_abs_det=prod(factors),
+        induced_exponent=max(factors, default=1),
     )
 
 

@@ -1,11 +1,12 @@
 """Finitely generated abelian groups in invariant-factor normal form.
 
-A group read with canonical coordinates (`cokernel_structure`, a homology
-presentation) comes from a logged Smith normal form, whose logs map elements,
-generators and homomorphism matrices to reproducible values.  A group read as
-an isomorphism type only (a quotient, a cokernel, a subgroup) comes from the
-invariant factors of its relations (`exactalg.invariant_factors`), with no
-operation recorded.
+A group read with canonical coordinates comes from one object, the
+`SubquotientPresentation` of ker d_k / im d_{k+1}: the logged Smith normal
+forms of d_k and of the relations map elements, generators and homomorphism
+matrices to reproducible values.  A cokernel Z^n / im R is the presentation
+ker 0 / im R (`cokernel_structure`).  A group read as an isomorphism type
+only (a quotient, a cokernel, a subgroup) comes from the invariant factors
+of its relations (`exactalg.invariant_factors`), with no operation recorded.
 """
 
 from __future__ import annotations
@@ -168,86 +169,6 @@ def from_divisors(divisors, extra_free=0):
     return from_invariant_factors(extra_free + len(a), divisor_chain(a))
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
-    """Unimodular change of basis identifying Z^n / relations with its normal form.
-
-    y = U x diagonalises the relation lattice, with U applied (and undone) by
-    snf, the factorization of the relations; torsion_idx/free_idx pick the
-    surviving y-coordinates, whose invariant factors are those of structure.
-    """
-
-    ambient_rank: int
-    snf: SnfResult
-    torsion_idx: tuple
-    free_idx: tuple
-    structure: FgAbelianGroup
-
-    @property
-    def exponent(self):
-        """N, the largest invariant factor, when the group is finite and not
-        trivial, else None.  N Z^n then lies in the relation lattice, so the
-        replays below run mod N: every class, and every coordinate, is the
-        same, and the lifts are representatives with entries in [0, N)."""
-        s = self.structure
-        return s.torsion[-1] if s.torsion and not s.free_rank else None
-
-    def to_canonical(self, x):
-        x = tuple(int(v) for v in x)
-        return _element(self.structure, self.coordinates(IntMatrix(len(x), 1, x)))
-
-    def coordinates(self, X: IntMatrix) -> IntMatrix:
-        """Canonical coordinates of the columns of X, one column each: the rows
-        free_idx + torsion_idx of U X, torsion rows reduced mod their factors."""
-        if X.rows != self.ambient_rank:
-            raise GroupError("ambient vector length mismatch")
-        Y = self.snf.u_times(X, self.exponent)
-        return _reduced(Y.submatrix(self.free_idx + self.torsion_idx, range(Y.cols)),
-                        self.structure)
-
-    def generator_lifts(self) -> IntMatrix:
-        """Ambient vectors representing the canonical generators, free ones
-        first, as columns: U^-1 applied to the unit vectors free_idx + torsion_idx,
-        mod the exponent when the group is finite."""
-        return self.snf.uinv_times(
-            IntMatrix.unit_columns(self.ambient_rank, self.free_idx + self.torsion_idx),
-            self.exponent)
-
-    def lift(self, element):
-        if element.owner != self.structure:
-            raise GroupError("element does not belong to this quotient")
-        y = [0] * self.ambient_rank
-        for k, i in enumerate(self.free_idx):
-            y[i] = element.free_coords[k]
-        for k, i in enumerate(self.torsion_idx):
-            y[i] = element.torsion_coords[k]
-        return self.snf.uinv_times(IntMatrix(self.ambient_rank, 1, tuple(y)),
-                                   self.exponent).entries
-
-
-def cokernel_structure(relations: IntMatrix, ambient_rank: int):
-    """Normal form of Z^ambient_rank / column span, with coordinate data."""
-    if relations.rows != ambient_rank:
-        raise GroupError("relations have %d rows, ambient rank is %d"
-                         % (relations.rows, ambient_rank))
-    return _cokernel(smith_normal_form(relations))
-
-
-def _cokernel(snf: SnfResult):
-    """cokernel_structure from snf, the factorization of the relations."""
-    n = snf.S.rows
-    diag = list(snf.S.diagonal()) + [0] * (n - snf.S.cols)
-    structure = from_invariant_factors(n, snf.invariant_factors)
-    cmap = CoordinateMap(
-        ambient_rank=n,
-        snf=snf,
-        torsion_idx=tuple(i for i in range(n) if diag[i] >= 2),
-        free_idx=tuple(i for i in range(n) if diag[i] == 0),
-        structure=structure,
-    )
-    return structure, cmap
-
-
 def _reduced(coords: IntMatrix, group: FgAbelianGroup) -> IntMatrix:
     """coords, integer coordinates of elements of group one per column, with
     each torsion row reduced mod its invariant factor: canonical coordinates."""
@@ -403,12 +324,36 @@ def symmetry_defect(orders) -> FgAbelianGroup:
 
 @dataclass(frozen=True)
 class SubquotientPresentation:
-    """Homology group ker d_k / im d_{k+1} with canonical coordinates."""
+    """The group ker d_k / im d_{k+1} with canonical coordinates.
 
-    ambient_rank: int
+    d_k_snf factors d_k (U_k d_k V = S_k of rank r), so d_k x = 0 exactly
+    when the rows :r of V^-1 x vanish, and the rows r: are the coordinates
+    of x in the cycle basis V[:, r:].  relations factors the relation
+    matrix, the rows r: of V^-1 d_{k+1}: y = U x diagonalises its column
+    span, and torsion_idx/free_idx pick the surviving y-coordinates, whose
+    invariant factors are those of structure.  A quotient Z^n / im R is the
+    case ker 0 / im R, with d_k the 0 x n zero matrix and V = I.
+    """
+
     d_k_snf: SnfResult
+    relations: SnfResult
     structure: FgAbelianGroup
-    coordinate_map: CoordinateMap
+    free_idx: tuple
+    torsion_idx: tuple
+
+    @property
+    def ambient_rank(self):
+        return self.d_k_snf.S.cols
+
+    @property
+    def exponent(self):
+        """N, the largest invariant factor, when the group is finite and not
+        trivial, else None.  N times every coordinate vector in the cycle
+        basis then lies in the relation lattice, so the replays of the
+        relations' U and U^-1 run mod N: every class, and every coordinate,
+        is the same, and the lifts have cycle-basis coordinates in [0, N)."""
+        s = self.structure
+        return s.torsion[-1] if s.torsion and not s.free_rank else None
 
     @property
     def cycle_basis(self) -> IntMatrix:
@@ -421,40 +366,48 @@ class SubquotientPresentation:
 
         One replay of the column operations of d_k takes every column to its
         coordinates y = V^-1 c: c is a cycle exactly when the rows :r of y
-        vanish, and the rows r: are its coordinates in the cycle basis.
+        vanish.  U applied to the rows r: gives the rows free_idx +
+        torsion_idx, torsion rows reduced mod their factors.
         """
         if chains.rows != self.ambient_rank:
             raise GroupError("chain has length %d, ambient rank is %d"
                              % (chains.rows, self.ambient_rank))
         Y = self.d_k_snf.vinv_times(chains)
-        r = self.d_k_snf.rank
-        if any(Y.entries[:r * Y.cols]):
+        r, c = self.d_k_snf.rank, Y.cols
+        if any(Y.entries[:r * c]):
             raise GroupError("chain is not a cycle")
-        return self.coordinate_map.coordinates(
-            IntMatrix(Y.rows - r, Y.cols, Y.entries[r * Y.cols:]))
+        Y = self.relations.u_times(IntMatrix(Y.rows - r, c, Y.entries[r * c:]), self.exponent)
+        return _reduced(Y.submatrix(self.free_idx + self.torsion_idx, range(c)), self.structure)
 
     def class_of(self, cycle) -> GroupElement:
         """The class of one cycle: the one-column case of classes_of."""
         cycle = tuple(int(v) for v in cycle)
         return _element(self.structure, self.classes_of(IntMatrix(len(cycle), 1, cycle)))
 
-    def _cycles(self, coords: IntMatrix) -> IntMatrix:
-        """The cycles with the columns of coords as coordinates in the cycle
-        basis: V [0; coords], with V from the factorization of d_k."""
+    def _cycles(self, Y: IntMatrix) -> IntMatrix:
+        """V [0; U^-1 Y]: the cycles whose y-coordinates are the columns of Y,
+        with V from the factorization of d_k and U from the relations'."""
+        X = self.relations.uinv_times(Y, self.exponent)
         r = self.d_k_snf.rank
         return self.d_k_snf.v_times(
-            IntMatrix(r + coords.rows, coords.cols, (0,) * (r * coords.cols) + coords.entries))
+            IntMatrix(r + X.rows, X.cols, (0,) * (r * X.cols) + X.entries))
 
     def lift(self, element: GroupElement):
         """An ambient cycle representing the class."""
-        coords = self.coordinate_map.lift(element)
-        return self._cycles(IntMatrix(len(coords), 1, coords)).entries
+        if element.owner != self.structure:
+            raise GroupError("element does not belong to this quotient")
+        y = [0] * self.relations.S.rows
+        for k, i in enumerate(self.free_idx):
+            y[i] = element.free_coords[k]
+        for k, i in enumerate(self.torsion_idx):
+            y[i] = element.torsion_coords[k]
+        return self._cycles(IntMatrix(len(y), 1, tuple(y))).entries
 
     def generator_matrix(self) -> IntMatrix:
         """The cycles lifting the canonical generators, free ones first, as
-        columns: V [0; U^-1 E], with U from the cokernel's factorization and E
-        its unit columns free_idx + torsion_idx."""
-        return self._cycles(self.coordinate_map.generator_lifts())
+        columns: _cycles of the unit columns free_idx + torsion_idx."""
+        return self._cycles(IntMatrix.unit_columns(self.relations.S.rows,
+                                                   self.free_idx + self.torsion_idx))
 
     def generator_cycles(self):
         """The columns of generator_matrix(), one lifted cycle per generator."""
@@ -465,6 +418,16 @@ class SubquotientPresentation:
 def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresentation:
     """Presentation of ker d_k / im d_{k+1}; rejects non-complexes."""
     return presentation_from(smith_normal_form(d_k), d_k1)
+
+
+def cokernel_structure(relations: IntMatrix, ambient_rank: int):
+    """Normal form of Z^ambient_rank / column span, and its presentation as
+    ker 0 / im relations, which gives the coordinates."""
+    if relations.rows != ambient_rank:
+        raise GroupError("relations have %d rows, ambient rank is %d"
+                         % (relations.rows, ambient_rank))
+    pres = presentation_from(smith_normal_form(IntMatrix.zero(0, ambient_rank)), relations)
+    return pres.structure, pres
 
 
 def presentation_from(d_k_snf: SnfResult, d_k1: IntMatrix,
@@ -480,8 +443,6 @@ def presentation_from(d_k_snf: SnfResult, d_k1: IntMatrix,
         raise GroupError("boundary shapes are incompatible")
     r = snf.rank
     if relations is None:
-        # U d_k V = S, so d_k x = 0 exactly when the rows :r of V^-1 x vanish,
-        # and the rows r: are the coordinates of x in the cycle basis V[:, r:].
         B = snf.vinv_times(d_k1)
         if any(B.entries[:r * B.cols]):
             raise GroupError("d_k * d_{k+1} != 0: corrupt chain complex")
@@ -489,12 +450,14 @@ def presentation_from(d_k_snf: SnfResult, d_k1: IntMatrix,
     elif relations.S.rows != snf.S.cols - r:
         raise GroupError("relations have %d rows, the cycle basis has %d"
                          % (relations.S.rows, snf.S.cols - r))
-    structure, cmap = _cokernel(relations)
+    n = relations.S.rows
+    diag = list(relations.S.diagonal()) + [0] * (n - relations.S.cols)
     return SubquotientPresentation(
-        ambient_rank=d_k1.rows,
         d_k_snf=snf,
-        structure=structure,
-        coordinate_map=cmap,
+        relations=relations,
+        structure=from_invariant_factors(n, relations.invariant_factors),
+        free_idx=tuple(i for i in range(n) if diag[i] == 0),
+        torsion_idx=tuple(i for i in range(n) if diag[i] >= 2),
     )
 
 

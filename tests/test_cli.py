@@ -55,6 +55,14 @@ class TestHomologyCommand:
                   "--degree", "7")
         assert res.exit_code == 1
 
+    # int() alone reads "\u0661" (Arabic-Indic one) as 1, "0_0" as 0 and " 1" as 1.
+    @pytest.mark.parametrize("degree", ["x", "\u0661", "0_0", " 1", "1.0"])
+    def test_degree_is_an_ascii_integer(self, capsys, degree):
+        res = run("homology", "--builtin", "fibonacci", "--mode", "translation",
+                  "--degree", degree)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert "argument --degree: invalid integer value" in capsys.readouterr().err
+
     def test_file_target(self, tmp_path):
         path = tmp_path / "penrose.json"
         path.write_text(save_spec(builtin("penrose-kite-dart")))

@@ -451,24 +451,31 @@ class TestEventualKernelOracle:
 
 @contextmanager
 def _factored():
-    """The list of matrices that dirlimit factors inside the block."""
+    """The eliminations that dirlimit runs inside the block, as (name, matrix)
+    pairs: a logged smith_normal_form or a transform-free invariant_factors."""
     made = []
-    original = dirlimit_module.smith_normal_form
+    originals = {name: getattr(dirlimit_module, name)
+                 for name in ("smith_normal_form", "invariant_factors")}
 
-    def recording(A):
-        made.append(A)
-        return original(A)
+    def recording(name):
+        def run(A):
+            made.append((name, A))
+            return originals[name](A)
+        return run
 
-    dirlimit_module.smith_normal_form = recording
+    for name in originals:
+        setattr(dirlimit_module, name, recording(name))
     try:
         yield made
     finally:
-        dirlimit_module.smith_normal_form = original
+        for name, original in originals.items():
+            setattr(dirlimit_module, name, original)
 
 
 class TestNoMatrixPowers:
-    """eventual_data factors F and the maps induced on the quotients of the
-    kernel chain, never a power of F."""
+    """eventual_data eliminates F and the maps induced on the quotients of the
+    kernel chain, never a power of F, and keeps the logs of the singular
+    ones only."""
 
     @settings(max_examples=30, deadline=None)
     @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=2, max_size=5),
@@ -477,7 +484,7 @@ class TestNoMatrixPowers:
         F = _conjugate(_diagonal(eigenvalues), ops)
         with _factored() as made:
             data = eventual_data(*free_endo(F))
-        assert made == [F]
+        assert made == [("invariant_factors", F)]
         assert data.induced == F
 
     def test_heavy_case_factors_only_f(self):
@@ -486,14 +493,16 @@ class TestNoMatrixPowers:
                                  [2812, 60, -1874, 0, 1815]])
         with _factored() as made:
             eventual_data(*free_endo(F))
-        assert made == [F]
+        assert made == [("invariant_factors", F)]
 
     def test_singular_factors_one_map_per_kernel_step(self):
         # ker F < ker F^2 = ker F^3: F, then the 2x2 and 1x1 induced maps.
         F = IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
         with _factored() as made:
             data = eventual_data(*free_endo(F))
-        assert [(A.rows, A.cols) for A in made] == [(3, 3), (2, 2), (1, 1)]
+        assert [(name, A.rows) for name, A in made] == [
+            ("invariant_factors", 3), ("smith_normal_form", 3),
+            ("invariant_factors", 2), ("smith_normal_form", 2), ("invariant_factors", 1)]
         assert data.induced.entries == (2,)
 
 

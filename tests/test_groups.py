@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom.exactalg import IntMatrix, determinant
+from tilecohom.exactalg import IntMatrix, determinant, kernel_basis
 from tilecohom.groups import (
     FgAbelianGroup,
     GroupError,
@@ -87,9 +87,9 @@ class TestCokernel:
             cokernel_structure(IntMatrix.zero(2, 1), 3)
 
     def test_coordinate_round_trip(self):
-        g, cmap = cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]), 3)
+        g, pres = cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]), 3)
         for el in g.generators():
-            assert cmap.to_canonical(cmap.lift(el)) == el
+            assert pres.class_of(pres.lift(el)) == el
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
@@ -129,13 +129,16 @@ class TestCokernel:
             assert g.torsion_order() == det ** n // len(residues)
 
 
-def _unreduced_coordinates(cmap, X):
-    """Canonical coordinates from the exact replay of U, reduced only at the end."""
-    Y = cmap.snf.u_times(X)
-    rows = Y.submatrix(cmap.free_idx + cmap.torsion_idx, range(Y.cols))
-    f = cmap.structure.free_rank
+def _unreduced_coordinates(pres, X):
+    """Canonical coordinates from the exact replays, reduced only at the end:
+    the relations' U on the rows r: of V^-1 X, with V from d_k."""
+    Y = pres.d_k_snf.vinv_times(X)
+    r = pres.d_k_snf.rank
+    Y = pres.relations.u_times(IntMatrix(Y.rows - r, Y.cols, Y.entries[r * Y.cols:]))
+    rows = Y.submatrix(pres.free_idx + pres.torsion_idx, range(Y.cols))
+    f = pres.structure.free_rank
     return [list(rows.row(i)) if i < f else
-            [x % cmap.structure.torsion[i - f] for x in rows.row(i)] for i in range(rows.rows)]
+            [x % pres.structure.torsion[i - f] for x in rows.row(i)] for i in range(rows.rows)]
 
 
 class TestModularCoordinates:
@@ -150,28 +153,28 @@ class TestModularCoordinates:
         while True:
             R = IntMatrix.from_rows([[rng.randint(-30, 30) for _ in range(n + extra)]
                                      for _ in range(n)])
-            g, cmap = cokernel_structure(R, n)
+            g, pres = cokernel_structure(R, n)
             if g.free_rank == 0 and g.torsion:
                 break
-        N = cmap.exponent
+        N = pres.exponent
         assert N == g.torsion[-1]
         X = IntMatrix(n, cols, tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n * cols)))
-        assert cmap.coordinates(X).to_rows() == _unreduced_coordinates(cmap, X)
-        lifts = cmap.generator_lifts()
-        E = IntMatrix.unit_columns(n, cmap.free_idx + cmap.torsion_idx)
-        exact = cmap.snf.uinv_times(E)
+        assert pres.classes_of(X).to_rows() == _unreduced_coordinates(pres, X)
+        lifts = pres.generator_matrix()
+        E = IntMatrix.unit_columns(n, pres.free_idx + pres.torsion_idx)
+        exact = pres.relations.uinv_times(E)
         assert all(0 <= x < N for x in lifts.entries)
         assert [x % N for x in exact.entries] == list(lifts.entries)
-        assert cmap.coordinates(lifts).to_rows() == _unreduced_coordinates(cmap, exact)
+        assert pres.classes_of(lifts).to_rows() == _unreduced_coordinates(pres, exact)
         for j, el in enumerate(g.generators()):
-            assert cmap.lift(el) == lifts.column(j)
-            assert cmap.to_canonical(cmap.lift(el)) == el
+            assert pres.lift(el) == lifts.column(j)
+            assert pres.class_of(pres.lift(el)) == el
 
     def test_free_part_replays_exactly(self):
-        g, cmap = cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]), 3)
-        assert g == FgAbelianGroup(1, (6,)) and cmap.exponent is None
-        assert cmap.generator_lifts() == cmap.snf.uinv_times(
-            IntMatrix.unit_columns(3, cmap.free_idx + cmap.torsion_idx))
+        g, pres = cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]), 3)
+        assert g == FgAbelianGroup(1, (6,)) and pres.exponent is None
+        assert pres.generator_matrix() == pres.relations.uinv_times(
+            IntMatrix.unit_columns(3, pres.free_idx + pres.torsion_idx))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -182,11 +185,36 @@ class TestModularCoordinates:
         n = rng.randint(1, 6)
         d1 = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)])
         pres = homology_presentation(IntMatrix.zero(0, n), d1)
-        cmap = pres.coordinate_map
         if pres.structure.free_rank or not pres.structure.torsion:
             return
         chains = IntMatrix(n, 3, tuple(rng.randint(-99, 99) for _ in range(3 * n)))
-        assert pres.classes_of(chains).to_rows() == _unreduced_coordinates(cmap, chains)
+        assert pres.classes_of(chains).to_rows() == _unreduced_coordinates(pres, chains)
+        G = pres.generator_matrix()
+        assert pres.classes_of(G) == IntMatrix.identity(len(pres.structure.torsion))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_replays_through_a_nonzero_d_k(self, seed):
+        """On a finite H_1 of a random complex with d_1 != 0, the classes of
+        cycles equal those of the exact replays, and the generator lifts have
+        the unit coordinates."""
+        rng = random.Random(seed)
+        while True:
+            n0, n1 = rng.randint(1, 4), rng.randint(2, 6)
+            d1 = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n1)]
+                                      for _ in range(n0)])
+            K = kernel_basis(d1)
+            m = K.cols
+            if d1.is_zero() or not m:
+                continue
+            c = m + rng.randint(0, 2)
+            d2 = K * IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)]
+                                          for _ in range(m)])
+            pres = homology_presentation(d1, d2)
+            if pres.structure.torsion and not pres.structure.free_rank:
+                break
+        cycles = K * IntMatrix(m, 3, tuple(rng.randint(-99, 99) for _ in range(3 * m)))
+        assert pres.classes_of(cycles).to_rows() == _unreduced_coordinates(pres, cycles)
         G = pres.generator_matrix()
         assert pres.classes_of(G) == IntMatrix.identity(len(pres.structure.torsion))
 
