@@ -8,6 +8,8 @@ exactly one document.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import sys
@@ -197,9 +199,9 @@ def parse_group(text: str) -> FgAbelianGroup:
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    """Rows separated by ';', entries by ','."""
+    """Rows separated by ';', entries by ','; blank text is the 0x0 matrix."""
     rows = []
-    for row in text.strip().split(";"):
+    for row in text.split(";") if text.strip() else ():
         entries = row.replace(",", " ").split()
         try:
             rows.append([integer(e) for e in entries])
@@ -236,8 +238,6 @@ def _cmd_limit(args):
 
 
 def _cmd_builtin(args):
-    if args.action != "list":
-        raise _UsageError("unknown builtin action %r" % args.action)
     return CommandResult(0, "\n".join(tilings.builtin_names()) + "\n")
 
 
@@ -301,10 +301,12 @@ def _attach_negative_matrix(argv):
 
 def run_command(argv) -> CommandResult:
     parser = _build_parser()
+    help_text = io.StringIO()  # --help: the command's stdout, not the process's
     try:
-        args = parser.parse_args(_attach_negative_matrix(argv))
-    except SystemExit as e:
-        return CommandResult(2 if e.code not in (0, None) else 0, "")
+        with contextlib.redirect_stdout(help_text):
+            args = parser.parse_args(_attach_negative_matrix(argv))
+    except SystemExit as e:  # argparse writes its usage errors to stderr
+        return CommandResult(0 if e.code in (0, None) else 2, help_text.getvalue())
     try:
         return args.func(args)
     except _UsageError as e:

@@ -51,37 +51,28 @@ class ChainComplex:
         raise ComplexError("degree %d out of range" % k)
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    """Degreewise matrices between two chain complexes of equal shape."""
-
-    source: ChainComplex
-    target: ChainComplex
-    matrices: tuple
-
-
-@dataclass(frozen=True)
-class ChainMapReport:
-    ok: bool
-    violations: tuple
-
-    def __str__(self):
-        if self.ok:
-            return "chain map commutes with the boundary in every degree"
-        return "; ".join(self.violations)
-
-
-def _rescale(matrix, row_scale, col_scale):
-    """(matrix with entry (i, j) times col_scale[j] / row_scale[i], None), or
-    (None, (i, j)) for the first entry where that is not an integer."""
+def _for_mode(spec, mode, m, row_degree, col_degree):
+    """The spec matrix m, rows of cells of row_degree and columns of cells of
+    col_degree, as the complex of the mode reads it: restricted to the kept
+    cells and, in the modified complex, with entry (i, j) times
+    sym(column cell j) / sym(row cell i).  (matrix, None), or (None, (i, j))
+    for the first entry, in restricted indices, that is not an integer.
+    Matrices are immutable: a mode that drops and rescales nothing gives m."""
+    rows, cols = kept_cells(spec.cells[row_degree]), kept_cells(spec.cells[col_degree])
+    if (m.rows, m.cols) != (len(rows), len(cols)):
+        m = m.submatrix(rows, cols)
+    if mode != MODE_RIGID_MODIFIED:
+        return m, None
+    row_scale = [spec.cells[row_degree][i].symmetry for i in rows]
+    col_scale = [spec.cells[col_degree][j].symmetry for j in cols]
     out = []
-    for i in range(matrix.rows):
-        for j, x in enumerate(matrix.row(i)):
+    for i in range(m.rows):
+        for j, x in enumerate(m.row(i)):
             num = x * col_scale[j]
             if num % row_scale[i] != 0:
                 return None, (i, j)
             out.append(num // row_scale[i])
-    return IntMatrix(matrix.rows, matrix.cols, tuple(out)), None
+    return IntMatrix(m.rows, m.cols, tuple(out)), None
 
 
 def build_chain_complex(spec, mode) -> ChainComplex:
@@ -97,22 +88,13 @@ def build_chain_complex(spec, mode) -> ChainComplex:
     ranks = tuple(len(keep[k]) for k in range(spec.dimension + 1))
     boundaries = [IntMatrix.zero(0, ranks[0])]
     for k in range(1, spec.dimension + 1):
-        b = spec.boundaries[k]
-        # Matrices are immutable: a mode that keeps every cell uses b itself.
-        if (b.rows, b.cols) != (ranks[k - 1], ranks[k]):
-            b = b.submatrix(keep[k - 1], keep[k])
+        b, bad = _for_mode(spec, mode, spec.boundaries[k], k - 1, k)
+        if bad:
+            i, j = keep[k - 1][bad[0]], keep[k][bad[1]]
+            raise ComplexError(
+                "non-integral rescaled boundary entry at degree %d, "
+                "cell %r over %r" % (k, spec.cells[k][j].id, spec.cells[k - 1][i].id))
         boundaries.append(b)
-
-    if mode == MODE_RIGID_MODIFIED:
-        scale = [[spec.cells[k][i].symmetry for i in keep[k]]
-                 for k in range(spec.dimension + 1)]
-        for k in range(1, spec.dimension + 1):
-            boundaries[k], bad = _rescale(boundaries[k], scale[k - 1], scale[k])
-            if bad:
-                i, j = keep[k - 1][bad[0]], keep[k][bad[1]]
-                raise ComplexError(
-                    "non-integral rescaled boundary entry at degree %d, "
-                    "cell %r over %r" % (k, spec.cells[k][j].id, spec.cells[k - 1][i].id))
 
     for k in range(2, spec.dimension + 1):
         if not (boundaries[k - 1] * boundaries[k]).is_zero():
@@ -132,32 +114,12 @@ def homology(complex: ChainComplex, k: int) -> SubquotientPresentation:
                                  complex.boundary_or_zero(k + 1))
 
 
-def validate_chain_map(f: ChainMap) -> ChainMapReport:
-    """Check boundary-compatibility degreewise; failures are located, not raised."""
-    violations = []
-    if f.source.top_dim != f.target.top_dim or f.source.ranks != f.target.ranks:
-        return ChainMapReport(False, ("complex shapes are incompatible",))
-    for k in range(1, f.source.top_dim + 1):
-        lhs = f.target.boundary[k] * f.matrices[k]
-        rhs = f.matrices[k - 1] * f.source.boundary[k]
-        if lhs.entries != rhs.entries:
-            at = next(n for n, (x, y) in enumerate(zip(lhs.entries, rhs.entries)) if x != y)
-            i, j = divmod(at, lhs.cols)
-            violations.append("degree %d: boundary/f mismatch at row %d, col %d "
-                              "(%d != %d)" % (k, i, j, lhs[i, j], rhs[i, j]))
-    return ChainMapReport(not violations, tuple(violations))
-
-
-def chain_map_from_spec(spec, mode) -> ChainMap:
-    """The spec's substitution chain data, restricted/rescaled for the mode."""
-    return Analysis(spec, mode).chain_map()
-
-
 class Analysis:
     """The chain complex of a spec in one mode, built once, and per degree k
     the group H_k, its presentation, its substitution map and its direct
     limit, each computed on first use.  This is the one place that decides
-    how they are computed; the CLI and the hulls only render `groups`.
+    how they are computed, and the one reader of chain-level substitution
+    data; the CLI and the hulls only render `groups`.
 
     The group H_k is read from the rank of d_k and the invariant factors of
     d_{k+1}.  A boundary that a presentation has factored gives them from
@@ -219,32 +181,33 @@ class Analysis:
                 d_k, self.complex.boundary_or_zero(k + 1), relations)
         return self._homology[k]
 
-    def chain_map(self) -> ChainMap:
-        """The spec's substitution chain data, restricted/rescaled for the mode."""
+    @cached_property
+    def chain_map(self) -> tuple:
+        """The spec's substitution chain data as the complex of the mode reads
+        it, one matrix per degree, checked to commute with the boundary in
+        every degree; every degree that does not is named."""
         spec, sub = self.spec, self.spec.substitution
         if sub is None or sub.kind != "chain_map":
             raise ComplexError("spec carries no chain-level substitution data")
-        mats = []
+        f = []
         for k in range(spec.dimension + 1):
-            keep = kept_cells(spec.cells[k])
-            m = sub.chain_map[k].submatrix(keep, keep)
-            if self.mode == MODE_RIGID_MODIFIED:
-                scale = [spec.cells[k][i].symmetry for i in keep]
-                m, bad = _rescale(m, scale, scale)
-                if bad:
-                    raise ComplexError("substitution does not preserve the modified "
-                                       "complex at degree %d (%d, %d)" % ((k,) + bad))
-            mats.append(m)
-        return ChainMap(source=self.complex, target=self.complex, matrices=tuple(mats))
-
-    @cached_property
-    def _checked_chain_map(self) -> ChainMap:
-        """chain_map(), checked to commute with the boundary in every degree."""
-        f = self.chain_map()
-        report = validate_chain_map(f)
-        if not report.ok:
-            raise ComplexError("substitution chain data: %s" % report)
-        return f
+            m, bad = _for_mode(spec, self.mode, sub.chain_map[k], k, k)
+            if bad:
+                raise ComplexError("substitution does not preserve the modified "
+                                   "complex at degree %d (%d, %d)" % ((k,) + bad))
+            f.append(m)
+        violations = []
+        for k in range(1, spec.dimension + 1):
+            d = self.complex.boundary[k]
+            lhs, rhs = d * f[k], f[k - 1] * d
+            if lhs.entries != rhs.entries:
+                at = next(n for n, (x, y) in enumerate(zip(lhs.entries, rhs.entries)) if x != y)
+                i, j = divmod(at, lhs.cols)
+                violations.append("degree %d: boundary/f mismatch at row %d, col %d "
+                                  "(%d != %d)" % (k, i, j, lhs[i, j], rhs[i, j]))
+        if violations:
+            raise ComplexError("substitution chain data: " + "; ".join(violations))
+        return tuple(f)
 
     def substitution_map(self, k) -> GroupHom:
         """The substitution endomorphism induced on H_k.
@@ -265,12 +228,12 @@ class Analysis:
             if sub is None:
                 raise ComplexError("spec carries no substitution data")
             if sub.kind == "chain_map":
-                f = self._checked_chain_map
+                f = self.chain_map[k]
                 p = self.homology(k)
                 # F commutes with d, so it maps cycles to cycles and boundaries
                 # to boundaries: the classes of F applied to the generator lifts
                 # are the images of the generators, and no relation needs checking.
-                images = p.classes_of(f.matrices[k] * p.generator_matrix())
+                images = p.classes_of(f * p.generator_matrix())
                 self._maps[k] = GroupHom(p.structure, p.structure, images)
             elif self.mode == MODE_RIGID_MODIFIED:
                 raise ComplexError(

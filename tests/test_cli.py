@@ -139,6 +139,72 @@ class TestCheckCommand:
         assert run("homology", str(path), "--mode", "rigid", "--limit").exit_code == 1
 
 
+def _penrose_variant(tmp_path, boundary=(), chain_map=(), bump=()):
+    """The saved Penrose document with boundary and chain-map entries set,
+    each given as (degree, row, col, value), and chain-map entries
+    (degree, row, col) raised by one."""
+    doc = json.loads(save_spec(builtin("penrose-kite-dart")))
+    cm = doc["substitution"]["chain_map"]
+    for k, i, j, x in boundary:
+        doc["boundaries"][str(k)][i][j] = x
+    for k, i, j, x in chain_map:
+        cm[str(k)][i][j] = x
+    for k, i, j in bump:
+        cm[str(k)][i][j] += 1
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_D2_SQUARE = "boundary of boundary is nonzero at degree 2"
+_NON_INTEGRAL = "non-integral rescaled boundary entry at degree 1, cell 'E3' over 'sun'"
+_NOT_PRESERVED = "substitution does not preserve the modified complex at degree 0 (0, 2)"
+_MISMATCH_RIGID = ("substitution chain data: degree 1: boundary/f mismatch at row 0, "
+                   "col 0 (10 != 29)")
+_BUMP = ("substitution chain data: degree 1: boundary/f mismatch at row 0, col 0 "
+         "(%d != %d); degree 2: boundary/f mismatch at row 2, col 0 (2 != 1)")
+
+
+class TestChainLevelErrors:
+    """The errors of bad boundaries and bad chain-level substitution data,
+    byte for byte: one variant of the Penrose document per failure."""
+
+    VARIANTS = {
+        "boundary": dict(boundary=[(1, 0, 2, 1)]),
+        "chain-map": dict(chain_map=[(0, 0, 2, 1)]),
+        "bumped": dict(bump=[(1, 0, 0), (2, 0, 0)]),
+    }
+
+    @pytest.mark.parametrize("variant, stdout", [
+        ("boundary", ["boundaries: boundary of boundary is nonzero",
+                      "build[rigid]: " + _D2_SQUARE,
+                      "build[rigid_modified]: " + _NON_INTEGRAL]),
+        ("chain-map", ["substitution[rigid]: " + _MISMATCH_RIGID,
+                       "substitution[rigid_modified]: " + _NOT_PRESERVED]),
+        ("bumped", ["substitution[rigid]: " + _BUMP % (15, 10),
+                    "substitution[rigid_modified]: " + _BUMP % (3, 2)]),
+    ])
+    def test_check(self, tmp_path, capsys, variant, stdout):
+        res = run("check", _penrose_variant(tmp_path, **self.VARIANTS[variant]))
+        expected = "".join("  %s\n" % line for line in stdout)
+        assert (res.exit_code, res.stdout) == (1, "penrose-kite-dart: invalid\n" + expected)
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("variant, mode, error", [
+        ("boundary", "rigid", _D2_SQUARE),
+        ("boundary", "rigid-modified", _NON_INTEGRAL),
+        ("chain-map", "rigid", _MISMATCH_RIGID),
+        ("chain-map", "rigid-modified", _NOT_PRESERVED),
+        ("bumped", "rigid", _BUMP % (15, 10)),
+        ("bumped", "rigid-modified", _BUMP % (3, 2)),
+    ])
+    def test_homology_limit(self, tmp_path, capsys, variant, mode, error):
+        path = _penrose_variant(tmp_path, **self.VARIANTS[variant])
+        res = run("homology", path, "--mode", mode, "--limit")
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert capsys.readouterr() == ("", "error: %s\n" % error)
+
+
 class TestLimitCommand:
     def test_square_solenoid_arithmetic(self):
         # rows of the endomorphism matrix: (a, b, c) -> (4a, c, c)
@@ -168,6 +234,16 @@ class TestLimitCommand:
 
     def test_parse_matrix(self):
         assert parse_matrix("1,1;1,0").to_rows() == [[1, 1], [1, 0]]
+
+    @pytest.mark.parametrize("group", ["0", "Z^0", "Z/1"])
+    def test_trivial_group_endomorphism(self, group):
+        res = run("limit", "--group", group, "--matrix", "")
+        assert (res.exit_code, res.stdout) == (0, "limit = 0 (status exact)\n")
+
+    def test_blank_matrix_on_nontrivial_group(self, capsys):
+        res = run("limit", "--group", "Z^2", "--matrix", "")
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert capsys.readouterr().err == "error: hom matrix shape mismatch\n"
 
     def test_unparsable_numbers_raise_domain_errors(self):
         with pytest.raises(GroupError, match="Z\\^x"):
@@ -214,6 +290,16 @@ class TestUsageAndDeterminism:
         assert run("homology", "--mode", "rigid").exit_code == 2  # no target
         res = run("homology", "x.json", "--builtin", "fibonacci", "--mode", "rigid")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: tilecohom [-h]"),
+        (["homology", "--help"], "usage: tilecohom homology [-h]"),
+    ])
+    def test_help_is_the_command_stdout(self, capsys, argv, usage):
+        res = run_command(argv)
+        assert res.exit_code == 0
+        assert res.stdout.startswith(usage)
+        assert capsys.readouterr().out == ""
 
     def test_missing_file_is_domain_error(self):
         res = run("check", "/nonexistent/spec.json")
@@ -569,12 +655,11 @@ class TestChainLevelMaps:
     @staticmethod
     def _check_reference_route(analysis):
         """The bulk classes equal those of induced_hom, the per-generator route."""
-        f = analysis.chain_map()
         for k in range(analysis.complex.top_dim + 1):
-            p = analysis.homology(k)
+            f, p = analysis.chain_map[k], analysis.homology(k)
             gens = p.generator_cycles()
-            images = [f.matrices[k].mul_vector(g) for g in gens]
-            bulk = p.classes_of(f.matrices[k] * p.generator_matrix())
+            images = [f.mul_vector(g) for g in gens]
+            bulk = p.classes_of(f * p.generator_matrix())
             assert bulk == groups.induced_hom(p, gens, images).matrix
             assert bulk == analysis.substitution_maps[k].matrix
 

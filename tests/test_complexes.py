@@ -11,17 +11,14 @@ from tilecohom.complexes import (
     MODE_RIGID_MODIFIED,
     MODE_TRANSLATION,
     Analysis,
-    ChainMap,
     ComplexError,
     build_chain_complex,
-    chain_map_from_spec,
     homology,
     substitution_homology_maps,
-    validate_chain_map,
 )
 from tilecohom.exactalg import IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, homology_presentation
-from tilecohom.tilings import CellType, builtin, builtin_names, make_spec
+from tilecohom.tilings import CellType, SubstitutionData, builtin, builtin_names, make_spec
 
 
 def perturb(matrix, i, j, delta=1):
@@ -36,6 +33,12 @@ def spec_with_boundary(spec, degree, matrix):
     return make_spec(spec.name, spec.dimension, spec.geometry_mode,
                      spec.cells, boundaries, spec.substitution, spec.rotation,
                      spec.symmetric_tilings)
+
+
+def spec_with_chain_map(spec, maps):
+    sub = SubstitutionData("chain_map", chain_map=dict(enumerate(maps)))
+    return make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
+                     spec.boundaries, sub, spec.rotation, spec.symmetric_tilings)
 
 
 class TestBuild:
@@ -177,32 +180,32 @@ class TestHomology:
 
 
 class TestChainMap:
-    def test_identity_chain_map(self):
-        cplx = build_chain_complex(builtin("triangle-periodic-rigid"), MODE_RIGID)
-        f = ChainMap(cplx, cplx, tuple(IntMatrix.identity(r) for r in cplx.ranks))
-        assert validate_chain_map(f).ok
+    """Chain-level substitution data as Analysis reads it: restricted and
+    rescaled like the boundaries, and checked to commute with them."""
 
-    def test_penrose_substitution_chain_data(self):
-        spec = builtin("penrose-kite-dart")
-        for mode in (MODE_RIGID, MODE_RIGID_MODIFIED):
-            f = chain_map_from_spec(spec, mode)
-            report = validate_chain_map(f)
-            assert report.ok, (mode, str(report))
+    @pytest.mark.parametrize("mode", [MODE_RIGID, MODE_RIGID_MODIFIED])
+    def test_identity_chain_map(self, mode):
+        spec = builtin("triangle-periodic-rigid")
+        identity = [IntMatrix.identity(len(spec.cells[k])) for k in range(spec.dimension + 1)]
+        analysis = Analysis(spec_with_chain_map(spec, identity), mode)
+        ranks = analysis.complex.ranks
+        assert analysis.chain_map == tuple(IntMatrix.identity(r) for r in ranks)
+        for k, hom in analysis.substitution_maps.items():
+            assert hom.matrix == IntMatrix.identity(hom.matrix.rows), k
+
+    @pytest.mark.parametrize("mode", [MODE_RIGID, MODE_RIGID_MODIFIED])
+    def test_penrose_substitution_chain_data(self, mode):
+        analysis = Analysis(builtin("penrose-kite-dart"), mode)
+        f = analysis.chain_map
+        assert [(m.rows, m.cols) for m in f] == [(r, r) for r in analysis.complex.ranks]
 
     def test_perturbed_map_fails_with_location(self):
-        cplx = build_chain_complex(builtin("fibonacci"), MODE_TRANSLATION)
-        mats = [IntMatrix.identity(3), IntMatrix.identity(2)]
-        mats[1] = perturb(mats[1], 0, 0)
-        report = validate_chain_map(ChainMap(cplx, cplx, tuple(mats)))
-        assert not report.ok
-        assert "degree 1" in report.violations[0]
-
-    def test_shape_mismatch_reported(self):
-        a = build_chain_complex(builtin("fibonacci"), MODE_TRANSLATION)
-        b = build_chain_complex(builtin("thue-morse"), MODE_TRANSLATION)
-        report = validate_chain_map(ChainMap(a, b, (IntMatrix.identity(3),
-                                                    IntMatrix.identity(2))))
-        assert not report.ok
+        spec = builtin("fibonacci")
+        maps = [IntMatrix.identity(3), perturb(IntMatrix.identity(2), 0, 0)]
+        analysis = Analysis(spec_with_chain_map(spec, maps), MODE_TRANSLATION)
+        with pytest.raises(ComplexError, match=r"^substitution chain data: degree 1: "
+                                               r"boundary/f mismatch at row \d+, col 0 "):
+            analysis.chain_map
 
 
 class TestSubstitutionMaps:
