@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .exactalg import IntMatrix, invariant_factors, smith_normal_form
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
@@ -100,6 +101,12 @@ class EventualData:
     induced_exponent: int
 
 
+def _times(A, B):
+    """The product of two dense matrices given as lists of rows."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
 def _check_endo(group, endo):
     if endo.domain != group or endo.codomain != group:
         raise DirectLimitError("endomorphism domain/codomain mismatch")
@@ -112,19 +119,20 @@ def _torsion_limit(group: FgAbelianGroup, endo: GroupHom) -> FgAbelianGroup:
     later ones do.  Each strict shrink divides the order by at least 2, so
     there are fewer than bit_length(|T|) of them, and phi^N(T) is the stable
     image for every N >= bit_length(|T|).  phi^N, with N the first power of 2
-    that large, is formed by squaring the restriction of phi to T, whose
-    entries GroupHom keeps reduced mod the invariant factors.
+    that large, is formed by squaring the restriction of phi to T, with row i
+    kept reduced mod the invariant factor d_i, as canonical coordinates are.
     """
-    f, t = group.free_rank, len(group.torsion)
-    if t == 0:
+    f, d = group.free_rank, group.torsion
+    if not d:
         return FgAbelianGroup.trivial()
-    T = FgAbelianGroup(0, group.torsion)
-    power = GroupHom(T, T, endo.matrix.submatrix(range(f, f + t), range(f, f + t)))
+    T = FgAbelianGroup(0, d)
+    power = [[x % di for x in endo.matrix.row(f + i)[f:]] for i, di in enumerate(d)]
+    bits = T.torsion_order().bit_length()
     N = 1
-    while N < T.torsion_order().bit_length():
-        power = GroupHom(T, T, power.matrix * power.matrix)
+    while N < bits:
+        power = [[x % di for x in row] for row, di in zip(_times(power, power), d)]
         N *= 2
-    return subgroup_structure(T, [power.apply(g) for g in T.generators()])
+    return subgroup_structure(T, [T.element((), col) for col in zip(*power)])
 
 
 def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
@@ -259,12 +267,12 @@ def stable_rank_mod_p(induced: IntMatrix, p: int) -> int:
     if induced.rows != induced.cols:
         raise DirectLimitError("induced matrix must be square")
     n = induced.rows
-    power = IntMatrix(n, n, tuple(x % p for x in induced.entries))
+    power = [[x % p for x in row] for row in induced.to_rows()]
     e = 1
     while e < n:
-        power = IntMatrix(n, n, tuple(x % p for x in (power * power).entries))
+        power = [[x % p for x in row] for row in _times(power, power)]
         e *= 2
-    return _rank_mod_p(power, p)
+    return _rank_mod_p(IntMatrix.from_rows(power), p)
 
 
 def _char_poly(A: IntMatrix):
@@ -274,18 +282,20 @@ def _char_poly(A: IntMatrix):
     The c_k are integers for integer input; the division is checked exact.
     """
     n = A.rows
+    a = A.to_rows()
     cs = []
-    Mk = IntMatrix.identity(n)
+    Mk = IntMatrix.identity(n).to_rows()
     for k in range(1, n + 1):
-        AM = A * Mk
-        tr = sum(AM[i, i] for i in range(n))
-        ck = Fraction(-tr, k)
-        if ck.denominator != 1:
-            raise DirectLimitError("internal invariant: char poly coefficient %s" % ck)
-        cs.append(int(ck))
-        Mk = IntMatrix.from_rows([[AM[i, j] + (int(ck) if i == j else 0)
-                                   for j in range(n)] for i in range(n)])
-    return [c for c in reversed(cs)] + [1]
+        Mk = _times(a, Mk)
+        tr = sum(Mk[i][i] for i in range(n))
+        ck, rem = divmod(-tr, k)
+        if rem:
+            raise DirectLimitError("internal invariant: char poly coefficient %s"
+                                   % Fraction(-tr, k))
+        cs.append(ck)
+        for i in range(n):
+            Mk[i][i] += ck
+    return cs[::-1] + [1]
 
 
 def _divisors(n, primes):

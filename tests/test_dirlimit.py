@@ -16,6 +16,7 @@ from tilecohom.dirlimit import (
     STATUS_UNDETERMINED,
     STATUS_VERIFIED,
     TRIAL_DIVISION_BOUND,
+    _char_poly,
     _rank_mod_p,
     direct_limit,
     eventual_data,
@@ -522,6 +523,24 @@ class TestStableRankReference:
         assert stable_rank_mod_p(D, p) == _old_stable_rank(D, p)
 
 
+class TestCharPolyReference:
+    """_char_poly against Bareiss determinants: a monic polynomial of degree n
+    is fixed by its values at n + 1 points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 6).flatmap(lambda n: st.lists(
+               st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((0, 1, -1)),
+                        min_size=n, max_size=n), min_size=n, max_size=n)),
+           shift=st.integers(-10 ** 6, 10 ** 6))
+    def test_matches_shifted_determinants(self, rows, shift):
+        A = IntMatrix.from_rows(rows)
+        n = A.rows
+        poly = _char_poly(A)
+        assert len(poly) == n + 1 and poly[-1] == 1
+        for c in range(shift, shift + n + 1):
+            assert sum(a * c ** i for i, a in enumerate(poly)) == _shifted_det(A, c)
+
+
 def _old_torsion_limit(group, endo):
     """Apply phi until two consecutive images of the torsion have one order."""
     f, t = group.free_rank, len(group.torsion)
@@ -536,9 +555,22 @@ def _old_torsion_limit(group, endo):
         prev = struct.torsion_order()
 
 
+def _divisor_chain(d1, ratios):
+    """d_1 | d_2 | ... with d_(i+1) / d_i = ratios[i - 1]."""
+    chain = [d1]
+    for r in ratios:
+        chain.append(chain[-1] * r)
+    return tuple(chain)
+
+
 class TestTorsionLimitReference:
+    """Squaring with row i reduced mod d_i against iterated images, over
+    divisor chains with orders up to about 2^40, where the products of two
+    reduced entries overflow the orders."""
+
     @settings(max_examples=60, deadline=None)
-    @given(torsion=st.sampled_from(((2,), (2, 4), (3, 9), (2, 2, 12), (4, 8, 16), (6, 36))),
+    @given(torsion=st.builds(_divisor_chain, st.integers(2, 1 << 13),
+                             st.lists(st.integers(1, 1 << 13), max_size=2)),
            free_rank=st.integers(0, 2), data=st.data())
     def test_matches_iterated_images(self, torsion, free_rank, data):
         g = FgAbelianGroup(free_rank, torsion)
@@ -552,7 +584,8 @@ class TestTorsionLimitReference:
                 if i >= free_rank and j >= free_rank:
                     di, dj = torsion[i - free_rank], torsion[j - free_rank]
                     scale = di // gcd(di, dj)
-                M[i][j] = scale * data.draw(st.integers(-4, 4))
+                M[i][j] = scale * data.draw(st.integers(-10 ** 15, 10 ** 15)
+                                            | st.integers(-4, 4))
         e = GroupHom(g, g, IntMatrix.from_rows(M))
         assert eventual_data(g, e).torsion_limit == _old_torsion_limit(g, e)
 
