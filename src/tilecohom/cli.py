@@ -13,13 +13,13 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import complexes, spectral, tilings
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .dirlimit import DirectLimitError, direct_limit
 from .exactalg import ExactAlgError, IntMatrix
 from .groups import FgAbelianGroup, GroupError, GroupHom, from_divisors
+from .record import Record
 
 _MODE_FLAG = {
     "translation": MODE_TRANSLATION,
@@ -36,8 +36,7 @@ _DOMAIN_ERRORS = (tilings.SpecError, complexes.ComplexError, GroupError,
                   OSError)
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(Record):
     exit_code: int
     stdout: str
 
@@ -188,7 +187,10 @@ def parse_group(text: str) -> FgAbelianGroup:
             if token == "Z":
                 free += 1
             elif token.startswith("Z^"):
-                free += integer(token[2:])
+                rank = integer(token[2:])
+                if rank < 0:
+                    raise ValueError(token)
+                free += rank
             elif token.startswith("Z/"):
                 torsion.append(integer(token[2:]))
             else:

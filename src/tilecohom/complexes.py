@@ -8,7 +8,6 @@ symmetry order, dividing boundary entries accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .dirlimit import direct_limit
@@ -22,6 +21,7 @@ from .groups import (
     induced_hom,
     presentation_from,
 )
+from .record import Record
 from .tilings import kept_cells
 
 MODE_TRANSLATION = "translation"
@@ -34,8 +34,7 @@ class ComplexError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     top_dim: int
     ranks: tuple
     boundary: tuple  # boundary[k]: degree k -> k-1; boundary[0] has zero rows

@@ -7,13 +7,13 @@ reported as undetermined rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import mul
 
 from .exactalg import IntMatrix, invariant_factors, smith_normal_form
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
+from .record import Record
 
 STATUS_EXACT = "exact"
 STATUS_VERIFIED = "verified_profile"
@@ -51,8 +51,7 @@ class ProfileMismatchError(DirectLimitError):
     """
 
 
-@dataclass(frozen=True)
-class DirectLimitGroup:
+class DirectLimitGroup(Record):
     """Limit isomorphism type: torsion + sum of (Z[1/m])^rank, m=1 meaning Z."""
 
     torsion: FgAbelianGroup
@@ -86,8 +85,7 @@ class DirectLimitGroup:
         return self.render()
 
 
-@dataclass(frozen=True)
-class EventualData:
+class EventualData(Record):
     """Reduction of (G, phi): stable torsion, eventual kernel, induced lattice map.
 
     induced is injective, induced_abs_det is |det induced| and

@@ -10,18 +10,18 @@ at the same time may both build it, and get equal matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import add, sub
+
+from .record import Record
 
 
 class ExactAlgError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix, row-major entries."""
 
     rows: int
@@ -177,8 +177,7 @@ def _from_rows(rows, cols):
     return IntMatrix(len(rows), cols, tuple(x for r in rows for x in r))
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """U * A * V = S with U, V unimodular and S the Smith normal form of A.
 
     The elimination is kept as two logs of elementary operations, in the

@@ -11,7 +11,6 @@ of its relations (`exactalg.invariant_factors`), with no operation recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .exactalg import (
@@ -22,6 +21,7 @@ from .exactalg import (
     smith_normal_form,
     solve_in_lattice,
 )
+from .record import Record
 
 
 class GroupError(Exception):
@@ -32,8 +32,7 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Z^free_rank + Z/d1 + ... + Z/dk with 2 <= d1 | d2 | ... | dk."""
 
     free_rank: int
@@ -107,8 +106,7 @@ class FgAbelianGroup:
         return self.render()
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     owner: FgAbelianGroup
     free_coords: tuple
     torsion_coords: tuple
@@ -220,8 +218,7 @@ def express(group: FgAbelianGroup, element: GroupElement, generators):
     return tuple(sol[:len(generators)])
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """Homomorphism in canonical coordinates (columns = images of generators)."""
 
     domain: FgAbelianGroup
@@ -322,8 +319,7 @@ def symmetry_defect(orders) -> FgAbelianGroup:
     return from_divisors(orders)
 
 
-@dataclass(frozen=True)
-class SubquotientPresentation:
+class SubquotientPresentation(Record):
     """The group ker d_k / im d_{k+1} with canonical coordinates.
 
     d_k_snf factors d_k (U_k d_k V = S_k of rank r), so d_k x = 0 exactly

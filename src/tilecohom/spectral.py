@@ -11,11 +11,10 @@ regrading of the corresponding complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .groups import FgAbelianGroup, GroupElement, quotient_by
+from .record import Record
 from .tilings import lap_text
 
 
@@ -23,16 +22,14 @@ class SpectralError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(Record):
     entries: dict  # (p, q) in {0,1,2} x {0,1} -> FgAbelianGroup
 
     def entry(self, p, q):
         return self.entries.get((p, q), FgAbelianGroup.trivial())
 
 
-@dataclass(frozen=True)
-class HullCohomology:
+class HullCohomology(Record):
     groups: tuple            # degree 0..D, FgAbelianGroup or DirectLimitGroup
     extension_flags: tuple   # per degree, tuple of flag strings
     notes: tuple = ()
@@ -107,8 +104,7 @@ def _total_degree(entries_by_pq, n):
     return total, flags
 
 
-@dataclass(frozen=True)
-class SpectralSequence:
+class SpectralSequence(Record):
     """The whole rigid-hull computation for one spec."""
 
     e2: SpectralPage

@@ -11,29 +11,27 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import itemgetter
 
 from .exactalg import ExactAlgError, IntMatrix
+from .record import Record
 
 
 class SpecError(Exception):
     """Schema violation; the message is path-addressed."""
 
 
-@dataclass(frozen=True)
-class CellType:
+class CellType(Record):
     id: str
     dimension: int
     symmetry: int = 1
     reverses_orientation: bool = False
 
 
-@dataclass(frozen=True)
-class RotationData:
+class RotationData(Record):
     edge_rotations: dict      # edge id -> Fraction, in full turns
     vertex_stars: dict        # vertex id -> tuple of (edge id, sign) for one clockwise lap
 
@@ -59,15 +57,13 @@ def lap_text(vid, turns):
                         % (vid, bits)) from None
 
 
-@dataclass(frozen=True)
-class SubstitutionData:
+class SubstitutionData(Record):
     kind: str                              # "chain_map" | "homology_map"
     chain_map: dict | None = None          # degree -> IntMatrix
     homology_map: dict | None = None       # degree -> (generator cycles, image cycles)
 
 
-@dataclass(frozen=True, eq=True)
-class TilingSpec:
+class TilingSpec(Record):
     name: str
     dimension: int
     geometry_mode: str                     # "translation" | "rigid"
@@ -85,8 +81,7 @@ class TilingSpec:
         return tuple(c.id for c in self.cells[degree])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     passed: bool
     issues: tuple
 

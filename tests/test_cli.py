@@ -253,6 +253,16 @@ class TestLimitCommand:
         with pytest.raises(ExactAlgError):
             parse_matrix("1,a;0,1")
 
+    @pytest.mark.parametrize("group, token", [
+        ("Z^-1 + Z^2", "Z^-1"), ("Z^2 + Z^-1", "Z^-1"), ("Z^-3", "Z^-3"),
+    ])
+    def test_negative_rank_is_rejected(self, capsys, group, token):
+        """A negative rank is no rank, even where the ranks around it add up to
+        a valid group."""
+        res = run("limit", "--group", group, "--matrix", "2")
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert capsys.readouterr().err == "error: cannot parse group token %r\n" % token
+
     @pytest.mark.parametrize("matrix", ["-1,0;0,1", "-2,1;1,-1", "-3", "-1 0;0 1"])
     def test_negative_matrix_spaced_or_attached(self, matrix):
         spaced = run("limit", "--group", "Z^%d" % (matrix.count(";") + 1),

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -118,10 +117,15 @@ def _mutated(name, path, value):
     return json.dumps(doc)
 
 
+def _replaced(record, **changes):
+    """A copy of record with the given fields changed, built by its constructor."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
 def _cell(k, i, **changes):
     def edit(args):
         row = list(args["cells"][k])
-        row[i] = dataclasses.replace(row[i], **changes)
+        row[i] = _replaced(row[i], **changes)
         return {"cells": {**args["cells"], k: tuple(row)}}
     return edit
 
@@ -138,7 +142,7 @@ def _rotation(**changes):
     """changes: field of RotationData -> function of its current value."""
     def edit(args):
         rot = args["rotation"]
-        return {"rotation": dataclasses.replace(
+        return {"rotation": _replaced(
             rot, **{f: change(getattr(rot, f)) for f, change in changes.items()})}
     return edit
 
@@ -392,7 +396,7 @@ class TestSchema:
             assert str(err.value) == message
         if edit is not None:
             spec = builtin(name)
-            args = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+            args = {f: getattr(spec, f) for f in spec._fields}
             with pytest.raises(SpecError) as err:
                 make_spec(**{**args, **edit(args)})
             assert str(err.value) == message
