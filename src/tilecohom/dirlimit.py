@@ -8,6 +8,7 @@ reported as undetermined rather than guessed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from operator import mul
 
@@ -97,6 +98,10 @@ class EventualData(Record):
     induced: IntMatrix
     induced_abs_det: int
     induced_exponent: int
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _times(A, B):
@@ -205,18 +210,17 @@ def _is_prime(n):
 def _factorize(n):
     """Prime factorization of |n| > 0 as ({prime: exponent}, cofactor).
 
-    Trial division divides out each prime as it finds it and stops at
-    TRIAL_DIVISION_BOUND; whatever is left is taken as a prime only when
-    _is_prime proves it.  Otherwise it comes back as the unfactored cofactor,
-    which is 1 when the factorization is complete.
+    Trial division by 2 and then by odd candidates divides out each prime as
+    it finds it and stops at TRIAL_DIVISION_BOUND; whatever is left is taken
+    as a prime only when _is_prime proves it.  Otherwise it comes back as the
+    unfactored cofactor, which is 1 when the factorization is complete.
     """
     n = abs(n)
     factors = {}
-    d = 2
+    candidates = chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2))
     while n > 1 and not _is_prime(n):
-        while n % d and d <= TRIAL_DIVISION_BOUND:
-            d += 1
-        if d > TRIAL_DIVISION_BOUND:
+        d = next((c for c in candidates if n % c == 0), None)
+        if d is None:
             return factors, n
         while n % d == 0:
             n //= d
@@ -226,63 +230,68 @@ def _factorize(n):
     return factors, 1
 
 
-def _rank_mod_p(M: IntMatrix, p: int) -> int:
-    a = [[x % p for x in M.row(i)] for i in range(M.rows)]
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p, p prime, of the integer matrix with these rows."""
+    a = [[x % p for x in row] for row in rows]
     rank = 0
-    col = 0
-    rows, cols = M.rows, M.cols
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if a[i][col] % p != 0:
-                pivot = i
-                break
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] % p != 0:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, len(a)):
+            if a[i][col]:
+                f = a[i][col] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
-        if rank == rows:
+        if rank == len(a):
             break
     return rank
 
 
-def stable_rank_mod_p(induced: IntMatrix, p: int) -> int:
-    """Rank over F_p of D^e for every e >= n, with D = induced of dimension n.
+def _stable_rank(rows, p):
+    """Rank over F_p of D^e for every e >= n, with D given by its n rows and
+    p a proven prime.
 
     Over a field the ranks of D, D^2, ... fall until two consecutive ones
     agree and are constant from then on; each fall loses at least 1 from at
     most n, so they are constant from e = n on.  D^e, with e the first power
     of 2 at least n, is formed by squaring mod p, so no entry reaches p.
     """
+    power = [[x % p for x in row] for row in rows]
+    e = 1
+    while e < len(rows):
+        power = [[x % p for x in row] for row in _times(power, power)]
+        e *= 2
+    return _rank_mod_p(power, p)
+
+
+def stable_rank_mod_p(induced: IntMatrix, p: int) -> int:
+    """Rank over F_p of D^e for every e >= n, with D = induced of dimension n.
+
+    The checked public entry to _stable_rank, which direct_limit calls with
+    the primes that _factorize has proven: here p must be a proven prime and
+    induced square, or DirectLimitError is raised.
+    """
     if not _is_prime(p):
         raise DirectLimitError("%d is not a proven prime" % p)
     if induced.rows != induced.cols:
         raise DirectLimitError("induced matrix must be square")
-    n = induced.rows
-    power = [[x % p for x in row] for row in induced.to_rows()]
-    e = 1
-    while e < n:
-        power = [[x % p for x in row] for row in _times(power, power)]
-        e *= 2
-    return _rank_mod_p(IntMatrix.from_rows(power), p)
+    return _stable_rank(induced.to_rows(), p)
 
 
-def _char_poly(A: IntMatrix):
-    """Monic characteristic polynomial as coefficients [a0, ..., a_{n-1}, 1].
+def _char_poly(a):
+    """Monic characteristic polynomial, as coefficients [a0, ..., a_{n-1}, 1],
+    of the square matrix with rows a.
 
     Faddeev-LeVerrier: M_k = A M_{k-1} + c_{k-1} I with c_k = -tr(A M_{k-1})/k.
     The c_k are integers for integer input; the division is checked exact.
     """
-    n = A.rows
-    a = A.to_rows()
+    n = len(a)
     cs = []
-    Mk = IntMatrix.identity(n).to_rows()
+    Mk = _identity_rows(n)
     for k in range(1, n + 1):
         Mk = _times(a, Mk)
         tr = sum(Mk[i][i] for i in range(n))
@@ -337,14 +346,15 @@ def _integer_roots(poly, divisors):
     return sorted(roots) if len(poly) == 1 else None
 
 
-def _is_diagonalizable(A: IntMatrix, distinct_roots) -> bool:
-    n = A.rows
-    prod = IntMatrix.identity(n)
+def _is_diagonalizable(rows, distinct_roots) -> bool:
+    """Whether the product of D - lam I over distinct_roots is zero, with D
+    given by its rows: when they are all the eigenvalues of D, whether D is
+    diagonalizable over Q.  An empty product is the identity."""
+    product = _identity_rows(len(rows))
     for lam in distinct_roots:
-        shifted = IntMatrix.from_rows([[A[i, j] - (lam if i == j else 0)
-                                        for j in range(n)] for i in range(n)])
-        prod = prod * shifted
-    return prod.is_zero()
+        product = _times(product, [[x - lam if i == j else x for j, x in enumerate(row)]
+                                   for i, row in enumerate(rows)])
+    return not any(map(any, product))
 
 
 def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
@@ -368,8 +378,9 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
     if data.induced_abs_det == 1:
         return DirectLimitGroup(data.torsion_limit, ((1, r),), STATUS_EXACT)
 
+    rows = D.to_rows()
     factors, cofactor = _factorize(data.induced_abs_det)
-    profile = tuple((p, r - stable_rank_mod_p(D, p)) for p in sorted(factors))
+    profile = tuple((p, r - _stable_rank(rows, p)) for p in sorted(factors))
     roots = None
     if cofactor == 1:
         # Every integer eigenvalue divides the largest invariant factor e of
@@ -381,12 +392,12 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
             notes.append("the largest invariant factor has more than %d divisors; "
                          "the eigenvalues were not checked" % EIGENVALUE_CANDIDATE_BOUND)
         else:
-            roots = _integer_roots(_char_poly(D), divisors)
+            roots = _integer_roots(_char_poly(rows), divisors)
     else:
         notes.append("determinant cofactor %s has no prime factor up to %d and is not "
                      "a proven prime; the eigenvalues were not checked"
                      % (_decimal(cofactor), TRIAL_DIVISION_BOUND))
-    if roots is not None and _is_diagonalizable(D, sorted(set(roots))):
+    if roots is not None and _is_diagonalizable(rows, sorted(set(roots))):
         # Conjectured limit: one Z[1/|lambda|] per eigenvalue.  Verify the
         # p-divisible rank for every prime dividing the determinant before
         # asserting it.

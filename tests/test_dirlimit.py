@@ -1,4 +1,5 @@
 import random
+import sys
 from contextlib import contextmanager
 from collections import Counter
 from itertools import combinations
@@ -17,7 +18,10 @@ from tilecohom.dirlimit import (
     STATUS_VERIFIED,
     TRIAL_DIVISION_BOUND,
     _char_poly,
+    _factorize,
+    _is_diagonalizable,
     _rank_mod_p,
+    _stable_rank,
     direct_limit,
     eventual_data,
     stable_rank_mod_p,
@@ -102,6 +106,10 @@ class TestStableRank:
         p = 10 ** 20 + 39
         with time_limit(5):
             assert stable_rank_mod_p(IntMatrix.from_rows([[p, 0], [0, 1]]), p) == 1
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DirectLimitError, match="must be square"):
+            stable_rank_mod_p(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), 2)
 
 
 class TestDirectLimit:
@@ -473,6 +481,12 @@ def _factored():
             setattr(dirlimit_module, name, original)
 
 
+# The heavy limit of the CI entry-point check: |det| = 919 * 937^2 * 997.
+_HEAVY = IntMatrix.from_rows([[-2811, -60, 1874, 0, -1814], [2812, -937, -1874, 0, 2812],
+                              [-936, 0, 937, 0, -936], [0, -1916, 0, 919, 1916],
+                              [2812, 60, -1874, 0, 1815]])
+
+
 class TestNoMatrixPowers:
     """eventual_data eliminates F and the maps induced on the quotients of the
     kernel chain, never a power of F, and keeps the logs of the singular
@@ -489,12 +503,9 @@ class TestNoMatrixPowers:
         assert data.induced == F
 
     def test_heavy_case_factors_only_f(self):
-        F = IntMatrix.from_rows([[-2811, -60, 1874, 0, -1814], [2812, -937, -1874, 0, 2812],
-                                 [-936, 0, 937, 0, -936], [0, -1916, 0, 919, 1916],
-                                 [2812, 60, -1874, 0, 1815]])
         with _factored() as made:
-            eventual_data(*free_endo(F))
-        assert made == [("invariant_factors", F)]
+            eventual_data(*free_endo(_HEAVY))
+        assert made == [("invariant_factors", _HEAVY)]
 
     def test_singular_factors_one_map_per_kernel_step(self):
         # ker F < ker F^2 = ker F^3: F, then the 2x2 and 1x1 induced maps.
@@ -509,7 +520,7 @@ class TestNoMatrixPowers:
 
 def _old_stable_rank(D, p):
     """The integer route: D^n with n = dimension, then its rank mod p."""
-    return _rank_mod_p(_power(D, D.rows), p)
+    return _rank_mod_p(_power(D, D.rows).to_rows(), p)
 
 
 class TestStableRankReference:
@@ -521,6 +532,74 @@ class TestStableRankReference:
     def test_matches_integer_power(self, rows, p):
         D = IntMatrix(len(rows), len(rows), tuple(x for row in rows for x in row))
         assert stable_rank_mod_p(D, p) == _old_stable_rank(D, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), p=st.sampled_from((2, 3, 5, 7, 997, 10 ** 20 + 39)),
+           c=st.integers(-3, 3), ops=_UNIMODULAR_OPS, data=st.data())
+    def test_nilpotent_jordan_block_mod_p(self, n, p, c, ops, data):
+        """P (J + B) P^-1 with J one Jordan block of eigenvalue p c, nilpotent
+        mod p, so the rank mod p falls through the squarings."""
+        k = data.draw(st.integers(1, n))
+        B = data.draw(st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((0, 1, p)),
+                                        min_size=n - k, max_size=n - k),
+                               min_size=n - k, max_size=n - k))
+        J = _jordan([(p * c, k)])
+        D = _conjugate([row + [0] * (n - k) for row in J] + [[0] * k + row for row in B], ops)
+        expected = _old_stable_rank(D, p)
+        assert expected <= n - k
+        assert stable_rank_mod_p(D, p) == expected
+        assert _stable_rank(D.to_rows(), p) == expected
+
+
+def _old_is_diagonalizable(A, distinct_roots):
+    """The IntMatrix route: the product of A - lam I by IntMatrix products."""
+    n = A.rows
+    product = IntMatrix.identity(n)
+    for lam in distinct_roots:
+        shifted = IntMatrix.from_rows([[A[i, j] - (lam if i == j else 0)
+                                        for j in range(n)] for i in range(n)])
+        product = product * shifted
+    return product.is_zero()
+
+
+class TestDiagonalizableReference:
+    def test_empty(self):
+        assert _is_diagonalizable([], []) is _old_is_diagonalizable(IntMatrix(0, 0, ()), [])
+        assert _is_diagonalizable([[2]], []) is _old_is_diagonalizable(
+            IntMatrix.from_rows([[2]]), []) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((0, 1, -1, 2)),
+                           min_size=1, max_size=5),
+           jordan=st.booleans(), ops=_UNIMODULAR_OPS, drop=st.integers(0, 5))
+    def test_matches_int_matrix_route(self, values, jordan, ops, drop):
+        J = _diagonal(values)
+        jordan = jordan and len(values) > 1
+        if jordan:
+            J[1][1] = J[0][0]
+            J[0][1] = 1
+        D = _conjugate(J, ops)
+        rows = D.to_rows()
+        roots = sorted({J[i][i] for i in range(len(J))})
+        assert _is_diagonalizable(rows, roots) is _old_is_diagonalizable(D, roots) is not jordan
+        subset = roots[:drop]
+        assert _is_diagonalizable(rows, subset) is _old_is_diagonalizable(D, subset)
+
+
+class TestEachPrimeProvenOnce:
+    def test_heavy_case_proves_in_factorize_only(self, monkeypatch):
+        original = dirlimit_module._is_prime
+        proven = []
+
+        def recording(n):
+            proven.append((sys._getframe(1).f_code.co_name, n))
+            return original(n)
+
+        monkeypatch.setattr(dirlimit_module, "_is_prime", recording)
+        lim = direct_limit(*free_endo(_HEAVY))
+        assert lim.render() == "Z + Z[1/919] + Z[1/937]^2 + Z[1/997]"
+        assert proven == [("_factorize", 804432950467), ("_factorize", 875335093),
+                          ("_factorize", 997)]
 
 
 class TestCharPolyReference:
@@ -535,7 +614,7 @@ class TestCharPolyReference:
     def test_matches_shifted_determinants(self, rows, shift):
         A = IntMatrix.from_rows(rows)
         n = A.rows
-        poly = _char_poly(A)
+        poly = _char_poly(rows)
         assert len(poly) == n + 1 and poly[-1] == 1
         for c in range(shift, shift + n + 1):
             assert sum(a * c ** i for i, a in enumerate(poly)) == _shifted_det(A, c)
@@ -669,3 +748,41 @@ class TestEigenvalueCandidatesBasisFree:
             return res.stdout
 
         assert stdout(_conjugate(rows, ops)) == stdout(IntMatrix.from_rows(rows))
+
+
+def _primes_up_to(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+_SMALL_PRIMES = _primes_up_to(TRIAL_DIVISION_BOUND)
+_LARGEST_SMALL_PRIME = _SMALL_PRIMES[-1]
+# Primes above the trial-division bound, which it never finds.
+_LARGE_PRIMES = tuple(q for q in range(TRIAL_DIVISION_BOUND + 1, TRIAL_DIVISION_BOUND + 400)
+                      if all(q % p for p in _SMALL_PRIMES[:200])) + (1000000007, 1000000009)
+
+
+class TestFactorizeReference:
+    """_factorize against the factorization a product was built from."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(factors=[2] * 20)
+    @example(factors=[_LARGEST_SMALL_PRIME] * 2)
+    @example(factors=[2] * 7 + [3, 3, _LARGEST_SMALL_PRIME, _LARGEST_SMALL_PRIME])
+    @given(factors=st.lists(st.sampled_from(_SMALL_PRIMES) | st.sampled_from((2, 3, 5, 7)),
+                            min_size=1, max_size=6))
+    def test_products_of_small_primes(self, time_limit, factors):
+        n = prod(factors)
+        with time_limit(5):
+            assert _factorize(n) == _factorize(-n) == (dict(Counter(factors)), 1)
+
+    @settings(max_examples=10, deadline=None)
+    @given(small=st.lists(st.sampled_from((2, 3, 5, 7, 997, _LARGEST_SMALL_PRIME)), max_size=3),
+           large=st.lists(st.sampled_from(_LARGE_PRIMES), min_size=2, max_size=2))
+    def test_products_of_two_large_primes_stay_cofactors(self, time_limit, small, large):
+        with time_limit(5):
+            assert _factorize(prod(small) * prod(large)) == (dict(Counter(small)), prod(large))
