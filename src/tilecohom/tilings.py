@@ -520,66 +520,14 @@ def _cells(k, *specs):
     return tuple(out)
 
 
-def _fibonacci():
-    return make_spec(
-        name="fibonacci", dimension=1, geometry_mode="translation",
-        cells={0: _cells(0, "0.1", "1.0", "0.0"), 1: _cells(1, "0", "1")},
-        boundaries={1: IntMatrix.from_rows([[1, -1], [-1, 1], [0, 0]])},
-        substitution=SubstitutionData(
-            kind="homology_map",
-            homology_map={
-                0: (((1, 0, 0), (0, 0, 1)), ((1, 0, 1), (1, 0, 0))),
-                1: (((1, 1),), ((1, 1),)),
-            }),
-    )
-
-
-def _thue_morse():
-    return make_spec(
-        name="thue-morse", dimension=1, geometry_mode="translation",
-        cells={0: _cells(0, "0.0", "0.1", "1.0", "1.1"), 1: _cells(1, "0", "1")},
-        boundaries={1: IntMatrix.from_rows([[0, 0], [1, -1], [-1, 1], [0, 0]])},
-        substitution=SubstitutionData(
-            kind="homology_map",
-            homology_map={
-                # generators 0.1, 0.0, 1.1; the marker of 0.1 substitutes to
-                # 0.1+0.0+1.1, the others land on single vertex types.
-                0: (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)),
-                    ((1, 1, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))),
-                1: (((1, 1),), ((1, 1),)),
-            }),
-    )
-
-
 _TRIANGLE_T1 = IntMatrix.from_rows([[0, 0, 0]])
 _TRIANGLE_T2 = IntMatrix.from_rows([[1, -1], [-1, 1], [1, -1]])
-
-
-def _triangle_translation(name, substitution=None):
-    return make_spec(
-        name=name, dimension=2, geometry_mode="translation",
-        cells={0: _cells(0, "v"), 1: _cells(1, "a", "b", "c"),
-               2: _cells(2, "up", "down")},
-        boundaries={1: _TRIANGLE_T1, 2: _TRIANGLE_T2},
-        substitution=substitution,
-    )
-
-
-def _triangle_periodic_translation():
-    return _triangle_translation("triangle-periodic-translation")
-
-
-def _triangle_solenoid_translation():
-    return _triangle_translation(
-        "triangle-solenoid-translation",
-        substitution=SubstitutionData(
-            kind="homology_map",
-            homology_map={
-                0: (((1,),), ((4,),)),
-                1: (((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 2, 0))),
-                2: (((1, 1),), ((1, 1),)),
-            }),
-    )
+_TRIANGLE_TRANSLATION = dict(
+    dimension=2, geometry_mode="translation",
+    cells={0: _cells(0, "v"), 1: _cells(1, "a", "b", "c"),
+           2: _cells(2, "up", "down")},
+    boundaries={1: _TRIANGLE_T1, 2: _TRIANGLE_T2},
+)
 
 
 # Barycentric triangle lattice: vertex types V6/V2/V3 at the lattice points,
@@ -594,40 +542,15 @@ _TRIANGLE_ROT = RotationData(
         "V2": (("c", 1), ("a", -1), ("c", 1), ("a", -1)),
         "V3": (("c", -1), ("b", 1)) * 3,
     })
-
-
-def _triangle_rigid(name, substitution=None):
-    return make_spec(
-        name=name, dimension=2, geometry_mode="rigid",
-        cells={0: _cells(0, ("V6", 6), ("V2", 2), ("V3", 3)),
-               1: _cells(1, "a", "b", "c"),
-               2: _cells(2, "F1", "F2")},
-        boundaries={1: _TRIANGLE_R1, 2: _TRIANGLE_R2},
-        substitution=substitution,
-        rotation=_TRIANGLE_ROT,
-        symmetric_tilings=(6, 2, 3),
-    )
-
-
-def _triangle_periodic_rigid():
-    return _triangle_rigid("triangle-periodic-rigid")
-
-
-def _triangle_solenoid_rigid():
-    # Degree-0 generators: V6 marker (infinite order), the order-2 class
-    # (-3, 1, 0) and the order-3 class (-2, 0, 1); the substitution sends the
-    # V6 marker to the chain marking V6 and V2 together.
-    return _triangle_rigid(
-        "triangle-solenoid-rigid",
-        substitution=SubstitutionData(
-            kind="homology_map",
-            homology_map={
-                0: (((1, 0, 0), (-3, 1, 0), (-2, 0, 1)),
-                    ((1, 1, 0), (-3, 1, 0), (-2, 0, 1))),
-                1: ((), ()),
-                2: (((1, 1),), ((1, 1),)),
-            }),
-    )
+_TRIANGLE_RIGID = dict(
+    dimension=2, geometry_mode="rigid",
+    cells={0: _cells(0, ("V6", 6), ("V2", 2), ("V3", 3)),
+           1: _cells(1, "a", "b", "c"),
+           2: _cells(2, "F1", "F2")},
+    boundaries={1: _TRIANGLE_R1, 2: _TRIANGLE_R2},
+    rotation=_TRIANGLE_ROT,
+    symmetric_tilings=(6, 2, 3),
+)
 
 
 # Barycentric square lattice: V4a lattice points, V2 edge midpoints, V4b face
@@ -641,40 +564,15 @@ _SQUARE_ROT = RotationData(
         "V2": (("b", 1), ("a", -1), ("b", 1), ("a", -1)),
         "V4b": (("c", 1), ("b", -1)) * 4,
     })
-
-
-def _square_rigid(name, substitution=None):
-    return make_spec(
-        name=name, dimension=2, geometry_mode="rigid",
-        cells={0: _cells(0, ("V4a", 4), ("V2", 2), ("V4b", 4)),
-               1: _cells(1, "a", "b", "c"),
-               2: _cells(2, "F1", "F2")},
-        boundaries={1: _SQUARE_R1, 2: _SQUARE_R2},
-        substitution=substitution,
-        rotation=_SQUARE_ROT,
-        symmetric_tilings=(4, 2, 4),
-    )
-
-
-def _square_periodic_rigid():
-    return _square_rigid("square-periodic-rigid")
-
-
-def _square_solenoid_rigid():
-    # Adapted degree-0 basis: free class V4a, order-2 class (-2, 1, 0) and
-    # order-4 class (1, 0, -1); the substitution multiplies the free class by
-    # four, kills the order-2 class and folds the order-4 class diagonally.
-    return _square_rigid(
-        "square-solenoid-rigid",
-        substitution=SubstitutionData(
-            kind="homology_map",
-            homology_map={
-                0: (((1, 0, 0), (-2, 1, 0), (1, 0, -1)),
-                    ((4, 0, 0), (0, 0, 0), (-1, 1, -1))),
-                1: ((), ()),
-                2: (((1, 1),), ((1, 1),)),
-            }),
-    )
+_SQUARE_RIGID = dict(
+    dimension=2, geometry_mode="rigid",
+    cells={0: _cells(0, ("V4a", 4), ("V2", 2), ("V4b", 4)),
+           1: _cells(1, "a", "b", "c"),
+           2: _cells(2, "F1", "F2")},
+    boundaries={1: _SQUARE_R1, 2: _SQUARE_R2},
+    rotation=_SQUARE_ROT,
+    symmetric_tilings=(4, 2, 4),
+)
 
 
 # Penrose kite and dart, vertex types in Conway's order sun, star, ace, deuce,
@@ -738,9 +636,75 @@ _PENROSE_ROT = RotationData(
     })
 
 
-def _penrose():
-    return make_spec(
-        name="penrose-kite-dart", dimension=2, geometry_mode="rigid",
+_BUILTINS = {
+    "fibonacci": dict(
+        dimension=1, geometry_mode="translation",
+        cells={0: _cells(0, "0.1", "1.0", "0.0"), 1: _cells(1, "0", "1")},
+        boundaries={1: IntMatrix.from_rows([[1, -1], [-1, 1], [0, 0]])},
+        substitution=SubstitutionData(
+            kind="homology_map",
+            homology_map={
+                0: (((1, 0, 0), (0, 0, 1)), ((1, 0, 1), (1, 0, 0))),
+                1: (((1, 1),), ((1, 1),)),
+            }),
+    ),
+    "thue-morse": dict(
+        dimension=1, geometry_mode="translation",
+        cells={0: _cells(0, "0.0", "0.1", "1.0", "1.1"), 1: _cells(1, "0", "1")},
+        boundaries={1: IntMatrix.from_rows([[0, 0], [1, -1], [-1, 1], [0, 0]])},
+        substitution=SubstitutionData(
+            kind="homology_map",
+            homology_map={
+                # generators 0.1, 0.0, 1.1; the marker of 0.1 substitutes to
+                # 0.1+0.0+1.1, the others land on single vertex types.
+                0: (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)),
+                    ((1, 1, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))),
+                1: (((1, 1),), ((1, 1),)),
+            }),
+    ),
+    "triangle-periodic-translation": _TRIANGLE_TRANSLATION,
+    "triangle-periodic-rigid": _TRIANGLE_RIGID,
+    "square-periodic-rigid": _SQUARE_RIGID,
+    "triangle-solenoid-translation": dict(
+        _TRIANGLE_TRANSLATION,
+        substitution=SubstitutionData(
+            kind="homology_map",
+            homology_map={
+                0: (((1,),), ((4,),)),
+                1: (((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 2, 0))),
+                2: (((1, 1),), ((1, 1),)),
+            }),
+    ),
+    # Degree-0 generators: V6 marker (infinite order), the order-2 class
+    # (-3, 1, 0) and the order-3 class (-2, 0, 1); the substitution sends the
+    # V6 marker to the chain marking V6 and V2 together.
+    "triangle-solenoid-rigid": dict(
+        _TRIANGLE_RIGID,
+        substitution=SubstitutionData(
+            kind="homology_map",
+            homology_map={
+                0: (((1, 0, 0), (-3, 1, 0), (-2, 0, 1)),
+                    ((1, 1, 0), (-3, 1, 0), (-2, 0, 1))),
+                1: ((), ()),
+                2: (((1, 1),), ((1, 1),)),
+            }),
+    ),
+    # Adapted degree-0 basis: free class V4a, order-2 class (-2, 1, 0) and
+    # order-4 class (1, 0, -1); the substitution multiplies the free class by
+    # four, kills the order-2 class and folds the order-4 class diagonally.
+    "square-solenoid-rigid": dict(
+        _SQUARE_RIGID,
+        substitution=SubstitutionData(
+            kind="homology_map",
+            homology_map={
+                0: (((1, 0, 0), (-2, 1, 0), (1, 0, -1)),
+                    ((4, 0, 0), (0, 0, 0), (-1, 1, -1))),
+                1: ((), ()),
+                2: (((1, 1),), ((1, 1),)),
+            }),
+    ),
+    "penrose-kite-dart": dict(
+        dimension=2, geometry_mode="rigid",
         cells={0: _cells(0, ("sun", 5), ("star", 5), "ace", "deuce", "jack",
                          "queen", "king"),
                1: _cells(1, "E1", "E2", "E3", "E4", "E5", "E6", "E7"),
@@ -751,19 +715,7 @@ def _penrose():
             chain_map={0: _PENROSE_F0, 1: _PENROSE_F1, 2: _PENROSE_F2}),
         rotation=_PENROSE_ROT,
         symmetric_tilings=(5, 5),
-    )
-
-
-_BUILTINS = {
-    "fibonacci": _fibonacci,
-    "thue-morse": _thue_morse,
-    "triangle-periodic-translation": _triangle_periodic_translation,
-    "triangle-periodic-rigid": _triangle_periodic_rigid,
-    "square-periodic-rigid": _square_periodic_rigid,
-    "triangle-solenoid-translation": _triangle_solenoid_translation,
-    "triangle-solenoid-rigid": _triangle_solenoid_rigid,
-    "square-solenoid-rigid": _square_solenoid_rigid,
-    "penrose-kite-dart": _penrose,
+    ),
 }
 
 
@@ -775,4 +727,4 @@ def builtin(name: str) -> TilingSpec:
     if name not in _BUILTINS:
         raise SpecError("unknown builtin %r; available: %s"
                         % (name, ", ".join(builtin_names())))
-    return _BUILTINS[name]()
+    return make_spec(name=name, **_BUILTINS[name])

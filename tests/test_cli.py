@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecohom import complexes, dirlimit, exactalg, groups
-from tilecohom.cli import parse_group, parse_matrix, run_command
+from tilecohom.cli import main, parse_group, parse_matrix, run_command
 from tilecohom.exactalg import ExactAlgError, IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, GroupError
 from tilecohom.tilings import (
@@ -204,6 +204,36 @@ class TestChainLevelErrors:
         assert (res.exit_code, res.stdout) == (1, "")
         assert capsys.readouterr() == ("", "error: %s\n" % error)
 
+    @pytest.mark.parametrize("argv, error", [
+        (["spectral"], _MISMATCH_RIGID),
+        (["cohomology", "--hull", "rigid"], _MISMATCH_RIGID),
+        (["cohomology", "--hull", "rotation-quotient"], _NOT_PRESERVED),
+    ])
+    def test_hull_commands(self, tmp_path, capsys, argv, error):
+        path = _penrose_variant(tmp_path, **self.VARIANTS["chain-map"])
+        res = run(argv[0], path, *argv[1:])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert capsys.readouterr() == ("", "error: %s\n" % error)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectral"],
+        ["cohomology", "--hull", "rigid"],
+        ["cohomology", "--hull", "rotation-quotient"],
+    ])
+    def test_hull_commands_need_chain_data_for_the_modified_complex(
+            self, tmp_path, capsys, argv):
+        """Homology-level data whose rigid maps are isomorphisms still says
+        nothing about the modified complex."""
+        doc = json.loads(save_spec(builtin("triangle-solenoid-rigid")))
+        degree_0 = doc["substitution"]["homology_map"]["0"]
+        degree_0["images"] = degree_0["generators"]
+        path = tmp_path / "stationary.json"
+        path.write_text(json.dumps(doc))
+        res = run(argv[0], str(path), *argv[1:])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert capsys.readouterr() == (
+            "", "error: modified-complex substitution maps require chain-level data\n")
+
 
 class TestLimitCommand:
     def test_square_solenoid_arithmetic(self):
@@ -218,6 +248,18 @@ class TestLimitCommand:
         doc = json.loads(res.stdout)
         assert doc["limit"] == "Z + Z[1/6]"
         assert doc["status"] == "verified_profile"
+
+    def test_undetermined_limit(self):
+        """x^2 - x - 3 is irreducible and its 3-profile is 1, not 2, so no
+        proven summand covers the lattice."""
+        res = run("limit", "--group", "Z^2", "--matrix", "0,1;3,1", "--json")
+        doc = json.loads(res.stdout)
+        assert res.exit_code == 0
+        assert doc["status"] == "undetermined"
+        assert doc["lattice_rank"] == 2
+        assert doc["p_divisible_ranks"] == [[3, 1]]
+        res = run("limit", "--group", "Z^2", "--matrix", "0,1;3,1")
+        assert res.stdout.endswith("\nlattice rank 2, p-divisible ranks 3:1\n")
 
     def test_ill_defined_endo(self):
         res = run("limit", "--group", "Z/2", "--matrix", "1", "--json")
@@ -289,6 +331,12 @@ class TestUsageAndDeterminism:
     def test_builtin_list(self):
         res = run("builtin", "list")
         assert res.stdout.splitlines() == list(builtin_names())
+
+    def test_main_writes_stdout_and_returns_the_exit_code(self, capsys):
+        assert main(["builtin", "list"]) == 0
+        assert capsys.readouterr().out.splitlines() == list(builtin_names())
+        assert main(["limit"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_builtin_is_domain_error(self):
         res = run("homology", "--builtin", "pinwheel", "--mode", "rigid")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom.complexes import MODE_RIGID, build_chain_complex, homology
+from tilecohom.complexes import MODE_RIGID, ComplexError, build_chain_complex, homology
+from tilecohom.exactalg import IntMatrix
 from tilecohom.groups import FgAbelianGroup, quotient_by
 from tilecohom.spectral import (
     HULL_ROTATION_QUOTIENT,
@@ -19,7 +20,13 @@ from tilecohom.spectral import (
     spectral_sequence,
     winding_chain,
 )
-from tilecohom.tilings import RotationData, builtin, make_spec, validate_spec
+from tilecohom.tilings import (
+    RotationData,
+    SubstitutionData,
+    builtin,
+    make_spec,
+    validate_spec,
+)
 
 Z = FgAbelianGroup.free(1)
 
@@ -334,3 +341,37 @@ class TestHullCohomology:
     def test_unknown_hull(self):
         with pytest.raises(SpectralError):
             hull_cohomology(builtin("fibonacci"), "mystery")
+
+
+def _respec_substitution(spec, substitution):
+    return make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
+                     spec.boundaries, substitution, spec.rotation, spec.symmetric_tilings)
+
+
+class TestChainLevelErrors:
+    """The library classes behind the hull commands' chain-level errors: the
+    rigid complex's own error passes through, the modified complex's becomes
+    a SpectralError."""
+
+    def test_penrose_chain_map_that_breaks_both_complexes(self):
+        spec = builtin("penrose-kite-dart")
+        f = dict(spec.substitution.chain_map)
+        rows = f[0].to_rows()
+        rows[0][2] = 1
+        f[0] = IntMatrix.from_rows(rows)
+        bad = _respec_substitution(spec, SubstitutionData("chain_map", chain_map=f))
+        for compute in (spectral_sequence, e2_page, rigid_hull_cohomology):
+            with pytest.raises(ComplexError, match="boundary/f mismatch"):
+                compute(bad)
+        with pytest.raises(SpectralError, match="does not preserve the modified complex"):
+            hull_cohomology(bad, HULL_ROTATION_QUOTIENT)
+
+    def test_stationary_homology_map_has_no_modified_maps(self):
+        spec = builtin("triangle-solenoid-rigid")
+        maps = dict(spec.substitution.homology_map)
+        maps[0] = (maps[0][0], maps[0][0])
+        bad = _respec_substitution(spec, SubstitutionData("homology_map", homology_map=maps))
+        for compute in (spectral_sequence, e2_page, rigid_hull_cohomology,
+                        lambda s: hull_cohomology(s, HULL_ROTATION_QUOTIENT)):
+            with pytest.raises(SpectralError, match="require chain-level data"):
+                compute(bad)

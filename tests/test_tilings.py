@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecohom.cli import run_command
-from tilecohom.complexes import MODE_RIGID, build_chain_complex, homology
+from tilecohom.complexes import MODE_RIGID, MODE_RIGID_MODIFIED, build_chain_complex, homology
 from tilecohom.exactalg import IntMatrix
-from tilecohom.groups import FgAbelianGroup
+from tilecohom.groups import FgAbelianGroup, GroupHom, symmetry_defect
 from tilecohom.tilings import (
     CellType,
     RotationData,
@@ -531,6 +531,38 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(SpecError, match="unknown builtin"):
             builtin("pinwheel")
+
+    def test_each_builtin_carries_its_name(self):
+        assert len(builtin_names()) == 9
+        for name in builtin_names():
+            assert builtin(name).name == name
+
+    DEFECTS = {
+        "penrose-kite-dart": FgAbelianGroup(0, (5, 5)),
+        "square-periodic-rigid": FgAbelianGroup(0, (2, 4, 4)),
+        "square-solenoid-rigid": FgAbelianGroup(0, (2, 4, 4)),
+        "triangle-periodic-rigid": FgAbelianGroup(0, (6, 6)),
+        "triangle-solenoid-rigid": FgAbelianGroup(0, (6, 6)),
+    }
+
+    def test_defects_cover_every_rigid_builtin(self):
+        assert set(self.DEFECTS) == {name for name in builtin_names()
+                                     if builtin(name).geometry_mode == "rigid"}
+
+    @pytest.mark.parametrize("name, defect", sorted(DEFECTS.items()))
+    def test_symmetric_tilings_give_the_inclusion_cokernel(self, name, defect):
+        """The inclusion H_0(modified) -> H_0(rigid), which scales each 0-cell
+        by its symmetry, is injective with cokernel one Z/n per rotationally
+        invariant tiling of order n."""
+        spec = builtin(name)
+        rigid_h0 = homology(build_chain_complex(spec, MODE_RIGID), 0)
+        mod_h0 = homology(build_chain_complex(spec, MODE_RIGID_MODIFIED), 0)
+        scales = [c.symmetry for c in spec.cells[0]]
+        images = [rigid_h0.class_of([c * n for c, n in zip(mod_h0.lift(g), scales)])
+                  for g in mod_h0.structure.generators()]
+        incl = GroupHom.from_columns(mod_h0.structure, rigid_h0.structure, images)
+        assert incl.is_injective()
+        assert incl.cokernel() == symmetry_defect(spec.symmetric_tilings) == defect
 
     def test_penrose_census(self):
         spec = builtin("penrose-kite-dart")
