@@ -22,6 +22,7 @@ from .spectral import (
     spectral_sequence,
     winding_chain,
 )
+from .record import TilecohomError
 from .tilings import TilingSpec, builtin, builtin_names, load_spec, save_spec, validate_spec
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "rigid_hull_cohomology",
     "hull_cohomology",
     "spectral_sequence",
+    "TilecohomError",
     "TilingSpec",
     "builtin",
     "builtin_names",

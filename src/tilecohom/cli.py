@@ -16,10 +16,10 @@ import sys
 
 from . import complexes, spectral, tilings
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
-from .dirlimit import DirectLimitError, direct_limit
+from .dirlimit import direct_limit
 from .exactalg import ExactAlgError, IntMatrix
 from .groups import FgAbelianGroup, GroupError, GroupHom, from_divisors
-from .record import Record
+from .record import Record, TilecohomError
 
 _MODE_FLAG = {
     "translation": MODE_TRANSLATION,
@@ -31,9 +31,7 @@ _MODE_FLAG = {
 # read other Unicode digits, underscores and surrounding spaces.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
-_DOMAIN_ERRORS = (tilings.SpecError, complexes.ComplexError, GroupError,
-                  spectral.SpectralError, DirectLimitError, ExactAlgError,
-                  OSError)
+_DOMAIN_ERRORS = (TilecohomError, OSError)
 
 
 class CommandResult(Record):

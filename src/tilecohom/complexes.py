@@ -21,7 +21,7 @@ from .groups import (
     induced_hom,
     presentation_from,
 )
-from .record import Record
+from .record import Record, TilecohomError
 from .tilings import kept_cells
 
 MODE_TRANSLATION = "translation"
@@ -30,7 +30,7 @@ MODE_RIGID_MODIFIED = "rigid_modified"
 MODES = (MODE_TRANSLATION, MODE_RIGID, MODE_RIGID_MODIFIED)
 
 
-class ComplexError(Exception):
+class ComplexError(TilecohomError):
     pass
 
 

@@ -14,7 +14,7 @@ from operator import mul
 
 from .exactalg import IntMatrix, invariant_factors, smith_normal_form
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
-from .record import Record
+from .record import Record, TilecohomError
 
 STATUS_EXACT = "exact"
 STATUS_VERIFIED = "verified_profile"
@@ -30,7 +30,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
-class DirectLimitError(Exception):
+class DirectLimitError(TilecohomError):
     pass
 
 
@@ -81,9 +81,6 @@ class DirectLimitGroup(Record):
             parts.append("(undetermined rank %d)" % self.lattice_rank)
         parts.extend("Z/%d" % d for d in self.torsion.torsion)
         return " + ".join(parts) if parts else "0"
-
-    def __str__(self):
-        return self.render()
 
 
 class EventualData(Record):

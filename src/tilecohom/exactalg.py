@@ -14,10 +14,10 @@ from functools import cached_property
 from math import gcd
 from operator import add, sub
 
-from .record import Record
+from .record import Record, TilecohomError
 
 
-class ExactAlgError(Exception):
+class ExactAlgError(TilecohomError):
     pass
 
 
@@ -130,9 +130,6 @@ class IntMatrix(Record):
     def diagonal(self):
         return self.entries[::self.cols + 1][:min(self.rows, self.cols)]
 
-    def __str__(self):
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
 
 def _plus_times(x, q, y):
     """x + q * y entrywise, as a list.  Cell-complex boundaries and their
@@ -184,7 +181,7 @@ class SnfResult(Record):
     order applied: row_ops on the rows of A (U is their product) and col_ops
     on its columns (V).  u_times, uinv_times, v_times and vinv_times apply a
     transform to a matrix by replaying a log on its rows, so no transform is
-    built to be multiplied; U, Uinv, V and Vinv are those replays on the
+    built to be multiplied; U and V are those replays on the
     identity, built on first read.  One factorization answers every kernel
     and lattice-solve question about A.
     """
@@ -224,16 +221,8 @@ class SnfResult(Record):
         return self.u_times(IntMatrix.identity(self.S.rows))
 
     @cached_property
-    def Uinv(self) -> IntMatrix:
-        return self.uinv_times(IntMatrix.identity(self.S.rows))
-
-    @cached_property
     def V(self) -> IntMatrix:
         return self.v_times(IntMatrix.identity(self.S.cols))
-
-    @cached_property
-    def Vinv(self) -> IntMatrix:
-        return self.vinv_times(IntMatrix.identity(self.S.cols))
 
     @property
     def invariant_factors(self):

@@ -21,10 +21,10 @@ from .exactalg import (
     smith_normal_form,
     solve_in_lattice,
 )
-from .record import Record
+from .record import Record, TilecohomError
 
 
-class GroupError(Exception):
+class GroupError(TilecohomError):
     pass
 
 
@@ -73,9 +73,6 @@ class FgAbelianGroup(Record):
         torsion_coords = tuple(c % d for c, d in zip(torsion_coords, self.torsion))
         return GroupElement(self, free_coords, torsion_coords)
 
-    def zero(self):
-        return self.element((0,) * self.free_rank, (0,) * len(self.torsion))
-
     def generators(self):
         """Canonical generating elements, free ones first."""
         gens = []
@@ -102,37 +99,11 @@ class FgAbelianGroup(Record):
         parts.extend("Z/%d" % d for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def __str__(self):
-        return self.render()
-
 
 class GroupElement(Record):
     owner: FgAbelianGroup
     free_coords: tuple
     torsion_coords: tuple
-
-    def _check(self, other):
-        if self.owner != other.owner:
-            raise GroupError("elements belong to different groups")
-
-    def __add__(self, other):
-        self._check(other)
-        return self.owner.element(
-            tuple(a + b for a, b in zip(self.free_coords, other.free_coords)),
-            tuple(a + b for a, b in zip(self.torsion_coords, other.torsion_coords)),
-        )
-
-    def __neg__(self):
-        return self.owner.element(tuple(-a for a in self.free_coords),
-                                  tuple(-a for a in self.torsion_coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, n):
-        n = int(n)
-        return self.owner.element(tuple(n * a for a in self.free_coords),
-                                  tuple(n * a for a in self.torsion_coords))
 
     @property
     def is_zero(self):
@@ -351,11 +322,6 @@ class SubquotientPresentation(Record):
         s = self.structure
         return s.torsion[-1] if s.torsion and not s.free_rank else None
 
-    @property
-    def cycle_basis(self) -> IntMatrix:
-        """The basis V[:, r:] of ker d_k that the coordinates refer to."""
-        return self.d_k_snf.kernel()
-
     def classes_of(self, chains: IntMatrix) -> IntMatrix:
         """Canonical coordinates of the classes of the columns of chains, as the
         columns of a matrix; raises if a column is not a cycle.
@@ -404,11 +370,6 @@ class SubquotientPresentation(Record):
         columns: _cycles of the unit columns free_idx + torsion_idx."""
         return self._cycles(IntMatrix.unit_columns(self.relations.S.rows,
                                                    self.free_idx + self.torsion_idx))
-
-    def generator_cycles(self):
-        """The columns of generator_matrix(), one lifted cycle per generator."""
-        G = self.generator_matrix()
-        return [G.column(j) for j in range(G.cols)]
 
 
 def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresentation:

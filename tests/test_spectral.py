@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilecohom.cli import CommandResult, run_command
 from tilecohom.complexes import MODE_RIGID, ComplexError, build_chain_complex, homology
 from tilecohom.exactalg import IntMatrix
 from tilecohom.groups import FgAbelianGroup, quotient_by
@@ -24,11 +26,17 @@ from tilecohom.tilings import (
     RotationData,
     SubstitutionData,
     builtin,
+    load_spec,
     make_spec,
+    save_spec,
     validate_spec,
 )
 
 Z = FgAbelianGroup.free(1)
+
+# A rigid p1 torus: one vertex v, edges a and b, face f, all of symmetry 1,
+# zero boundaries, no edge rotation, and the lap (a,+1), (b,+1), (a,-1), (b,-1).
+P1_TORUS = Path(__file__).with_name("p1_torus_rigid.json")
 
 # Which face type sits on the first/second side of each edge type, per spec.
 # Used to fold randomized face-direction offsets into the edge rotations.
@@ -115,7 +123,7 @@ class TestWindingChain:
         for name, sides in FACE_SIDES.items():
             spec = builtin(name)
             base = winding_chain(spec)
-            face_ids = spec.cell_ids(2)
+            face_ids = [c.id for c in spec.cells[2]]
             for _ in range(10):
                 offset = {f: Fraction(rng.randint(-7, 7), rng.choice([1, 2, 5, 6]))
                           for f in face_ids}
@@ -307,6 +315,32 @@ class TestRigidHull:
         assert page.entry(2, 0).is_trivial
 
 
+class TestRigidTorus:
+    """A spec whose rigid hull is known without the spectral sequence: a
+    periodic tiling with no rotational symmetry has rigid hull T^2 x S^1,
+    whose Cech cohomology is (Z, Z^3, Z^3, Z)."""
+
+    def test_three_torus_and_euler_characteristic(self, tmp_path):
+        spec = load_spec(P1_TORUS.read_text(encoding="utf-8"))
+        ss = spectral_sequence(spec)
+        assert ss.cohomology.render() == ("Z", "Z^3", "Z^3", "Z")
+        assert ss.cohomology.extension_flags == ((),) * 4
+        assert ss.cohomology.notes == ()
+        assert ss.d2_order == 1
+        path = tmp_path / "torus.json"
+        path.write_text(save_spec(spec), encoding="utf-8")
+        assert run_command(["cohomology", str(path), "--hull", "rigid"]) == \
+            CommandResult(0, "H^0 = Z\nH^1 = Z^3\nH^2 = Z^3\nH^3 = Z\n")
+        # A second method: the two E2 rows have equal ranks (the modified
+        # complex is the rigid one rescaled, so the same over Q), and d2 moves
+        # rank between adjacent total degrees, so the Cech ranks have
+        # alternating sum 0.
+        for s in (spec, builtin("penrose-kite-dart"), builtin("square-periodic-rigid"),
+                  builtin("triangle-periodic-rigid")):
+            groups = spectral_sequence(s).cohomology.groups
+            assert sum((-1) ** n * g.free_rank for n, g in enumerate(groups)) == 0, s.name
+
+
 class TestHullCohomology:
     def test_fibonacci(self):
         hc = hull_cohomology(builtin("fibonacci"), HULL_TRANSLATION)
@@ -334,7 +368,7 @@ class TestHullCohomology:
             hull_cohomology(builtin("fibonacci"), HULL_ROTATION_QUOTIENT)
 
     def test_rotation_quotient_needs_chain_data_when_hierarchical(self):
-        with pytest.raises(SpectralError, match="chain-level"):
+        with pytest.raises(ComplexError, match="chain-level"):
             hull_cohomology(builtin("triangle-solenoid-rigid"),
                             HULL_ROTATION_QUOTIENT)
 
@@ -349,9 +383,9 @@ def _respec_substitution(spec, substitution):
 
 
 class TestChainLevelErrors:
-    """The library classes behind the hull commands' chain-level errors: the
-    rigid complex's own error passes through, the modified complex's becomes
-    a SpectralError."""
+    """The library class behind the hull commands' chain-level errors: bad
+    chain-level data raises ComplexError from every spectral entry point,
+    whichever complex it breaks."""
 
     def test_penrose_chain_map_that_breaks_both_complexes(self):
         spec = builtin("penrose-kite-dart")
@@ -363,7 +397,7 @@ class TestChainLevelErrors:
         for compute in (spectral_sequence, e2_page, rigid_hull_cohomology):
             with pytest.raises(ComplexError, match="boundary/f mismatch"):
                 compute(bad)
-        with pytest.raises(SpectralError, match="does not preserve the modified complex"):
+        with pytest.raises(ComplexError, match="does not preserve the modified complex"):
             hull_cohomology(bad, HULL_ROTATION_QUOTIENT)
 
     def test_stationary_homology_map_has_no_modified_maps(self):
@@ -373,5 +407,5 @@ class TestChainLevelErrors:
         bad = _respec_substitution(spec, SubstitutionData("homology_map", homology_map=maps))
         for compute in (spectral_sequence, e2_page, rigid_hull_cohomology,
                         lambda s: hull_cohomology(s, HULL_ROTATION_QUOTIENT)):
-            with pytest.raises(SpectralError, match="require chain-level data"):
+            with pytest.raises(ComplexError, match="require chain-level data"):
                 compute(bad)
