@@ -19,7 +19,7 @@ from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .dirlimit import direct_limit
 from .exactalg import ExactAlgError, IntMatrix
 from .groups import FgAbelianGroup, GroupError, GroupHom, from_divisors
-from .record import Record, TilecohomError
+from .record import Record, TilecohomError, decimal
 
 _MODE_FLAG = {
     "translation": MODE_TRANSLATION,
@@ -72,9 +72,18 @@ def _element_json(el):
 
 
 def _element_text(el):
-    free = ", ".join(str(x) for x in el.free_coords)
-    tors = ", ".join(str(x) for x in el.torsion_coords)
+    free = ", ".join(map(decimal, el.free_coords))
+    tors = ", ".join(map(decimal, el.torsion_coords))
     return "(%s; %s)" % (free, tors)
+
+
+def _json(doc):
+    """doc as one JSON document.  A document of str, int, list and dict fails
+    to encode only on an int with more digits than Python writes."""
+    try:
+        return CommandResult(0, json.dumps(doc, indent=2) + "\n")
+    except ValueError:
+        raise TilecohomError("an integer of the result is too long to print") from None
 
 
 def _cmd_check(args):
@@ -98,7 +107,7 @@ def _cmd_homology(args):
         }
         if args.limit:
             doc["status"] = {str(k): g.status for k, g in results.items()}
-        return CommandResult(0, json.dumps(doc, indent=2) + "\n")
+        return _json(doc)
     lines = ["H_%d = %s" % (k, g.render()) for k, g in results.items()]
     return CommandResult(0, "\n".join(lines) + "\n")
 
@@ -120,16 +129,11 @@ def _cech_output(hc, as_json, inline=False):
 
 def _cmd_cohomology(args):
     spec = _load_target(args)
-    if args.hull == "rigid":
-        hc = spectral.rigid_hull_cohomology(spec)
-    elif args.hull == "rotation-quotient":
-        hc = spectral.hull_cohomology(spec, spectral.HULL_ROTATION_QUOTIENT)
-    else:
-        hc = spectral.hull_cohomology(spec, spectral.HULL_TRANSLATION)
+    hc = spectral.hull_cohomology(spec, args.hull.replace("-", "_"))
     if args.json:
         doc = {"spec": spec.name, "hull": args.hull}
         doc.update(_cech_output(hc, True))
-        return CommandResult(0, json.dumps(doc, indent=2) + "\n")
+        return _json(doc)
     return CommandResult(0, "\n".join(_cech_output(hc, False)) + "\n")
 
 
@@ -141,7 +145,7 @@ def _cmd_spectral(args):
     spec = _load_target(args)
     ss = spectral.spectral_sequence(spec)
     sigma = ss.d2_class
-    order_str = "infinite" if ss.d2_order is None else str(ss.d2_order)
+    order_str = "infinite" if ss.d2_order is None else decimal(ss.d2_order)
     if args.json:
         doc = {
             "spec": spec.name,
@@ -152,7 +156,7 @@ def _cmd_spectral(args):
             "einf": {"q1": _page_row(ss.einf, 1), "q0": _page_row(ss.einf, 0)},
         }
         doc.update(_cech_output(ss.cohomology, True))
-        return CommandResult(0, json.dumps(doc, indent=2) + "\n")
+        return _json(doc)
     lines = [
         "E2  q=1: " + "  ".join(_page_row(ss.e2, 1)),
         "E2  q=0: " + "  ".join(_page_row(ss.e2, 0)),
@@ -227,7 +231,7 @@ def _cmd_limit(args):
         if lim.status == "undetermined":
             doc["lattice_rank"] = lim.lattice_rank
             doc["p_divisible_ranks"] = [[p, r] for p, r in lim.p_divisible_ranks]
-        return CommandResult(0, json.dumps(doc, indent=2) + "\n")
+        return _json(doc)
     lines = ["limit = %s (status %s)" % (lim.render(), lim.status)]
     lines.extend("note: " + n for n in lim.notes)
     if lim.status == "undetermined":

@@ -21,7 +21,7 @@ from .groups import (
     induced_hom,
     presentation_from,
 )
-from .record import Record, TilecohomError
+from .record import Record, TilecohomError, decimal
 from .tilings import kept_cells
 
 MODE_TRANSLATION = "translation"
@@ -202,8 +202,8 @@ class Analysis:
             if lhs.entries != rhs.entries:
                 at = next(n for n, (x, y) in enumerate(zip(lhs.entries, rhs.entries)) if x != y)
                 i, j = divmod(at, lhs.cols)
-                violations.append("degree %d: boundary/f mismatch at row %d, col %d "
-                                  "(%d != %d)" % (k, i, j, lhs[i, j], rhs[i, j]))
+                violations.append("degree %d: boundary/f mismatch at row %d, col %d (%s != %s)"
+                                  % (k, i, j, decimal(lhs[i, j]), decimal(rhs[i, j])))
         if violations:
             raise ComplexError("substitution chain data: " + "; ".join(violations))
         return tuple(f)

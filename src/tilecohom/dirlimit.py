@@ -14,7 +14,7 @@ from operator import mul
 
 from .exactalg import IntMatrix, invariant_factors, smith_normal_form
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
-from .record import Record, TilecohomError
+from .record import Record, TilecohomError, decimal
 
 STATUS_EXACT = "exact"
 STATUS_VERIFIED = "verified_profile"
@@ -34,16 +34,6 @@ class DirectLimitError(TilecohomError):
     pass
 
 
-def _decimal(n):
-    """n in decimal, or DirectLimitError when it has more digits than Python
-    converts to text."""
-    try:
-        return str(n)
-    except ValueError:
-        raise DirectLimitError("a %d-bit integer of the result is too long to print"
-                               % n.bit_length()) from None
-
-
 class ProfileMismatchError(DirectLimitError):
     """The eigenvalue conjecture contradicts the p-divisibility profile.
 
@@ -59,7 +49,6 @@ class DirectLimitGroup(Record):
     free_summands: tuple
     status: str
     lattice_rank: int = 0
-    endo_matrix: IntMatrix | None = None
     p_divisible_ranks: tuple = ()
     notes: tuple = ()
 
@@ -75,11 +64,11 @@ class DirectLimitGroup(Record):
             if m == 1:
                 parts.append("Z" if r == 1 else "Z^%d" % r)
             else:
-                parts.append("Z[1/%s]" % _decimal(m) if r == 1
-                             else "Z[1/%s]^%d" % (_decimal(m), r))
+                parts.append("Z[1/%s]" % decimal(m) if r == 1
+                             else "Z[1/%s]^%d" % (decimal(m), r))
         if self.status == STATUS_UNDETERMINED and self.lattice_rank:
             parts.append("(undetermined rank %d)" % self.lattice_rank)
-        parts.extend("Z/%d" % d for d in self.torsion.torsion)
+        parts.extend("Z/" + decimal(d) for d in self.torsion.torsion)
         return " + ".join(parts) if parts else "0"
 
 
@@ -363,7 +352,6 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
     divisibility profile), and reported undetermined otherwise.  The torsion
     limit always splits off (towers of finite groups are Mittag-Leffler).
     """
-    _check_endo(group, endo)
     data = eventual_data(group, endo)
     D = data.induced
     r = D.rows
@@ -393,7 +381,7 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
     else:
         notes.append("determinant cofactor %s has no prime factor up to %d and is not "
                      "a proven prime; the eigenvalues were not checked"
-                     % (_decimal(cofactor), TRIAL_DIVISION_BOUND))
+                     % (decimal(cofactor), TRIAL_DIVISION_BOUND))
     if roots is not None and _is_diagonalizable(rows, sorted(set(roots))):
         # Conjectured limit: one Z[1/|lambda|] per eigenvalue.  Verify the
         # p-divisible rank for every prime dividing the determinant before
@@ -409,7 +397,7 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
             m = prod(p for p in factors if lam % p == 0)
             if m != abs(lam):
                 note = ("inverted integer %s canonicalized to its radical %s"
-                        % (_decimal(abs(lam)), _decimal(m)))
+                        % (decimal(abs(lam)), decimal(m)))
                 if note not in notes:
                     notes.append(note)
             counts[m] = counts.get(m, 0) + 1
@@ -422,7 +410,6 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
         (),
         STATUS_UNDETERMINED,
         lattice_rank=r,
-        endo_matrix=D,
         p_divisible_ranks=profile,
         notes=tuple(notes),
     )

@@ -21,7 +21,7 @@ from .exactalg import (
     smith_normal_form,
     solve_in_lattice,
 )
-from .record import Record, TilecohomError
+from .record import Record, TilecohomError, decimal
 
 
 class GroupError(TilecohomError):
@@ -96,7 +96,7 @@ class FgAbelianGroup(Record):
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append("Z^%d" % self.free_rank)
-        parts.extend("Z/%d" % d for d in self.torsion)
+        parts.extend("Z/" + decimal(d) for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
 

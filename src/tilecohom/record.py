@@ -23,6 +23,17 @@ class TilecohomError(Exception):
     """The base of every domain error the package raises."""
 
 
+def decimal(x):
+    """str(x) of an int or a Fraction, or TilecohomError naming its size when
+    Python refuses to write that many digits."""
+    try:
+        return str(x)
+    except ValueError:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise TilecohomError("a %d-bit number of the result is too long to print"
+                             % bits) from None
+
+
 class Record:
     __slots__ = ()
 

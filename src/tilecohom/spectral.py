@@ -14,8 +14,7 @@ from __future__ import annotations
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .groups import FgAbelianGroup, GroupElement, quotient_by
-from .record import Record, TilecohomError
-from .tilings import lap_text
+from .record import Record, TilecohomError, decimal
 
 
 class SpectralError(TilecohomError):
@@ -53,7 +52,7 @@ def winding_chain(spec):
     for c in spec.cells[0]:
         if turns[c.id].denominator != 1:
             raise SpectralError("vertex %r: lap sums to %s, not a whole number of turns"
-                                % (c.id, lap_text(c.id, turns[c.id])))
+                                % (c.id, decimal(turns[c.id])))
         chain.append(int(turns[c.id]))
     return tuple(chain)
 
@@ -167,15 +166,20 @@ def rigid_hull_cohomology(spec) -> HullCohomology:
 
 HULL_TRANSLATION = "translation"
 HULL_ROTATION_QUOTIENT = "rotation_quotient"
+HULL_RIGID = "rigid"
 
 
 def hull_cohomology(spec, hull) -> HullCohomology:
-    """Cech cohomology of the translation hull or the rotation quotient.
+    """Cech cohomology of the translation hull, the rotation quotient or the
+    rigid hull.
 
+    The rigid hull's is rigid_hull_cohomology's.  For the other two,
     Poincare duality enters purely as the regrading H^(d-k) = H_k, with the
     unmodified complex for the translation hull and the modified one for the
     rotation quotient; hierarchical specs take direct limits degreewise.
     """
+    if hull == HULL_RIGID:
+        return rigid_hull_cohomology(spec)
     if hull == HULL_TRANSLATION:
         if spec.geometry_mode != "translation":
             raise SpectralError("translation hull needs a translation-mode spec")

@@ -17,7 +17,7 @@ from math import lcm
 from operator import itemgetter
 
 from .exactalg import IntMatrix
-from .record import Record, TilecohomError
+from .record import Record, TilecohomError, decimal
 
 
 class SpecError(TilecohomError):
@@ -44,17 +44,6 @@ class RotationData(Record):
                   for eid, f in self.edge_rotations.items()}
         return {vid: Fraction(sum(sign * scaled[eid] for eid, sign in star), L)
                 for vid, star in self.vertex_stars.items()}
-
-
-def lap_text(vid, turns):
-    """A vertex's lap sum as text, or SpecError naming the vertex when the
-    fraction has more digits than Python converts to text."""
-    try:
-        return str(turns)
-    except ValueError:
-        bits = max(abs(turns.numerator).bit_length(), turns.denominator.bit_length())
-        raise SpecError("rotation.vertex_stars.%s: lap sum of %d bits is too long to print"
-                        % (vid, bits)) from None
 
 
 class SubstitutionData(Record):
@@ -477,7 +466,7 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
             if turns[c.id].denominator != 1:
                 issues.append("rotation.vertex_stars.%s: lap sums to %s of a full "
                               "turn; rotations must close up"
-                              % (c.id, lap_text(c.id, turns[c.id])))
+                              % (c.id, decimal(turns[c.id])))
 
     if spec.substitution is not None and not issues:
         # Homology-level data says nothing about the modified complex.

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import signal
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -28,3 +29,13 @@ def _time_limit(seconds):
 def time_limit():
     """`with time_limit(s):` fails the test after s seconds instead of hanging."""
     return _time_limit
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on int/str conversions, 4,300 digits, pinned for
+    the test and the previous value put back after it."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)

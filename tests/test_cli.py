@@ -453,6 +453,86 @@ class TestMalformedInput:
         assert _one_error_line(capsys.readouterr().err)
 
 
+# Coprime, with 4,001 digits each: every input number is within Python's
+# 4,300-digit limit, but the torsion factor a*b and the product a*a are not.
+_A, _B = 10 ** 4000 + 1, 10 ** 4000 + 3
+
+
+def _cells(prefix, n):
+    return [{"id": "%s%d" % (prefix, i), "symmetry": 1, "reverses_orientation": False}
+            for i in range(n)]
+
+
+_LONG_SPECS = {
+    # H_0 = Z/(a*b).
+    "diag": {"name": "diag", "dimension": 1, "geometry_mode": "translation",
+             "cells": {"0": _cells("v", 2), "1": _cells("e", 2)},
+             "boundaries": {"1": [[_A, 0], [0, _B]]}},
+    # d f_1 = a, f_0 d = a*a.
+    "chain": {"name": "chain", "dimension": 1, "geometry_mode": "translation",
+              "cells": {"0": _cells("v", 1), "1": _cells("e", 1)},
+              "boundaries": {"1": [[_A]]},
+              "substitution": {"kind": "chain_map",
+                               "chain_map": {"0": [[_A]], "1": [[1]]}}},
+    # H_0 = Z + Z/(a*b) in both rigid complexes.
+    "rigid": {"name": "rigid", "dimension": 2, "geometry_mode": "rigid",
+              "cells": {"0": _cells("v", 3), "1": _cells("e", 2), "2": _cells("f", 1)},
+              "boundaries": {"1": [[_A, 0], [0, _B], [0, 0]], "2": [[0], [0]]},
+              "rotation": {"edge_rotations": {"e0": "0/1", "e1": "0/1"},
+                           "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}],
+                                            "v1": [{"edge": "e1", "sign": 1}],
+                                            "v2": []}}},
+    # The winding chain (10^4300, 1) has infinite order in H_0 = Z^2, and
+    # E-infinity (0,1) = Z.  Only the d2 image's coordinate is too long.
+    "winding": {"name": "winding", "dimension": 2, "geometry_mode": "rigid",
+                "cells": {"0": _cells("v", 2), "1": _cells("e", 2), "2": _cells("f", 1)},
+                "boundaries": {"1": [[0, 0], [0, 0]], "2": [[0], [0]]},
+                "rotation": {"edge_rotations": {"e0": "%d/1" % 10 ** 4299, "e1": "1/1"},
+                             "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}] * 10,
+                                              "v1": [{"edge": "e1", "sign": 1}]}}},
+}
+
+
+class TestResultTooLongToPrint:
+    """A result number with more digits than Python writes ends the command
+    with exit 1 and one error line, as a domain error."""
+
+    @pytest.mark.parametrize("spec, argv", [
+        ("diag", ["homology", "--mode", "translation"]),
+        ("diag", ["homology", "--mode", "translation", "--json"]),
+        ("diag", ["cohomology", "--hull", "translation"]),
+        ("chain", ["homology", "--mode", "translation", "--limit"]),
+        ("rigid", ["spectral"]),
+        ("rigid", ["spectral", "--json"]),
+        ("rigid", ["cohomology", "--hull", "rigid"]),
+        ("rigid", ["cohomology", "--hull", "rotation-quotient"]),
+        ("winding", ["spectral"]),
+        ("winding", ["spectral", "--json"]),
+        (None, ["limit", "--group", "Z/%d + Z/%d" % (_A, _B), "--matrix", "1"]),
+        (None, ["limit", "--group", "Z/%d + Z/%d" % (_A, _B), "--matrix", "1", "--json"]),
+    ], ids=["diag-homology", "diag-homology-json", "diag-cohomology", "chain-homology-limit",
+            "rigid-spectral", "rigid-spectral-json", "rigid-cohomology-rigid",
+            "rigid-cohomology-rotation-quotient", "winding-spectral", "winding-spectral-json",
+            "limit", "limit-json"])
+    def test_one_error_line(self, tmp_path, capsys, int_digit_limit, spec, argv):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(_LONG_SPECS[spec]))
+            argv = [argv[0], str(path)] + argv[1:]
+        res = run(*argv)
+        assert (res.exit_code, res.stdout) == (1, "")
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and err.endswith(" of the result is too long to print\n")
+
+    def test_check_reports_the_mismatch_as_invalid(self, tmp_path, capsys, int_digit_limit):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_LONG_SPECS["chain"]))
+        res = run("check", str(path))
+        assert res.exit_code == 1
+        assert res.stdout.startswith("chain: invalid\n  substitution[translation]: ")
+        assert capsys.readouterr() == ("", "")
+
+
 _COMMANDS = ("check", "homology", "cohomology", "spectral", "limit", "builtin")
 _FLAGS = ("--builtin", "--mode", "--degree", "--hull", "--group", "--matrix",
           "--limit", "--json", "--help", "--matrix=-1", "list", None)

@@ -168,7 +168,6 @@ class TestDirectLimit:
         lim = direct_limit(g, e)
         assert lim.status == STATUS_UNDETERMINED
         assert lim.lattice_rank == 2
-        assert lim.endo_matrix is not None
         assert dict(lim.p_divisible_ranks) == {2: 2}
 
     def test_undetermined_non_diagonalizable(self):

@@ -7,6 +7,7 @@ on construction, equality, hash, repr and immutability.
 
 import copy
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from tilecohom.complexes import MODE_RIGID, build_chain_complex
 from tilecohom.dirlimit import direct_limit, eventual_data
 from tilecohom.exactalg import ExactAlgError, IntMatrix, smith_normal_form
 from tilecohom.groups import FgAbelianGroup, GroupError, GroupHom, homology_presentation
-from tilecohom.record import Record
+from tilecohom.record import Record, TilecohomError, decimal
 from tilecohom.spectral import spectral_sequence
 from tilecohom.tilings import builtin, validate_spec
 
@@ -178,3 +179,13 @@ def test_snf_transforms_are_built_once():
     assert snf.u_times(IntMatrix.identity(3)) == u
     assert snf.V is snf.V and snf.__dict__["V"] is snf.V
     assert snf == smith_normal_form(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
+
+
+@pytest.mark.parametrize("make", [lambda n: n, lambda n: Fraction(-3, n)],
+                         ids=["int", "Fraction"])
+def test_decimal_at_the_digit_limit(int_digit_limit, make):
+    """10^4299 has the 4,300 digits Python writes; 10^4300, of 14,285 bits,
+    has one more."""
+    assert decimal(make(10 ** 4299)) == str(make(10 ** 4299))
+    with pytest.raises(TilecohomError, match="^a 14285-bit number of the result"):
+        decimal(make(10 ** 4300))
