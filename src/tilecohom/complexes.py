@@ -21,7 +21,7 @@ from .groups import (
     induced_hom,
     presentation_from,
 )
-from .record import Record, TilecohomError, decimal
+from .record import Record, TilecohomError, decimal_or_size
 from .tilings import kept_cells
 
 MODE_TRANSLATION = "translation"
@@ -203,7 +203,8 @@ class Analysis:
                 at = next(n for n, (x, y) in enumerate(zip(lhs.entries, rhs.entries)) if x != y)
                 i, j = divmod(at, lhs.cols)
                 violations.append("degree %d: boundary/f mismatch at row %d, col %d (%s != %s)"
-                                  % (k, i, j, decimal(lhs[i, j]), decimal(rhs[i, j])))
+                                  % (k, i, j, decimal_or_size(lhs[i, j]),
+                                     decimal_or_size(rhs[i, j])))
         if violations:
             raise ComplexError("substitution chain data: " + "; ".join(violations))
         return tuple(f)

@@ -10,9 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import prod
-from operator import mul
 
-from .exactalg import IntMatrix, invariant_factors, smith_normal_form
+from .exactalg import IntMatrix, _times, invariant_factors, smith_normal_form
 from .groups import FgAbelianGroup, GroupHom, subgroup_structure
 from .record import Record, TilecohomError, decimal
 
@@ -86,19 +85,24 @@ class EventualData(Record):
     induced_exponent: int
 
 
-def _identity_rows(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _times(A, B):
-    """The product of two dense matrices given as lists of rows."""
-    cols = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in cols] for row in A]
-
-
 def _check_endo(group, endo):
     if endo.domain != group or endo.codomain != group:
         raise DirectLimitError("endomorphism domain/codomain mismatch")
+
+
+def _power_mod(rows, moduli, bound):
+    """D^e with row i reduced mod moduli[i], for D the square matrix of these
+    rows and e the first power of 2 at least bound, by repeated squaring.
+    Reducing row k mod m_k moves row i of a product by multiples of a_ik m_k,
+    so these are D^e's residues when every m_i divides a_ik m_k: always for
+    one modulus, and for an endomorphism of Z/m_1 + ... + Z/m_n."""
+    power = [[x % m for x in row] for row, m in zip(rows, moduli)]
+    e = 1
+    while e < bound:
+        power = [[x % m for x in row]
+                 for row, m in zip(_times(power, power, len(power)), moduli)]
+        e *= 2
+    return power
 
 
 def _torsion_limit(group: FgAbelianGroup, endo: GroupHom) -> FgAbelianGroup:
@@ -108,19 +112,16 @@ def _torsion_limit(group: FgAbelianGroup, endo: GroupHom) -> FgAbelianGroup:
     later ones do.  Each strict shrink divides the order by at least 2, so
     there are fewer than bit_length(|T|) of them, and phi^N(T) is the stable
     image for every N >= bit_length(|T|).  phi^N, with N the first power of 2
-    that large, is formed by squaring the restriction of phi to T, with row i
-    kept reduced mod the invariant factor d_i, as canonical coordinates are.
+    that large, is the power of the restriction of phi to T that _power_mod
+    forms, with row i reduced mod the invariant factor d_i, as canonical
+    coordinates are.
     """
     f, d = group.free_rank, group.torsion
     if not d:
         return FgAbelianGroup.trivial()
     T = FgAbelianGroup(0, d)
-    power = [[x % di for x in endo.matrix.row(f + i)[f:]] for i, di in enumerate(d)]
-    bits = T.torsion_order().bit_length()
-    N = 1
-    while N < bits:
-        power = [[x % di for x in row] for row, di in zip(_times(power, power), d)]
-        N *= 2
+    block = [endo.matrix.row(f + i)[f:] for i in range(len(d))]
+    power = _power_mod(block, d, T.torsion_order().bit_length())
     return subgroup_structure(T, [T.element((), col) for col in zip(*power)])
 
 
@@ -243,15 +244,9 @@ def _stable_rank(rows, p):
 
     Over a field the ranks of D, D^2, ... fall until two consecutive ones
     agree and are constant from then on; each fall loses at least 1 from at
-    most n, so they are constant from e = n on.  D^e, with e the first power
-    of 2 at least n, is formed by squaring mod p, so no entry reaches p.
+    most n, so they are constant from e = n on.
     """
-    power = [[x % p for x in row] for row in rows]
-    e = 1
-    while e < len(rows):
-        power = [[x % p for x in row] for row in _times(power, power)]
-        e *= 2
-    return _rank_mod_p(power, p)
+    return _rank_mod_p(_power_mod(rows, [p] * len(rows), len(rows)), p)
 
 
 def stable_rank_mod_p(induced: IntMatrix, p: int) -> int:
@@ -277,9 +272,9 @@ def _char_poly(a):
     """
     n = len(a)
     cs = []
-    Mk = _identity_rows(n)
+    Mk = IntMatrix.identity(n).to_rows()
     for k in range(1, n + 1):
-        Mk = _times(a, Mk)
+        Mk = _times(a, Mk, n)
         tr = sum(Mk[i][i] for i in range(n))
         ck, rem = divmod(-tr, k)
         if rem:
@@ -336,10 +331,10 @@ def _is_diagonalizable(rows, distinct_roots) -> bool:
     """Whether the product of D - lam I over distinct_roots is zero, with D
     given by its rows: when they are all the eigenvalues of D, whether D is
     diagonalizable over Q.  An empty product is the identity."""
-    product = _identity_rows(len(rows))
+    product = IntMatrix.identity(len(rows)).to_rows()
     for lam in distinct_roots:
         product = _times(product, [[x - lam if i == j else x for j, x in enumerate(row)]
-                                   for i, row in enumerate(rows)])
+                                   for i, row in enumerate(rows)], len(rows))
     return not any(map(any, product))
 
 

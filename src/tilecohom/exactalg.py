@@ -11,6 +11,7 @@ at the same time may both build it, and get equal matrices.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import add, sub
 
@@ -94,29 +95,17 @@ class IntMatrix(Record):
         return IntMatrix(len(rows), len(col_idx), tuple(r[j] for r in rows for j in col_idx))
 
     def __mul__(self, other):
-        """Each row of the product sums a_ik * row k of other over the
-        nonzero a_ik only, so sparse factors cost little."""
         if not isinstance(other, IntMatrix):
             raise TypeError("can only multiply by IntMatrix")
         if self.cols != other.rows:
             raise ExactAlgError("shape mismatch in product")
-        m = other.cols
-        b = [other.row(k) for k in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            acc = [0] * m
-            for x, row in zip(self.row(i), b):
-                if x:
-                    acc = _plus_times(acc, x, row)
-            out.extend(acc)
-        return IntMatrix(self.rows, m, tuple(out))
+        return _from_rows(_times(self.to_rows(), other.to_rows(), other.cols), other.cols)
 
     def mul_vector(self, vec):
         vec = list(vec)
         if len(vec) != self.cols:
             raise ExactAlgError("vector length mismatch")
-        return tuple(sum(x * y for x, y in zip(self.row(i), vec))
-                     for i in range(self.rows))
+        return tuple(x for (x,) in _times(self.to_rows(), [(y,) for y in vec], 1))
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -131,9 +120,25 @@ class IntMatrix(Record):
         return self.entries[::self.cols + 1][:min(self.rows, self.cols)]
 
 
+def _times(A, B, cols):
+    """The product of the matrices with rows A and B, B of cols columns, as a
+    list of rows.  Each nonzero a_ik adds a_ik * b_kj into entry j over the
+    nonzero b_kj of row k only, so zeros in either factor cost little."""
+    B = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for row in A:
+        acc = [0] * cols
+        for a, nonzero in zip(row, B):
+            if a:
+                for j, b in nonzero:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
+
+
 def _plus_times(x, q, y):
-    """x + q * y entrywise, as a list.  Cell-complex boundaries and their
-    eliminations mostly multiply by +-1, which map() adds without a product."""
+    """x + q * y entrywise, as a list.  Replays and eliminations on cell-complex
+    boundaries mostly multiply by +-1, which map() adds without a product."""
     if q == 1:
         return list(map(add, x, y))
     if q == -1:
@@ -171,7 +176,7 @@ def _replay(log, rows, columns=False, inverse=False, modulus=None):
 
 
 def _from_rows(rows, cols):
-    return IntMatrix(len(rows), cols, tuple(x for r in rows for x in r))
+    return IntMatrix(len(rows), cols, tuple(chain.from_iterable(rows)))
 
 
 class SnfResult(Record):

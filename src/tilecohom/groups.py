@@ -11,7 +11,7 @@ of its relations (`exactalg.invariant_factors`), with no operation recorded.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm, prod
 
 from .exactalg import (
     IntMatrix,
@@ -26,10 +26,6 @@ from .record import Record, TilecohomError, decimal
 
 class GroupError(TilecohomError):
     pass
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 class FgAbelianGroup(Record):
@@ -60,10 +56,7 @@ class FgAbelianGroup(Record):
         return self.free_rank == 0 and not self.torsion
 
     def torsion_order(self):
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return prod(self.torsion)
 
     def element(self, free_coords=(), torsion_coords=()):
         free_coords = tuple(int(x) for x in free_coords)
@@ -113,10 +106,7 @@ class GroupElement(Record):
         """Order of the element; None means infinite."""
         if any(a != 0 for a in self.free_coords):
             return None
-        n = 1
-        for c, d in zip(self.torsion_coords, self.owner.torsion):
-            n = _lcm(n, d // gcd(d, c))
-        return n
+        return lcm(*(d // gcd(d, c) for c, d in zip(self.torsion_coords, self.owner.torsion)))
 
     def int_coords(self):
         """Integer lift (free coords, then torsion representatives)."""

@@ -29,9 +29,17 @@ def decimal(x):
     try:
         return str(x)
     except ValueError:
-        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-        raise TilecohomError("a %d-bit number of the result is too long to print"
-                             % bits) from None
+        raise TilecohomError("%s of the result is too long to print"
+                             % decimal_or_size(x)) from None
+
+
+def decimal_or_size(x):
+    """str(x) of an int or a Fraction, or "a N-bit number" when Python refuses
+    to write it: for a message that must say where the number is."""
+    try:
+        return str(x)
+    except ValueError:
+        return "a %d-bit number" % max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
 class Record:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .groups import FgAbelianGroup, GroupElement, quotient_by
-from .record import Record, TilecohomError, decimal
+from .record import Record, TilecohomError, decimal_or_size
 
 
 class SpectralError(TilecohomError):
@@ -52,7 +52,7 @@ def winding_chain(spec):
     for c in spec.cells[0]:
         if turns[c.id].denominator != 1:
             raise SpectralError("vertex %r: lap sums to %s, not a whole number of turns"
-                                % (c.id, decimal(turns[c.id])))
+                                % (c.id, decimal_or_size(turns[c.id])))
         chain.append(int(turns[c.id]))
     return tuple(chain)
 

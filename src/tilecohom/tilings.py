@@ -17,7 +17,7 @@ from math import lcm
 from operator import itemgetter
 
 from .exactalg import IntMatrix
-from .record import Record, TilecohomError, decimal
+from .record import Record, TilecohomError, decimal_or_size
 
 
 class SpecError(TilecohomError):
@@ -466,7 +466,7 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
             if turns[c.id].denominator != 1:
                 issues.append("rotation.vertex_stars.%s: lap sums to %s of a full "
                               "turn; rotations must close up"
-                              % (c.id, decimal(turns[c.id])))
+                              % (c.id, decimal_or_size(turns[c.id])))
 
     if spec.substitution is not None and not issues:
         # Homology-level data says nothing about the modified complex.

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -393,6 +394,11 @@ def _penrose_rotations(rotations):
     return json.dumps(doc).encode()
 
 
+# Laps whose lcm denominator has more digits than str() writes.
+_LONG_LAPS = _penrose_rotations({"E%d" % (i + 1): "1/%d" % (10 ** 4000 + 2 * i + 1)
+                                 for i in range(7)})
+
+
 class TestMalformedInput:
     """Malformed input ends with exit 1 and one error line, not a traceback."""
 
@@ -420,15 +426,14 @@ class TestMalformedInput:
         b'\xff\xfe{"name": "x"}',
         _penrose_rotations({"E1": "1e-5000"}),
         _penrose_rotations({"E1": "1e10000000"}),
-        # Laps whose lcm denominator has more digits than str() writes.
-        _penrose_rotations({"E%d" % (i + 1): "1/%d" % (10 ** 4000 + 2 * i + 1)
-                            for i in range(7)}),
+        _LONG_LAPS,
     ], ids=["deep-nesting", "long-integer", "not-utf8", "exponent-rational",
             "huge-exponent-rational", "lap-too-long-to-print"])
     def test_spec_file(self, tmp_path, capsys, time_limit, content):
         path = tmp_path / "spec.json"
         path.write_bytes(content)
-        for command in ("check", "spectral"):
+        # check reports open laps as issues (test_check_reports_each_open_lap).
+        for command in ("spectral",) if content is _LONG_LAPS else ("check", "spectral"):
             with time_limit(5):
                 res = run(command, str(path))
             assert (res.exit_code, res.stdout) == (1, ""), command
@@ -493,9 +498,15 @@ _LONG_SPECS = {
 }
 
 
+# d f_1 = a fits in str(), f_0 d = a*a does not.
+_CHAIN_MISMATCH = ("degree 1: boundary/f mismatch at row 0, col 0 (%d != a 26576-bit number)"
+                   % _A)
+
+
 class TestResultTooLongToPrint:
     """A result number with more digits than Python writes ends the command
-    with exit 1 and one error line, as a domain error."""
+    with exit 1 and one error line, as a domain error.  A number that an
+    input diagnostic only points at is written as its size instead."""
 
     @pytest.mark.parametrize("spec, argv", [
         ("diag", ["homology", "--mode", "translation"]),
@@ -522,14 +533,35 @@ class TestResultTooLongToPrint:
         res = run(*argv)
         assert (res.exit_code, res.stdout) == (1, "")
         err = capsys.readouterr().err
-        assert _one_error_line(err) and err.endswith(" of the result is too long to print\n")
+        # A chain-map mismatch keeps its place and gives a long entry's size.
+        tail = _CHAIN_MISMATCH if spec == "chain" else " of the result is too long to print"
+        assert _one_error_line(err) and err.endswith(tail + "\n")
 
     def test_check_reports_the_mismatch_as_invalid(self, tmp_path, capsys, int_digit_limit):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(_LONG_SPECS["chain"]))
         res = run("check", str(path))
         assert res.exit_code == 1
-        assert res.stdout.startswith("chain: invalid\n  substitution[translation]: ")
+        assert res.stdout == ("chain: invalid\n  substitution[translation]: substitution chain "
+                              "data: " + _CHAIN_MISMATCH + "\n")
+        assert capsys.readouterr() == ("", "")
+
+    def test_check_reports_each_open_lap(self, tmp_path, capsys, int_digit_limit):
+        """A lap too long to print is an issue naming its vertex and its size
+        in bits; shorter laps keep their digits."""
+        path = tmp_path / "spec.json"
+        path.write_bytes(_LONG_LAPS)
+        res = run("check", str(path))
+        assert res.exit_code == 1
+        head, *issues = res.stdout.splitlines()
+        assert head == "penrose-kite-dart: invalid"
+        ids = [c.id for c in builtin("penrose-kite-dart").cells[0]]
+        assert [issue.split(":")[0] for issue in issues] == [
+            "  rotation.vertex_stars." + vid for vid in ids]
+        assert ("  rotation.vertex_stars.ace: lap sums to a 39864-bit number of a full "
+                "turn; rotations must close up") in issues
+        assert all(re.fullmatch(r"  \S+: lap sums to (-?\d+/\d+|a \d+-bit number) of a full "
+                                r"turn; rotations must close up", issue) for issue in issues)
         assert capsys.readouterr() == ("", "")
 
 

@@ -20,6 +20,7 @@ from tilecohom.dirlimit import (
     _char_poly,
     _factorize,
     _is_diagonalizable,
+    _power_mod,
     _rank_mod_p,
     _stable_rank,
     direct_limit,
@@ -666,6 +667,54 @@ class TestTorsionLimitReference:
                                             | st.integers(-4, 4))
         e = GroupHom(g, g, IntMatrix.from_rows(M))
         assert eventual_data(g, e).torsion_limit == _old_torsion_limit(g, e)
+
+
+def _naive_power(rows, bound):
+    """D^e, with e the first power of 2 at least bound, by e products of
+    triple sums from the identity."""
+    n, e = len(rows), 1
+    while e < bound:
+        e *= 2
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = [[sum(out[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    return out
+
+
+def _square_rows(entry, n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# Entries mostly zero and +-1, dense and small, or up to 300 bits.
+_ENTRIES = st.sampled_from((st.sampled_from((0, 0, 0, 1, -1, 2)), st.integers(-9, 9),
+                            st.integers(-(1 << 300), 1 << 300)))
+
+
+class TestPowerMod:
+    """Repeated squaring with row i reduced mod its modulus, against the
+    power by repeated products, reduced at the end."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.tuples(_ENTRIES, st.integers(0, 4)).flatmap(lambda en: _square_rows(*en)),
+           m=st.sampled_from((2, 3, 997, 10 ** 20 + 39, (1 << 300) + 7)),
+           bound=st.integers(0, 9))
+    def test_one_modulus(self, rows, m, bound):
+        expected = [[x % m for x in row] for row in _naive_power(rows, bound)]
+        assert _power_mod(rows, [m] * len(rows), bound) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(torsion=st.builds(_divisor_chain, st.integers(2, 1 << 100),
+                             st.lists(st.integers(1, 1 << 100), max_size=3)),
+           bound=st.integers(0, 9), data=st.data())
+    def test_invariant_factors_of_an_endomorphism(self, torsion, bound, data):
+        """An endomorphism of Z/d_1 + ... + Z/d_n has d_i | a_ik d_k, so row
+        i of every power is determined mod d_i by the reduced rows."""
+        n, entry = len(torsion), data.draw(_ENTRIES)
+        rows = [[torsion[i] // gcd(torsion[i], torsion[k]) * data.draw(entry) for k in range(n)]
+                for i in range(n)]
+        expected = [[x % d for x in row] for row, d in zip(_naive_power(rows, bound), torsion)]
+        assert _power_mod(rows, torsion, bound) == expected
 
 
 class TestFactorizationBound:

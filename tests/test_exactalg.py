@@ -3,12 +3,13 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilecohom.exactalg import (
     ExactAlgError,
     IntMatrix,
+    _times,
     determinant,
     divisor_chain,
     invariant_factors,
@@ -258,13 +259,21 @@ class TestModularReplay:
             assert [x % N for x in reduced.entries] == [x % N for x in exact.entries]
 
 
-def _sparse_pairs(max_dim=5):
-    """(A, B) with A n x k and B k x m, any of n, k, m possibly 0, entries
-    mostly zero."""
-    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -7))
+# Entries of one matrix: mostly zero and +-1, dense and small, or up to 300
+# bits with some zeros.
+_ENTRIES = (
+    st.sampled_from((0, 0, 0, 1, -1, 2, -7)),
+    st.integers(-9, 9).filter(bool),
+    st.integers(-(1 << 300), 1 << 300) | st.just(0),
+)
 
+
+def _product_pairs(max_dim=5):
+    """(A, B) with A n x k and B k x m, any of n, k, m possibly 0, each factor
+    drawing its entries from one of _ENTRIES."""
     def mat(n, m):
-        return st.lists(entry, min_size=n * m, max_size=n * m).map(
+        return st.sampled_from(_ENTRIES).flatmap(
+            lambda entry: st.lists(entry, min_size=n * m, max_size=n * m)).map(
             lambda e: IntMatrix(n, m, tuple(e)))
 
     dim = st.integers(0, max_dim)
@@ -273,15 +282,23 @@ def _sparse_pairs(max_dim=5):
 
 
 class TestProduct:
-    @settings(max_examples=150, deadline=None)
-    @given(_sparse_pairs())
+    @settings(max_examples=300, deadline=None)
+    @given(_product_pairs())
+    @example((IntMatrix.zero(0, 3), IntMatrix.zero(3, 2)))
+    @example((IntMatrix.zero(2, 0), IntMatrix.zero(0, 3)))
+    @example((IntMatrix.zero(2, 3), IntMatrix(3, 0, ())))
     def test_matches_triple_loop(self, pair):
+        """A * B, A times each column of B, and the row routine under both,
+        against the triple sum."""
         A, B = pair
-        naive = tuple(sum(A.entries[i * A.cols + k] * B.entries[k * B.cols + j]
-                          for k in range(A.cols))
-                      for i in range(A.rows) for j in range(B.cols))
+        naive = [[sum(A[i, k] * B[k, j] for k in range(A.cols)) for j in range(B.cols)]
+                 for i in range(A.rows)]
         C = A * B
-        assert (C.rows, C.cols, C.entries) == (A.rows, B.cols, naive)
+        assert (C.rows, C.cols, C.to_rows()) == (A.rows, B.cols, naive)
+        assert _times(A.to_rows(), B.to_rows(), B.cols) == naive
+        for j in range(B.cols):
+            assert A.mul_vector(B.column(j)) == tuple(row[j] for row in naive)
+        assert A.mul_vector([0] * A.cols) == (0,) * A.rows
 
     def test_shape_mismatch(self):
         with pytest.raises(ExactAlgError):

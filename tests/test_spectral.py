@@ -90,6 +90,14 @@ class TestWindingChain:
         with pytest.raises(SpectralError):
             winding_chain(respec_rotation(spec, rots))
 
+    def test_open_lap_too_long_to_print_names_its_vertex(self, int_digit_limit):
+        spec = builtin("triangle-periodic-rigid")
+        rots = dict(spec.rotation.edge_rotations)
+        rots["b"] = Fraction(1, 10 ** 4400 + 1)
+        with pytest.raises(SpectralError, match=r"^vertex '\w+': lap sums to a \d+-bit number, "
+                                                r"not a whole number of turns$"):
+            winding_chain(respec_rotation(spec, rots))
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_integer_lap_sums_match_fractions(self, data):
