@@ -190,7 +190,7 @@ class Analysis:
             raise ComplexError("spec carries no chain-level substitution data")
         f = []
         for k in range(spec.dimension + 1):
-            m, bad = _for_mode(spec, self.mode, sub.chain_map[k], k, k)
+            m, bad = _for_mode(spec, self.mode, sub.maps[k], k, k)
             if bad:
                 raise ComplexError("substitution does not preserve the modified "
                                    "complex at degree %d (%d, %d)" % ((k,) + bad))
@@ -239,7 +239,7 @@ class Analysis:
                 raise ComplexError(
                     "modified-complex substitution maps require chain-level data")
             else:
-                gens, images = sub.homology_map[k]
+                gens, images = sub.maps[k]
                 self._maps[k] = induced_hom(self.homology(k), list(gens), list(images))
         return self._maps[k]
 

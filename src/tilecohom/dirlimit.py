@@ -327,15 +327,63 @@ def _integer_roots(poly, divisors):
     return sorted(roots) if len(poly) == 1 else None
 
 
-def _is_diagonalizable(rows, distinct_roots) -> bool:
-    """Whether the product of D - lam I over distinct_roots is zero, with D
-    given by its rows: when they are all the eigenvalues of D, whether D is
-    diagonalizable over Q.  An empty product is the identity."""
-    product = IntMatrix.identity(len(rows)).to_rows()
-    for lam in distinct_roots:
-        product = _times(product, [[x - lam if i == j else x for j, x in enumerate(row)]
-                                   for i, row in enumerate(rows)], len(rows))
-    return not any(map(any, product))
+def _splits_by_type(rows, blocks) -> bool:
+    """Whether lim(Z^n, D) is the sum over the type blocks m of Z[1/m]^d_m,
+    proven, for D given by its n rows.  blocks maps each radical m to the d_m
+    integer eigenvalues of D, with multiplicity, whose primes among those of
+    det D are the primes of m; together they are every eigenvalue of D.
+
+    Let A_m be the product of D - lam I over the distinct lam of block m.  The
+    A_m commute, and D is diagonalizable over Q exactly when their product is
+    zero; otherwise this returns False.  Then Q^n is the sum of the block
+    eigenspaces V_m, and K_m = V_m ∩ Z^n is D-invariant.  On K_m every
+    eigenvalue has the primes of m, so det D is a unit of Z[1/m], and
+    D^d_m = 0 mod each p | m (Cayley-Hamilton), so D^d_m = m E with E
+    integral: lim(K_m, D) = Z[1/m]^d_m.  Either certificate lifts that to Z^n:
+
+    - Chain: the radicals form a divisibility chain.  The saturated sums
+      F_j = (V_1 + ... + V_j) ∩ Z^n, largest radical first, are a D-invariant
+      flag with F_j / F_j-1 a lattice on which D has the eigenvalues of block
+      j.  Direct limits are exact, so lim F_j extends Z[1/m_j]^d_j by
+      lim F_j-1, a sum of Z[1/m_i] with m_j | m_i, and the extension splits:
+      Ext(Z[1/b], Z[1/a]) = 0 when b | a, for Z[1/a] is a Z[1/b]-module.
+    - Index: Z^n is the direct sum of the K_m.  A_m kills K_m and maps the
+      complement W_m = (sum of the other V_t) ∩ Z^n into itself, with
+      [W_m : A_m W_m] = |det A_m on W_m|, the product of (mu - lam) over the
+      eigenvalues mu outside m, with multiplicity, and the distinct lam of m.
+      A_m Z^n is a full sublattice of W_m, of index the product of the
+      invariant factors of A_m, and it contains A_m W_m, with equality
+      exactly when Z^n = K_m + W_m, that is when the projection onto V_m
+      along the other blocks maps Z^n into K_m.  If it does for every block
+      but the last, it does for the last, which is the identity minus the
+      others, and then each x in Z^n is the sum of its projections.
+
+    Otherwise the limit is left undetermined.  Example: D = [[2, 1], [0, 7]]
+    has eigenvectors v1 = (1, 0) and v2 = (1, 5), so K_2 + K_7 has index 5 in
+    Z^2: e2 = (v2 - v1) / 5 is in the limit but not in Z[1/2] v1 + Z[1/7] v2,
+    the only candidate for Z[1/2] + Z[1/7] (the infinitely 2- and 7-divisible
+    elements), and the two groups differ.
+    """
+    n = len(rows)
+    A = {}
+    for m, block in blocks.items():
+        for lam in sorted(set(block)):
+            shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(rows)]
+            A[m] = _times(A[m], shifted, n) if m in A else shifted
+    product, *rest = A.values()
+    for a in rest:
+        product = _times(product, a, n)
+    if any(map(any, product)):
+        return False
+    radicals = sorted(blocks, reverse=True)
+    if all(a % b == 0 for a, b in zip(radicals, radicals[1:])):
+        return True
+    roots = list(chain.from_iterable(blocks.values()))
+    return all(
+        prod(invariant_factors(IntMatrix.from_rows(A[m]))) == abs(prod(
+            mu - lam for mu in roots if mu not in blocks[m] for lam in set(blocks[m])))
+        for m in radicals[:-1])
 
 
 def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
@@ -343,8 +391,9 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
 
     The free part is identified exactly for unimodular maps, as a sum of
     localizations when the induced lattice map has a full set of integer
-    eigenvalues and is diagonalizable (cross-checked against the mod-p
-    divisibility profile), and reported undetermined otherwise.  The torsion
+    eigenvalues, is diagonalizable and passes a type-block certificate
+    (_splits_by_type; cross-checked against the mod-p divisibility profile),
+    and reported undetermined otherwise.  The torsion
     limit always splits off (towers of finite groups are Mittag-Leffler).
     """
     data = eventual_data(group, endo)
@@ -377,28 +426,30 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
         notes.append("determinant cofactor %s has no prime factor up to %d and is not "
                      "a proven prime; the eigenvalues were not checked"
                      % (decimal(cofactor), TRIAL_DIVISION_BOUND))
-    if roots is not None and _is_diagonalizable(rows, sorted(set(roots))):
-        # Conjectured limit: one Z[1/|lambda|] per eigenvalue.  Verify the
-        # p-divisible rank for every prime dividing the determinant before
-        # asserting it.
-        for p, actual in profile:
-            expected = sum(1 for lam in roots if lam % p == 0)
-            if expected != actual:
-                raise ProfileMismatchError(
-                    "p=%d divisible rank %d does not match eigenvalue count %d"
-                    % (p, actual, expected))
-        counts = {}
-        for lam in roots:
-            m = prod(p for p in factors if lam % p == 0)
-            if m != abs(lam):
-                note = ("inverted integer %s canonicalized to its radical %s"
-                        % (decimal(abs(lam)), decimal(m)))
-                if note not in notes:
-                    notes.append(note)
-            counts[m] = counts.get(m, 0) + 1
-        summands = tuple(sorted(counts.items()))
-        return DirectLimitGroup(data.torsion_limit, summands, STATUS_VERIFIED,
-                                notes=tuple(notes))
+    if roots is not None:
+        radicals = [prod(p for p in factors if lam % p == 0) for lam in roots]
+        blocks = {}
+        for lam, m in zip(roots, radicals):
+            blocks.setdefault(m, []).append(lam)
+        if _splits_by_type(rows, blocks):
+            # Proven limit: one Z[1/m] per eigenvalue of radical m.  Check the
+            # p-divisible rank for every prime dividing the determinant
+            # against it before asserting it.
+            for p, actual in profile:
+                expected = sum(1 for lam in roots if lam % p == 0)
+                if expected != actual:
+                    raise ProfileMismatchError(
+                        "p=%d divisible rank %d does not match eigenvalue count %d"
+                        % (p, actual, expected))
+            for lam, m in zip(roots, radicals):
+                if m != abs(lam):
+                    note = ("inverted integer %s canonicalized to its radical %s"
+                            % (decimal(abs(lam)), decimal(m)))
+                    if note not in notes:
+                        notes.append(note)
+            summands = tuple(sorted((m, len(block)) for m, block in blocks.items()))
+            return DirectLimitGroup(data.torsion_limit, summands, STATUS_VERIFIED,
+                                    notes=tuple(notes))
 
     return DirectLimitGroup(
         data.torsion_limit,

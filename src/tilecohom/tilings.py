@@ -26,7 +26,6 @@ class SpecError(TilecohomError):
 
 class CellType(Record):
     id: str
-    dimension: int
     symmetry: int = 1
     reverses_orientation: bool = False
 
@@ -47,9 +46,8 @@ class RotationData(Record):
 
 
 class SubstitutionData(Record):
-    kind: str                              # "chain_map" | "homology_map"
-    chain_map: dict | None = None          # degree -> IntMatrix
-    homology_map: dict | None = None       # degree -> (generator cycles, image cycles)
+    kind: str      # "chain_map" | "homology_map"
+    maps: dict     # degree -> IntMatrix, or -> (generator cycles, image cycles)
 
 
 class TilingSpec(Record):
@@ -99,8 +97,6 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
         for i, c in enumerate(row):
             if not isinstance(c, CellType):
                 bad = ": expected CellType"
-            elif c.dimension != k:
-                bad = ": dimension %d != %d" % (c.dimension, k)
             elif not isinstance(c.id, str):
                 bad = ".id: expected a string"
             elif type(c.symmetry) is not int:
@@ -172,7 +168,7 @@ def _check_substitution_shape(sub, cell_map, dimension):
     if sub.kind not in _KINDS:
         raise SpecError("substitution.kind: unknown kind %r" % sub.kind)
     path = "substitution." + sub.kind
-    maps = getattr(sub, sub.kind)
+    maps = sub.maps
     if not maps:
         raise SpecError("%s: missing" % path)
     _check_degrees(maps, path, 0, dimension)
@@ -356,7 +352,7 @@ def _parse_substitution(sdata):
     _require_keys(sdata, ("kind", kind), ("kind", kind), "substitution")
     parse = _parse_matrix if kind == "chain_map" else _parse_homology_entry
     maps = _degrees(sdata[kind], "substitution." + kind, parse, _DEGREES)
-    return SubstitutionData(kind=kind, **{kind: maps})
+    return SubstitutionData(kind, maps)
 
 
 def _parse_rotation(rdata):
@@ -387,7 +383,7 @@ def load_spec(document: str) -> TilingSpec:
     return make_spec(
         name=data["name"], dimension=data["dimension"],
         geometry_mode=data["geometry_mode"],
-        cells={k: tuple(CellType(dimension=k, **c) for c in row) for k, row in rows.items()},
+        cells={k: tuple(CellType(**c) for c in row) for k, row in rows.items()},
         boundaries=_degrees(data["boundaries"], "boundaries", _parse_matrix, _DEGREES[1:]),
         substitution=(_parse_substitution(data["substitution"])
                       if "substitution" in data else None),
@@ -414,7 +410,7 @@ def save_spec(spec: TilingSpec) -> str:
     }
     if spec.substitution is not None:
         sub = spec.substitution
-        maps = getattr(sub, sub.kind)
+        maps = sub.maps
         if sub.kind == "chain_map":
             rows = {str(k): maps[k].to_rows() for k in sorted(maps)}
         else:
@@ -490,22 +486,17 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
 # the sun+star-queen winding chain as the derivation oracle.
 
 
-def _cells(k, *specs):
-    out = []
-    for s in specs:
-        if isinstance(s, str):
-            out.append(CellType(id=s, dimension=k))
-        else:
-            out.append(CellType(id=s[0], dimension=k, symmetry=s[1]))
-    return tuple(out)
+def _cells(*specs):
+    """One CellType per spec: an id, or an (id, symmetry) pair."""
+    return tuple(CellType(s) if isinstance(s, str) else CellType(*s) for s in specs)
 
 
 _TRIANGLE_T1 = IntMatrix.from_rows([[0, 0, 0]])
 _TRIANGLE_T2 = IntMatrix.from_rows([[1, -1], [-1, 1], [1, -1]])
 _TRIANGLE_TRANSLATION = dict(
     dimension=2, geometry_mode="translation",
-    cells={0: _cells(0, "v"), 1: _cells(1, "a", "b", "c"),
-           2: _cells(2, "up", "down")},
+    cells={0: _cells("v"), 1: _cells("a", "b", "c"),
+           2: _cells("up", "down")},
     boundaries={1: _TRIANGLE_T1, 2: _TRIANGLE_T2},
 )
 
@@ -524,9 +515,9 @@ _TRIANGLE_ROT = RotationData(
     })
 _TRIANGLE_RIGID = dict(
     dimension=2, geometry_mode="rigid",
-    cells={0: _cells(0, ("V6", 6), ("V2", 2), ("V3", 3)),
-           1: _cells(1, "a", "b", "c"),
-           2: _cells(2, "F1", "F2")},
+    cells={0: _cells(("V6", 6), ("V2", 2), ("V3", 3)),
+           1: _cells("a", "b", "c"),
+           2: _cells("F1", "F2")},
     boundaries={1: _TRIANGLE_R1, 2: _TRIANGLE_R2},
     rotation=_TRIANGLE_ROT,
     symmetric_tilings=(6, 2, 3),
@@ -546,9 +537,9 @@ _SQUARE_ROT = RotationData(
     })
 _SQUARE_RIGID = dict(
     dimension=2, geometry_mode="rigid",
-    cells={0: _cells(0, ("V4a", 4), ("V2", 2), ("V4b", 4)),
-           1: _cells(1, "a", "b", "c"),
-           2: _cells(2, "F1", "F2")},
+    cells={0: _cells(("V4a", 4), ("V2", 2), ("V4b", 4)),
+           1: _cells("a", "b", "c"),
+           2: _cells("F1", "F2")},
     boundaries={1: _SQUARE_R1, 2: _SQUARE_R2},
     rotation=_SQUARE_ROT,
     symmetric_tilings=(4, 2, 4),
@@ -619,22 +610,22 @@ _PENROSE_ROT = RotationData(
 _BUILTINS = {
     "fibonacci": dict(
         dimension=1, geometry_mode="translation",
-        cells={0: _cells(0, "0.1", "1.0", "0.0"), 1: _cells(1, "0", "1")},
+        cells={0: _cells("0.1", "1.0", "0.0"), 1: _cells("0", "1")},
         boundaries={1: IntMatrix.from_rows([[1, -1], [-1, 1], [0, 0]])},
         substitution=SubstitutionData(
             kind="homology_map",
-            homology_map={
+            maps={
                 0: (((1, 0, 0), (0, 0, 1)), ((1, 0, 1), (1, 0, 0))),
                 1: (((1, 1),), ((1, 1),)),
             }),
     ),
     "thue-morse": dict(
         dimension=1, geometry_mode="translation",
-        cells={0: _cells(0, "0.0", "0.1", "1.0", "1.1"), 1: _cells(1, "0", "1")},
+        cells={0: _cells("0.0", "0.1", "1.0", "1.1"), 1: _cells("0", "1")},
         boundaries={1: IntMatrix.from_rows([[0, 0], [1, -1], [-1, 1], [0, 0]])},
         substitution=SubstitutionData(
             kind="homology_map",
-            homology_map={
+            maps={
                 # generators 0.1, 0.0, 1.1; the marker of 0.1 substitutes to
                 # 0.1+0.0+1.1, the others land on single vertex types.
                 0: (((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)),
@@ -649,7 +640,7 @@ _BUILTINS = {
         _TRIANGLE_TRANSLATION,
         substitution=SubstitutionData(
             kind="homology_map",
-            homology_map={
+            maps={
                 0: (((1,),), ((4,),)),
                 1: (((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 2, 0))),
                 2: (((1, 1),), ((1, 1),)),
@@ -662,7 +653,7 @@ _BUILTINS = {
         _TRIANGLE_RIGID,
         substitution=SubstitutionData(
             kind="homology_map",
-            homology_map={
+            maps={
                 0: (((1, 0, 0), (-3, 1, 0), (-2, 0, 1)),
                     ((1, 1, 0), (-3, 1, 0), (-2, 0, 1))),
                 1: ((), ()),
@@ -676,7 +667,7 @@ _BUILTINS = {
         _SQUARE_RIGID,
         substitution=SubstitutionData(
             kind="homology_map",
-            homology_map={
+            maps={
                 0: (((1, 0, 0), (-2, 1, 0), (1, 0, -1)),
                     ((4, 0, 0), (0, 0, 0), (-1, 1, -1))),
                 1: ((), ()),
@@ -685,14 +676,14 @@ _BUILTINS = {
     ),
     "penrose-kite-dart": dict(
         dimension=2, geometry_mode="rigid",
-        cells={0: _cells(0, ("sun", 5), ("star", 5), "ace", "deuce", "jack",
+        cells={0: _cells(("sun", 5), ("star", 5), "ace", "deuce", "jack",
                          "queen", "king"),
-               1: _cells(1, "E1", "E2", "E3", "E4", "E5", "E6", "E7"),
-               2: _cells(2, "kite", "dart")},
+               1: _cells("E1", "E2", "E3", "E4", "E5", "E6", "E7"),
+               2: _cells("kite", "dart")},
         boundaries={1: _PENROSE_D1, 2: _PENROSE_D2},
         substitution=SubstitutionData(
             kind="chain_map",
-            chain_map={0: _PENROSE_F0, 1: _PENROSE_F1, 2: _PENROSE_F2}),
+            maps={0: _PENROSE_F0, 1: _PENROSE_F1, 2: _PENROSE_F2}),
         rotation=_PENROSE_ROT,
         symmetric_tilings=(5, 5),
     ),

@@ -122,10 +122,10 @@ class TestCheckCommand:
         """check validates the substitution data of every degree; homology
         --degree k --limit reads only degree k's."""
         spec = builtin("triangle-solenoid-rigid")
-        maps = dict(spec.substitution.homology_map)
+        maps = dict(spec.substitution.maps)
         maps[2] = (((2, 2),), ((1, 1),))  # twice the fundamental class of H_2 = Z
         bad = make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
-                        spec.boundaries, SubstitutionData("homology_map", homology_map=maps),
+                        spec.boundaries, SubstitutionData("homology_map", maps),
                         spec.rotation, spec.symmetric_tilings)
         path = tmp_path / "bad-degree-2.json"
         path.write_text(save_spec(bad))
@@ -798,10 +798,10 @@ class TestFactorizationCounts:
 def _chain_map_spec(d1, d2, maps):
     """A 2-dimensional translation spec on the complex d1, d2 whose chain-level
     substitution data is maps (degrees 0, 1, 2)."""
-    cells = {k: tuple(CellType("c%d.%d" % (k, i), k) for i in range(n))
+    cells = {k: tuple(CellType("c%d.%d" % (k, i)) for i in range(n))
              for k, n in enumerate((d1.rows, d1.cols, d2.cols))}
     return make_spec("random", 2, "translation", cells, {1: d1, 2: d2},
-                     SubstitutionData("chain_map", chain_map=dict(enumerate(maps))))
+                     SubstitutionData("chain_map", dict(enumerate(maps))))
 
 
 def _homotopic_to_scalar(d1, d2, m, rng):

@@ -36,7 +36,7 @@ def spec_with_boundary(spec, degree, matrix):
 
 
 def spec_with_chain_map(spec, maps):
-    sub = SubstitutionData("chain_map", chain_map=dict(enumerate(maps)))
+    sub = SubstitutionData("chain_map", dict(enumerate(maps)))
     return make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
                      spec.boundaries, sub, spec.rotation, spec.symmetric_tilings)
 
@@ -63,9 +63,9 @@ class TestBuild:
     def test_trivial_symmetry_modified_equals_rigid(self):
         spec = make_spec(
             "flat", 2, "rigid",
-            cells={0: (CellType("v", 0),),
-                   1: (CellType("a", 1), CellType("b", 1)),
-                   2: (CellType("f", 2),)},
+            cells={0: (CellType("v"),),
+                   1: (CellType("a"), CellType("b")),
+                   2: (CellType("f"),)},
             boundaries={1: IntMatrix.zero(1, 2),
                         2: IntMatrix.from_rows([[0], [0]])})
         rigid = build_chain_complex(spec, MODE_RIGID)
@@ -91,9 +91,9 @@ class TestBuild:
         # one reversing edge type: the chain group loses that generator
         spec = make_spec(
             "pent-like", 2, "rigid",
-            cells={0: (CellType("p", 0), CellType("q", 0)),
-                   1: (CellType("e", 1, reverses_orientation=True),),
-                   2: (CellType("f", 2),)},
+            cells={0: (CellType("p"), CellType("q")),
+                   1: (CellType("e", reverses_orientation=True),),
+                   2: (CellType("f"),)},
             boundaries={1: IntMatrix.from_rows([[1], [-1]]),
                         2: IntMatrix.from_rows([[5]])})
         cplx = build_chain_complex(spec, MODE_RIGID)
@@ -105,9 +105,9 @@ class TestBuild:
     def test_non_integral_rescaling_rejected(self):
         spec = make_spec(
             "bad-divisibility", 2, "rigid",
-            cells={0: (CellType("v", 0, symmetry=3),),
-                   1: (CellType("e", 1),),
-                   2: (CellType("f", 2),)},
+            cells={0: (CellType("v", symmetry=3),),
+                   1: (CellType("e"),),
+                   2: (CellType("f"),)},
             boundaries={1: IntMatrix.from_rows([[1]]),
                         2: IntMatrix.from_rows([[0]])})
         build_chain_complex(spec, MODE_RIGID)
@@ -276,10 +276,10 @@ def _random_spec(seed, rigid):
                                              for i in range(K.cols) for _ in range(n2)))
     rows = iter(cycles.to_rows())
     d2 = IntMatrix.from_rows([[0] * n2 if reverses[j] else next(rows) for j in range(n1)])
-    cells = {0: tuple(CellType("v%d" % i, 0, symmetry=s) for i, s in enumerate(sym0)),
-             1: tuple(CellType("e%d" % j, 1, reverses_orientation=r)
+    cells = {0: tuple(CellType("v%d" % i, symmetry=s) for i, s in enumerate(sym0)),
+             1: tuple(CellType("e%d" % j, reverses_orientation=r)
                       for j, r in enumerate(reverses)),
-             2: tuple(CellType("f%d" % j, 2, symmetry=s) for j, s in enumerate(sym2))}
+             2: tuple(CellType("f%d" % j, symmetry=s) for j, s in enumerate(sym2))}
     return make_spec("random", 2, "rigid" if rigid else "translation", cells,
                      {1: d1, 2: d2})
 

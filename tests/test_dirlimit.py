@@ -19,16 +19,16 @@ from tilecohom.dirlimit import (
     TRIAL_DIVISION_BOUND,
     _char_poly,
     _factorize,
-    _is_diagonalizable,
     _power_mod,
     _rank_mod_p,
+    _splits_by_type,
     _stable_rank,
     direct_limit,
     eventual_data,
     stable_rank_mod_p,
 )
 from tilecohom.cli import run_command
-from tilecohom.exactalg import IntMatrix, determinant
+from tilecohom.exactalg import IntMatrix, determinant, invariant_factors, smith_normal_form
 from tilecohom.groups import FgAbelianGroup, GroupHom, from_divisors, subgroup_structure
 
 TM = IntMatrix.from_rows([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
@@ -553,37 +553,124 @@ class TestStableRankReference:
 
 def _old_is_diagonalizable(A, distinct_roots):
     """The IntMatrix route: the product of A - lam I by IntMatrix products."""
-    n = A.rows
+    return _shifted_product(A, distinct_roots).is_zero()
+
+
+def _type_blocks(roots):
+    """The roots grouped by their radical over the primes of their product,
+    as direct_limit groups the eigenvalues of D."""
+    primes = {p for lam in roots for p in _factorize(lam)[0]}
+    blocks = {}
+    for lam in roots:
+        blocks.setdefault(prod(p for p in primes if lam % p == 0), []).append(lam)
+    return blocks
+
+
+def _shifted_product(D, roots):
+    """The product of D - lam I over these roots, as an IntMatrix."""
+    n = D.rows
     product = IntMatrix.identity(n)
-    for lam in distinct_roots:
-        shifted = IntMatrix.from_rows([[A[i, j] - (lam if i == j else 0)
-                                        for j in range(n)] for i in range(n)])
-        product = product * shifted
-    return product.is_zero()
+    for lam in roots:
+        product = product * IntMatrix.from_rows(
+            [[D[i, j] - (lam if i == j else 0) for j in range(n)] for i in range(n)])
+    return product
 
 
-class TestDiagonalizableReference:
-    def test_empty(self):
-        assert _is_diagonalizable([], []) is _old_is_diagonalizable(IntMatrix(0, 0, ()), [])
-        assert _is_diagonalizable([[2]], []) is _old_is_diagonalizable(
-            IntMatrix.from_rows([[2]]), []) is False
+def _kernel_columns(A):
+    K = smith_normal_form(A).kernel()
+    return [K.column(j) for j in range(K.cols)]
+
+
+def _random_diagonalizable(rng, n):
+    """c I + P M adj(P) for a random P of nonzero determinant d and a random
+    diagonal M: P diag(c + d m_i) P^-1, integral for every P.  Returns the
+    matrix and its eigenvalues, which are all nonzero."""
+    while True:
+        P = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        d = determinant(P)
+        if d:
+            break
+    adj = [[(-1) ** (i + j) * determinant(P.submatrix([r for r in range(n) if r != j],
+                                                       [c for c in range(n) if c != i]))
+            for j in range(n)] for i in range(n)]
+    while True:
+        c = rng.choice((1, -1, 2, 3, 5, 6, 7, 10))
+        ms = [rng.randint(-2, 2) for _ in range(n)]
+        roots = [c + d * m for m in ms]
+        if all(roots) and len(_type_blocks(roots)) > 1:
+            break
+    D = P * IntMatrix.from_rows(_diagonal(ms)) * IntMatrix.from_rows(adj)
+    return IntMatrix.from_rows([[D[i, j] + (c if i == j else 0) for j in range(n)]
+                                for i in range(n)]), sorted(roots)
+
+
+class TestSplitsByType:
+    """The type-block certificate, which replaced the diagonalizability test
+    `_is_diagonalizable` and inherits its tests."""
+
+    def test_one_block(self):
+        assert _splits_by_type([[2]], {2: [2]}) is True
+        assert _splits_by_type([[2, 1], [0, 2]], {2: [2, 2]}) is False
 
     @settings(max_examples=60, deadline=None)
-    @given(values=st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((0, 1, -1, 2)),
+    @given(values=st.lists(st.integers(-10 ** 6, 10 ** 6).filter(bool) | st.sampled_from((1, -1, 2)),
                            min_size=1, max_size=5),
-           jordan=st.booleans(), ops=_UNIMODULAR_OPS, drop=st.integers(0, 5))
-    def test_matches_int_matrix_route(self, values, jordan, ops, drop):
+           jordan=st.booleans(), ops=_UNIMODULAR_OPS)
+    def test_unimodular_conjugate_splits_exactly_when_diagonalizable(self, values, jordan, ops):
         J = _diagonal(values)
         jordan = jordan and len(values) > 1
         if jordan:
             J[1][1] = J[0][0]
             J[0][1] = 1
         D = _conjugate(J, ops)
-        rows = D.to_rows()
-        roots = sorted({J[i][i] for i in range(len(J))})
-        assert _is_diagonalizable(rows, roots) is _old_is_diagonalizable(D, roots) is not jordan
-        subset = roots[:drop]
-        assert _is_diagonalizable(rows, subset) is _old_is_diagonalizable(D, subset)
+        roots = sorted(J[i][i] for i in range(len(J)))
+        assert (_splits_by_type(D.to_rows(), _type_blocks(roots))
+                is _old_is_diagonalizable(D, sorted(set(roots))) is not jordan)
+
+    @pytest.mark.parametrize("matrix, expected", [
+        ("2,1;0,7", ("limit = (undetermined rank 2) (status undetermined)\n"
+                     "lattice rank 2, p-divisible ranks 2:1, 7:1\n")),
+        ("2,0,0;0,2,0;0,1,7", ("limit = (undetermined rank 3) (status undetermined)\n"
+                               "lattice rank 3, p-divisible ranks 2:2, 7:1\n")),
+        ("2,0;0,7", "limit = Z[1/2] + Z[1/7] (status verified_profile)\n"),
+        ("7,5;0,2", "limit = Z[1/2] + Z[1/7] (status verified_profile)\n"),
+        ("-1,0;3,2", "limit = Z + Z[1/2] (status verified_profile)\n"),
+    ])
+    def test_limit_command(self, matrix, expected):
+        """2,1;0,7 has eigen-lattices of index 5 and 2,0,0;0,2,0;0,1,7 of
+        index 25; 7,5;0,2 has index 1, and -1,0;3,2 (index 3) has radicals 1
+        and 2, a chain."""
+        group = "Z^%d" % (matrix.count(";") + 1)
+        result = run_command(["limit", "--group", group, "--matrix", matrix])
+        assert (result.exit_code, result.stdout) == (0, expected)
+
+    def test_index_identity_against_kernel_bases(self):
+        """For every block m, the product of the invariant factors of A_m
+        times [Z^n : K_m + W_m] is |det A_m on W_m|, with K_m = ker A_m and
+        W_m = ker B_m, B_m the product of the other blocks' A_t; the blocks
+        split exactly when the kernel bases of all the A_m have determinant
+        +-1, and without a chain of radicals that is the certificate."""
+        rng = random.Random(2024)
+        for _ in range(600):
+            D, roots = _random_diagonalizable(rng, rng.randint(2, 4))
+            blocks = _type_blocks(roots)
+            identities = []
+            for m, block in blocks.items():
+                A = _shifted_product(D, sorted(set(block)))
+                B = _shifted_product(D, sorted({mu for mu in roots if mu not in block}))
+                index = abs(determinant(IntMatrix.from_columns(
+                    _kernel_columns(A) + _kernel_columns(B), rows=D.rows)))
+                on_w = abs(prod(mu - lam for mu in roots if mu not in block
+                                for lam in set(block)))
+                assert prod(invariant_factors(A)) * index == on_w
+                identities.append(index == 1)
+            kernels = [col for block in blocks.values()
+                       for col in _kernel_columns(_shifted_product(D, sorted(set(block))))]
+            spans = abs(determinant(IntMatrix.from_columns(kernels, rows=D.rows))) == 1
+            assert all(identities) is spans
+            radicals = sorted(blocks, reverse=True)
+            if any(a % b for a, b in zip(radicals, radicals[1:])):
+                assert _splits_by_type(D.to_rows(), blocks) is spans
 
 
 class TestEachPrimeProvenOnce:

@@ -38,6 +38,19 @@ Z = FgAbelianGroup.free(1)
 # zero boundaries, no edge rotation, and the lap (a,+1), (b,+1), (a,-1), (b,-1).
 P1_TORUS = Path(__file__).with_name("p1_torus_rigid.json")
 
+# Periodic tilings whose symmetry group is the wallpaper group p2 (orbifold
+# 2222, the pillowcase) and p3 (orbifold 333), cut up as the square and
+# triangle builtins are: vertices at the lattice points, the edge midpoints
+# and the face centres, every face a barycentric triangle of symmetry 1, and
+# every lap a whole number of turns.  p2: V2a lattice points, V2b and V2c the
+# midpoints of the two edge directions, V2d face centres; edges a: V2a-V2c,
+# c: V2a-V2b, b and d: V2a-V2d (the two diagonals), e: V2d-V2c, f: V2d-V2b.
+# p3: V3a lattice points, V1 edge midpoints, V3b and V3c the centres of the
+# up and down triangles; edges a and c: V1-V3a (the two halves of a lattice
+# edge), b: V3a-V3b, d: V3a-V3c, e: V1-V3b, f: V1-V3c.
+P2_PILLOWCASE = Path(__file__).with_name("p2_pillowcase_rigid.json")
+P3 = Path(__file__).with_name("p3_rigid.json")
+
 # Which face type sits on the first/second side of each edge type, per spec.
 # Used to fold randomized face-direction offsets into the edge rotations.
 FACE_SIDES = {
@@ -289,9 +302,9 @@ class TestRigidHull:
 
         spec = make_spec(
             "flag-probe", 2, "rigid",
-            cells={0: (CellType("v", 0, symmetry=2),),
-                   1: (CellType("a", 1), CellType("b", 1)),
-                   2: (CellType("f", 2),)},
+            cells={0: (CellType("v", symmetry=2),),
+                   1: (CellType("a"), CellType("b")),
+                   2: (CellType("f"),)},
             boundaries={1: IntMatrix.from_rows([[2, 0]]),
                         2: IntMatrix.from_rows([[0], [2]])},
             rotation=RotationData(edge_rotations={"a": Fraction(1, 1),
@@ -349,6 +362,30 @@ class TestRigidTorus:
             assert sum((-1) ** n * g.free_rank for n, g in enumerate(groups)) == 0, s.name
 
 
+class TestPeriodicOrbifolds:
+    """A periodic tiling whose symmetry group Gamma has point group Z_n has
+    rigid hull SE(2)/Gamma, the unit tangent bundle of the orbifold
+    R^2/Gamma.  Its fundamental group is Lambda x| Z, the generator acting on
+    the lattice Lambda by the rotation R_n, so H_1 = Z + coker(R_n - I), and
+    Poincare duality gives the Cech cohomology (Z, Z, Z + C_n, Z), with
+    C_2 = (Z/2)^2 (|det(R_2 - I)| = 4) and C_3 = Z/3 (|det(R_3 - I)| = 3)."""
+
+    @pytest.mark.parametrize("path, h2", [(P2_PILLOWCASE, "Z + Z/2 + Z/2"), (P3, "Z + Z/3")],
+                             ids=["p2", "p3"])
+    def test_cech_groups(self, path, h2):
+        cech = ("Z", "Z", h2, "Z")
+        spec = load_spec(path.read_text(encoding="utf-8"))
+        groups = spectral_sequence(spec).cohomology.groups
+        assert tuple(g.render() for g in groups) == cech
+        assert sum((-1) ** n * g.free_rank for n, g in enumerate(groups)) == 0
+        spectral = run_command(["spectral", str(path)])
+        assert spectral.exit_code == 0
+        assert spectral.stdout.splitlines()[-1] == "Cech: " + "  ".join(
+            "H^%d = %s" % (n, g) for n, g in enumerate(cech))
+        assert run_command(["cohomology", str(path), "--hull", "rigid"]) == CommandResult(
+            0, "".join("H^%d = %s\n" % (n, g) for n, g in enumerate(cech)))
+
+
 class TestHullCohomology:
     def test_fibonacci(self):
         hc = hull_cohomology(builtin("fibonacci"), HULL_TRANSLATION)
@@ -397,11 +434,11 @@ class TestChainLevelErrors:
 
     def test_penrose_chain_map_that_breaks_both_complexes(self):
         spec = builtin("penrose-kite-dart")
-        f = dict(spec.substitution.chain_map)
+        f = dict(spec.substitution.maps)
         rows = f[0].to_rows()
         rows[0][2] = 1
         f[0] = IntMatrix.from_rows(rows)
-        bad = _respec_substitution(spec, SubstitutionData("chain_map", chain_map=f))
+        bad = _respec_substitution(spec, SubstitutionData("chain_map", f))
         for compute in (spectral_sequence, e2_page, rigid_hull_cohomology):
             with pytest.raises(ComplexError, match="boundary/f mismatch"):
                 compute(bad)
@@ -410,9 +447,9 @@ class TestChainLevelErrors:
 
     def test_stationary_homology_map_has_no_modified_maps(self):
         spec = builtin("triangle-solenoid-rigid")
-        maps = dict(spec.substitution.homology_map)
+        maps = dict(spec.substitution.maps)
         maps[0] = (maps[0][0], maps[0][0])
-        bad = _respec_substitution(spec, SubstitutionData("homology_map", homology_map=maps))
+        bad = _respec_substitution(spec, SubstitutionData("homology_map", maps))
         for compute in (spectral_sequence, e2_page, rigid_hull_cohomology,
                         lambda s: hull_cohomology(s, HULL_ROTATION_QUOTIENT)):
             with pytest.raises(ComplexError, match="require chain-level data"):
