@@ -41,11 +41,9 @@ class ChainComplex(Record):
 
     def boundary_or_zero(self, k):
         """Boundary map out of degree k, a zero map beyond the ends."""
-        if k == 0:
-            return IntMatrix.zero(0, self.ranks[0])
         if k == self.top_dim + 1:
             return IntMatrix.zero(self.ranks[self.top_dim], 0)
-        if 0 < k <= self.top_dim:
+        if 0 <= k <= self.top_dim:
             return self.boundary[k]
         raise ComplexError("degree %d out of range" % k)
 

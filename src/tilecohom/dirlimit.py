@@ -85,11 +85,6 @@ class EventualData(Record):
     induced_exponent: int
 
 
-def _check_endo(group, endo):
-    if endo.domain != group or endo.codomain != group:
-        raise DirectLimitError("endomorphism domain/codomain mismatch")
-
-
 def _power_mod(rows, moduli, bound):
     """D^e with row i reduced mod moduli[i], for D the square matrix of these
     rows and e the first power of 2 at least bound, by repeated squaring.
@@ -140,7 +135,8 @@ def eventual_data(group: FgAbelianGroup, endo: GroupHom) -> EventualData:
     give the section and the next map.  No power of F is formed, and V and
     V^-1 are applied through those logs, never built.
     """
-    _check_endo(group, endo)
+    if endo.domain != group or endo.codomain != group:
+        raise DirectLimitError("endomorphism domain/codomain mismatch")
     F = endo.free_block()
     r = group.free_rank
     G = F

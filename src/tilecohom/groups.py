@@ -79,10 +79,6 @@ class FgAbelianGroup(Record):
             gens.append(self.element((0,) * self.free_rank, t))
         return gens
 
-    def direct_sum(self, other):
-        factors = list(self.torsion) + list(other.torsion)
-        return from_divisors(factors, extra_free=self.free_rank + other.free_rank)
-
     def render(self):
         parts = []
         if self.free_rank == 1:
@@ -97,10 +93,6 @@ class GroupElement(Record):
     owner: FgAbelianGroup
     free_coords: tuple
     torsion_coords: tuple
-
-    @property
-    def is_zero(self):
-        return all(a == 0 for a in self.free_coords) and all(a == 0 for a in self.torsion_coords)
 
     def order(self):
         """Order of the element; None means infinite."""
@@ -136,12 +128,6 @@ def _reduced(coords: IntMatrix, group: FgAbelianGroup) -> IntMatrix:
         x % d for k, d in enumerate(group.torsion) for x in coords.row(f + k)))
 
 
-def _element(group: FgAbelianGroup, coords: IntMatrix) -> GroupElement:
-    """The element of group whose coordinates are the one column of coords."""
-    f = group.free_rank
-    return group.element(coords.entries[:f], coords.entries[f:])
-
-
 def relation_lattice(group: FgAbelianGroup) -> IntMatrix:
     """Columns spanning the relations of the canonical integer coordinates."""
     n = group.free_rank + len(group.torsion)
@@ -150,8 +136,6 @@ def relation_lattice(group: FgAbelianGroup) -> IntMatrix:
         col = [0] * n
         col[group.free_rank + k] = d
         cols.append(col)
-    if not cols:
-        return IntMatrix.zero(n, 0)
     return IntMatrix.from_columns(cols, rows=n)
 
 
@@ -170,13 +154,8 @@ def express(group: FgAbelianGroup, element: GroupElement, generators):
     """Coefficients a with element = sum a_j * generators[j], or None."""
     if element.owner != group:
         raise GroupError("element does not belong to the group")
-    A = _with_relations(group, generators)
-    if not A.cols:
-        return () if element.is_zero else None
-    sol = solve_in_lattice(A, element.int_coords())
-    if sol is None:
-        return None
-    return tuple(sol[:len(generators)])
+    sol = solve_in_lattice(_with_relations(group, generators), element.int_coords())
+    return None if sol is None else tuple(sol[:len(generators)])
 
 
 class GroupHom(Record):
@@ -205,8 +184,7 @@ class GroupHom(Record):
     def from_columns(domain, codomain, image_elements):
         cols = [list(e.int_coords()) for e in image_elements]
         n = codomain.free_rank + len(codomain.torsion)
-        m = IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zero(n, 0)
-        return GroupHom(domain, codomain, m)
+        return GroupHom(domain, codomain, IntMatrix.from_columns(cols, rows=n))
 
     def apply(self, element: GroupElement) -> GroupElement:
         if element.owner != self.domain:
@@ -247,13 +225,8 @@ class GroupHom(Record):
 
 def subgroup_structure(group: FgAbelianGroup, elements) -> FgAbelianGroup:
     """Isomorphism type of the subgroup generated by the elements."""
-    A = _with_relations(group, elements)
-    if not A.cols:
-        return FgAbelianGroup.trivial()
-    snf = smith_normal_form(A)
+    snf = smith_normal_form(_with_relations(group, elements))
     d = snf.invariant_factors
-    if not d:
-        return FgAbelianGroup.trivial()
     # The span has basis U^-1 diag(d); a relation r lies in it, with
     # coordinates (U r)_i / d_i.  Quotient the span by the relation lattice.
     Ur = snf.u_times(relation_lattice(group))
@@ -334,7 +307,9 @@ class SubquotientPresentation(Record):
     def class_of(self, cycle) -> GroupElement:
         """The class of one cycle: the one-column case of classes_of."""
         cycle = tuple(int(v) for v in cycle)
-        return _element(self.structure, self.classes_of(IntMatrix(len(cycle), 1, cycle)))
+        coords = self.classes_of(IntMatrix(len(cycle), 1, cycle)).entries
+        f = self.structure.free_rank
+        return self.structure.element(coords[:f], coords[f:])
 
     def _cycles(self, Y: IntMatrix) -> IntMatrix:
         """V [0; U^-1 Y]: the cycles whose y-coordinates are the columns of Y,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
-from .groups import FgAbelianGroup, GroupElement, quotient_by
+from .groups import FgAbelianGroup, GroupElement, from_divisors, quotient_by
 from .record import Record, TilecohomError, decimal_or_size
 
 
@@ -88,9 +88,7 @@ def _e2(rigid, modified):
 
 def _total_degree(entries_by_pq, n):
     parts = [g for (p, q), g in sorted(entries_by_pq.items()) if p + q == n]
-    total = FgAbelianGroup.trivial()
-    for g in parts:
-        total = total.direct_sum(g)
+    total = from_divisors([d for g in parts for d in g.torsion], sum(g.free_rank for g in parts))
     nonzero = [g for g in parts if not g.is_trivial]
     flags = ()
     if len(nonzero) >= 2 and any(g.torsion for g in nonzero):

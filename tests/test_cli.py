@@ -770,7 +770,7 @@ class TestFactorizationCounts:
         pres = groups.homology_presentation(d1, d2)
         snfs.clear()
         for j in range(d2.cols):
-            assert pres.class_of(d2.column(j)).is_zero
+            assert pres.class_of(d2.column(j)).order() == 1
         for g, cycle in zip(pres.structure.generators(), _columns(pres.generator_matrix())):
             assert pres.class_of(cycle) == g
         assert snfs == []

@@ -278,7 +278,7 @@ class TestHomologyPresentation:
         rng = random.Random(7)
         for _ in range(20):
             x = [rng.randint(-5, 5) for _ in range(2)]
-            assert pres.class_of(d2.mul_vector(x)).is_zero
+            assert pres.class_of(d2.mul_vector(x)).order() == 1
 
 
 class TestClassOf:
@@ -289,11 +289,11 @@ class TestClassOf:
     def test_torsion_class(self):
         t = self.pres.class_of((1, 1, 0, 0, 0, -1, 0))
         assert t.order() == 5
-        assert not t.is_zero
+        assert t.order() != 1
 
     def test_zero_cycle(self):
         z = self.pres.class_of((0,) * 7)
-        assert z.is_zero and z.order() == 1
+        assert z.order() == 1
 
     def test_sun_is_free(self):
         assert self.pres.class_of((1, 0, 0, 0, 0, 0, 0)).order() is None

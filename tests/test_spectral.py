@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -384,6 +385,79 @@ class TestPeriodicOrbifolds:
             "H^%d = %s" % (n, g) for n, g in enumerate(cech))
         assert run_command(["cohomology", str(path), "--hull", "rigid"]) == CommandResult(
             0, "".join("H^%d = %s\n" % (n, g) for n, g in enumerate(cech)))
+
+
+def _split_edge(doc, e):
+    """The spec document doc with its symmetry-1 edge e split by a new
+    symmetry-1 vertex x into e and a new edge e2.  e keeps its negative d_1
+    entries and gets +1 at x; e2 gets -1 at x and e's positive entries (a
+    loop's zero column counts as -1 and +1 at the one vertex whose lap names
+    it).  e2 copies e's d_2 row and e's rotation, every (e, +1) step of a lap
+    becomes (e2, +1), and x's lap is [(e, +1), (e2, -1)]."""
+    doc = json.loads(json.dumps(doc))
+    x, e2 = e + "_x", e + "_2"
+    vertices, edges = doc["cells"]["0"], doc["cells"]["1"]
+    rotation = doc["rotation"]
+    stars = rotation["vertex_stars"]
+    j = [c["id"] for c in edges].index(e)
+    d1, d2 = doc["boundaries"]["1"], doc["boundaries"]["2"]
+    ends = [(min(row[j], 0), max(row[j], 0)) for row in d1]
+    if not any(row[j] for row in d1):
+        (v,) = [i for i, c in enumerate(vertices)
+                if any(step["edge"] == e for step in stars[c["id"]])]
+        ends[v] = (-1, 1)
+    for row, (tail, head) in zip(d1, ends):
+        row[j] = tail
+        row.append(head)
+    d1.append([1 if i == j else 0 for i in range(len(edges))] + [-1])
+    d2.append(list(d2[j]))
+    vertices.append({"id": x, "symmetry": 1, "reverses_orientation": False})
+    edges.append({"id": e2, "symmetry": 1, "reverses_orientation": False})
+    rotation["edge_rotations"][e2] = rotation["edge_rotations"][e]
+    for lap in stars.values():
+        for step in lap:
+            if step == {"edge": e, "sign": 1}:
+                step["edge"] = e2
+    stars[x] = [{"edge": e, "sign": 1}, {"edge": e2, "sign": -1}]
+    return doc
+
+
+_PERIODIC_DOCS = [json.loads(path.read_text(encoding="utf-8"))
+                  for path in (P1_TORUS, P2_PILLOWCASE, P3)]
+_PERIODIC_DOCS += [json.loads(save_spec(builtin(name)))
+                   for name in ("square-periodic-rigid", "triangle-periodic-rigid")]
+EDGE_SPLITS = [(doc, c["id"]) for doc in _PERIODIC_DOCS
+               for c in doc["cells"]["1"] if c["symmetry"] == 1]
+
+
+class TestEdgeSubdivision:
+    """Cech cohomology is a topological invariant, so splitting an edge of a
+    periodic spec, a refinement of the same cellulation of R^2/Gamma, must
+    leave the Cech line unchanged.  The E2 rows are the homology of the two
+    complexes of that orbifold, so they do not move either."""
+
+    @staticmethod
+    def _outputs(doc, path):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return [run_command(argv) for argv in (
+            ["check", str(path)], ["spectral", str(path)],
+            ["cohomology", str(path), "--hull", "rigid"])]
+
+    def test_every_symmetry_one_edge_is_split(self):
+        assert len(EDGE_SPLITS) == 20
+
+    @pytest.mark.parametrize("doc, edge", EDGE_SPLITS,
+                             ids=["%s-%s" % (doc["name"], e) for doc, e in EDGE_SPLITS])
+    def test_split_keeps_the_cech_line(self, tmp_path, doc, edge):
+        _, spectral, cohomology = self._outputs(doc, tmp_path / "spec.json")
+        check, split_spectral, split_cohomology = self._outputs(
+            _split_edge(doc, edge), tmp_path / "split.json")
+        assert check == CommandResult(0, doc["name"] + ": ok\n")
+        assert split_spectral.exit_code == spectral.exit_code == 0
+        lines, split_lines = spectral.stdout.splitlines(), split_spectral.stdout.splitlines()
+        assert split_lines[-1] == lines[-1]
+        assert split_lines[:2] == lines[:2]
+        assert split_cohomology == cohomology
 
 
 class TestHullCohomology:
