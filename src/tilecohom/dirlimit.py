@@ -435,7 +435,7 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
                 expected = sum(1 for lam in roots if lam % p == 0)
                 if expected != actual:
                     raise ProfileMismatchError(
-                        "p=%d divisible rank %d does not match eigenvalue count %d"
+                        "internal invariant: p=%d divisible rank %d != eigenvalue count %d"
                         % (p, actual, expected))
             for lam, m in zip(roots, radicals):
                 if m != abs(lam):

@@ -359,19 +359,15 @@ def presentation_from(d_k_snf: SnfResult, d_k1: IntMatrix,
     relations, if given, is the factorization of the relation matrix, the
     rows r: of V^-1 d_{k+1}.  When d_k is zero, V = I and that matrix is
     d_{k+1} itself, so a caller holding its factorization passes it here.
+    vinv_times rejects a d_{k+1} whose rows do not match the columns of d_k.
     """
     snf = d_k_snf
-    if snf.S.cols != d_k1.rows:
-        raise GroupError("boundary shapes are incompatible")
     r = snf.rank
     if relations is None:
         B = snf.vinv_times(d_k1)
         if any(B.entries[:r * B.cols]):
             raise GroupError("d_k * d_{k+1} != 0: corrupt chain complex")
         relations = smith_normal_form(IntMatrix(B.rows - r, B.cols, B.entries[r * B.cols:]))
-    elif relations.S.rows != snf.S.cols - r:
-        raise GroupError("relations have %d rows, the cycle basis has %d"
-                         % (relations.S.rows, snf.S.cols - r))
     n = relations.S.rows
     diag = list(relations.S.diagonal()) + [0] * (n - relations.S.cols)
     return SubquotientPresentation(
@@ -381,16 +377,6 @@ def presentation_from(d_k_snf: SnfResult, d_k1: IntMatrix,
         free_idx=tuple(i for i in range(n) if diag[i] == 0),
         torsion_idx=tuple(i for i in range(n) if diag[i] >= 2),
     )
-
-
-def _chain_columns(pres: SubquotientPresentation, chains) -> IntMatrix:
-    """The chains as the columns of a matrix, each of the ambient length."""
-    n = pres.ambient_rank
-    cols = [tuple(int(v) for v in c) for c in chains]
-    for c in cols:
-        if len(c) != n:
-            raise GroupError("chain has length %d, ambient rank is %d" % (len(c), n))
-    return IntMatrix.from_columns(cols, rows=n)
 
 
 def induced_hom(pres: SubquotientPresentation, generator_cycles, image_cycles) -> GroupHom:
@@ -407,8 +393,8 @@ def induced_hom(pres: SubquotientPresentation, generator_cycles, image_cycles) -
         raise GroupError("generator/image count mismatch")
     G = pres.structure
     g = len(generator_cycles)
-    gcls = pres.classes_of(_chain_columns(pres, generator_cycles))
-    icls = pres.classes_of(_chain_columns(pres, image_cycles))
+    gcls = pres.classes_of(IntMatrix.from_columns(generator_cycles, rows=pres.ambient_rank))
+    icls = pres.classes_of(IntMatrix.from_columns(image_cycles, rows=pres.ambient_rank))
     snf = smith_normal_form(gcls.hstack(relation_lattice(G)))
     # Relations among the generators must map to relations among the images.
     relations = snf.kernel()

@@ -31,6 +31,12 @@ class CellType(Record):
 
 
 class RotationData(Record):
+    """A lap walks once around its vertex v, each step adding sign times its
+    edge's rotation, so each edge e with a nonzero d_1 column occurs in it
+    exactly |d_1[v][e]| times (validate_spec checks this).  The sign is not
+    the edge's end at v: in triangle-periodic-rigid, V6 is the tail of both a
+    and b, and its lap steps over a with +1 and over b with -1."""
+
     edge_rotations: dict      # edge id -> Fraction, in full turns
     vertex_stars: dict        # vertex id -> tuple of (edge id, sign) for one clockwise lap
 
@@ -78,7 +84,8 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
               substitution=None, rotation=None, symmetric_tilings=()):
     """Build a TilingSpec from plain data, enforcing every structural rule:
     value types, degree ranges, ids, shapes and cross-references.  The
-    builtins, library callers and load_spec all meet these same checks."""
+    builtins, library callers and load_spec all meet these same checks.
+    Homology-level vectors are stored as tuples."""
     if not isinstance(name, str):
         raise SpecError("name: expected a string")
     if type(dimension) is not int or dimension not in (1, 2):
@@ -127,6 +134,10 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
         if not isinstance(substitution, SubstitutionData):
             raise SpecError("substitution: expected SubstitutionData")
         _check_substitution_shape(substitution, cell_map, dimension)
+        if substitution.kind == "homology_map":
+            substitution = SubstitutionData(substitution.kind, {
+                k: tuple(tuple(map(tuple, vecs)) for vecs in pair)
+                for k, pair in substitution.maps.items()})
     if rotation is not None:
         if not isinstance(rotation, RotationData):
             raise SpecError("rotation: expected RotationData")
@@ -330,18 +341,9 @@ def _parse_matrix(data, path):
     return IntMatrix(len(data), cols, entries)
 
 
-def _parse_vectors(data, path):
-    if not isinstance(data, list):
-        raise SpecError("%s: expected a list of integer vectors" % path)
-    for i, v in enumerate(data):
-        if not isinstance(v, list) or not set(map(type, v)) <= {int}:
-            raise SpecError("%s[%d]: expected an integer vector" % (path, i))
-    return tuple(map(tuple, data))
-
-
 def _parse_homology_entry(entry, path):
     _require_keys(entry, _MAP_KEYS, _MAP_KEYS, path)
-    return tuple(_parse_vectors(entry[key], "%s.%s" % (path, key)) for key in _MAP_KEYS)
+    return entry["generators"], entry["images"]
 
 
 def _parse_substitution(sdata):
@@ -437,7 +439,8 @@ def save_spec(spec: TilingSpec) -> str:
 
 def validate_spec(spec: TilingSpec) -> ValidationReport:
     """Semantic checks: the complex builds in every applicable mode, rotation
-    laps close up, and substitution data is consistent; all failures reported."""
+    laps close up and walk around their vertices (RotationData), and
+    substitution data is consistent; all failures reported."""
     from . import complexes
 
     issues = []
@@ -458,11 +461,20 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
 
     if spec.rotation is not None:
         turns = spec.rotation.lap_turns()
-        for c in spec.cells[0]:
+        d1 = spec.boundaries[1]
+        edges = [(j, c.id) for j, c in enumerate(spec.cells[1]) if any(d1.column(j))]
+        for i, c in enumerate(spec.cells[0]):
             if turns[c.id].denominator != 1:
                 issues.append("rotation.vertex_stars.%s: lap sums to %s of a full "
                               "turn; rotations must close up"
                               % (c.id, decimal_or_size(turns[c.id])))
+            steps = [eid for eid, _ in spec.rotation.vertex_stars[c.id]]
+            wrong = ["%s %d times (|d_1| = %s)" % (eid, steps.count(eid),
+                                                    decimal_or_size(abs(d1[i, j])))
+                     for j, eid in edges if steps.count(eid) != abs(d1[i, j])]
+            if wrong:
+                issues.append("rotation.vertex_stars.%s: lap steps over %s; a lap "
+                              "walks once around its vertex" % (c.id, ", ".join(wrong)))
 
     if spec.substitution is not None and not issues:
         # Homology-level data says nothing about the modified complex.

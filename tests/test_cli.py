@@ -139,6 +139,26 @@ class TestCheckCommand:
         assert (res.exit_code, res.stdout) == (0, good.stdout)
         assert run("homology", str(path), "--mode", "rigid", "--limit").exit_code == 1
 
+    @pytest.mark.parametrize("lap, issue", [
+        ((("a", 1), ("b", -1)) * 12, "a 12 times (|d_1| = 6), b 12 times (|d_1| = 6)"),
+        ((("c", -1), ("b", 1)) * 3,
+         "a 0 times (|d_1| = 6), b 3 times (|d_1| = 6), c 3 times (|d_1| = 0)"),
+    ], ids=["walked-twice", "edge-off-the-vertex"])
+    def test_lap_that_does_not_walk_around_its_vertex(self, tmp_path, capsys, lap, issue):
+        """Both laps sum to whole turns, so the winding chain reads them, but a
+        lap of V6 steps over each edge e |d_1[V6][e]| times: 6, 6 and 0 times
+        over a, b and c."""
+        doc = json.loads(save_spec(builtin("triangle-periodic-rigid")))
+        doc["rotation"]["vertex_stars"]["V6"] = [{"edge": e, "sign": s} for e, s in lap]
+        path = tmp_path / "lap.json"
+        path.write_text(json.dumps(doc))
+        res = run("check", str(path))
+        assert (res.exit_code, res.stdout) == (1, (
+            "triangle-periodic-rigid: invalid\n"
+            "  rotation.vertex_stars.V6: lap steps over %s; a lap walks once around its vertex\n"
+            % issue))
+        assert capsys.readouterr().err == ""
+
 
 def _penrose_variant(tmp_path, boundary=(), chain_map=(), bump=()):
     """The saved Penrose document with boundary and chain-map entries set,
@@ -179,7 +199,10 @@ class TestChainLevelErrors:
     @pytest.mark.parametrize("variant, stdout", [
         ("boundary", ["boundaries: boundary of boundary is nonzero",
                       "build[rigid]: " + _D2_SQUARE,
-                      "build[rigid_modified]: " + _NON_INTEGRAL]),
+                      "build[rigid_modified]: " + _NON_INTEGRAL,
+                      # The variant's d_1 joins E3 to sun, which sun's lap does not step over.
+                      "rotation.vertex_stars.sun: lap steps over E3 0 times (|d_1| = 1); "
+                      "a lap walks once around its vertex"]),
         ("chain-map", ["substitution[rigid]: " + _MISMATCH_RIGID,
                        "substitution[rigid_modified]: " + _NOT_PRESERVED]),
         ("bumped", ["substitution[rigid]: " + _BUMP % (15, 10),
@@ -236,6 +259,15 @@ class TestChainLevelErrors:
             "", "error: modified-complex substitution maps require chain-level data\n")
 
 
+# limit --group and --matrix values that do not parse.
+_UNPARSABLE_LIMITS = [
+    ("Z", "a"), ("Z^x", "1"),
+    # Integers are ASCII, as in spec files: int() alone reads "\u0663"
+    # (Arabic-Indic three) as 3 and "1_0" as 10.
+    ("Z", "\u0663"), ("Z", "1_0"), ("Z^\u0663", "1"),
+]
+
+
 class TestLimitCommand:
     def test_square_solenoid_arithmetic(self):
         # rows of the endomorphism matrix: (a, b, c) -> (4a, c, c)
@@ -261,6 +293,11 @@ class TestLimitCommand:
         assert doc["p_divisible_ranks"] == [[3, 1]]
         res = run("limit", "--group", "Z^2", "--matrix", "0,1;3,1")
         assert res.stdout.endswith("\nlattice rank 2, p-divisible ranks 3:1\n")
+
+    def test_ragged_matrix_is_one_error_line(self, capsys):
+        res = run("limit", "--group", "Z^2", "--matrix", "1,2;3")
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert capsys.readouterr() == ("", "error: ragged rows\n")
 
     def test_ill_defined_endo(self):
         res = run("limit", "--group", "Z/2", "--matrix", "1", "--json")
@@ -315,12 +352,7 @@ class TestLimitCommand:
         assert spaced.exit_code == 0
         assert (spaced.exit_code, spaced.stdout) == (attached.exit_code, attached.stdout)
 
-    @pytest.mark.parametrize("group, matrix", [
-        ("Z", "a"), ("Z^x", "1"),
-        # Integers are ASCII, as in spec files: int() alone reads "\u0663"
-        # (Arabic-Indic three) as 3 and "1_0" as 10.
-        ("Z", "\u0663"), ("Z", "1_0"), ("Z^\u0663", "1"),
-    ])
+    @pytest.mark.parametrize("group, matrix", _UNPARSABLE_LIMITS)
     def test_unparsable_input_is_one_error_line(self, capsys, group, matrix):
         res = run("limit", "--group", group, "--matrix", matrix)
         assert (res.exit_code, res.stdout) == (1, "")
@@ -399,20 +431,25 @@ _LONG_LAPS = _penrose_rotations({"E%d" % (i + 1): "1/%d" % (10 ** 4000 + 2 * i +
                                  for i in range(7)})
 
 
+# One malformed input per layer, and the class of the error it raises.
+_LAYER_ERRORS = [
+    (lambda: tilings.load_spec("{"), tilings.SpecError),
+    (lambda: parse_group("Z/0"), GroupError),
+    (lambda: parse_matrix("1,x"), ExactAlgError),
+    (lambda: complexes.build_chain_complex(builtin("fibonacci"), "mystery"),
+     complexes.ComplexError),
+    (lambda: spectral.hull_cohomology(builtin("fibonacci"), "mystery"),
+     spectral.SpectralError),
+    (lambda: dirlimit.stable_rank_mod_p(IntMatrix.identity(2), 4),
+     dirlimit.DirectLimitError),
+]
+
+
 class TestMalformedInput:
     """Malformed input ends with exit 1 and one error line, not a traceback."""
 
-    @pytest.mark.parametrize("compute, error", [
-        (lambda: tilings.load_spec("{"), tilings.SpecError),
-        (lambda: parse_group("Z/0"), GroupError),
-        (lambda: parse_matrix("1,x"), ExactAlgError),
-        (lambda: complexes.build_chain_complex(builtin("fibonacci"), "mystery"),
-         complexes.ComplexError),
-        (lambda: spectral.hull_cohomology(builtin("fibonacci"), "mystery"),
-         spectral.SpectralError),
-        (lambda: dirlimit.stable_rank_mod_p(IntMatrix.identity(2), 4),
-         dirlimit.DirectLimitError),
-    ], ids=["spec", "group", "matrix", "complex", "spectral", "limit"])
+    @pytest.mark.parametrize("compute, error", _LAYER_ERRORS,
+                             ids=["spec", "group", "matrix", "complex", "spectral", "limit"])
     def test_each_layer_raises_a_tilecohom_error(self, compute, error):
         """One except clause catches every layer's domain error, and each
         keeps its own class."""

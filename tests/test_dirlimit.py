@@ -644,6 +644,14 @@ class TestSplitsByType:
         result = run_command(["limit", "--group", group, "--matrix", matrix])
         assert (result.exit_code, result.stdout) == (0, expected)
 
+    def test_undetermined_total_free_rank_is_the_lattice_rank(self):
+        """An undetermined limit has no proven free summands; its free rank
+        is that of the lattice the induced map acts on."""
+        Z2 = FgAbelianGroup.free(2)
+        lim = direct_limit(Z2, GroupHom(Z2, Z2, IntMatrix.from_rows([[2, 1], [0, 7]])))
+        assert (lim.status, lim.free_summands, lim.total_free_rank) == (
+            STATUS_UNDETERMINED, (), 2)
+
     def test_index_identity_against_kernel_bases(self):
         """For every block m, the product of the invariant factors of A_m
         times [Z^n : K_m + W_m] is |det A_m on W_m|, with K_m = ker A_m and

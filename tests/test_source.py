@@ -1,12 +1,48 @@
 """Checks on the library source itself."""
 
 import ast
+import contextlib
 import importlib
+import io
+import json
 import subprocess
 import sys
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
+import test_cli
+import test_tilings
 import tilecohom
+from tilecohom import dirlimit, groups
+from tilecohom.cli import run_command
+from tilecohom.complexes import (
+    MODE_RIGID,
+    MODE_RIGID_MODIFIED,
+    MODE_TRANSLATION,
+    Analysis,
+    build_chain_complex,
+)
+from tilecohom.exactalg import (
+    IntMatrix,
+    determinant,
+    inverse_unimodular,
+    smith_normal_form,
+    solve_in_lattice,
+)
+from tilecohom.groups import (
+    FgAbelianGroup,
+    GroupHom,
+    cokernel_structure,
+    homology_presentation,
+    induced_hom,
+    quotient_by,
+    symmetry_defect,
+)
+from tilecohom.record import TilecohomError, decimal
+from tilecohom.spectral import hull_cohomology, winding_chain
+from tilecohom.tilings import RotationData, SubstitutionData, builtin, load_spec, make_spec
 
 
 def test_no_assert_in_library():
@@ -142,3 +178,243 @@ def test_public_names_are_read():
                 unread.append(where)
     assert unread == []
     assert str_methods == []
+
+
+def _raise_sites():
+    """{(file, line): source} of every raise statement of the package."""
+    sites = {}
+    for path in sorted(Path(tilecohom.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise):
+                sites[str(path), node.lineno] = ast.get_source_segment(text, node)
+    return sites
+
+
+def _run_traced(cases):
+    """Run each (call, expected) case under sys.settrace: the (file, line)
+    pairs of the package that ran, and the (expected, outcome) pairs of the
+    cases whose outcome does not contain the expected text.  The outcome is
+    "<class>: <message>" of what the call raised, or the text of what it
+    returned."""
+    package = str(Path(tilecohom.__file__).parent)
+    lines, wrong = set(), []
+
+    def line(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        for run, expected in cases:
+            try:
+                outcome = str(run())
+            except (TilecohomError, TypeError, AttributeError) as e:
+                outcome = "%s: %s" % (type(e).__name__, e)
+            if expected not in outcome:
+                wrong.append((expected, outcome))
+    finally:
+        sys.settrace(previous)
+    return lines, wrong
+
+
+def _stderr(*argv):
+    """What one command writes to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        run_command(list(argv))
+    return err.getvalue()
+
+
+def _respec(name, **changes):
+    """The builtin with some make_spec arguments changed."""
+    spec = builtin(name)
+    return make_spec(**{**{f: getattr(spec, f) for f in spec._fields}, **changes})
+
+
+def _edited(matrix, i, j, value):
+    rows = matrix.to_rows()
+    rows[i][j] = value
+    return IntMatrix.from_rows(rows)
+
+
+def _public_cases(tmp_path):
+    """(call, expected text) cases that reach the input checks through public
+    names: the schema table of test_tilings, the malformed-input tables of
+    test_cli and one case for each check those do not reach."""
+    cases = []
+    for name, path, value, message, edit in test_tilings._SCHEMA_MESSAGES:
+        if path is not None:
+            cases.append((partial(load_spec, test_tilings._mutated(name, path, value)), message))
+        if edit is not None:
+            spec = builtin(name)
+            args = {f: getattr(spec, f) for f in spec._fields}
+            cases.append((partial(make_spec, **{**args, **edit(args)}), message))
+    cases += [(compute, error.__name__ + ": ") for compute, error in test_cli._LAYER_ERRORS]
+    cases += [(partial(_stderr, "limit", "--group", group, "--matrix", matrix),
+               "error: cannot parse ") for group, matrix in test_cli._UNPARSABLE_LIMITS]
+
+    not_utf8, winding = tmp_path / "not-utf8.json", tmp_path / "winding.json"
+    not_utf8.write_bytes(b'\xff\xfe{"name": "x"}')
+    winding.write_text(json.dumps(test_cli._LONG_SPECS["winding"]))
+    cases += [
+        (partial(_stderr, "limit", "--group", "Z^2", "--matrix", "1,2;3"), "error: ragged rows\n"),
+        (partial(_stderr, "limit", "--group", "Z^-1", "--matrix", "1"), "token 'Z^-1'"),
+        (partial(_stderr, "limit", "--group", "Q", "--matrix", "1"), "token 'Q'"),
+        (partial(_stderr, "homology", "x.json", "--builtin", "fibonacci", "--mode", "rigid"),
+         "usage error: give either"),
+        (partial(_stderr, "homology", "--mode", "rigid"), "usage error: a spec path"),
+        (partial(_stderr, "homology", "--builtin", "pinwheel", "--mode", "rigid"),
+         "error: unknown builtin 'pinwheel'"),
+        (partial(_stderr, "homology", "--builtin", "fibonacci", "--mode", "translation",
+                 "--degree", "2"), "error: degree 2 out of range 0..1"),
+        (partial(_stderr, "check", "a\x00b"), "error: 'a\\x00b': "),
+        (partial(_stderr, "check", str(not_utf8)), ": not UTF-8 text"),
+        (partial(_stderr, "spectral", str(winding), "--json"), "too long to print"),
+        (partial(_stderr, "spectral", "--builtin", "triangle-solenoid-rigid"),
+         "error: non-stationary homology unsupported"),
+    ]
+
+    Z, Z2 = FgAbelianGroup.free(1), FgAbelianGroup.free(2)
+    one, two = IntMatrix.identity(1), IntMatrix.identity(2)
+    z = IntMatrix.zero(1, 0)  # H_0 = Z: ker of the 0 x 1 map over im of this one
+    pres = homology_presentation(IntMatrix.zero(0, 1), z)
+    penrose = builtin("penrose-kite-dart")
+    bad_f = SubstitutionData("chain_map", {
+        **penrose.substitution.maps, 0: _edited(penrose.substitution.maps[0], 0, 2, 1)})
+    triangle = builtin("triangle-periodic-rigid")
+    open_lap = RotationData({**triangle.rotation.edge_rotations, "b": Fraction(1, 5)},
+                            triangle.rotation.vertex_stars)
+    cases += [
+        (partial(IntMatrix, -1, 0, ()), "negative matrix dimension"),
+        (partial(IntMatrix, 1, 2, (1,)), "entry count 1 does not match 1x2"),
+        (partial(IntMatrix.from_columns, []), "cannot infer row count from zero columns"),
+        (partial(IntMatrix.from_columns, [(1,), (1, 2)]), "ragged columns"),
+        (partial(two.__getitem__, (2, 0)), "index out of range"),
+        (partial(two.__mul__, 2), "TypeError: can only multiply by IntMatrix"),
+        (partial(two.__mul__, one), "shape mismatch in product"),
+        (partial(two.mul_vector, (1,)), "vector length mismatch"),
+        (partial(two.hstack, one), "row mismatch in hstack"),
+        (partial(solve_in_lattice, two, (1,)), "rhs length 1 != 2 rows"),
+        (partial(determinant, IntMatrix.zero(1, 2)), "determinant of non-square matrix"),
+        (partial(inverse_unimodular, IntMatrix.zero(1, 2)), "inverse of non-square matrix"),
+        (partial(inverse_unimodular, IntMatrix.from_rows([[2]])), "matrix is not unimodular"),
+        (partial(FgAbelianGroup, -1, ()), "negative free rank"),
+        (partial(FgAbelianGroup, 0, (1,)), "invariant factor 1 < 2"),
+        (partial(FgAbelianGroup, 0, (2, 3)), "violates divisibility"),
+        (partial(Z.element, (1, 2)), "coordinate length mismatch"),
+        (partial(quotient_by, Z, Z2.generators()), "element does not belong to the group"),
+        (partial(groups.express, Z, Z2.generators()[0], []),
+         "element does not belong to the group"),
+        (partial(GroupHom, Z, Z, two), "hom matrix shape mismatch"),
+        (partial(GroupHom, FgAbelianGroup(0, (2,)), Z, one),
+         "torsion generator maps to infinite-order element"),
+        (partial(GroupHom, FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (3,)), one),
+         "hom not well defined on torsion"),
+        (partial(GroupHom(Z, Z, one).apply, Z2.generators()[0]), "element not in the domain"),
+        (partial(symmetry_defect, [1]), "symmetry orders must be >= 2"),
+        (partial(pres.class_of, (1, 0)), "chain has length 2, ambient rank is 1"),
+        (partial(homology_presentation(one, IntMatrix.zero(1, 0)).class_of, (1,)),
+         "chain is not a cycle"),
+        (partial(pres.lift, Z2.generators()[0]), "element does not belong to this quotient"),
+        (partial(homology_presentation, two, one), "shape mismatch in product"),
+        (partial(homology_presentation, one, one), "corrupt chain complex"),
+        (partial(cokernel_structure, two, 3), "relations have 2 rows, ambient rank is 3"),
+        (partial(induced_hom, pres, [(1,)], []), "generator/image count mismatch"),
+        (partial(induced_hom, pres, [(1, 0)], [(1, 0)]), "ragged columns"),
+        (partial(induced_hom, pres, [(1,), (1,)], [(1,), (0,)]),
+         "images violate a relation among the generators"),
+        (partial(induced_hom, pres, [(2,)], [(2,)]),
+         "generator cycles do not generate the homology group"),
+        (partial(build_chain_complex(penrose, MODE_RIGID).boundary_or_zero, -1),
+         "degree -1 out of range"),
+        (partial(build_chain_complex, penrose, MODE_TRANSLATION),
+         "translation complex requires a translation-mode spec"),
+        (partial(build_chain_complex, builtin("fibonacci"), MODE_RIGID),
+         "rigid complex requires a rigid-mode spec"),
+        (partial(build_chain_complex, _respec(
+            "penrose-kite-dart", boundaries={**penrose.boundaries, 1: _edited(
+                penrose.boundaries[1], 0, 2, 1)}), MODE_RIGID_MODIFIED),
+         "non-integral rescaled boundary entry at degree 1, cell 'E3' over 'sun'"),
+        (partial(build_chain_complex, _respec(
+            "penrose-kite-dart", boundaries={**penrose.boundaries, 2: _edited(
+                penrose.boundaries[2], 2, 0, -1)}), MODE_RIGID),
+         "boundary of boundary is nonzero at degree 2"),
+        (lambda: Analysis(builtin("fibonacci"), MODE_TRANSLATION).chain_map,
+         "spec carries no chain-level substitution data"),
+        (lambda: Analysis(_respec("penrose-kite-dart", substitution=bad_f),
+                          MODE_RIGID_MODIFIED).chain_map,
+         "substitution does not preserve the modified complex at degree 0 (0, 2)"),
+        (lambda: Analysis(_respec("penrose-kite-dart", substitution=bad_f), MODE_RIGID).chain_map,
+         "substitution chain data: degree 1: boundary/f mismatch at row 0, col 0"),
+        (partial(Analysis(triangle, MODE_RIGID).substitution_map, 0),
+         "spec carries no substitution data"),
+        (partial(Analysis(builtin("triangle-solenoid-rigid"),
+                          MODE_RIGID_MODIFIED).substitution_map, 0),
+         "modified-complex substitution maps require chain-level data"),
+        (partial(dirlimit.eventual_data, Z, GroupHom(Z2, Z2, two)),
+         "endomorphism domain/codomain mismatch"),
+        (partial(dirlimit.stable_rank_mod_p, IntMatrix.zero(1, 2), 2),
+         "induced matrix must be square"),
+        (partial(winding_chain, builtin("fibonacci")), "needs a 2-dimensional rigid spec"),
+        (partial(winding_chain, _respec("triangle-periodic-rigid", rotation=None)),
+         "spec carries no rotation data"),
+        (partial(winding_chain, _respec("triangle-periodic-rigid", rotation=open_lap)),
+         "vertex 'V6': lap sums to -1/5"),
+        (partial(hull_cohomology, penrose, "translation"),
+         "translation hull needs a translation-mode spec"),
+        (partial(setattr, Z, "free_rank", 2), "cannot assign to field 'free_rank'"),
+        (partial(delattr, Z, "free_rank"), "cannot delete field 'free_rank'"),
+        (partial(decimal, 10 ** 4300), "a 14285-bit number of the result is too long to print"),
+    ]
+    return cases
+
+
+def _forged_cases():
+    """(call, expected text) cases that reach each internal invariant with an
+    input that no public name can give."""
+    Z, Z2 = FgAbelianGroup.free(1), FgAbelianGroup.free(2)
+    ones = IntMatrix.from_rows([[1, 1], [1, 1]])
+    # A factorization of diag(1, 0) in place of that of ones: its kernel, e_2,
+    # is not the kernel of ones, which then does not map it into itself.
+    wrong_snf = partial(smith_normal_form, IntMatrix.from_rows([[1, 0], [0, 0]]))
+
+    def patched(name, value, run):
+        def forged():
+            with mock.patch.object(dirlimit, name, value):
+                return run()
+        return forged
+
+    return [
+        (patched("smith_normal_form", lambda A: wrong_snf(),
+                 partial(dirlimit.eventual_data, Z2, GroupHom(Z2, Z2, ones))),
+         "internal invariant: phi does not preserve the eventual kernel"),
+        (partial(dirlimit._char_poly, [[Fraction(1, 2)]]),
+         "internal invariant: char poly coefficient -1/2"),
+        (patched("_stable_rank", lambda rows, p: len(rows),
+                 partial(dirlimit.direct_limit, Z, GroupHom(Z, Z, IntMatrix.from_rows([[2]])))),
+         "internal invariant: p=2 divisible rank 0 != eigenvalue count 1"),
+    ]
+
+
+def test_every_raise_is_reached(tmp_path, int_digit_limit):
+    """Every raise of the package is an input check that a case reaches
+    through a public name, or an internal invariant, labelled so, that only
+    a forged input to a private routine reaches.  Each case raises or writes
+    the text it expects; a raise no case reaches fails with its place."""
+    public, public_wrong = _run_traced(_public_cases(tmp_path))
+    forged, forged_wrong = _run_traced(_forged_cases())
+    assert public_wrong == forged_wrong == []
+    sites = _raise_sites()
+
+    def where(site):
+        return "%s:%d: %s" % (Path(site[0]).name, site[1], sites[site].split("\n")[0])
+
+    assert [where(s) for s in sorted(sites) if s not in public | forged] == []
+    assert [where(s) for s in sorted(sites) if s in forged - public
+            and "internal invariant:" not in sites[s]] == []

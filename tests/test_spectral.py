@@ -129,7 +129,7 @@ class TestWindingChain:
                   for c in spec.cells[0]]
         assert [spec.rotation.lap_turns()[c.id] for c in spec.cells[0]] == totals
         open_laps = [(c.id, t) for c, t in zip(spec.cells[0], totals) if t.denominator != 1]
-        assert [i for i in validate_spec(spec).issues if i.startswith("rotation")] == [
+        assert [i for i in validate_spec(spec).issues if "lap sums to" in i] == [
             "rotation.vertex_stars.%s: lap sums to %s of a full turn; rotations must "
             "close up" % lap for lap in open_laps]
         if open_laps:
@@ -392,8 +392,10 @@ def _split_edge(doc, e):
     symmetry-1 vertex x into e and a new edge e2.  e keeps its negative d_1
     entries and gets +1 at x; e2 gets -1 at x and e's positive entries (a
     loop's zero column counts as -1 and +1 at the one vertex whose lap names
-    it).  e2 copies e's d_2 row and e's rotation, every (e, +1) step of a lap
-    becomes (e2, +1), and x's lap is [(e, +1), (e2, -1)]."""
+    it).  e2 copies e's d_2 row and e's rotation.  A vertex that is e's head
+    h times has h steps of e in its lap, whatever their sign, and now meets
+    e2 there instead: its first h steps of e become steps of e2 (a loop's
+    vertex renames one of its two).  x's lap is [(e, +1), (e2, -1)]."""
     doc = json.loads(json.dumps(doc))
     x, e2 = e + "_x", e + "_2"
     vertices, edges = doc["cells"]["0"], doc["cells"]["1"]
@@ -406,18 +408,17 @@ def _split_edge(doc, e):
         (v,) = [i for i, c in enumerate(vertices)
                 if any(step["edge"] == e for step in stars[c["id"]])]
         ends[v] = (-1, 1)
-    for row, (tail, head) in zip(d1, ends):
+    for row, (tail, head), c in zip(d1, ends, vertices):
         row[j] = tail
         row.append(head)
+        steps = [step for step in stars[c["id"]] if step["edge"] == e]
+        for step in steps[:head]:
+            step["edge"] = e2
     d1.append([1 if i == j else 0 for i in range(len(edges))] + [-1])
     d2.append(list(d2[j]))
     vertices.append({"id": x, "symmetry": 1, "reverses_orientation": False})
     edges.append({"id": e2, "symmetry": 1, "reverses_orientation": False})
     rotation["edge_rotations"][e2] = rotation["edge_rotations"][e]
-    for lap in stars.values():
-        for step in lap:
-            if step == {"edge": e, "sign": 1}:
-                step["edge"] = e2
     stars[x] = [{"edge": e, "sign": 1}, {"edge": e2, "sign": -1}]
     return doc
 
