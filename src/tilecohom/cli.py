@@ -245,49 +245,63 @@ def _cmd_builtin(args):
     return CommandResult(0, "\n".join(tilings.builtin_names()) + "\n")
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tilecohom",
-        description="Exact homology, direct limits and rigid-hull spectral "
-                    "sequences for combinatorial tiling specs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a spec")
-    _add_target(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("homology", help="pattern-equivariant homology groups")
+def _homology_arguments(p):
     _add_target(p)
     p.add_argument("--mode", choices=sorted(_MODE_FLAG), required=True)
     p.add_argument("--degree", type=integer, default=None)
     p.add_argument("--limit", action="store_true",
                    help="substitution direct limits instead of approximant groups")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("cohomology", help="Cech cohomology of a hull")
+
+def _cohomology_arguments(p):
     _add_target(p)
     p.add_argument("--hull", choices=["translation", "rotation-quotient", "rigid"],
                    required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cohomology)
 
-    p = sub.add_parser("spectral", help="rigid-hull spectral sequence report")
+
+def _spectral_arguments(p):
     _add_target(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_spectral)
 
-    p = sub.add_parser("limit", help="ad-hoc stationary direct limit")
+
+def _limit_arguments(p):
     p.add_argument("--group", required=True, help="e.g. 'Z^2 + Z/5'")
     p.add_argument("--matrix", required=True,
                    help="endomorphism on canonical coordinates, rows ';'-separated")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_limit)
 
-    p = sub.add_parser("builtin", help="corpus utilities")
+
+def _builtin_arguments(p):
     p.add_argument("action", choices=["list"])
-    p.set_defaults(func=_cmd_builtin)
 
+
+# (name, help, add-arguments function, handler) of each subcommand, in usage order.
+_COMMANDS = (
+    ("check", "validate a spec", _add_target, _cmd_check),
+    ("homology", "pattern-equivariant homology groups", _homology_arguments, _cmd_homology),
+    ("cohomology", "Cech cohomology of a hull", _cohomology_arguments, _cmd_cohomology),
+    ("spectral", "rigid-hull spectral sequence report", _spectral_arguments, _cmd_spectral),
+    ("limit", "ad-hoc stationary direct limit", _limit_arguments, _cmd_limit),
+    ("builtin", "corpus utilities", _builtin_arguments, _cmd_builtin),
+)
+
+
+def _build_parser(argv):
+    """The parser, with the arguments of only the subcommands argv names:
+    argparse runs a subcommand on its exact name alone, so every parse, help
+    text and usage error is the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="tilecohom",
+        description="Exact homology, direct limits and rigid-hull spectral "
+                    "sequences for combinatorial tiling specs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, add_arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if name in argv:
+            add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -304,11 +318,11 @@ def _attach_negative_matrix(argv):
 
 
 def run_command(argv) -> CommandResult:
-    parser = _build_parser()
+    argv = _attach_negative_matrix(argv)
     help_text = io.StringIO()  # --help: the command's stdout, not the process's
     try:
         with contextlib.redirect_stdout(help_text):
-            args = parser.parse_args(_attach_negative_matrix(argv))
+            args = _build_parser(argv).parse_args(argv)
     except SystemExit as e:  # argparse writes its usage errors to stderr
         return CommandResult(0 if e.code in (0, None) else 2, help_text.getvalue())
     try:

@@ -251,8 +251,6 @@ class SnfResult(Record):
         """Some integer X with A X = B, or None if a column of B is outside
         the column span: y = U b must have rows :r divisible by the invariant
         factors and rows r: zero, and then x = V [y_:r / d; 0]."""
-        if B.rows != self.S.rows:
-            raise ExactAlgError("rhs length %d != %d rows" % (B.rows, self.S.rows))
         Y = self.u_times(B)
         d = self.invariant_factors
         r, c = len(d), B.cols

@@ -345,9 +345,6 @@ def homology_presentation(d_k: IntMatrix, d_k1: IntMatrix) -> SubquotientPresent
 def cokernel_structure(relations: IntMatrix, ambient_rank: int):
     """Normal form of Z^ambient_rank / column span, and its presentation as
     ker 0 / im relations, which gives the coordinates."""
-    if relations.rows != ambient_rank:
-        raise GroupError("relations have %d rows, ambient rank is %d"
-                         % (relations.rows, ambient_rank))
     pres = presentation_from(smith_normal_form(IntMatrix.zero(0, ambient_rank)), relations)
     return pres.structure, pres
 

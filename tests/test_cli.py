@@ -3,12 +3,13 @@ import json
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom import TilecohomError, complexes, dirlimit, exactalg, groups, spectral, tilings
+from tilecohom import TilecohomError, cli, complexes, dirlimit, exactalg, groups, spectral, tilings
 from tilecohom.cli import main, parse_group, parse_matrix, run_command
 from tilecohom.exactalg import ExactAlgError, IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, GroupError
@@ -382,14 +383,28 @@ class TestUsageAndDeterminism:
         res = run("homology", "x.json", "--builtin", "fibonacci", "--mode", "rigid")
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("argv, usage", [
-        (["--help"], "usage: tilecohom [-h]"),
-        (["homology", "--help"], "usage: tilecohom homology [-h]"),
+    @pytest.mark.parametrize("argv, usage, listed", [
+        (["--help"], "usage: tilecohom [-h]",
+         ["{check,homology,cohomology,spectral,limit,builtin}", "-h"]),
+        (["check", "--help"], "usage: tilecohom check [-h]", ["path", "-h", "--builtin"]),
+        (["homology", "--help"], "usage: tilecohom homology [-h]",
+         ["path", "-h", "--builtin", "--mode", "--degree", "--limit", "--json"]),
+        (["cohomology", "--help"], "usage: tilecohom cohomology [-h]",
+         ["path", "-h", "--builtin", "--hull", "--json"]),
+        (["spectral", "--help"], "usage: tilecohom spectral [-h]",
+         ["path", "-h", "--builtin", "--json"]),
+        (["limit", "--help"], "usage: tilecohom limit [-h]",
+         ["-h", "--group", "--matrix", "--json"]),
+        (["builtin", "--help"], "usage: tilecohom builtin [-h]", ["{list}", "-h"]),
     ])
-    def test_help_is_the_command_stdout(self, capsys, argv, usage):
+    def test_help_is_the_command_stdout(self, capsys, argv, usage, listed):
+        """The help text starts with the command's usage line and lists each
+        of its arguments, one per two-space indented line."""
         res = run_command(argv)
         assert res.exit_code == 0
         assert res.stdout.startswith(usage)
+        assert [line.split()[0].rstrip(",") for line in res.stdout.splitlines()
+                if re.match(r"  \S", line)] == listed
         assert capsys.readouterr().out == ""
 
     def test_missing_file_is_domain_error(self):
@@ -630,6 +645,29 @@ class TestArgvFuzz:
             res = run_command(argv)
         assert res.exit_code in (0, 1, 2)
         assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_COMMANDS), st.integers(0, 8),
+           st.lists(st.tuples(st.sampled_from(_FLAGS),
+                              st.one_of(st.sampled_from(_VALUES + _COMMANDS),
+                                        st.text(max_size=6))),
+                    max_size=4))
+    def test_same_outcome_as_the_full_parser(self, time_limit, command, at, options):
+        """run_command adds the arguments of only the subcommands that argv
+        names, and exits, prints and errs as a parser with the arguments of
+        every subcommand would, wherever the command name stands."""
+        argv = [token for pair in options for token in pair if token is not None]
+        argv.insert(at, command)
+        every_command = [name for name, *_ in cli._COMMANDS]
+        build = cli._build_parser
+        outcomes = []
+        for builder in (build, lambda argv: build(every_command)):
+            out, err = io.StringIO(), io.StringIO()
+            with (time_limit(10), mock.patch.object(cli, "_build_parser", builder),
+                  redirect_stdout(out), redirect_stderr(err)):
+                res = run_command(argv)
+            outcomes.append((res.exit_code, res.stdout, out.getvalue(), err.getvalue()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestWorkCounts:
