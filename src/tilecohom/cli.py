@@ -15,17 +15,10 @@ import re
 import sys
 
 from . import complexes, spectral, tilings
-from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .dirlimit import direct_limit
 from .exactalg import ExactAlgError, IntMatrix
 from .groups import FgAbelianGroup, GroupError, GroupHom, from_divisors
 from .record import Record, TilecohomError, decimal
-
-_MODE_FLAG = {
-    "translation": MODE_TRANSLATION,
-    "rigid": MODE_RIGID,
-    "rigid-modified": MODE_RIGID_MODIFIED,
-}
 
 # An integer on the command line, as in a spec file: int() alone would also
 # read other Unicode digits, underscores and surrounding spaces.
@@ -39,32 +32,26 @@ class CommandResult(Record):
     stdout: str
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_target(args) -> tilings.TilingSpec:
-    if args.builtin and args.path:
-        raise _UsageError("give either a spec path or --builtin, not both")
-    if args.builtin:
+    if args.path is None:
         return tilings.builtin(args.builtin)
-    if args.path:
+    try:
+        fh = open(args.path, "r", encoding="utf-8")
+    except ValueError as e:  # a NUL byte in the path
+        raise tilings.SpecError("%r: %s" % (args.path, e)) from None
+    with fh:
         try:
-            fh = open(args.path, "r", encoding="utf-8")
-        except ValueError as e:  # a NUL byte in the path
-            raise tilings.SpecError("%r: %s" % (args.path, e)) from None
-        with fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as e:
-                raise tilings.SpecError("%s: not UTF-8 text (%s)" % (args.path, e)) from None
-        return tilings.load_spec(text)
-    raise _UsageError("a spec path or --builtin is required")
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise tilings.SpecError("%s: not UTF-8 text (%s)" % (args.path, e)) from None
+    return tilings.load_spec(text)
 
 
 def _add_target(sub):
-    sub.add_argument("path", nargs="?", help="spec file (JSON)")
-    sub.add_argument("--builtin", help="name of a builtin spec")
+    """Exactly one spec target: argparse reports a missing or doubled one."""
+    target = sub.add_mutually_exclusive_group(required=True)
+    target.add_argument("path", nargs="?", help="spec file (JSON)")
+    target.add_argument("--builtin", help="name of a builtin spec")
 
 
 def _element_json(el):
@@ -96,7 +83,7 @@ def _cmd_check(args):
 
 def _cmd_homology(args):
     spec = _load_target(args)
-    analysis = complexes.Analysis(spec, _MODE_FLAG[args.mode])
+    analysis = complexes.Analysis(spec, args.mode.replace("-", "_"))
     results = analysis.groups(None if args.degree is None else [args.degree], args.limit)
     if args.json:
         doc = {
@@ -247,7 +234,7 @@ def _cmd_builtin(args):
 
 def _homology_arguments(p):
     _add_target(p)
-    p.add_argument("--mode", choices=sorted(_MODE_FLAG), required=True)
+    p.add_argument("--mode", choices=["rigid", "rigid-modified", "translation"], required=True)
     p.add_argument("--degree", type=integer, default=None)
     p.add_argument("--limit", action="store_true",
                    help="substitution direct limits instead of approximant groups")
@@ -327,9 +314,6 @@ def run_command(argv) -> CommandResult:
         return CommandResult(0 if e.code in (0, None) else 2, help_text.getvalue())
     try:
         return args.func(args)
-    except _UsageError as e:
-        print("usage error: %s" % e, file=sys.stderr)
-        return CommandResult(2, "")
     except _DOMAIN_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return CommandResult(1, "")

@@ -27,7 +27,9 @@ from .tilings import kept_cells
 MODE_TRANSLATION = "translation"
 MODE_RIGID = "rigid"
 MODE_RIGID_MODIFIED = "rigid_modified"
-MODES = (MODE_TRANSLATION, MODE_RIGID, MODE_RIGID_MODIFIED)
+# The geometry_mode of the specs each mode's complex is built from.
+GEOMETRY = {MODE_TRANSLATION: "translation", MODE_RIGID: "rigid", MODE_RIGID_MODIFIED: "rigid"}
+MODES = tuple(GEOMETRY)
 
 
 class ComplexError(TilecohomError):
@@ -75,11 +77,8 @@ def _for_mode(spec, mode, m, row_degree, col_degree):
 def build_chain_complex(spec, mode) -> ChainComplex:
     if mode not in MODES:
         raise ComplexError("unknown mode %r" % (mode,))
-    if mode == MODE_TRANSLATION:
-        if spec.geometry_mode != "translation":
-            raise ComplexError("translation complex requires a translation-mode spec")
-    elif spec.geometry_mode != "rigid":
-        raise ComplexError("%s complex requires a rigid-mode spec" % mode)
+    if spec.geometry_mode != GEOMETRY[mode]:
+        raise ComplexError("%s complex requires a %s-mode spec" % (mode, GEOMETRY[mode]))
 
     keep = [kept_cells(spec.cells[k]) for k in range(spec.dimension + 1)]
     ranks = tuple(len(keep[k]) for k in range(spec.dimension + 1))

@@ -33,14 +33,6 @@ class DirectLimitError(TilecohomError):
     pass
 
 
-class ProfileMismatchError(DirectLimitError):
-    """The eigenvalue conjecture contradicts the p-divisibility profile.
-
-    This is an internal invariant violation: the computation aborts instead of
-    emitting a wrong group.
-    """
-
-
 class DirectLimitGroup(Record):
     """Limit isomorphism type: torsion + sum of (Z[1/m])^rank, m=1 meaning Z."""
 
@@ -434,7 +426,7 @@ def direct_limit(group: FgAbelianGroup, endo: GroupHom) -> DirectLimitGroup:
             for p, actual in profile:
                 expected = sum(1 for lam in roots if lam % p == 0)
                 if expected != actual:
-                    raise ProfileMismatchError(
+                    raise DirectLimitError(
                         "internal invariant: p=%d divisible rank %d != eigenvalue count %d"
                         % (p, actual, expected))
             for lam, m in zip(roots, radicals):

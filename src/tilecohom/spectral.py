@@ -179,8 +179,6 @@ def hull_cohomology(spec, hull) -> HullCohomology:
     if hull == HULL_RIGID:
         return rigid_hull_cohomology(spec)
     if hull == HULL_TRANSLATION:
-        if spec.geometry_mode != "translation":
-            raise SpectralError("translation hull needs a translation-mode spec")
         mode = MODE_TRANSLATION
     elif hull == HULL_ROTATION_QUOTIENT:
         _require_rigid_2d(spec)

@@ -448,12 +448,8 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
     if spec.dimension == 2 and not (spec.boundaries[1] * spec.boundaries[2]).is_zero():
         issues.append("boundaries: boundary of boundary is nonzero")
 
-    if spec.geometry_mode == "translation":
-        modes = [complexes.MODE_TRANSLATION]
-    else:
-        modes = [complexes.MODE_RIGID, complexes.MODE_RIGID_MODIFIED]
     analyses = []
-    for mode in modes:
+    for mode in [m for m, g in complexes.GEOMETRY.items() if g == spec.geometry_mode]:
         try:
             analyses.append(complexes.Analysis(spec, mode))
         except TilecohomError as e:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import random
@@ -379,9 +380,49 @@ class TestUsageAndDeterminism:
     def test_usage_errors(self):
         assert run().exit_code == 2
         assert run("homology", "--builtin", "fibonacci").exit_code == 2  # no mode
-        assert run("homology", "--mode", "rigid").exit_code == 2  # no target
-        res = run("homology", "x.json", "--builtin", "fibonacci", "--mode", "rigid")
-        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["homology", "--mode", "rigid"], ["cohomology", "--hull", "rigid"],
+        ["spectral"],
+    ])
+    @pytest.mark.parametrize("target, error", [
+        ([], "one of the arguments path --builtin is required"),
+        (["x.json", "--builtin", "fibonacci"], "argument --builtin: not allowed with argument path"),
+    ])
+    def test_argparse_owns_the_spec_target(self, capsys, argv, target, error):
+        """A missing or doubled spec target is argparse's usage error."""
+        res = run(*argv, *target)
+        err = capsys.readouterr().err
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert err.startswith("usage: tilecohom %s [-h] [--builtin BUILTIN]" % argv[0])
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "tilecohom %s: error: %s" % (argv[0], error)]
+
+    @pytest.mark.parametrize("argv, exit_code, error", [
+        (["check", ""], 1, "error: [Errno 2] No such file or directory: ''"),
+        (["check", "--builtin", ""], 1, "error: unknown builtin ''; available: "),
+        (["check", "", "--builtin", "fibonacci"], 2,
+         "tilecohom check: error: argument --builtin: not allowed with argument path"),
+    ])
+    def test_an_empty_target_is_a_target(self, capsys, argv, exit_code, error):
+        """An empty path or builtin name is given, not missing: it is read,
+        and it conflicts with the other target."""
+        res = run_command(argv)
+        err = capsys.readouterr().err
+        assert (res.exit_code, res.stdout) == (exit_code, "")
+        assert [line for line in err.splitlines() if "error:" in line][0].startswith(error)
+
+    def test_choices_are_library_names_with_dashes(self):
+        """--mode and --hull spell a library name with '-' for '_'."""
+        parser = cli._build_parser(["homology", "cohomology"])
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        choices = {option: action.choices for command in ("homology", "cohomology")
+                   for action in commands[command]._actions for option in action.option_strings}
+        assert choices["--mode"] == ["rigid", "rigid-modified", "translation"]
+        hulls = {getattr(spectral, n) for n in dir(spectral) if n.startswith("HULL_")}
+        assert {c.replace("-", "_") for c in choices["--mode"]} == set(complexes.MODES)
+        assert {c.replace("-", "_") for c in choices["--hull"]} == hulls
 
     @pytest.mark.parametrize("argv, usage, listed", [
         (["--help"], "usage: tilecohom [-h]",

@@ -87,6 +87,21 @@ class TestBuild:
         with pytest.raises(ComplexError):
             build_chain_complex(builtin("fibonacci"), MODE_RIGID)
 
+    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("mode", complexes.MODES)
+    def test_geometry_table_is_the_mode_rule(self, name, mode):
+        """A mode's complex builds exactly from the specs of its GEOMETRY."""
+        spec = builtin(name)
+        expected = {MODE_TRANSLATION: "translation", MODE_RIGID: "rigid",
+                    MODE_RIGID_MODIFIED: "rigid"}[mode]
+        assert complexes.GEOMETRY[mode] == expected
+        if spec.geometry_mode == expected:
+            build_chain_complex(spec, mode)
+        else:
+            with pytest.raises(ComplexError) as e:
+                build_chain_complex(spec, mode)
+            assert str(e.value) == "%s complex requires a %s-mode spec" % (mode, expected)
+
     def test_orientation_reversing_cells_drop(self):
         # one reversing edge type: the chain group loses that generator
         spec = make_spec(

@@ -295,9 +295,6 @@ def _public_cases(tmp_path):
         (partial(_stderr, "limit", "--group", "Z^2", "--matrix", "1,2;3"), "error: ragged rows\n"),
         (partial(_stderr, "limit", "--group", "Z^-1", "--matrix", "1"), "token 'Z^-1'"),
         (partial(_stderr, "limit", "--group", "Q", "--matrix", "1"), "token 'Q'"),
-        (partial(_stderr, "homology", "x.json", "--builtin", "fibonacci", "--mode", "rigid"),
-         "usage error: give either"),
-        (partial(_stderr, "homology", "--mode", "rigid"), "usage error: a spec path"),
         (partial(_stderr, "homology", "--builtin", "pinwheel", "--mode", "rigid"),
          "error: unknown builtin 'pinwheel'"),
         (partial(_stderr, "homology", "--builtin", "fibonacci", "--mode", "translation",
@@ -396,7 +393,7 @@ def _public_cases(tmp_path):
         (partial(winding_chain, _respec("triangle-periodic-rigid", rotation=open_lap)),
          "vertex 'V6': lap sums to -1/5"),
         (partial(hull_cohomology, penrose, "translation"),
-         "translation hull needs a translation-mode spec"),
+         "translation complex requires a translation-mode spec"),
         (partial(setattr, Z, "free_rank", 2), "cannot assign to field 'free_rank'"),
         (partial(delattr, Z, "free_rank"), "cannot delete field 'free_rank'"),
         (partial(decimal, 10 ** 4300), "a 14285-bit number of the result is too long to print"),

@@ -482,7 +482,7 @@ class TestHullCohomology:
         assert hc.render() == ("Z", "Z", "Z^2")
 
     def test_mode_mismatch(self):
-        with pytest.raises(SpectralError):
+        with pytest.raises(ComplexError, match="translation complex requires"):
             hull_cohomology(builtin("penrose-kite-dart"), HULL_TRANSLATION)
         with pytest.raises(SpectralError):
             hull_cohomology(builtin("fibonacci"), HULL_ROTATION_QUOTIENT)
