@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import re
@@ -25,6 +26,9 @@ from .record import Record, TilecohomError, decimal
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 _DOMAIN_ERRORS = (TilecohomError, OSError)
+
+# Help wraps at argparse's width for a pipe with $COLUMNS unset, in any terminal.
+_HELP_FORMAT = functools.partial(argparse.HelpFormatter, width=78)
 
 
 class CommandResult(Record):
@@ -54,16 +58,6 @@ def _add_target(sub):
     target.add_argument("--builtin", help="name of a builtin spec")
 
 
-def _element_json(el):
-    return {"free": list(el.free_coords), "torsion": list(el.torsion_coords)}
-
-
-def _element_text(el):
-    free = ", ".join(map(decimal, el.free_coords))
-    tors = ", ".join(map(decimal, el.torsion_coords))
-    return "(%s; %s)" % (free, tors)
-
-
 def _json(doc):
     """doc as one JSON document.  A document of str, int, list and dict fails
     to encode only on an int with more digits than Python writes."""
@@ -71,6 +65,10 @@ def _json(doc):
         return CommandResult(0, json.dumps(doc, indent=2) + "\n")
     except ValueError:
         raise TilecohomError("an integer of the result is too long to print") from None
+
+
+def _text(lines):
+    return CommandResult(0, "\n".join(lines) + "\n")
 
 
 def _cmd_check(args):
@@ -85,43 +83,34 @@ def _cmd_homology(args):
     spec = _load_target(args)
     analysis = complexes.Analysis(spec, args.mode.replace("-", "_"))
     results = analysis.groups(None if args.degree is None else [args.degree], args.limit)
+    doc = {"spec": spec.name, "mode": args.mode, "limit": bool(args.limit),
+           "groups": {str(k): g.render() for k, g in results.items()}}
+    if args.limit:
+        doc["status"] = {str(k): g.status for k, g in results.items()}
     if args.json:
-        doc = {
-            "spec": spec.name,
-            "mode": args.mode,
-            "limit": bool(args.limit),
-            "groups": {str(k): g.render() for k, g in results.items()},
-        }
-        if args.limit:
-            doc["status"] = {str(k): g.status for k, g in results.items()}
         return _json(doc)
-    lines = ["H_%d = %s" % (k, g.render()) for k, g in results.items()]
-    return CommandResult(0, "\n".join(lines) + "\n")
+    return _text(["H_%s = %s" % kg for kg in doc["groups"].items()])
 
 
-def _cech_output(hc, as_json, inline=False):
-    """Cech groups, extension flags and notes of a hull: JSON fields, or text
-    lines with the groups one per line or, if inline, on one line."""
-    if as_json:
-        return {"cech": [g.render() for g in hc.groups],
-                "flags": [list(f) for f in hc.extension_flags],
-                "notes": list(hc.notes)}
-    groups = ["H^%d = %s" % (i, g.render()) for i, g in enumerate(hc.groups)]
-    lines = ["Cech: " + "  ".join(groups)] if inline else groups
-    lines.extend("flag H^%d: %s" % (i, f)
-                 for i, flags in enumerate(hc.extension_flags) for f in flags)
-    lines.extend("note: " + n for n in hc.notes)
-    return lines
+def _cech(hc):
+    """The Cech groups, extension flags and notes of a hull, as fields."""
+    return {"cech": [g.render() for g in hc.groups],
+            "flags": [list(f) for f in hc.extension_flags],
+            "notes": list(hc.notes)}
+
+
+def _flags_and_notes(doc):
+    return (["flag H^%d: %s" % (i, f) for i, flags in enumerate(doc["flags"]) for f in flags]
+            + ["note: " + n for n in doc["notes"]])
 
 
 def _cmd_cohomology(args):
     spec = _load_target(args)
     hc = spectral.hull_cohomology(spec, args.hull.replace("-", "_"))
+    doc = {"spec": spec.name, "hull": args.hull, **_cech(hc)}
     if args.json:
-        doc = {"spec": spec.name, "hull": args.hull}
-        doc.update(_cech_output(hc, True))
         return _json(doc)
-    return CommandResult(0, "\n".join(_cech_output(hc, False)) + "\n")
+    return _text(["H^%d = %s" % ig for ig in enumerate(doc["cech"])] + _flags_and_notes(doc))
 
 
 def _page_row(page, q):
@@ -132,28 +121,27 @@ def _cmd_spectral(args):
     spec = _load_target(args)
     ss = spectral.spectral_sequence(spec)
     sigma = ss.d2_class
-    order_str = "infinite" if ss.d2_order is None else decimal(ss.d2_order)
+    order = "infinite" if ss.d2_order is None else decimal(ss.d2_order)
+    doc = {
+        "spec": spec.name,
+        "e2": {"q1": _page_row(ss.e2, 1), "q0": _page_row(ss.e2, 0)},
+        "d2": {"image": {"free": list(sigma.free_coords), "torsion": list(sigma.torsion_coords)},
+               "in": sigma.owner.render(), "order": order},
+        "einf": {"q1": _page_row(ss.einf, 1), "q0": _page_row(ss.einf, 0)},
+        **_cech(ss.cohomology),
+    }
     if args.json:
-        doc = {
-            "spec": spec.name,
-            "e2": {"q1": _page_row(ss.e2, 1), "q0": _page_row(ss.e2, 0)},
-            "d2": {"image": _element_json(sigma),
-                   "in": sigma.owner.render(),
-                   "order": order_str},
-            "einf": {"q1": _page_row(ss.einf, 1), "q0": _page_row(ss.einf, 0)},
-        }
-        doc.update(_cech_output(ss.cohomology, True))
         return _json(doc)
-    lines = [
-        "E2  q=1: " + "  ".join(_page_row(ss.e2, 1)),
-        "E2  q=0: " + "  ".join(_page_row(ss.e2, 0)),
-        "d2 image = %s in %s, order %s"
-        % (_element_text(sigma), sigma.owner.render(), order_str),
-        "Einf q=1: " + "  ".join(_page_row(ss.einf, 1)),
-        "Einf q=0: " + "  ".join(_page_row(ss.einf, 0)),
-    ]
-    lines.extend(_cech_output(ss.cohomology, False, inline=True))
-    return CommandResult(0, "\n".join(lines) + "\n")
+    d2 = doc["d2"]
+    image = "(%s; %s)" % tuple(", ".join(map(decimal, c)) for c in d2["image"].values())
+    return _text([
+        "E2  q=1: " + "  ".join(doc["e2"]["q1"]),
+        "E2  q=0: " + "  ".join(doc["e2"]["q0"]),
+        "d2 image = %s in %s, order %s" % (image, d2["in"], d2["order"]),
+        "Einf q=1: " + "  ".join(doc["einf"]["q1"]),
+        "Einf q=0: " + "  ".join(doc["einf"]["q0"]),
+        "Cech: " + "  ".join("H^%d = %s" % ig for ig in enumerate(doc["cech"])),
+    ] + _flags_and_notes(doc))
 
 
 def integer(token: str) -> int:
@@ -204,32 +192,32 @@ def parse_matrix(text: str) -> IntMatrix:
 def _cmd_limit(args):
     group = parse_group(args.group)
     matrix = parse_matrix(args.matrix)
-    endo = GroupHom(group, group, matrix)
-    lim = direct_limit(group, endo)
-    if args.json:
-        doc = {
-            "group": group.render(),
-            "limit": lim.render(),
-            "status": lim.status,
-            "free_summands": [[m, r] for m, r in lim.free_summands],
-            "torsion": list(lim.torsion.torsion),
-            "notes": list(lim.notes),
-        }
-        if lim.status == "undetermined":
-            doc["lattice_rank"] = lim.lattice_rank
-            doc["p_divisible_ranks"] = [[p, r] for p, r in lim.p_divisible_ranks]
-        return _json(doc)
-    lines = ["limit = %s (status %s)" % (lim.render(), lim.status)]
-    lines.extend("note: " + n for n in lim.notes)
+    lim = direct_limit(group, GroupHom(group, group, matrix))
+    doc = {
+        "limit": lim.render(),
+        "status": lim.status,
+        "free_summands": [[m, r] for m, r in lim.free_summands],
+        "torsion": list(lim.torsion.torsion),
+        "notes": list(lim.notes),
+    }
     if lim.status == "undetermined":
-        profile = ", ".join("%d:%d" % pr for pr in lim.p_divisible_ranks)
+        doc["lattice_rank"] = lim.lattice_rank
+        doc["p_divisible_ranks"] = [[p, r] for p, r in lim.p_divisible_ranks]
+    if args.json:
+        # The text omits the input group, whose normal form can be too long
+        # to print when the limit is not (Z/a + Z/b is Z/ab for coprime a, b).
+        return _json({"group": group.render(), **doc})
+    lines = ["limit = %s (status %s)" % (doc["limit"], doc["status"])]
+    lines.extend("note: " + n for n in doc["notes"])
+    if "lattice_rank" in doc:
+        profile = ", ".join("%d:%d" % tuple(pr) for pr in doc["p_divisible_ranks"])
         lines.append("lattice rank %d, p-divisible ranks %s"
-                     % (lim.lattice_rank, profile or "none"))
-    return CommandResult(0, "\n".join(lines) + "\n")
+                     % (doc["lattice_rank"], profile or "none"))
+    return _text(lines)
 
 
 def _cmd_builtin(args):
-    return CommandResult(0, "\n".join(tilings.builtin_names()) + "\n")
+    return _text(tilings.builtin_names())
 
 
 def _homology_arguments(p):
@@ -281,11 +269,12 @@ def _build_parser(argv):
     text and usage error is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="tilecohom",
+        formatter_class=_HELP_FORMAT,
         description="Exact homology, direct limits and rigid-hull spectral "
                     "sequences for combinatorial tiling specs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, add_arguments, handler in _COMMANDS:
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, formatter_class=_HELP_FORMAT)
         if name in argv:
             add_arguments(p)
         p.set_defaults(func=handler)

@@ -198,24 +198,18 @@ class GroupHom(Record):
         fd, fc = self.domain.free_rank, self.codomain.free_rank
         return IntMatrix(fc, fd, tuple(x for i in range(fc) for x in self.matrix.row(i)[:fd]))
 
-    def kernel_structure(self) -> FgAbelianGroup:
-        """Isomorphism type of the kernel: the x-parts of the kernel of
-        [matrix | codomain relations] generate the preimage lattice of 0,
-        taken modulo the domain relations."""
-        nd = self.domain.free_rank + len(self.domain.torsion)
-        ker = smith_normal_form(self.matrix.hstack(relation_lattice(self.codomain))).kernel()
-        f = self.domain.free_rank
-        gens = [self.domain.element(col[:f], col[f:nd])
-                for col in map(ker.column, range(ker.cols))]
-        return subgroup_structure(self.domain, gens)
-
     def cokernel(self) -> FgAbelianGroup:
         """coker(f): the codomain coordinates modulo the image and the relations."""
         A = self.matrix.hstack(relation_lattice(self.codomain))
         return from_invariant_factors(A.rows, invariant_factors(A))
 
     def is_injective(self) -> bool:
-        return self.kernel_structure().is_trivial
+        """The x-parts of the kernel of [matrix | codomain relations] span the
+        preimage lattice of 0, which contains the domain relations: f is
+        one-to-one exactly when they lie in those relations."""
+        ker = smith_normal_form(self.matrix.hstack(relation_lattice(self.codomain))).kernel()
+        return _reduced(ker.submatrix(range(self.matrix.cols), range(ker.cols)),
+                        self.domain).is_zero()
 
     def is_isomorphism(self) -> bool:
         # Isomorphic groups have equal normal forms, and an onto endomorphism

@@ -448,6 +448,16 @@ class TestUsageAndDeterminism:
                 if re.match(r"  \S", line)] == listed
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", [[]] + [[c[0]] for c in cli._COMMANDS])
+    def test_help_does_not_read_columns(self, monkeypatch, command):
+        """Help wraps at 78 columns, whatever $COLUMNS says."""
+        monkeypatch.delenv("COLUMNS", raising=False)
+        unset = run(*command, "--help").stdout
+        assert max(map(len, unset.splitlines())) <= 78
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run(*command, "--help").stdout == unset
+
     def test_missing_file_is_domain_error(self):
         res = run("check", "/nonexistent/spec.json")
         assert res.exit_code == 1
@@ -469,6 +479,103 @@ class TestUsageAndDeterminism:
     def test_json_single_document(self):
         res = run("spectral", "--builtin", "square-periodic-rigid", "--json")
         json.loads(res.stdout)  # would fail if more than one document
+
+
+def _text_fields(stdout):
+    """The values that a command's text writes, keyed as in its JSON document;
+    flags as (degree, flag) pairs."""
+    fields = {"groups": {}, "cech": [], "flags": [], "notes": []}
+    for line in stdout.splitlines():
+        if m := re.fullmatch(r"H_(\d+) = (.+)", line):
+            fields["groups"][m[1]] = m[2]
+        elif m := re.fullmatch(r"H\^(\d+) = (.+)", line):
+            assert int(m[1]) == len(fields["cech"])
+            fields["cech"].append(m[2])
+        elif m := re.fullmatch(r"(E2 |Einf) q=([01]): (.+)", line):
+            fields.setdefault(m[1].strip().lower(), {})["q" + m[2]] = m[3].split("  ")
+        elif m := re.fullmatch(r"d2 image = \((.*); (.*)\) in (.+), order (.+)", line):
+            free, torsion = ([int(x) for x in c.split(", ") if x] for c in m.group(1, 2))
+            fields["d2"] = {"image": {"free": free, "torsion": torsion},
+                            "in": m[3], "order": m[4]}
+        elif line.startswith("Cech: "):
+            groups = line[len("Cech: "):].split("  ")
+            assert [g.split(" = ")[0] for g in groups] == ["H^%d" % i for i in range(len(groups))]
+            fields["cech"] = [g.split(" = ", 1)[1] for g in groups]
+        elif m := re.fullmatch(r"flag H\^(\d+): (.+)", line):
+            fields["flags"].append((int(m[1]), m[2]))
+        elif line.startswith("note: "):
+            fields["notes"].append(line[len("note: "):])
+        elif m := re.fullmatch(r"limit = (.+) \(status (\w+)\)", line):
+            fields["limit"], fields["status"] = m.group(1, 2)
+        elif m := re.fullmatch(r"lattice rank (\d+), p-divisible ranks (.+)", line):
+            fields["lattice_rank"] = int(m[1])
+            fields["p_divisible_ranks"] = ([] if m[2] == "none" else
+                                           [[int(x) for x in pr.split(":")]
+                                            for pr in m[2].split(", ")])
+        else:
+            raise AssertionError("unexpected text line %r" % line)
+    return fields
+
+
+# The JSON fields that each command's text writes.
+_TEXT_KEYS = {
+    "homology": ("groups",),
+    "cohomology": ("cech", "flags", "notes"),
+    "spectral": ("e2", "d2", "einf", "cech", "flags", "notes"),
+    "limit": ("limit", "status", "notes", "lattice_rank", "p_divisible_ranks"),
+}
+
+# The limit cases of the installed entry point's CI checks.
+_CI_LIMITS = [
+    ("0", ""),
+    ("Z + Z/2 + Z/4", "4,0,0;0,0,1;0,0,1"),
+    ("Z^2 + Z/4", "6,1,0;0,6,0;0,0,2"),
+    ("Z^2", "2,1;0,7"),
+    ("Z^2", "2,0;0,7"),
+    ("Z^2", "1,2;3"),
+    ("Z/%d + Z/%d" % (10 ** 4000 + 1, 10 ** 4000 + 3), "1"),
+    ("Z^5", "-2811,-60,1874,0,-1814;2812,-937,-1874,0,2812;-936,0,937,0,-936;"
+            "0,-1916,0,919,1916;2812,60,-1874,0,1815"),
+]
+
+
+def _text_and_json_argvs():
+    for name in builtin_names():
+        for mode in ("rigid", "rigid-modified", "translation"):
+            yield ["homology", "--builtin", name, "--mode", mode]
+            yield ["homology", "--builtin", name, "--mode", mode, "--limit"]
+        for hull in ("translation", "rotation-quotient", "rigid"):
+            yield ["cohomology", "--builtin", name, "--hull", hull]
+        yield ["spectral", "--builtin", name]
+    for group, matrix in _CI_LIMITS:
+        yield ["limit", "--group", group, "--matrix", matrix]
+
+
+class TestOneResultDocument:
+    @pytest.mark.parametrize("argv", list(_text_and_json_argvs()),
+                             ids=lambda argv: " ".join(argv)[:80])
+    def test_text_reads_the_json_document(self, capsys, int_digit_limit, argv):
+        """Text and --json give the same exit code, and every value the text
+        writes is the JSON document's field."""
+        text, doc = run(*argv), run(*argv, "--json")
+        assert text.exit_code == doc.exit_code
+        if text.exit_code:
+            assert text.stdout == doc.stdout == ""
+            return
+        doc = json.loads(doc.stdout)
+        doc["flags"] = [(i, f) for i, flags in enumerate(doc.get("flags", ())) for f in flags]
+        keys = _TEXT_KEYS[argv[0]]
+        assert {k: _text_fields(text.stdout).get(k) for k in keys} == {k: doc.get(k) for k in keys}
+
+    def test_limit_text_leaves_out_the_input_group(self, capsys, int_digit_limit):
+        """Z/a + Z/b is the group Z/ab, too long to print, and its limit
+        under 0 is 0: only --json writes the input group."""
+        argv = ["limit", "--group", "Z/%d + Z/%d" % (_A, _B), "--matrix", "0"]
+        assert run(*argv) == cli.CommandResult(0, "limit = 0 (status exact)\n")
+        assert capsys.readouterr() == ("", "")
+        assert run(*argv, "--json") == cli.CommandResult(1, "")
+        assert capsys.readouterr().err == (
+            "error: a 26576-bit number of the result is too long to print\n")
 
 
 def _one_error_line(err):
@@ -588,6 +695,15 @@ _LONG_SPECS = {
                 "rotation": {"edge_rotations": {"e0": "%d/1" % 10 ** 4299, "e1": "1/1"},
                              "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}] * 10,
                                               "v1": [{"edge": "e1", "sign": 1}]}}},
+    # The d2 image is (2c, 3c) with c = 10^4300, so E-infinity (0,1) is
+    # Z + Z/c: both the image and E-infinity are too long to print.
+    "windings": {"name": "windings", "dimension": 2, "geometry_mode": "rigid",
+                 "cells": {"0": _cells("v", 2), "1": _cells("e", 2), "2": _cells("f", 1)},
+                 "boundaries": {"1": [[0, 0], [0, 0]], "2": [[0], [0]]},
+                 "rotation": {"edge_rotations": {"e0": "%d/1" % (2 * 10 ** 4299),
+                                                 "e1": "%d/1" % (3 * 10 ** 4299)},
+                              "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}] * 10,
+                                               "v1": [{"edge": "e1", "sign": 1}] * 10}}},
 }
 
 
@@ -629,6 +745,17 @@ class TestResultTooLongToPrint:
         # A chain-map mismatch keeps its place and gives a long entry's size.
         tail = _CHAIN_MISMATCH if spec == "chain" else " of the result is too long to print"
         assert _one_error_line(err) and err.endswith(tail + "\n")
+
+    def test_text_stops_where_json_does(self, tmp_path, capsys, int_digit_limit):
+        """Text and --json read one document, so both name its first number
+        too long to print: E-infinity's c, not the d2 image's 2c."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_LONG_SPECS["windings"]))
+        for argv in (["spectral", str(path)], ["spectral", str(path), "--json"]):
+            assert run(*argv) == cli.CommandResult(1, "")
+            assert capsys.readouterr() == (
+                "", "error: a %d-bit number of the result is too long to print\n"
+                % (10 ** 4300).bit_length())
 
     def test_check_reports_the_mismatch_as_invalid(self, tmp_path, capsys, int_digit_limit):
         path = tmp_path / "spec.json"

@@ -17,6 +17,7 @@ from tilecohom.groups import (
     homology_presentation,
     induced_hom,
     quotient_by,
+    relation_lattice,
     subgroup_structure,
     symmetry_defect,
 )
@@ -423,7 +424,6 @@ class TestHomStructure:
         h = FgAbelianGroup(1, ())
         # projection (x, y) -> x
         hom = GroupHom(g, h, IntMatrix.from_rows([[1, 0]]))
-        assert hom.kernel_structure() == FgAbelianGroup(1, ())
         assert hom.cokernel().is_trivial
         assert not hom.is_injective()
 
@@ -433,6 +433,11 @@ class TestHomStructure:
         assert hom.is_injective()
         assert hom.cokernel() == FgAbelianGroup(0, (3,))
         assert not hom.is_isomorphism()
+
+    @staticmethod
+    def _random_group(rng):
+        return from_divisors([rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 2))],
+                             extra_free=rng.randint(0, 2))
 
     @staticmethod
     def _random_hom(rng, dom, cod):
@@ -471,19 +476,32 @@ class TestHomStructure:
         alone, agrees with the kernel route: random homs between equal and
         between different groups, and automorphisms."""
         rng = random.Random(seed)
-
-        def group():
-            return from_divisors([rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 2))],
-                                 extra_free=rng.randint(0, 2))
-
         for _ in range(10):
-            dom = group()
-            hom = self._random_hom(rng, dom, dom if rng.random() < 0.5 else group())
-            assert hom.is_isomorphism() == (hom.kernel_structure().is_trivial
-                                            and hom.cokernel().is_trivial)
+            dom = self._random_group(rng)
+            cod = dom if rng.random() < 0.5 else self._random_group(rng)
+            hom = self._random_hom(rng, dom, cod)
+            assert hom.is_isomorphism() == (hom.is_injective() and hom.cokernel().is_trivial)
             auto = self._random_automorphism(rng, dom)
             assert auto.is_isomorphism()
-            assert auto.kernel_structure().is_trivial and auto.cokernel().is_trivial
+            assert auto.is_injective() and auto.cokernel().is_trivial
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_injective_exactly_when_the_kernel_is_trivial(self, seed):
+        """is_injective agrees with a reference that builds the kernel: the
+        subgroup of the domain that the x-parts of the kernel of [matrix |
+        codomain relations] generate."""
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(150):
+            dom, cod = self._random_group(rng), self._random_group(rng)
+            hom = self._random_hom(rng, dom, cod)
+            ker = kernel_basis(hom.matrix.hstack(relation_lattice(cod)))
+            f, n = dom.free_rank, hom.matrix.cols
+            kernel = subgroup_structure(dom, [dom.element(col[:f], col[f:n])
+                                              for col in map(ker.column, range(ker.cols))])
+            assert hom.is_injective() == kernel.is_trivial
+            seen.add(kernel.is_trivial)
+        assert seen == {True, False}
 
     def test_torsion_well_definedness(self):
         dom = FgAbelianGroup(0, (2,))
