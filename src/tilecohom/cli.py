@@ -81,7 +81,7 @@ def _cmd_check(args):
 
 def _cmd_homology(args):
     spec = _load_target(args)
-    analysis = complexes.Analysis(spec, args.mode.replace("-", "_"))
+    analysis = complexes.build_chain_complex(spec, args.mode.replace("-", "_"))
     results = analysis.groups(None if args.degree is None else [args.degree], args.limit)
     doc = {"spec": spec.name, "mode": args.mode, "limit": bool(args.limit),
            "groups": {str(k): g.render() for k, g in results.items()}}

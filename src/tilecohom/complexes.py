@@ -17,11 +17,10 @@ from .groups import (
     GroupHom,
     SubquotientPresentation,
     from_invariant_factors,
-    homology_presentation,
     induced_hom,
     presentation_from,
 )
-from .record import Record, TilecohomError, decimal_or_size
+from .record import TilecohomError, decimal_or_size
 from .tilings import kept_cells
 
 MODE_TRANSLATION = "translation"
@@ -34,20 +33,6 @@ MODES = tuple(GEOMETRY)
 
 class ComplexError(TilecohomError):
     pass
-
-
-class ChainComplex(Record):
-    top_dim: int
-    ranks: tuple
-    boundary: tuple  # boundary[k]: degree k -> k-1; boundary[0] has zero rows
-
-    def boundary_or_zero(self, k):
-        """Boundary map out of degree k, a zero map beyond the ends."""
-        if k == self.top_dim + 1:
-            return IntMatrix.zero(self.ranks[self.top_dim], 0)
-        if 0 <= k <= self.top_dim:
-            return self.boundary[k]
-        raise ComplexError("degree %d out of range" % k)
 
 
 def _for_mode(spec, mode, m, row_degree, col_degree):
@@ -74,47 +59,13 @@ def _for_mode(spec, mode, m, row_degree, col_degree):
     return IntMatrix(m.rows, m.cols, tuple(out)), None
 
 
-def build_chain_complex(spec, mode) -> ChainComplex:
-    if mode not in MODES:
-        raise ComplexError("unknown mode %r" % (mode,))
-    if spec.geometry_mode != GEOMETRY[mode]:
-        raise ComplexError("%s complex requires a %s-mode spec" % (mode, GEOMETRY[mode]))
-
-    keep = [kept_cells(spec.cells[k]) for k in range(spec.dimension + 1)]
-    ranks = tuple(len(keep[k]) for k in range(spec.dimension + 1))
-    boundaries = [IntMatrix.zero(0, ranks[0])]
-    for k in range(1, spec.dimension + 1):
-        b, bad = _for_mode(spec, mode, spec.boundaries[k], k - 1, k)
-        if bad:
-            i, j = keep[k - 1][bad[0]], keep[k][bad[1]]
-            raise ComplexError(
-                "non-integral rescaled boundary entry at degree %d, "
-                "cell %r over %r" % (k, spec.cells[k][j].id, spec.cells[k - 1][i].id))
-        boundaries.append(b)
-
-    for k in range(2, spec.dimension + 1):
-        if not (boundaries[k - 1] * boundaries[k]).is_zero():
-            raise ComplexError("boundary of boundary is nonzero at degree %d" % k)
-
-    return ChainComplex(top_dim=spec.dimension, ranks=ranks, boundary=tuple(boundaries))
-
-
-def _check_degree(complex: ChainComplex, k: int):
-    if not 0 <= k <= complex.top_dim:
-        raise ComplexError("degree %d out of range 0..%d" % (k, complex.top_dim))
-
-
-def homology(complex: ChainComplex, k: int) -> SubquotientPresentation:
-    _check_degree(complex, k)
-    return homology_presentation(complex.boundary_or_zero(k),
-                                 complex.boundary_or_zero(k + 1))
-
-
 class Analysis:
-    """The chain complex of a spec in one mode, built once, and per degree k
-    the group H_k, its presentation, its substitution map and its direct
-    limit, each computed on first use.  This is the one place that decides
-    how they are computed, and the one reader of chain-level substitution
+    """The chain complex of a spec in one mode, and per degree k the group
+    H_k, its presentation, its substitution map and its direct limit, each
+    computed on first use.  It holds the complex: top_dim, the ranks of the
+    kept cells per degree, and boundary[k], the map d_k from degree k to
+    k-1 (boundary[0] has no rows).  This is the one place that decides how
+    the groups are computed, and the one reader of chain-level substitution
     data; the CLI and the hulls only render `groups`.
 
     The group H_k is read from the rank of d_k and the invariant factors of
@@ -125,22 +76,47 @@ class Analysis:
     logged factorization of d_k, and then gives H_k itself.  `groups` reads
     the substitution maps, which read coordinates, before the groups, so
     that each boundary is eliminated at most once.
-    An analysis serves one computation and is not shared between calls.
+    Its caches live only as long as the object: an analysis serves one
+    computation and is not shared between calls.
     """
 
     def __init__(self, spec, mode):
-        self.spec = spec
-        self.mode = mode
-        self.complex = build_chain_complex(spec, mode)
-        self._snfs = {}
-        self._factors = {}
-        self._homology = {}
-        self._maps = {}
+        if mode not in MODES:
+            raise ComplexError("unknown mode %r" % (mode,))
+        if spec.geometry_mode != GEOMETRY[mode]:
+            raise ComplexError("%s complex requires a %s-mode spec" % (mode, GEOMETRY[mode]))
+        keep = [kept_cells(spec.cells[k]) for k in range(spec.dimension + 1)]
+        boundary = [IntMatrix.zero(0, len(keep[0]))]
+        for k in range(1, spec.dimension + 1):
+            b, bad = _for_mode(spec, mode, spec.boundaries[k], k - 1, k)
+            if bad:
+                i, j = keep[k - 1][bad[0]], keep[k][bad[1]]
+                raise ComplexError(
+                    "non-integral rescaled boundary entry at degree %d, "
+                    "cell %r over %r" % (k, spec.cells[k][j].id, spec.cells[k - 1][i].id))
+            boundary.append(b)
+        for k in range(2, spec.dimension + 1):
+            if not (boundary[k - 1] * boundary[k]).is_zero():
+                raise ComplexError("boundary of boundary is nonzero at degree %d" % k)
+        self.spec, self.mode, self.top_dim = spec, mode, spec.dimension
+        self.ranks = tuple(map(len, keep))
+        self.boundary = tuple(boundary)
+        self._snfs, self._factors, self._homology, self._maps = {}, {}, {}, {}
+
+    def _boundary(self, k):
+        """d_k, 0 <= k <= top_dim, or the zero map out of degree top_dim + 1."""
+        if k > self.top_dim:
+            return IntMatrix.zero(self.ranks[self.top_dim], 0)
+        return self.boundary[k]
+
+    def _check_degree(self, k):
+        if not 0 <= k <= self.top_dim:
+            raise ComplexError("degree %d out of range 0..%d" % (k, self.top_dim))
 
     def _snf(self, k):
         """The factorization of d_k, 0 <= k <= top_dim + 1."""
         if k not in self._snfs:
-            self._snfs[k] = smith_normal_form(self.complex.boundary_or_zero(k))
+            self._snfs[k] = smith_normal_form(self._boundary(k))
         return self._snfs[k]
 
     def _invariant_factors(self, k):
@@ -149,7 +125,7 @@ class Analysis:
         if k in self._snfs:
             return self._snfs[k].invariant_factors
         if k not in self._factors:
-            self._factors[k] = invariant_factors(self.complex.boundary[k])
+            self._factors[k] = invariant_factors(self.boundary[k])
         return self._factors[k]
 
     def structure(self, k) -> FgAbelianGroup:
@@ -159,22 +135,20 @@ class Analysis:
         so the torsion of H_k is that of Z^n_k / im d_{k+1}."""
         if k in self._homology:
             return self._homology[k].structure
-        _check_degree(self.complex, k)
-        top = self.complex.top_dim
+        self._check_degree(k)
         rank = len(self._invariant_factors(k)) if k else 0
-        factors = self._invariant_factors(k + 1) if k < top else ()
-        return from_invariant_factors(self.complex.ranks[k] - rank, factors)
+        factors = self._invariant_factors(k + 1) if k < self.top_dim else ()
+        return from_invariant_factors(self.ranks[k] - rank, factors)
 
     def homology(self, k) -> SubquotientPresentation:
         """H_k with canonical coordinates, from the factorization of d_k."""
         if k not in self._homology:
-            _check_degree(self.complex, k)
+            self._check_degree(k)
             d_k = self._snf(k)
             # A zero d_k has V = I, so H_k's relation matrix is d_{k+1} itself,
             # and one factorization of d_{k+1} serves both.
             relations = self._snf(k + 1) if d_k.rank == 0 else None
-            self._homology[k] = presentation_from(
-                d_k, self.complex.boundary_or_zero(k + 1), relations)
+            self._homology[k] = presentation_from(d_k, self._boundary(k + 1), relations)
         return self._homology[k]
 
     @cached_property
@@ -194,7 +168,7 @@ class Analysis:
             f.append(m)
         violations = []
         for k in range(1, spec.dimension + 1):
-            d = self.complex.boundary[k]
+            d = self.boundary[k]
             lhs, rhs = d * f[k], f[k - 1] * d
             if lhs.entries != rhs.entries:
                 at = next(n for n, (x, y) in enumerate(zip(lhs.entries, rhs.entries)) if x != y)
@@ -220,7 +194,7 @@ class Analysis:
         of the unmodified complex say nothing about the rescaled one.
         """
         if k not in self._maps:
-            _check_degree(self.complex, k)
+            self._check_degree(k)
             sub = self.spec.substitution
             if sub is None:
                 raise ComplexError("spec carries no substitution data")
@@ -243,7 +217,7 @@ class Analysis:
     @property
     def substitution_maps(self) -> dict:
         """substitution_map(k) for every degree k."""
-        return {k: self.substitution_map(k) for k in range(self.complex.top_dim + 1)}
+        return {k: self.substitution_map(k) for k in range(self.top_dim + 1)}
 
     def groups(self, degrees=None, limit=False) -> dict:
         """H_k for each of the degrees (all of them if None), or with limit
@@ -253,14 +227,24 @@ class Analysis:
         the groups: their presentations give the groups, so no boundary is
         eliminated twice.
         """
-        degrees = range(self.complex.top_dim + 1) if degrees is None else list(degrees)
+        degrees = range(self.top_dim + 1) if degrees is None else list(degrees)
         for k in degrees:
-            _check_degree(self.complex, k)
+            self._check_degree(k)
         maps = {k: self.substitution_map(k) for k in degrees if limit}
         groups = {k: self.structure(k) for k in degrees}
         return {k: direct_limit(g, maps[k]) if limit else g for k, g in groups.items()}
 
 
+def build_chain_complex(spec, mode) -> Analysis:
+    """The chain complex of spec in mode, as its Analysis."""
+    return Analysis(spec, mode)
+
+
+def homology(cplx: Analysis, k: int) -> SubquotientPresentation:
+    """H_k of the complex with canonical coordinates: its cached presentation."""
+    return cplx.homology(k)
+
+
 def substitution_homology_maps(spec, mode):
     """Induced substitution endomorphisms on homology, one per degree."""
-    return Analysis(spec, mode).substitution_maps
+    return build_chain_complex(spec, mode).substitution_maps

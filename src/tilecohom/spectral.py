@@ -67,7 +67,7 @@ def _analyses(spec):
     _require_rigid_2d(spec)
     analyses = []
     for mode in (MODE_RIGID, MODE_RIGID_MODIFIED):
-        analysis = complexes.Analysis(spec, mode)
+        analysis = complexes.build_chain_complex(spec, mode)
         if spec.substitution is not None:
             maps = analysis.substitution_maps
             if not all(h.is_isomorphism() for h in maps.values()):
@@ -186,7 +186,7 @@ def hull_cohomology(spec, hull) -> HullCohomology:
     else:
         raise SpectralError("unknown hull %r" % (hull,))
 
-    analysis = complexes.Analysis(spec, mode)
+    analysis = complexes.build_chain_complex(spec, mode)
     by_degree = analysis.groups(None, spec.is_hierarchical)
     groups = tuple(reversed(by_degree.values()))
     return HullCohomology(groups=groups, extension_flags=((),) * len(groups))

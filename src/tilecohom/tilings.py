@@ -116,6 +116,8 @@ def make_spec(name, dimension, geometry_mode, cells, boundaries,
                 bad = ".symmetry: must be >= 1"
             elif geometry_mode == "translation" and (c.symmetry != 1 or c.reverses_orientation):
                 bad = ": translation specs have trivial cell symmetry"
+            elif c.reverses_orientation and k != 1:
+                bad = ".reverses_orientation: only an edge can reverse orientation"
             else:
                 seen.add(c.id)
                 continue
@@ -451,7 +453,7 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
     analyses = []
     for mode in [m for m, g in complexes.GEOMETRY.items() if g == spec.geometry_mode]:
         try:
-            analyses.append(complexes.Analysis(spec, mode))
+            analyses.append(complexes.build_chain_complex(spec, mode))
         except TilecohomError as e:
             issues.append("build[%s]: %s" % (mode, e))
 

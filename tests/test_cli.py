@@ -640,6 +640,21 @@ class TestMalformedInput:
             assert _one_error_line(capsys.readouterr().err), command
 
     @pytest.mark.parametrize("command", [
+        ("check",), ("spectral",), ("cohomology", "--hull", "rigid"),
+    ], ids=lambda c: c[0])
+    def test_reversing_vertex(self, tmp_path, capsys, command):
+        """Only an edge can reverse orientation: the rigid complex would drop
+        the vertex V2, while the winding chain reads every vertex."""
+        doc = json.loads(save_spec(builtin("square-periodic-rigid")))
+        doc["cells"]["0"][1]["reverses_orientation"] = True
+        path = tmp_path / "reversing-vertex.json"
+        path.write_text(json.dumps(doc))
+        res = run(command[0], str(path), *command[1:])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: cells.0[1].reverses_orientation: only an edge can reverse orientation\n")
+
+    @pytest.mark.parametrize("command", [
         ("check",), ("homology", "--mode", "rigid"), ("cohomology", "--hull", "rigid"),
         ("spectral",),
     ], ids=lambda c: c[0])
@@ -959,7 +974,7 @@ class TestEliminationsPerBoundary:
         res = run(*argv)
         assert res.exit_code == 0
         assert analyses
-        boundaries = [b for a in analyses for b in a.complex.boundary[1:]]
+        boundaries = [b for a in analyses for b in a.boundary[1:]]
         assert len({id(b) for b in boundaries}) == len(boundaries)
         assert max((sum(A is b for A in made) for b in boundaries), default=0) <= 1
 
@@ -1091,7 +1106,7 @@ class TestChainLevelMaps:
     @staticmethod
     def _check_reference_route(analysis):
         """The bulk classes equal those of induced_hom, the per-generator route."""
-        for k in range(analysis.complex.top_dim + 1):
+        for k in range(analysis.top_dim + 1):
             f, p = analysis.chain_map[k], analysis.homology(k)
             gens = _columns(p.generator_matrix())
             images = [f.mul_vector(g) for g in gens]

@@ -203,7 +203,7 @@ class TestChainMap:
         spec = builtin("triangle-periodic-rigid")
         identity = [IntMatrix.identity(len(spec.cells[k])) for k in range(spec.dimension + 1)]
         analysis = Analysis(spec_with_chain_map(spec, identity), mode)
-        ranks = analysis.complex.ranks
+        ranks = analysis.ranks
         assert analysis.chain_map == tuple(IntMatrix.identity(r) for r in ranks)
         for k, hom in analysis.substitution_maps.items():
             assert hom.matrix == IntMatrix.identity(hom.matrix.rows), k
@@ -212,7 +212,7 @@ class TestChainMap:
     def test_penrose_substitution_chain_data(self, mode):
         analysis = Analysis(builtin("penrose-kite-dart"), mode)
         f = analysis.chain_map
-        assert [(m.rows, m.cols) for m in f] == [(r, r) for r in analysis.complex.ranks]
+        assert [(m.rows, m.cols) for m in f] == [(r, r) for r in analysis.ranks]
 
     def test_perturbed_map_fails_with_location(self):
         spec = builtin("fibonacci")
@@ -312,13 +312,21 @@ class TestStructureFromFactorizations:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_matches_presentation_in_every_mode(self, seed):
-        for analysis in _random_analyses(seed):
-            cplx = analysis.complex
-            for k in range(cplx.top_dim + 1):
-                expected = homology_presentation(cplx.boundary_or_zero(k),
-                                                 cplx.boundary_or_zero(k + 1)).structure
-                assert analysis.structure(k) == expected
-                assert analysis.homology(k).structure == expected
+        """The cached presentation that homology(cplx, k) returns also gives
+        the generator lifts and the classes of a fresh presentation of the
+        same boundaries."""
+        for cplx in _random_analyses(seed):
+            top = cplx.top_dim
+            for k in range(top + 1):
+                d_k1 = cplx.boundary[k + 1] if k < top else IntMatrix.zero(cplx.ranks[top], 0)
+                fresh = homology_presentation(cplx.boundary[k], d_k1)
+                assert cplx.structure(k) == fresh.structure
+                pres = homology(cplx, k)
+                assert pres is homology(cplx, k)
+                assert pres.structure == fresh.structure
+                assert pres.generator_matrix() == fresh.generator_matrix()
+                cycles = kernel_basis(cplx.boundary[k])
+                assert pres.classes_of(cycles) == fresh.classes_of(cycles)
 
     def test_random_specs_have_torsion_in_every_mode(self):
         torsion = [any(a.structure(k).torsion for k in range(3)) for seed in range(10)
@@ -333,7 +341,7 @@ class TestStructureFromFactorizations:
             for mode in modes:
                 analysis = Analysis(spec, mode)
                 for k in range(spec.dimension + 1):
-                    assert analysis.structure(k) == homology(analysis.complex, k).structure
+                    assert analysis.structure(k) == homology(analysis, k).structure
 
     def test_degree_out_of_range(self):
         analysis = Analysis(builtin("fibonacci"), MODE_TRANSLATION)
@@ -374,7 +382,7 @@ class TestOneFactorizationPerMatrix:
 
     @staticmethod
     def _read_everything(analysis):
-        top = analysis.complex.top_dim
+        top = analysis.top_dim
         # Homology-level data factors its generator matrices, not the complex.
         sub = analysis.spec.substitution
         if sub is not None and sub.kind == "chain_map":
@@ -403,7 +411,7 @@ class TestOneFactorizationPerMatrix:
             (read or self._read_everything)(analysis)
         # Empty matrices, such as d_0 and the relations of a degree whose cycles
         # all bound, may coincide; factoring them costs nothing.
-        boundaries = analysis.complex.boundary[1:]
+        boundaries = analysis.boundary[1:]
         keys = [(A.rows, A.cols, A.entries) for A in made
                 if A.entries and not any(A is b for b in boundaries)]
         assert len(set(keys)) == len(keys)
@@ -434,4 +442,4 @@ class TestOneFactorizationPerMatrix:
         with _factored() as factored:
             for k in range(3):
                 analysis.structure(k)
-        assert [id(A) for A in factored] == [id(b) for b in analysis.complex.boundary[1:]]
+        assert [id(A) for A in factored] == [id(b) for b in analysis.boundary[1:]]

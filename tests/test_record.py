@@ -21,8 +21,8 @@ from tilecohom.spectral import spectral_sequence
 from tilecohom.tilings import builtin, validate_spec
 
 RECORDS = {
-    "CommandResult", "ChainComplex", "DirectLimitGroup", "EventualData",
-    "IntMatrix", "SnfResult", "FgAbelianGroup", "GroupElement", "GroupHom",
+    "CommandResult", "DirectLimitGroup", "EventualData", "IntMatrix",
+    "SnfResult", "FgAbelianGroup", "GroupElement", "GroupHom",
     "SubquotientPresentation", "SpectralPage", "HullCohomology",
     "SpectralSequence", "CellType", "RotationData", "SubstitutionData",
     "TilingSpec", "ValidationReport",
@@ -40,9 +40,9 @@ def _samples():
     g = FgAbelianGroup(1, (2, 4))
     endo = GroupHom(g, g, IntMatrix.from_rows([[4, 0, 0], [0, 0, 1], [0, 0, 1]]))
     found = [
-        run_command(["builtin", "list"]), chain, direct_limit(g, endo),
+        run_command(["builtin", "list"]), direct_limit(g, endo),
         eventual_data(g, endo), a, smith_normal_form(a), g, ss.d2_class, endo,
-        homology_presentation(chain.boundary_or_zero(1), chain.boundary_or_zero(2)),
+        homology_presentation(chain.boundary[1], chain.boundary[2]),
         ss.e2, ss.cohomology, ss, spec.cells[0][0], spec.rotation, spec.substitution,
         spec, validate_spec(spec),
     ]

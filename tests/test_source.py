@@ -357,8 +357,6 @@ def _public_cases(tmp_path):
          "images violate a relation among the generators"),
         (partial(induced_hom, pres, [(2,)], [(2,)]),
          "generator cycles do not generate the homology group"),
-        (partial(build_chain_complex(penrose, MODE_RIGID).boundary_or_zero, -1),
-         "degree -1 out of range"),
         (partial(build_chain_complex, penrose, MODE_TRANSLATION),
          "translation complex requires a translation-mode spec"),
         (partial(build_chain_complex, builtin("fibonacci"), MODE_RIGID),

@@ -47,7 +47,8 @@ def _generated_specs(draw):
     def cell(k, i):
         if not rigid:
             return CellType("c%d.%d" % (k, i))
-        return CellType("c%d.%d" % (k, i), draw(st.integers(1, 6)), draw(st.booleans()))
+        return CellType("c%d.%d" % (k, i), draw(st.integers(1, 6)),
+                        k == 1 and draw(st.booleans()))
 
     cells = {k: tuple(cell(k, i) for i in range(n)) for k, n in enumerate(counts)}
     boundaries = {k: matrix(counts[k - 1], counts[k]) for k in range(1, dimension + 1)}
@@ -195,6 +196,12 @@ _SCHEMA_MESSAGES = [
      _cell(0, 0, symmetry=0)),
     (_FIBONACCI, ("cells", "0", 0, "symmetry"), 5,
      "cells.0[0]: translation specs have trivial cell symmetry", _cell(0, 0, symmetry=5)),
+    (_PENROSE, ("cells", "0", 1, "reverses_orientation"), True,
+     "cells.0[1].reverses_orientation: only an edge can reverse orientation",
+     _cell(0, 1, reverses_orientation=True)),
+    (_PENROSE, ("cells", "2", 1, "reverses_orientation"), True,
+     "cells.2[1].reverses_orientation: only an edge can reverse orientation",
+     _cell(2, 1, reverses_orientation=True)),
     (_PENROSE, ("boundaries", "1"), [[1]], "boundaries.1: shape (1, 1) != expected (7, 7)",
      lambda a: {"boundaries": {**a["boundaries"], 1: IntMatrix.from_rows([[1]])}}),
     (_PENROSE, ("substitution", "kind"), "cochain", "substitution.kind: unknown kind 'cochain'",
