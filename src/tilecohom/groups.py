@@ -21,7 +21,7 @@ from .exactalg import (
     smith_normal_form,
     solve_in_lattice,
 )
-from .record import Record, TilecohomError, decimal
+from .record import Record, TilecohomError, decimal, decimal_or_size
 
 
 class GroupError(TilecohomError):
@@ -79,13 +79,13 @@ class FgAbelianGroup(Record):
             gens.append(self.element((0,) * self.free_rank, t))
         return gens
 
-    def render(self):
+    def render(self, number=decimal):
         parts = []
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append("Z^%d" % self.free_rank)
-        parts.extend("Z/" + decimal(d) for d in self.torsion)
+        parts.extend("Z/" + number(d) for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
 
@@ -166,10 +166,11 @@ class GroupHom(Record):
     matrix: IntMatrix
 
     def __post_init__(self):
-        nd = self.domain.free_rank + len(self.domain.torsion)
-        nc = self.codomain.free_rank + len(self.codomain.torsion)
+        nd, nc = (g.free_rank + len(g.torsion) for g in (self.domain, self.codomain))
         if (self.matrix.rows, self.matrix.cols) != (nc, nd):
-            raise GroupError("hom matrix shape mismatch")
+            raise GroupError("hom matrix shape mismatch: %dx%d given, %dx%d needed for %s -> %s"
+                             % (self.matrix.rows, self.matrix.cols, nc, nd, *(
+                                 g.render(decimal_or_size) for g in (self.domain, self.codomain))))
         object.__setattr__(self, "matrix", _reduced(self.matrix, self.codomain))
         # A torsion generator of order d must map to an element killed by d.
         for j, d in enumerate(self.domain.torsion):

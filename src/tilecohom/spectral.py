@@ -14,7 +14,8 @@ from __future__ import annotations
 from . import complexes
 from .complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION
 from .groups import FgAbelianGroup, GroupElement, from_divisors, quotient_by
-from .record import Record, TilecohomError, decimal_or_size
+from .record import Record, TilecohomError
+from .tilings import open_laps
 
 
 class SpectralError(TilecohomError):
@@ -48,13 +49,10 @@ def winding_chain(spec):
     if spec.rotation is None:
         raise SpectralError("spec carries no rotation data")
     turns = spec.rotation.lap_turns()
-    chain = []
-    for c in spec.cells[0]:
-        if turns[c.id].denominator != 1:
-            raise SpectralError("vertex %r: lap sums to %s, not a whole number of turns"
-                                % (c.id, decimal_or_size(turns[c.id])))
-        chain.append(int(turns[c.id]))
-    return tuple(chain)
+    ids = [c.id for c in spec.cells[0]]
+    for issue in open_laps(turns, ids):  # the first open lap
+        raise SpectralError(issue)
+    return tuple(int(turns[vid]) for vid in ids)
 
 
 def _analyses(spec):

@@ -51,6 +51,13 @@ class RotationData(Record):
                 for vid, star in self.vertex_stars.items()}
 
 
+def open_laps(turns, vertex_ids):
+    """The whole-turn rule: the issue of each of vertex_ids whose lap in turns is not whole."""
+    return ["rotation.vertex_stars.%s: lap sums to %s of a full turn; rotations must "
+            "close up" % (vid, decimal_or_size(turns[vid]))
+            for vid in vertex_ids if turns[vid].denominator != 1]
+
+
 class SubstitutionData(Record):
     kind: str      # "chain_map" | "homology_map"
     maps: dict     # degree -> IntMatrix, or -> (generator cycles, image cycles)
@@ -270,10 +277,6 @@ _step_pair = itemgetter("edge", "sign")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _frac_str(f: Fraction) -> str:
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def _parse_frac(s, path):
     if not isinstance(s, str) or "." in s:
         raise SpecError("%s: rationals are reduced-fraction strings" % path)
@@ -422,10 +425,10 @@ def save_spec(spec: TilingSpec) -> str:
                              "images": [list(v) for v in maps[k][1]]} for k in sorted(maps)}
         doc["substitution"] = {"kind": sub.kind, sub.kind: rows}
     if spec.rotation is not None:
+        rots = spec.rotation.edge_rotations
         doc["rotation"] = {
-            "edge_rotations": {c.id: _frac_str(spec.rotation.edge_rotations[c.id])
-                               for c in spec.cells[1]
-                               if c.id in spec.rotation.edge_rotations},
+            "edge_rotations": {c.id: "%d/%d" % (rots[c.id].numerator, rots[c.id].denominator)
+                               for c in spec.cells[1] if c.id in rots},
             "vertex_stars": {c.id: [{"edge": e, "sign": s}
                                     for e, s in spec.rotation.vertex_stars[c.id]]
                              for c in spec.cells[0]},
@@ -440,32 +443,30 @@ def save_spec(spec: TilingSpec) -> str:
 
 
 def validate_spec(spec: TilingSpec) -> ValidationReport:
-    """Semantic checks: the complex builds in every applicable mode, rotation
-    laps close up and walk around their vertices (RotationData), and
-    substitution data is consistent; all failures reported."""
+    """Semantic checks, every failure reported once: the complex builds in each
+    applicable mode (the spec's d_1 d_2 adds to that only through a reversing
+    edge), laps close up (open_laps) and walk around their vertices
+    (RotationData), and substitution data is consistent."""
     from . import complexes
 
-    issues = []
-
-    if spec.dimension == 2 and not (spec.boundaries[1] * spec.boundaries[2]).is_zero():
-        issues.append("boundaries: boundary of boundary is nonzero")
-
-    analyses = []
+    analyses, faults = [], {}
     for mode in [m for m, g in complexes.GEOMETRY.items() if g == spec.geometry_mode]:
         try:
             analyses.append(complexes.build_chain_complex(spec, mode))
         except TilecohomError as e:
-            issues.append("build[%s]: %s" % (mode, e))
+            faults.setdefault(str(e), []).append(mode)
+
+    issues = ["build[%s]: %s" % (", ".join(modes), e) for e, modes in faults.items()]
+    if (spec.dimension == 2 and any(c.reverses_orientation for c in spec.cells[1])
+            and any(a.mode == complexes.MODE_RIGID for a in analyses)
+            and not (spec.boundaries[1] * spec.boundaries[2]).is_zero()):
+        issues.append("boundaries: boundary of boundary is nonzero")
 
     if spec.rotation is not None:
-        turns = spec.rotation.lap_turns()
+        issues.extend(open_laps(spec.rotation.lap_turns(), [c.id for c in spec.cells[0]]))
         d1 = spec.boundaries[1]
         edges = [(j, c.id) for j, c in enumerate(spec.cells[1]) if any(d1.column(j))]
         for i, c in enumerate(spec.cells[0]):
-            if turns[c.id].denominator != 1:
-                issues.append("rotation.vertex_stars.%s: lap sums to %s of a full "
-                              "turn; rotations must close up"
-                              % (c.id, decimal_or_size(turns[c.id])))
             steps = [eid for eid, _ in spec.rotation.vertex_stars[c.id]]
             wrong = ["%s %d times (|d_1| = %s)" % (eid, steps.count(eid),
                                                     decimal_or_size(abs(d1[i, j])))

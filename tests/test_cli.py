@@ -199,8 +199,9 @@ class TestChainLevelErrors:
     }
 
     @pytest.mark.parametrize("variant, stdout", [
-        ("boundary", ["boundaries: boundary of boundary is nonzero",
-                      "build[rigid]: " + _D2_SQUARE,
+        # The rigid boundary-of-boundary fault is one line: Penrose has no reversing edge, so
+        # the spec's own product is the rigid complex's.
+        ("boundary", ["build[rigid]: " + _D2_SQUARE,
                       "build[rigid_modified]: " + _NON_INTEGRAL,
                       # The variant's d_1 joins E3 to sun, which sun's lap does not step over.
                       "rotation.vertex_stars.sun: lap steps over E3 0 times (|d_1| = 1); "
@@ -259,6 +260,80 @@ class TestChainLevelErrors:
         assert (res.exit_code, res.stdout) == (1, "")
         assert capsys.readouterr() == (
             "", "error: modified-complex substitution maps require chain-level data\n")
+
+
+def _square_doc():
+    return json.loads(save_spec(builtin("square-periodic-rigid")))
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestEachFaultOnce:
+    """check prints each spec fault once, and an open lap reads the same from
+    every command that applies the whole-turn rule."""
+
+    def test_square_boundary_of_boundary_fault_is_one_line(self, tmp_path, capsys):
+        """The modified boundaries are S^-1 d S of the rigid ones, so both
+        builds fail at degree 2, and with no reversing edge the spec's own
+        product is the rigid complex's: one issue names both modes."""
+        doc = _square_doc()
+        doc["boundaries"]["2"][0][0] *= -1
+        res = run("check", _write(tmp_path, doc))
+        assert (res.exit_code, res.stdout) == (1, (
+            "square-periodic-rigid: invalid\n"
+            "  build[rigid, rigid_modified]: " + _D2_SQUARE + "\n"))
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("kept_fault, issue", [
+        (False, "boundaries: boundary of boundary is nonzero"),
+        (True, "build[rigid, rigid_modified]: " + _D2_SQUARE),
+    ], ids=["only-through-r", "also-in-the-complexes"])
+    def test_fault_through_a_reversing_edge_is_reported_once(self, tmp_path, capsys,
+                                                             kept_fault, issue):
+        """A reversing edge r with d_1 r != 0 and r in the boundary of F1: the
+        complexes drop r, so where they build only the spec's own product
+        sees the fault, and where they do not, theirs is its one report."""
+        doc = _square_doc()
+        doc["cells"]["1"].append({"id": "r", "symmetry": 1, "reverses_orientation": True})
+        for row, x in zip(doc["boundaries"]["1"], (1, -1, 0)):
+            row.append(x)
+        doc["boundaries"]["2"].append([1, 0])
+        if kept_fault:
+            doc["boundaries"]["2"][0][0] *= -1
+        del doc["rotation"]
+        path = _write(tmp_path, doc)
+        res = run("check", path)
+        assert (res.exit_code, res.stdout) == (
+            1, "square-periodic-rigid: invalid\n  %s\n" % issue)
+        assert capsys.readouterr() == ("", "")
+        for mode in ("rigid", "rigid-modified"):
+            code = run("homology", path, "--mode", mode).exit_code
+            assert code == (1 if kept_fault else 0)
+
+    @pytest.mark.parametrize("rotations", [
+        {"b": "1/5"},
+        # Coprime denominators of 3,001 digits: the laps have about 6,000.
+        {"a": "1/%d" % (10 ** 3000 + 1), "b": "1/%d" % (10 ** 3000 + 3)},
+    ], ids=["short", "too-long-to-print"])
+    def test_open_lap_text_is_one_text(self, tmp_path, capsys, int_digit_limit, rotations):
+        """check lists every open lap; spectral and the rigid hull stop at the
+        first, with the same text."""
+        doc = json.loads(save_spec(builtin("triangle-periodic-rigid")))
+        doc["rotation"]["edge_rotations"].update(rotations)
+        path = _write(tmp_path, doc)
+        res = run("check", path)
+        assert res.exit_code == 1
+        first = res.stdout.splitlines()[1]
+        assert re.fullmatch(r"  rotation\.vertex_stars\.V6: lap sums to (-1/5|a \d+-bit number) "
+                            r"of a full turn; rotations must close up", first)
+        assert capsys.readouterr() == ("", "")
+        for argv in (["spectral"], ["cohomology", "--hull", "rigid"]):
+            assert run(argv[0], path, *argv[1:]) == cli.CommandResult(1, "")
+            assert capsys.readouterr() == ("", "error: %s\n" % first[2:])
 
 
 # limit --group and --matrix values that do not parse.
@@ -322,10 +397,19 @@ class TestLimitCommand:
         res = run("limit", "--group", group, "--matrix", "")
         assert (res.exit_code, res.stdout) == (0, "limit = 0 (status exact)\n")
 
-    def test_blank_matrix_on_nontrivial_group(self, capsys):
-        res = run("limit", "--group", "Z^2", "--matrix", "")
+    @pytest.mark.parametrize("group, matrix, shapes", [
+        ("Z^2", "", "0x0 given, 2x2 needed for Z^2 -> Z^2"),
+        ("Z/1", "1", "1x1 given, 0x0 needed for 0 -> 0"),
+        ("Z/%d + Z/%d" % (10 ** 4000 + 1, 10 ** 4000 + 3), "1,0;0,1",
+         "2x2 given, 1x1 needed for Z/a 26576-bit number -> Z/a 26576-bit number"),
+    ], ids=["blank-matrix", "trivial-group", "too-long-to-print"])
+    def test_wrong_matrix_shape_names_both_shapes(self, capsys, int_digit_limit, group,
+                                                  matrix, shapes):
+        """The shape error names both shapes and the group in normal form:
+        Z/1 is 0, with no coordinates, and Z/a + Z/b is Z/ab for coprime a, b."""
+        res = run("limit", "--group", group, "--matrix", matrix)
         assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr().err == "error: hom matrix shape mismatch\n"
+        assert capsys.readouterr().err == "error: hom matrix shape mismatch: %s\n" % shapes
 
     def test_unparsable_numbers_raise_domain_errors(self):
         with pytest.raises(GroupError, match="Z\\^x"):

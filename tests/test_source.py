@@ -337,7 +337,8 @@ def _public_cases(tmp_path):
         (partial(quotient_by, Z, Z2.generators()), "element does not belong to the group"),
         (partial(groups.express, Z, Z2.generators()[0], []),
          "element does not belong to the group"),
-        (partial(GroupHom, Z, Z, two), "hom matrix shape mismatch"),
+        (partial(GroupHom, Z, Z, two),
+         "hom matrix shape mismatch: 2x2 given, 1x1 needed for Z -> Z"),
         (partial(GroupHom, FgAbelianGroup(0, (2,)), Z, one),
          "torsion generator maps to infinite-order element"),
         (partial(GroupHom, FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (3,)), one),
@@ -389,7 +390,7 @@ def _public_cases(tmp_path):
         (partial(winding_chain, _respec("triangle-periodic-rigid", rotation=None)),
          "spec carries no rotation data"),
         (partial(winding_chain, _respec("triangle-periodic-rigid", rotation=open_lap)),
-         "vertex 'V6': lap sums to -1/5"),
+         "rotation.vertex_stars.V6: lap sums to -1/5 of a full turn; rotations must close up"),
         (partial(hull_cohomology, penrose, "translation"),
          "translation complex requires a translation-mode spec"),
         (partial(setattr, Z, "free_rank", 2), "cannot assign to field 'free_rank'"),
