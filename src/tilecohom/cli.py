@@ -73,10 +73,10 @@ def _text(lines):
 
 def _cmd_check(args):
     spec = _load_target(args)
-    report = tilings.validate_spec(spec)
-    lines = ["%s: %s" % (spec.name, "ok" if report.passed else "invalid")]
-    lines.extend("  " + issue for issue in report.issues)
-    return CommandResult(0 if report.passed else 1, "\n".join(lines) + "\n")
+    issues = tilings.validate_spec(spec)
+    lines = ["%s: %s" % (spec.name, "invalid" if issues else "ok")]
+    lines.extend("  " + issue for issue in issues)
+    return CommandResult(1 if issues else 0, "\n".join(lines) + "\n")
 
 
 def _cmd_homology(args):

@@ -66,7 +66,9 @@ class Analysis:
     kept cells per degree, and boundary[k], the map d_k from degree k to
     k-1 (boundary[0] has no rows).  This is the one place that decides how
     the groups are computed, and the one reader of chain-level substitution
-    data; the CLI and the hulls only render `groups`.
+    data; the CLI and the hulls only render `groups`.  The build is the one
+    owner of d∘d = 0, so every command that builds a mode refuses what
+    check reports for it.
 
     The group H_k is read from the rank of d_k and the invariant factors of
     d_{k+1}.  A boundary that a presentation has factored gives them from
@@ -95,8 +97,13 @@ class Analysis:
                     "non-integral rescaled boundary entry at degree %d, "
                     "cell %r over %r" % (k, spec.cells[k][j].id, spec.cells[k - 1][i].id))
             boundary.append(b)
+        # A dropped reversing cell hides its part of the spec's own d_{k-1} d_k
+        # from the complex, so a build that drops one checks that product too.
+        products = [boundary]
+        if any(len(keep[k]) < len(spec.cells[k]) for k in range(spec.dimension + 1)):
+            products.append(spec.boundaries)
         for k in range(2, spec.dimension + 1):
-            if not (boundary[k - 1] * boundary[k]).is_zero():
+            if any(not (d[k - 1] * d[k]).is_zero() for d in products):
                 raise ComplexError("boundary of boundary is nonzero at degree %d" % k)
         self.spec, self.mode, self.top_dim = spec, mode, spec.dimension
         self.ranks = tuple(map(len, keep))

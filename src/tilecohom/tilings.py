@@ -78,11 +78,6 @@ class TilingSpec(Record):
         return self.substitution is not None
 
 
-class ValidationReport(Record):
-    passed: bool
-    issues: tuple
-
-
 # ---------------------------------------------------------------------------
 # construction and schema
 
@@ -442,11 +437,13 @@ def save_spec(spec: TilingSpec) -> str:
 # semantic validation
 
 
-def validate_spec(spec: TilingSpec) -> ValidationReport:
-    """Semantic checks, every failure reported once: the complex builds in each
-    applicable mode (the spec's d_1 d_2 adds to that only through a reversing
-    edge), laps close up (open_laps) and walk around their vertices
-    (RotationData), and substitution data is consistent."""
+def validate_spec(spec: TilingSpec) -> tuple:
+    """The semantic issues of spec, each failure listed once; () when it is
+    valid.  It collects the fault of each applicable mode's build (the build
+    owns d∘d = 0), the laps that do not close up (open_laps) and the issues
+    of the substitution maps.  The one rule it applies itself, and the one
+    that only check applies, is the lap count: each lap walks once around
+    its vertex (RotationData)."""
     from . import complexes
 
     analyses, faults = [], {}
@@ -457,11 +454,6 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
             faults.setdefault(str(e), []).append(mode)
 
     issues = ["build[%s]: %s" % (", ".join(modes), e) for e, modes in faults.items()]
-    if (spec.dimension == 2 and any(c.reverses_orientation for c in spec.cells[1])
-            and any(a.mode == complexes.MODE_RIGID for a in analyses)
-            and not (spec.boundaries[1] * spec.boundaries[2]).is_zero()):
-        issues.append("boundaries: boundary of boundary is nonzero")
-
     if spec.rotation is not None:
         issues.extend(open_laps(spec.rotation.lap_turns(), [c.id for c in spec.cells[0]]))
         d1 = spec.boundaries[1]
@@ -485,7 +477,7 @@ def validate_spec(spec: TilingSpec) -> ValidationReport:
             except TilecohomError as e:
                 issues.append("substitution[%s]: %s" % (analysis.mode, e))
 
-    return ValidationReport(passed=not issues, issues=tuple(issues))
+    return tuple(issues)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import io
 import json
 import random
@@ -288,15 +289,16 @@ class TestEachFaultOnce:
             "  build[rigid, rigid_modified]: " + _D2_SQUARE + "\n"))
         assert capsys.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("kept_fault, issue", [
-        (False, "boundaries: boundary of boundary is nonzero"),
-        (True, "build[rigid, rigid_modified]: " + _D2_SQUARE),
-    ], ids=["only-through-r", "also-in-the-complexes"])
+    @pytest.mark.parametrize("kept_fault", [False, True],
+                             ids=["only-through-r", "also-in-the-complexes"])
     def test_fault_through_a_reversing_edge_is_reported_once(self, tmp_path, capsys,
-                                                             kept_fault, issue):
+                                                             kept_fault):
         """A reversing edge r with d_1 r != 0 and r in the boundary of F1: the
-        complexes drop r, so where they build only the spec's own product
-        sees the fault, and where they do not, theirs is its one report."""
+        complexes drop r, so the builds check the spec's own product too.
+        Whether or not the complexes' own d∘d also fails, check prints one
+        build issue, and every command that builds a rigid complex stops at
+        it.  r turns by 0 and each lap steps over it |d_1| times, so no other
+        rule fails first."""
         doc = _square_doc()
         doc["cells"]["1"].append({"id": "r", "symmetry": 1, "reverses_orientation": True})
         for row, x in zip(doc["boundaries"]["1"], (1, -1, 0)):
@@ -304,15 +306,20 @@ class TestEachFaultOnce:
         doc["boundaries"]["2"].append([1, 0])
         if kept_fault:
             doc["boundaries"]["2"][0][0] *= -1
-        del doc["rotation"]
+        doc["rotation"]["edge_rotations"]["r"] = "0"
+        doc["rotation"]["vertex_stars"]["V4a"].append({"edge": "r", "sign": 1})
+        doc["rotation"]["vertex_stars"]["V2"].append({"edge": "r", "sign": -1})
         path = _write(tmp_path, doc)
         res = run("check", path)
         assert (res.exit_code, res.stdout) == (
-            1, "square-periodic-rigid: invalid\n  %s\n" % issue)
+            1, "square-periodic-rigid: invalid\n  build[rigid, rigid_modified]: %s\n"
+            % _D2_SQUARE)
         assert capsys.readouterr() == ("", "")
-        for mode in ("rigid", "rigid-modified"):
-            code = run("homology", path, "--mode", mode).exit_code
-            assert code == (1 if kept_fault else 0)
+        for argv in (["spectral"], ["cohomology", "--hull", "rigid"],
+                     ["cohomology", "--hull", "rotation-quotient"],
+                     ["homology", "--mode", "rigid"], ["homology", "--mode", "rigid-modified"]):
+            assert run(argv[0], path, *argv[1:]) == cli.CommandResult(1, ""), argv
+            assert capsys.readouterr() == ("", "error: %s\n" % _D2_SQUARE), argv
 
     @pytest.mark.parametrize("rotations", [
         {"b": "1/5"},
@@ -334,6 +341,103 @@ class TestEachFaultOnce:
         for argv in (["spectral"], ["cohomology", "--hull", "rigid"]):
             assert run(argv[0], path, *argv[1:]) == cli.CommandResult(1, "")
             assert capsys.readouterr() == ("", "error: %s\n" % first[2:])
+
+
+_RIGID_BUILTINS = [name for name in builtin_names() if builtin(name).geometry_mode == "rigid"]
+# Every command but check on a rigid spec, with the modes whose complexes it builds.
+_BUILDS = {
+    ("spectral",): {"rigid", "rigid_modified"},
+    ("cohomology", "--hull", "rigid"): {"rigid", "rigid_modified"},
+    ("cohomology", "--hull", "rotation-quotient"): {"rigid_modified"},
+    ("cohomology", "--hull", "translation"): set(),
+    **{("homology", "--mode", mode) + limit: {mode.replace("-", "_")} - {"translation"}
+       for mode in ("translation", "rigid", "rigid-modified") for limit in ((), ("--limit",))},
+}
+# The errors of a command that does not apply to a valid spec.
+_SCOPE_ERRORS = {
+    "non-stationary homology unsupported",
+    "modified-complex substitution maps require chain-level data",
+    "translation complex requires a translation-mode spec",
+    "the rigid-hull pipeline needs a 2-dimensional rigid spec",
+    "spec carries no substitution data",
+}
+
+
+def _mutated(doc, rng):
+    """(kind, a copy of doc with one random fault or harmless change): +-1 on
+    a boundary or chain-map entry, a new cell symmetry, a new edge rotation,
+    a flipped or dropped lap step, or an appended reversing edge with a random
+    d_1 column (zero in about a third of the draws) and d_2 row."""
+    doc = copy.deepcopy(doc)
+    rot, sub = doc["rotation"], doc.get("substitution")
+    chain_maps = list(sub["chain_map"].values()) if sub and sub["kind"] == "chain_map" else []
+    kind = rng.choice(("entry", "symmetry", "rotation", "sign", "drop", "reversing"))
+    if kind == "entry":
+        row = rng.choice(rng.choice(list(doc["boundaries"].values()) + chain_maps))
+        row[rng.randrange(len(row))] += rng.choice((-1, 1))
+    elif kind == "symmetry":
+        cell = rng.choice(doc["cells"][rng.choice("012")])
+        cell["symmetry"] = rng.choice([n for n in range(1, 7) if n != cell["symmetry"]])
+    elif kind == "rotation":
+        edge = rng.choice(doc["cells"]["1"])["id"]
+        rot["edge_rotations"][edge] = "%d/%d" % (rng.randint(-3, 3), rng.randint(1, 6))
+    elif kind in ("sign", "drop"):
+        star = rot["vertex_stars"][rng.choice([v for v, s in rot["vertex_stars"].items() if s])]
+        i = rng.randrange(len(star))
+        if kind == "sign":
+            star[i]["sign"] *= -1
+        else:
+            del star[i]
+    else:
+        doc["cells"]["1"].append({"id": "r", "symmetry": 1, "reverses_orientation": True})
+        zero = rng.random() < 0.3
+        for row in doc["boundaries"]["1"]:
+            row.append(0 if zero else rng.randint(-1, 1))
+        doc["boundaries"]["2"].append([rng.randint(-2, 2) for _ in doc["cells"]["2"]])
+        if chain_maps:
+            f = sub["chain_map"]["1"]
+            for row in f:
+                row.append(0)
+            f.append([0] * len(f[0]))
+    return kind, doc
+
+
+class TestOneRuleSet:
+    """Seeded mutations of the rigid builtins: a spec that check passes is
+    refused by no command except for a scope error, and a build fault that
+    check names stops every command that builds that mode."""
+
+    def test_commands_refuse_what_check_refuses(self, tmp_path, capsys):
+        rng = random.Random(20141015)
+        docs = {name: json.loads(save_spec(builtin(name))) for name in _RIGID_BUILTINS}
+        seen = {"ok": 0, "build": 0, "build through r": 0}
+        for draw in range(300):
+            name = rng.choice(_RIGID_BUILTINS)
+            kind, doc = _mutated(docs[name], rng)
+            path = _write(tmp_path, doc)
+            lines = run("check", path).stdout.splitlines()
+            assert capsys.readouterr() == ("", ""), (draw, kind)
+            ok = lines == ["%s: ok" % name]
+            faulty = set()
+            for issue in lines[1:]:
+                built = re.fullmatch(r"  build\[(.*?)\]: (.*)", issue)
+                if built:
+                    faulty.update(built[1].split(", "))
+                # The builds are the one owner of d∘d = 0.
+                assert "boundary of boundary" not in issue or built, (draw, kind, issue)
+            seen["ok"] += ok
+            seen["build"] += bool(faulty)
+            seen["build through r"] += bool(faulty) and kind == "reversing"
+            for argv, modes in _BUILDS.items():
+                res = run(argv[0], path, *argv[1:])
+                err = capsys.readouterr().err
+                if ok:
+                    assert res.exit_code == 0 or (
+                        res.exit_code == 1 and err[len("error: "):-1] in _SCOPE_ERRORS), (
+                        draw, kind, argv, err)
+                if faulty & modes:
+                    assert (res.exit_code, res.stdout) == (1, ""), (draw, kind, argv)
+        assert min(seen.values()) >= 20, seen
 
 
 # limit --group and --matrix values that do not parse.

@@ -18,7 +18,14 @@ from tilecohom.complexes import (
 )
 from tilecohom.exactalg import IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, homology_presentation
-from tilecohom.tilings import CellType, SubstitutionData, builtin, builtin_names, make_spec
+from tilecohom.tilings import (
+    CellType,
+    SubstitutionData,
+    builtin,
+    builtin_names,
+    make_spec,
+    validate_spec,
+)
 
 
 def perturb(matrix, i, j, delta=1):
@@ -103,14 +110,17 @@ class TestBuild:
             assert str(e.value) == "%s complex requires a %s-mode spec" % (mode, expected)
 
     def test_orientation_reversing_cells_drop(self):
-        # one reversing edge type: the chain group loses that generator
+        # One reversing edge type: the chain group loses that generator.  A
+        # half turn about the edge's midpoint swaps its ends, so both are of
+        # one vertex type and its d_1 column is zero: the spec is valid.
         spec = make_spec(
             "pent-like", 2, "rigid",
             cells={0: (CellType("p"), CellType("q")),
                    1: (CellType("e", reverses_orientation=True),),
                    2: (CellType("f"),)},
-            boundaries={1: IntMatrix.from_rows([[1], [-1]]),
+            boundaries={1: IntMatrix.from_rows([[0], [0]]),
                         2: IntMatrix.from_rows([[5]])})
+        assert validate_spec(spec) == ()
         cplx = build_chain_complex(spec, MODE_RIGID)
         assert cplx.ranks == (2, 0, 1)
         assert homology(cplx, 0).structure == FgAbelianGroup(2, ())

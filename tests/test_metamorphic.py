@@ -9,8 +9,9 @@ recorded answer, so it needs no formula and no second implementation:
   cells: the coordinates of the d2 image and the order of check's issues;
 - a stationary direct limit lim(G, F) is that of F^2 (a cofinal subsystem)
   and of P F P^-1 for an automorphism P of G, whenever both are determined;
-- a chain-level substitution F replaced by F^2 in every degree leaves every
-  `--limit` group and every hull line as it was.
+- a substitution F replaced by F^2 in every degree, as chain-level data or
+  as homology-level images, leaves every `--limit` group and every hull line
+  as it was.
 
 Every sample is drawn from a fixed seed, so a failure reproduces.
 """
@@ -28,10 +29,11 @@ from pathlib import Path
 import pytest
 
 from tilecohom.cli import run_command
+from tilecohom.complexes import build_chain_complex
 from tilecohom.dirlimit import STATUS_UNDETERMINED, direct_limit
 from tilecohom.exactalg import IntMatrix, inverse_unimodular
 from tilecohom.groups import GroupHom, from_divisors
-from tilecohom.tilings import builtin, builtin_names, save_spec
+from tilecohom.tilings import builtin, builtin_names, load_spec, save_spec
 
 _HERE = Path(__file__).parent
 sys.path.insert(0, str(_HERE.parent / "perfbench"))
@@ -52,6 +54,8 @@ DOCUMENTS = {
 }
 _CHAIN_MAP_SPECS = sorted(name for name, doc in DOCUMENTS.items()
                           if doc.get("substitution", {}).get("kind") == "chain_map")
+_HOMOLOGY_MAP_SPECS = sorted(name for name, doc in DOCUMENTS.items()
+                             if doc.get("substitution", {}).get("kind") == "homology_map")
 
 _MODES = ("translation", "rigid", "rigid-modified")
 _HULLS = ("translation", "rotation-quotient", "rigid")
@@ -211,6 +215,11 @@ def test_direct_limit_is_invariant_under_squaring_and_conjugation():
     assert min(compared.values()) >= 200, compared
 
 
+# The commands whose answers a substitution F and F^2 share: every limit and hull.
+_LIMITS_AND_HULLS = [argv for argv in _COMMANDS
+                     if "--limit" in argv or argv[0] not in ("homology", "check")]
+
+
 @pytest.mark.parametrize("name", _CHAIN_MAP_SPECS)
 def test_squared_substitution_moves_no_limit_or_hull(tmp_path, name):
     doc = DOCUMENTS[name]
@@ -219,9 +228,25 @@ def test_squared_substitution_moves_no_limit_or_hull(tmp_path, name):
     for k, rows in maps.items():
         f = IntMatrix.from_rows(rows)
         maps[k] = (f * f).to_rows()
-    commands = [argv for argv in _COMMANDS if "--limit" in argv or argv[0] != "homology"]
-    commands.remove(["check"])
-    expected = _outcomes(tmp_path, doc, commands)
-    assert _outcomes(tmp_path, squared, commands) == expected
+    expected = _outcomes(tmp_path, doc, _LIMITS_AND_HULLS)
+    assert _outcomes(tmp_path, squared, _LIMITS_AND_HULLS) == expected
     # The limits and hulls are answers, not a shared error.
     assert [code for _, code, _, _ in expected].count(0) >= 2
+
+
+@pytest.mark.parametrize("name", _HOMOLOGY_MAP_SPECS)
+def test_squared_homology_map_moves_no_limit_or_hull(tmp_path, name):
+    """Each degree's images replaced by lifts of M^2 class(g), M the map that
+    the spec's own data induces on H_k of the complex it is read in."""
+    doc = DOCUMENTS[name]
+    analysis = build_chain_complex(load_spec(json.dumps(doc)), doc["geometry_mode"])
+    squared = copy.deepcopy(doc)
+    for k, pair in squared["substitution"]["homology_map"].items():
+        p, m = analysis.homology(int(k)), analysis.substitution_map(int(k))
+        pair["images"] = [list(p.lift(m.apply(m.apply(p.class_of(g)))))
+                          for g in pair["generators"]]
+    assert squared != doc
+    expected = _outcomes(tmp_path, doc, _LIMITS_AND_HULLS)
+    assert _outcomes(tmp_path, squared, _LIMITS_AND_HULLS) == expected
+    # The --limit groups of the spec's own mode are answers, not a shared error.
+    assert [code for _, code, _, _ in expected].count(0) >= 1

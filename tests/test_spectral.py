@@ -132,7 +132,7 @@ class TestWindingChain:
         open_laps = [(c.id, t) for c, t in zip(spec.cells[0], totals) if t.denominator != 1]
         issues = ["rotation.vertex_stars.%s: lap sums to %s of a full turn; rotations must "
                   "close up" % lap for lap in open_laps]
-        assert [i for i in validate_spec(spec).issues if "lap sums to" in i] == issues
+        assert [i for i in validate_spec(spec) if "lap sums to" in i] == issues
         if open_laps:
             with pytest.raises(SpectralError) as err:
                 winding_chain(spec)
