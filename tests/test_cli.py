@@ -2,9 +2,13 @@ import argparse
 import copy
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -31,10 +35,11 @@ def run(*argv):
 
 class TestHomologyCommand:
     def test_penrose_degree_zero(self):
-        res = run("homology", "--builtin", "penrose-kite-dart",
-                  "--mode", "rigid", "--degree", "0")
-        assert res.exit_code == 0
-        assert res.stdout == "H_0 = Z^2 + Z/5\n"
+        """The substitution acts on H_0 as an isomorphism, so --limit keeps it."""
+        for limit in ((), ("--limit",)):
+            res = run("homology", "--builtin", "penrose-kite-dart",
+                      "--mode", "rigid", "--degree", "0", *limit)
+            assert (res.exit_code, res.stdout) == (0, "H_0 = Z^2 + Z/5\n"), limit
 
     def test_fibonacci_limits(self):
         res = run("homology", "--builtin", "fibonacci", "--mode", "translation",
@@ -68,10 +73,15 @@ class TestHomologyCommand:
         assert "argument --degree: invalid integer value" in capsys.readouterr().err
 
     def test_file_target(self, tmp_path):
+        """A saved builtin reads as the builtin itself."""
         path = tmp_path / "penrose.json"
         path.write_text(save_spec(builtin("penrose-kite-dart")))
         res = run("homology", str(path), "--mode", "rigid", "--degree", "0")
         assert res.stdout == "H_0 = Z^2 + Z/5\n"
+        for argv in (["check"], ["spectral"]):
+            res = run(argv[0], str(path))
+            assert res.exit_code == 0
+            assert res == run(argv[0], "--builtin", "penrose-kite-dart"), argv
 
 
 class TestSpectralCommand:
@@ -440,6 +450,28 @@ class TestOneRuleSet:
         assert min(seen.values()) >= 20, seen
 
 
+# limit --group and --matrix values, with the exit code and stdout of each.
+_LIMIT_OUTCOMES = [
+    ("0", "", 0, "limit = 0 (status exact)\n"),
+    ("Z + Z/2 + Z/4", "4,0,0;0,0,1;0,0,1", 0,
+     "limit = Z[1/2] + Z/4 (status verified_profile)\n"
+     "note: inverted integer 4 canonicalized to its radical 2\n"),
+    ("Z^2 + Z/4", "6,1,0;0,6,0;0,0,2", 0,
+     "limit = (undetermined rank 2) (status undetermined)\n"
+     "lattice rank 2, p-divisible ranks 2:2, 3:2\n"),
+    ("Z^2", "2,1;0,7", 0,
+     "limit = (undetermined rank 2) (status undetermined)\n"
+     "lattice rank 2, p-divisible ranks 2:1, 7:1\n"),
+    ("Z^2", "2,0;0,7", 0, "limit = Z[1/2] + Z[1/7] (status verified_profile)\n"),
+    ("Z^2", "1,2;3", 1, ""),
+    # Z/ab with a, b of 4,001 digits: the limit is too long to print.
+    ("Z/%d + Z/%d" % (10 ** 4000 + 1, 10 ** 4000 + 3), "1", 1, ""),
+    # |det| = 919 * 937^2 * 997.
+    ("Z^5", "-2811,-60,1874,0,-1814;2812,-937,-1874,0,2812;-936,0,937,0,-936;"
+            "0,-1916,0,919,1916;2812,60,-1874,0,1815", 0,
+     "limit = Z + Z[1/919] + Z[1/937]^2 + Z[1/997] (status verified_profile)\n"),
+]
+
 # limit --group and --matrix values that do not parse.
 _UNPARSABLE_LIMITS = [
     ("Z", "a"), ("Z^x", "1"),
@@ -542,6 +574,13 @@ class TestLimitCommand:
         assert spaced.exit_code == 0
         assert (spaced.exit_code, spaced.stdout) == (attached.exit_code, attached.stdout)
 
+    @pytest.mark.parametrize("group, matrix, exit_code, stdout", _LIMIT_OUTCOMES,
+                             ids=[("%s by %s" % case[:2])[:40] for case in _LIMIT_OUTCOMES])
+    def test_outcome(self, time_limit, int_digit_limit, group, matrix, exit_code, stdout):
+        with time_limit(10):
+            res = run("limit", "--group", group, "--matrix", matrix)
+        assert (res.exit_code, res.stdout) == (exit_code, stdout)
+
     @pytest.mark.parametrize("group, matrix", _UNPARSABLE_LIMITS)
     def test_unparsable_input_is_one_error_line(self, capsys, group, matrix):
         res = run("limit", "--group", group, "--matrix", matrix)
@@ -560,6 +599,28 @@ class TestUsageAndDeterminism:
         assert capsys.readouterr().out.splitlines() == list(builtin_names())
         assert main(["limit"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_the_module_runs_as_a_program(self):
+        """`python -m tilecohom.cli`, with this checkout's src/ on PYTHONPATH,
+        exits with main's code and writes the result to stdout and errors to
+        stderr."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def program(*argv):
+            return subprocess.run([sys.executable, "-m", "tilecohom.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        listed = program("builtin", "list")
+        assert (listed.returncode, listed.stdout.splitlines(), listed.stderr) == (
+            0, list(builtin_names()), "")
+        unknown = program("check", "--builtin", "pinwheel")
+        assert (unknown.returncode, unknown.stdout) == (1, "")
+        assert _one_error_line(unknown.stderr)
+        usage = program("limit")
+        assert (usage.returncode, usage.stdout) == (2, "")
+        assert usage.stderr.startswith("usage: tilecohom limit")
 
     def test_unknown_builtin_is_domain_error(self):
         res = run("homology", "--builtin", "pinwheel", "--mode", "rigid")
@@ -615,7 +676,8 @@ class TestUsageAndDeterminism:
     @pytest.mark.parametrize("argv, usage, listed", [
         (["--help"], "usage: tilecohom [-h]",
          ["{check,homology,cohomology,spectral,limit,builtin}", "-h"]),
-        (["check", "--help"], "usage: tilecohom check [-h]", ["path", "-h", "--builtin"]),
+        (["check", "--help"], "usage: tilecohom check [-h] [--builtin BUILTIN] [path]\n",
+         ["path", "-h", "--builtin"]),
         (["homology", "--help"], "usage: tilecohom homology [-h]",
          ["path", "-h", "--builtin", "--mode", "--degree", "--limit", "--json"]),
         (["cohomology", "--help"], "usage: tilecohom cohomology [-h]",
@@ -627,8 +689,9 @@ class TestUsageAndDeterminism:
         (["builtin", "--help"], "usage: tilecohom builtin [-h]", ["{list}", "-h"]),
     ])
     def test_help_is_the_command_stdout(self, capsys, argv, usage, listed):
-        """The help text starts with the command's usage line and lists each
-        of its arguments, one per two-space indented line."""
+        """The help text starts with the command's usage line (for check, the
+        whole line) and lists each of its arguments, one per two-space
+        indented line."""
         res = run_command(argv)
         assert res.exit_code == 0
         assert res.stdout.startswith(usage)
@@ -713,20 +776,6 @@ _TEXT_KEYS = {
     "limit": ("limit", "status", "notes", "lattice_rank", "p_divisible_ranks"),
 }
 
-# The limit cases of the installed entry point's CI checks.
-_CI_LIMITS = [
-    ("0", ""),
-    ("Z + Z/2 + Z/4", "4,0,0;0,0,1;0,0,1"),
-    ("Z^2 + Z/4", "6,1,0;0,6,0;0,0,2"),
-    ("Z^2", "2,1;0,7"),
-    ("Z^2", "2,0;0,7"),
-    ("Z^2", "1,2;3"),
-    ("Z/%d + Z/%d" % (10 ** 4000 + 1, 10 ** 4000 + 3), "1"),
-    ("Z^5", "-2811,-60,1874,0,-1814;2812,-937,-1874,0,2812;-936,0,937,0,-936;"
-            "0,-1916,0,919,1916;2812,60,-1874,0,1815"),
-]
-
-
 def _text_and_json_argvs():
     for name in builtin_names():
         for mode in ("rigid", "rigid-modified", "translation"):
@@ -735,7 +784,7 @@ def _text_and_json_argvs():
         for hull in ("translation", "rotation-quotient", "rigid"):
             yield ["cohomology", "--builtin", name, "--hull", hull]
         yield ["spectral", "--builtin", name]
-    for group, matrix in _CI_LIMITS:
+    for group, matrix, _, _ in _LIMIT_OUTCOMES:
         yield ["limit", "--group", group, "--matrix", matrix]
 
 
@@ -815,8 +864,9 @@ class TestMalformedInput:
         _penrose_rotations({"E1": "1e-5000"}),
         _penrose_rotations({"E1": "1e10000000"}),
         _LONG_LAPS,
+        b'{"name": "x"}',
     ], ids=["deep-nesting", "long-integer", "not-utf8", "exponent-rational",
-            "huge-exponent-rational", "lap-too-long-to-print"])
+            "huge-exponent-rational", "lap-too-long-to-print", "missing-keys"])
     def test_spec_file(self, tmp_path, capsys, time_limit, content):
         path = tmp_path / "spec.json"
         path.write_bytes(content)

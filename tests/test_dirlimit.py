@@ -481,7 +481,7 @@ def _factored():
             setattr(dirlimit_module, name, original)
 
 
-# The heavy limit of the CI entry-point check: |det| = 919 * 937^2 * 997.
+# The Z^5 limit of tests/test_cli.py's _LIMIT_OUTCOMES: |det| = 919 * 937^2 * 997.
 _HEAVY = IntMatrix.from_rows([[-2811, -60, 1874, 0, -1814], [2812, -937, -1874, 0, 2812],
                               [-936, 0, 937, 0, -936], [0, -1916, 0, 919, 1916],
                               [2812, 60, -1874, 0, 1815]])
