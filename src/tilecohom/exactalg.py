@@ -22,6 +22,15 @@ class ExactAlgError(TilecohomError):
     pass
 
 
+def int_tuple(values) -> tuple:
+    """The values as a tuple; a float, bool, Fraction or str raises, not rounds."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ExactAlgError("not an integer: %r" % (bad,))
+    return values
+
+
 class IntMatrix(Record):
     """Immutable integer matrix, row-major entries."""
 
@@ -45,7 +54,7 @@ class IntMatrix(Record):
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ExactAlgError("ragged rows")
-        return IntMatrix(n, m, tuple(int(x) for r in rows for x in r))
+        return IntMatrix(n, m, int_tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def zero(rows, cols):
@@ -71,7 +80,7 @@ class IntMatrix(Record):
         if any(len(c) != rows for c in columns):
             raise ExactAlgError("ragged columns")
         return IntMatrix(rows, len(columns),
-                         tuple(columns[j][i] for i in range(rows) for j in range(len(columns))))
+                         int_tuple(c[i] for i in range(rows) for c in columns))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -432,7 +441,7 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
 def solve_in_lattice(A: IntMatrix, b) -> tuple | None:
     """Some integer x with A x = b, or None if b is outside the column span."""
-    b = tuple(int(x) for x in b)
+    b = int_tuple(b)
     x = smith_normal_form(A).solve(IntMatrix(len(b), 1, b))
     return None if x is None else x.entries
 

@@ -17,6 +17,7 @@ from .exactalg import (
     IntMatrix,
     SnfResult,
     divisor_chain,
+    int_tuple,
     invariant_factors,
     smith_normal_form,
     solve_in_lattice,
@@ -59,8 +60,7 @@ class FgAbelianGroup(Record):
         return prod(self.torsion)
 
     def element(self, free_coords=(), torsion_coords=()):
-        free_coords = tuple(int(x) for x in free_coords)
-        torsion_coords = tuple(int(x) for x in torsion_coords)
+        free_coords, torsion_coords = int_tuple(free_coords), int_tuple(torsion_coords)
         if len(free_coords) != self.free_rank or len(torsion_coords) != len(self.torsion):
             raise GroupError("coordinate length mismatch")
         torsion_coords = tuple(c % d for c, d in zip(torsion_coords, self.torsion))
@@ -114,7 +114,7 @@ def from_invariant_factors(n, factors) -> FgAbelianGroup:
 def from_divisors(divisors, extra_free=0):
     """Normal form of Z^extra_free + sum of Z/n over the given divisors: the
     divisor chain of the orders (exactalg.divisor_chain), after the 1s."""
-    a = [int(n) for n in divisors]
+    a = int_tuple(divisors)
     if any(n < 1 for n in a):
         raise GroupError("divisors must be positive")
     return from_invariant_factors(extra_free + len(a), divisor_chain(a))
@@ -242,7 +242,7 @@ def symmetry_defect(orders) -> FgAbelianGroup:
     chain-level quotient of the full by the modified degree-0 chains, returned
     in invariant-factor normal form.
     """
-    orders = [int(n) for n in orders]
+    orders = int_tuple(orders)
     if any(n < 2 for n in orders):
         raise GroupError("symmetry orders must be >= 2")
     return from_divisors(orders)
@@ -301,7 +301,7 @@ class SubquotientPresentation(Record):
 
     def class_of(self, cycle) -> GroupElement:
         """The class of one cycle: the one-column case of classes_of."""
-        cycle = tuple(int(v) for v in cycle)
+        cycle = int_tuple(cycle)
         coords = self.classes_of(IntMatrix(len(cycle), 1, cycle)).entries
         f = self.structure.free_rank
         return self.structure.element(coords[:f], coords[f:])

@@ -1053,7 +1053,7 @@ _VALUES = (
 class TestArgvFuzz:
     """Any argv ends with exit 0, 1 or 2 and at most one error line."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.sampled_from(_COMMANDS),
            st.lists(st.tuples(st.sampled_from(_FLAGS),
                               st.one_of(st.sampled_from(_VALUES),
@@ -1067,7 +1067,7 @@ class TestArgvFuzz:
         assert res.exit_code in (0, 1, 2)
         assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.sampled_from(_COMMANDS), st.integers(0, 8),
            st.lists(st.tuples(st.sampled_from(_FLAGS),
                               st.one_of(st.sampled_from(_VALUES + _COMMANDS),
@@ -1098,16 +1098,9 @@ class TestWorkCounts:
     only groups build none."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        calls = []
-        original = complexes.presentation_from
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(complexes, "presentation_from", counting)
-        return calls
+    def builds(self, recorded):
+        with recorded(groups.presentation_from) as calls:
+            yield calls
 
     @pytest.mark.parametrize("argv, expected", [
         ("spectral", 6),
@@ -1183,34 +1176,14 @@ class TestEliminationsPerBoundary:
     most once, by a logged SNF where coordinates are read or without
     transforms where only its group is."""
 
-    @pytest.fixture
-    def eliminated(self, monkeypatch):
-        analyses, made = [], []
-        original_init = complexes.Analysis.__init__
-
-        def init(self, spec, mode):
-            original_init(self, spec, mode)
-            analyses.append(self)
-
-        def recording(eliminate):
-            def run(A):
-                made.append(A)
-                return eliminate(A)
-            return run
-
-        monkeypatch.setattr(complexes.Analysis, "__init__", init)
-        snf = recording(exactalg.smith_normal_form)
-        for module in (exactalg, groups, dirlimit, complexes):
-            monkeypatch.setattr(module, "smith_normal_form", snf)
-        monkeypatch.setattr(complexes, "invariant_factors",
-                            recording(exactalg.invariant_factors))
-        return analyses, made
-
     @pytest.mark.parametrize("argv", _elimination_argvs(), ids=" ".join)
-    def test_each_boundary_at_most_once(self, eliminated, argv):
-        analyses, made = eliminated
-        res = run(*argv)
+    def test_each_boundary_at_most_once(self, recorded, argv):
+        with recorded(complexes.Analysis.__init__, exactalg.smith_normal_form,
+                      exactalg.invariant_factors) as calls:
+            res = run(*argv)
         assert res.exit_code == 0
+        analyses = [args[0] for name, args, _ in calls if name == "Analysis.__init__"]
+        made = [args[0] for name, args, _ in calls if name != "Analysis.__init__"]
         assert analyses
         boundaries = [b for a in analyses for b in a.boundary[1:]]
         assert len({id(b) for b in boundaries}) == len(boundaries)
@@ -1236,23 +1209,17 @@ def _random_complex(boundary_cols, seed=7):
     return d1, K * C
 
 
+@pytest.fixture
+def snfs(recorded):
+    """The logged SNFs run in the test, as (name, args, SnfResult)."""
+    with recorded(exactalg.smith_normal_form) as calls:
+        yield calls
+
+
 class TestFactorizationCounts:
     """One factorization per matrix: a homology presentation factors d_k and
     the boundary coordinates once each, and class_of reuses the
     factorization of d_k."""
-
-    @pytest.fixture
-    def snfs(self, monkeypatch):
-        calls = []
-        original = exactalg.smith_normal_form
-
-        def counting(A):
-            calls.append((A.rows, A.cols))
-            return original(A)
-
-        for module in (exactalg, groups, complexes):
-            monkeypatch.setattr(module, "smith_normal_form", counting)
-        return calls
 
     @pytest.mark.parametrize("boundary_cols", [20, 45])
     def test_presentation_independent_of_boundary_count(self, snfs, boundary_cols):
@@ -1272,23 +1239,17 @@ class TestFactorizationCounts:
         assert snfs == []
 
     @pytest.mark.parametrize("mode", [complexes.MODE_RIGID, complexes.MODE_RIGID_MODIFIED])
-    def test_chain_level_maps_factor_only_presentations(self, snfs, monkeypatch, mode):
+    def test_chain_level_maps_factor_only_presentations(self, recorded, mode):
         """Chain-level substitution maps read every class from the
         presentations' factorizations, and no vector products.  Five SNFs:
         d_0, d_1 and d_2 once each, and the relation matrices of H_1 and H_2;
         H_0's relation matrix is d_1 itself."""
-        products = []
-        original = IntMatrix.mul_vector
-
-        def counting(self, vec):
-            products.append(self.rows)
-            return original(self, vec)
-
-        monkeypatch.setattr(IntMatrix, "mul_vector", counting)
-        maps = complexes.Analysis(builtin("penrose-kite-dart"), mode).substitution_maps
+        with recorded(exactalg.smith_normal_form, IntMatrix.mul_vector) as calls:
+            maps = complexes.Analysis(builtin("penrose-kite-dart"), mode).substitution_maps
         assert sorted(maps) == [0, 1, 2]
-        assert len(snfs) == 5
-        assert products == []
+        names = [name for name, *_ in calls]
+        assert names.count("smith_normal_form") == 5
+        assert "IntMatrix.mul_vector" not in names
 
 
 def _chain_map_spec(d1, d2, maps):
@@ -1325,7 +1286,7 @@ def _homotopic_to_scalar(d1, d2, m, rng):
 class TestChainLevelMaps:
     """The bulk route of Analysis.substitution_maps for chain-level data."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 10 ** 6), boundary_cols=st.integers(1, 6),
            m=st.integers(-6, 6))
     def test_homotopy_to_scalar_induces_scalar(self, seed, boundary_cols, m):
@@ -1356,7 +1317,7 @@ class TestChainLevelMaps:
     def test_penrose_matches_reference_route(self, mode):
         self._check_reference_route(complexes.Analysis(builtin("penrose-kite-dart"), mode))
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(seed=st.integers(0, 10 ** 6), boundary_cols=st.integers(1, 6),
            m=st.integers(-6, 6))
     def test_random_chain_maps_match_reference_route(self, seed, boundary_cols, m):
@@ -1371,7 +1332,7 @@ class TestChainLevelMaps:
         assert _columns(pres.generator_matrix()) == \
             [pres.lift(g) for g in pres.structure.generators()]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 10 ** 6), count=st.integers(0, 5),
            bad=st.none() | st.integers(0, 4))
     def test_classes_of_agrees_with_class_of(self, seed, count, bad):
@@ -1416,52 +1377,23 @@ class TestTransformBuilds:
     they are read."""
 
     @pytest.fixture
-    def factorizations(self, monkeypatch):
-        made = []
-        original = exactalg.smith_normal_form
-
-        def recording(A):
-            made.append(original(A))
-            return made[-1]
-
-        for module in (exactalg, groups, dirlimit, complexes):
-            monkeypatch.setattr(module, "smith_normal_form", recording)
-        return made
+    def replays(self, recorded):
+        with recorded(exactalg.SnfResult.vinv_times) as calls:
+            yield calls
 
     @pytest.fixture
-    def replays(self, monkeypatch):
-        made = []
-        monkeypatch.setattr(exactalg.SnfResult, "vinv_times", lambda self, M: made.append(M))
-        return made
-
-    @pytest.fixture
-    def eliminations(self, monkeypatch):
+    def eliminations(self, recorded):
         """The matrices diagonalized without transforms."""
-        made = []
-        original = exactalg.invariant_factors
-
-        def recording(A):
-            made.append(A)
-            return original(A)
-
-        monkeypatch.setattr(complexes, "invariant_factors", recording)
-        return made
-
-    def test_structure_only_homology_builds_no_transform(self, factorizations, replays,
-                                                          eliminations):
-        # The groups come from transform-free eliminations of d_1 and d_2 alone.
-        res = run("homology", "--builtin", "penrose-kite-dart", "--mode", "rigid")
-        assert res.exit_code == 0
-        assert len(eliminations) == 2
-        assert factorizations == []
-        assert replays == []
+        with recorded(exactalg.invariant_factors) as calls:
+            yield calls
 
     @pytest.mark.parametrize("argv, boundaries", [
+        ("homology --builtin penrose-kite-dart --mode rigid", 2),
         ("homology --builtin fibonacci --mode translation", 1),
         ("cohomology --builtin triangle-periodic-translation --hull translation", 2),
         ("cohomology --builtin square-periodic-rigid --hull rotation-quotient", 2),
     ])
-    def test_structure_only_commands_build_no_transform(self, factorizations, replays,
+    def test_structure_only_commands_build_no_transform(self, snfs, replays,
                                                          eliminations, argv, boundaries):
         """A command that prints only groups diagonalizes each boundary
         d_1 ... d_top once without transforms, and runs no logged SNF and no
@@ -1469,28 +1401,28 @@ class TestTransformBuilds:
         res = run(*argv.split())
         assert res.exit_code == 0
         assert len(eliminations) == boundaries
-        assert factorizations == []
+        assert snfs == []
         assert replays == []
 
     @pytest.mark.parametrize("argv", [
         "homology --builtin fibonacci --mode translation --limit",
         "spectral --builtin penrose-kite-dart",
     ])
-    def test_coordinate_commands_build_no_transform(self, factorizations, argv):
+    def test_coordinate_commands_build_no_transform(self, snfs, argv):
         """Commands that read coordinates, kernels and lattice solves apply
         every transform through its log and build none as a matrix."""
         res = run(*argv.split())
         assert res.exit_code == 0
-        assert factorizations
-        assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+        assert snfs
+        assert [n for *_, f in snfs for n in _TRANSFORMS if n in vars(f)] == []
 
-    def test_presentation_never_builds_a_transform(self, factorizations):
+    def test_presentation_never_builds_a_transform(self, snfs):
         d1, d2 = _random_complex(20)
         pres = groups.homology_presentation(d1, d2)
         for g, cycle in zip(pres.structure.generators(), _columns(pres.generator_matrix())):
             assert pres.class_of(cycle) == g
-        assert factorizations
-        assert [n for f in factorizations for n in _TRANSFORMS if n in vars(f)] == []
+        assert snfs
+        assert [n for *_, f in snfs for n in _TRANSFORMS if n in vars(f)] == []
 
 
 def _dense_spec(n):

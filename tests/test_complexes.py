@@ -1,11 +1,10 @@
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tilecohom import complexes, groups
+from tilecohom import complexes
 from tilecohom.complexes import (
     MODE_RIGID,
     MODE_RIGID_MODIFIED,
@@ -16,7 +15,7 @@ from tilecohom.complexes import (
     homology,
     substitution_homology_maps,
 )
-from tilecohom.exactalg import IntMatrix, kernel_basis
+from tilecohom.exactalg import IntMatrix, invariant_factors, kernel_basis, smith_normal_form
 from tilecohom.groups import FgAbelianGroup, homology_presentation
 from tilecohom.tilings import (
     CellType,
@@ -319,7 +318,7 @@ class TestStructureFromFactorizations:
     """Analysis.structure reads H_k from rank d_k and the invariant factors of
     d_{k+1}; the presentation's cokernel factorization must agree."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 10 ** 6))
     def test_matches_presentation_in_every_mode(self, seed):
         """The cached presentation that homology(cplx, k) returns also gives
@@ -362,28 +361,6 @@ class TestStructureFromFactorizations:
                 analysis.homology(k)
 
 
-@contextmanager
-def _factored():
-    """The list of matrices that complexes and groups eliminate inside the
-    block, by a logged SNF or without transforms."""
-    made = []
-    originals = complexes.smith_normal_form, complexes.invariant_factors
-
-    def recording(eliminate):
-        def run(A):
-            made.append(A)
-            return eliminate(A)
-        return run
-
-    complexes.smith_normal_form = groups.smith_normal_form = recording(originals[0])
-    complexes.invariant_factors = groups.invariant_factors = recording(originals[1])
-    try:
-        yield made
-    finally:
-        complexes.smith_normal_form = groups.smith_normal_form = originals[0]
-        complexes.invariant_factors = groups.invariant_factors = originals[1]
-
-
 class TestOneFactorizationPerMatrix:
     """Within one Analysis that reads coordinates before groups, each
     boundary d_k is eliminated exactly once, and no other matrix twice.
@@ -416,9 +393,11 @@ class TestOneFactorizationPerMatrix:
         finally:
             complexes.direct_limit = original
 
-    def _check(self, analysis, read=None):
-        with _factored() as made:
+    def _check(self, recorded, analysis, read=None):
+        # The matrices eliminated, by a logged SNF or without transforms.
+        with recorded(smith_normal_form, invariant_factors) as calls:
             (read or self._read_everything)(analysis)
+        made = [A for _, (A,), _ in calls]
         # Empty matrices, such as d_0 and the relations of a degree whose cycles
         # all bound, may coincide; factoring them costs nothing.
         boundaries = analysis.boundary[1:]
@@ -429,27 +408,27 @@ class TestOneFactorizationPerMatrix:
             assert sum(A is b for A in made) == 1
 
     @pytest.mark.parametrize("name", builtin_names())
-    def test_builtins(self, name):
+    def test_builtins(self, recorded, name):
         spec = builtin(name)
         modes = ([MODE_TRANSLATION] if spec.geometry_mode == "translation"
                  else [MODE_RIGID, MODE_RIGID_MODIFIED])
         for mode in modes:
-            self._check(Analysis(spec, mode))
-            self._check(Analysis(spec, mode), self._read_groups)
+            self._check(recorded, Analysis(spec, mode))
+            self._check(recorded, Analysis(spec, mode), self._read_groups)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 10 ** 6))
     @example(seed=1027)
     @example(seed=991615)
-    def test_random_complexes(self, seed):
+    def test_random_complexes(self, recorded, seed):
         for analysis in _random_analyses(seed):
-            self._check(analysis)
+            self._check(recorded, analysis)
         for analysis in _random_analyses(seed):
-            self._check(analysis, self._read_groups)
+            self._check(recorded, analysis, self._read_groups)
 
-    def test_structure_factors_only_the_boundaries(self):
+    def test_structure_factors_only_the_boundaries(self, recorded):
         analysis = Analysis(builtin("penrose-kite-dart"), MODE_RIGID)
-        with _factored() as factored:
+        with recorded(smith_normal_form, invariant_factors) as calls:
             for k in range(3):
                 analysis.structure(k)
-        assert [id(A) for A in factored] == [id(b) for b in analysis.boundary[1:]]
+        assert [id(A) for _, (A,), _ in calls] == [id(b) for b in analysis.boundary[1:]]

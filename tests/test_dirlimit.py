@@ -1,6 +1,5 @@
 import random
 import sys
-from contextlib import contextmanager
 from collections import Counter
 from itertools import combinations
 from math import gcd, prod
@@ -356,7 +355,7 @@ def _diagonal(values):
 class TestEigenvalueOracle:
     """Limits of P J P^-1 against the answer read off the eigenvalues of J."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=1, max_size=4),
            ops=_UNIMODULAR_OPS)
     def test_diagonalizable(self, eigenvalues, ops):
@@ -370,7 +369,7 @@ class TestEigenvalueOracle:
         assert lim.free_summands == tuple(sorted(Counter(map(_radical, eigenvalues)).items()))
         assert lim.notes == tuple(dict.fromkeys(notes))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(lam=st.sampled_from(_NON_UNITS),
            others=st.lists(st.sampled_from(_EIGENVALUES), max_size=2), ops=_UNIMODULAR_OPS)
     def test_jordan_block(self, lam, others, ops):
@@ -437,7 +436,7 @@ class TestEventualKernelOracle:
     """eventual_data of P J P^-1 against ker F^r and the characteristic
     polynomial, computed here without any SNF."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(blocks=_JORDAN_BLOCKS, nilpotent=st.booleans(), ops=_UNIMODULAR_OPS)
     def test_kernel_and_induced_map(self, blocks, nilpotent, ops):
         if nilpotent:
@@ -458,29 +457,6 @@ class TestEventualKernelOracle:
             assert _shifted_det(F, c) == c ** k * _shifted_det(D, c)
 
 
-@contextmanager
-def _factored():
-    """The eliminations that dirlimit runs inside the block, as (name, matrix)
-    pairs: a logged smith_normal_form or a transform-free invariant_factors."""
-    made = []
-    originals = {name: getattr(dirlimit_module, name)
-                 for name in ("smith_normal_form", "invariant_factors")}
-
-    def recording(name):
-        def run(A):
-            made.append((name, A))
-            return originals[name](A)
-        return run
-
-    for name in originals:
-        setattr(dirlimit_module, name, recording(name))
-    try:
-        yield made
-    finally:
-        for name, original in originals.items():
-            setattr(dirlimit_module, name, original)
-
-
 # The Z^5 limit of tests/test_cli.py's _LIMIT_OUTCOMES: |det| = 919 * 937^2 * 997.
 _HEAVY = IntMatrix.from_rows([[-2811, -60, 1874, 0, -1814], [2812, -937, -1874, 0, 2812],
                               [-936, 0, 937, 0, -936], [0, -1916, 0, 919, 1916],
@@ -490,29 +466,30 @@ _HEAVY = IntMatrix.from_rows([[-2811, -60, 1874, 0, -1814], [2812, -937, -1874, 
 class TestNoMatrixPowers:
     """eventual_data eliminates F and the maps induced on the quotients of the
     kernel chain, never a power of F, and keeps the logs of the singular
-    ones only."""
+    ones only: a logged smith_normal_form or a transform-free
+    invariant_factors for each."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=2, max_size=5),
            ops=_UNIMODULAR_OPS)
-    def test_nonsingular_factors_only_f(self, eigenvalues, ops):
+    def test_nonsingular_factors_only_f(self, recorded, eigenvalues, ops):
         F = _conjugate(_diagonal(eigenvalues), ops)
-        with _factored() as made:
+        with recorded(smith_normal_form, invariant_factors) as made:
             data = eventual_data(*free_endo(F))
-        assert made == [("invariant_factors", F)]
+        assert [(name, A) for name, (A,), _ in made] == [("invariant_factors", F)]
         assert data.induced == F
 
-    def test_heavy_case_factors_only_f(self):
-        with _factored() as made:
+    def test_heavy_case_factors_only_f(self, recorded):
+        with recorded(smith_normal_form, invariant_factors) as made:
             eventual_data(*free_endo(_HEAVY))
-        assert made == [("invariant_factors", _HEAVY)]
+        assert [(name, A) for name, (A,), _ in made] == [("invariant_factors", _HEAVY)]
 
-    def test_singular_factors_one_map_per_kernel_step(self):
+    def test_singular_factors_one_map_per_kernel_step(self, recorded):
         # ker F < ker F^2 = ker F^3: F, then the 2x2 and 1x1 induced maps.
         F = IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
-        with _factored() as made:
+        with recorded(smith_normal_form, invariant_factors) as made:
             data = eventual_data(*free_endo(F))
-        assert [(name, A.rows) for name, A in made] == [
+        assert [(name, A.rows) for name, (A,), _ in made] == [
             ("invariant_factors", 3), ("smith_normal_form", 3),
             ("invariant_factors", 2), ("smith_normal_form", 2), ("invariant_factors", 1)]
         assert data.induced.entries == (2,)
@@ -524,7 +501,7 @@ def _old_stable_rank(D, p):
 
 
 class TestStableRankReference:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(rows=st.integers(0, 5).flatmap(lambda n: st.lists(
                st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((0, 1, 2, 3, 997)),
                         min_size=n, max_size=n), min_size=n, max_size=n)),
@@ -533,7 +510,7 @@ class TestStableRankReference:
         D = IntMatrix(len(rows), len(rows), tuple(x for row in rows for x in row))
         assert stable_rank_mod_p(D, p) == _old_stable_rank(D, p)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(n=st.integers(1, 5), p=st.sampled_from((2, 3, 5, 7, 997, 10 ** 20 + 39)),
            c=st.integers(-3, 3), ops=_UNIMODULAR_OPS, data=st.data())
     def test_nilpotent_jordan_block_mod_p(self, n, p, c, ops, data):
@@ -612,7 +589,7 @@ class TestSplitsByType:
         assert _splits_by_type([[2]], {2: [2]}) is True
         assert _splits_by_type([[2, 1], [0, 2]], {2: [2, 2]}) is False
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(values=st.lists(st.integers(-10 ** 6, 10 ** 6).filter(bool) | st.sampled_from((1, -1, 2)),
                            min_size=1, max_size=5),
            jordan=st.booleans(), ops=_UNIMODULAR_OPS)
@@ -701,7 +678,7 @@ class TestCharPolyReference:
     """_char_poly against Bareiss determinants: a monic polynomial of degree n
     is fixed by its values at n + 1 points."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(rows=st.integers(0, 6).flatmap(lambda n: st.lists(
                st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((0, 1, -1)),
                         min_size=n, max_size=n), min_size=n, max_size=n)),
@@ -742,7 +719,7 @@ class TestTorsionLimitReference:
     divisor chains with orders up to about 2^40, where the products of two
     reduced entries overflow the orders."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(torsion=st.builds(_divisor_chain, st.integers(2, 1 << 13),
                              st.lists(st.integers(1, 1 << 13), max_size=2)),
            free_rank=st.integers(0, 2), data=st.data())
@@ -790,7 +767,7 @@ class TestPowerMod:
     """Repeated squaring with row i reduced mod its modulus, against the
     power by repeated products, reduced at the end."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(rows=st.tuples(_ENTRIES, st.integers(0, 4)).flatmap(lambda en: _square_rows(*en)),
            m=st.sampled_from((2, 3, 997, 10 ** 20 + 39, (1 << 300) + 7)),
            bound=st.integers(0, 9))
@@ -798,7 +775,7 @@ class TestPowerMod:
         expected = [[x % m for x in row] for row in _naive_power(rows, bound)]
         assert _power_mod(rows, [m] * len(rows), bound) == expected
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(torsion=st.builds(_divisor_chain, st.integers(2, 1 << 100),
                              st.lists(st.integers(1, 1 << 100), max_size=3)),
            bound=st.integers(0, 9), data=st.data())
@@ -873,7 +850,7 @@ class TestEigenvalueCandidatesBasisFree:
             "limit = Z[1/6469693230]^2 (status verified_profile)\n"
             "note: inverted integer 12939386460 canonicalized to its radical 6469693230\n"))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @example(rows=_diagonal([_N, -_N, 7]), ops=[(0, 1, _N), (2, 0, 1)])
     @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
                st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
@@ -912,7 +889,7 @@ _LARGE_PRIMES = tuple(q for q in range(TRIAL_DIVISION_BOUND + 1, TRIAL_DIVISION_
 class TestFactorizeReference:
     """_factorize against the factorization a product was built from."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @example(factors=[2] * 20)
     @example(factors=[_LARGEST_SMALL_PRIME] * 2)
     @example(factors=[2] * 7 + [3, 3, _LARGEST_SMALL_PRIME, _LARGEST_SMALL_PRIME])
@@ -923,7 +900,7 @@ class TestFactorizeReference:
         with time_limit(5):
             assert _factorize(n) == _factorize(-n) == (dict(Counter(factors)), 1)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(small=st.lists(st.sampled_from((2, 3, 5, 7, 997, _LARGEST_SMALL_PRIME)), max_size=3),
            large=st.lists(st.sampled_from(_LARGE_PRIMES), min_size=2, max_size=2))
     def test_products_of_two_large_primes_stay_cofactors(self, time_limit, small, large):

@@ -130,12 +130,12 @@ class TestSmithNormalForm:
             snf = check_snf_contract(IntMatrix.zero(*shape))
             assert snf.rank == 0
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(matrices())
     def test_contract_random(self, A):
         check_snf_contract(A)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(matrices(max_dim=4, max_entry=5))
     def test_invariant_factors_match_minor_gcds(self, A):
         """Oracle: d_1 * ... * d_k equals the gcd of all k x k minors."""
@@ -175,7 +175,7 @@ class TestLogReplay:
     transform built as a matrix, on empty shapes, rank-deficient matrices and
     dense 40-bit entries."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(st.one_of(matrices(), _low_rank(), matrices(max_dim=5, max_entry=_BITS_40),
                      _low_rank(max_dim=5, max_entry=_BITS_40)),
            st.integers(0, 4), st.randoms(use_true_random=False))
@@ -189,7 +189,7 @@ class TestLogReplay:
             with pytest.raises(ExactAlgError):
                 apply(IntMatrix.zero(dim + 1, cols))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(st.one_of(matrices(), _low_rank(), matrices(max_dim=5, max_entry=_BITS_40)))
     def test_kernel_is_columns_of_built_v(self, A):
         snf = smith_normal_form(A)
@@ -215,7 +215,7 @@ class TestInvariantFactors:
     """The transform-free elimination gives the invariant factors of the
     logged Smith normal form, and with them the rank."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(matrices(), matrices(max_entry=1), _low_rank(),
                      _low_rank(max_entry=1), matrices(max_dim=5, max_entry=_BITS_64),
                      _low_rank(max_dim=5, max_entry=_BITS_64)),
@@ -236,7 +236,7 @@ class TestInvariantFactors:
         assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
         assert invariant_factors(IntMatrix.from_rows([[4, 6], [6, 4]])) == (2, 10)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.integers(1, 60), max_size=6))
     def test_divisor_chain_is_the_diagonal_snf(self, values):
         chain = divisor_chain(values)
@@ -248,7 +248,7 @@ class TestInvariantFactors:
 class TestModularReplay:
     """A replay mod N gives the residues of the exact product."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.one_of(matrices(), _low_rank()), st.integers(2, 10 ** 6), st.integers(0, 3),
            st.randoms(use_true_random=False))
     def test_residues_of_exact_product(self, A, N, cols, rng):
@@ -282,7 +282,7 @@ def _product_pairs(max_dim=5):
 
 
 class TestProduct:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_product_pairs())
     @example((IntMatrix.zero(0, 3), IntMatrix.zero(3, 2)))
     @example((IntMatrix.zero(2, 0), IntMatrix.zero(0, 3)))
@@ -320,7 +320,7 @@ class TestKernel:
         assert K.cols == 2
         assert (PENROSE_D1 * K).is_zero()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(matrices())
     def test_kernel_saturated(self, A):
         K = kernel_basis(A)

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -6,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom.exactalg import ExactAlgError, IntMatrix, determinant, kernel_basis
+from tilecohom.exactalg import (
+    ExactAlgError,
+    IntMatrix,
+    determinant,
+    kernel_basis,
+    smith_normal_form,
+    solve_in_lattice,
+)
 from tilecohom.groups import (
     FgAbelianGroup,
     GroupError,
@@ -59,7 +68,7 @@ class TestNormalForm:
         assert from_divisors([2, 4]) == FgAbelianGroup(0, (2, 4))
         assert from_divisors([], extra_free=3) == FgAbelianGroup(3, ())
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.lists(st.integers(1, 720), max_size=6), st.integers(0, 3))
     def test_from_divisors_matches_cokernel_of_diagonal(self, divisors, free):
         """The pairwise (gcd, lcm) pass gives the invariant factors that the
@@ -98,7 +107,7 @@ class TestCokernel:
         for el in g.generators():
             assert pres.class_of(pres.lift(el)) == el
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                     min_size=3, max_size=3),
            st.permutations(range(3)),
@@ -153,7 +162,7 @@ class TestModularCoordinates:
     its replays run mod N: coordinates and classes are those of the exact
     replay, and lifts are congruent to the exact ones mod N."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(0, 2), st.integers(0, 3))
     def test_cokernel_coordinates_and_lifts(self, seed, n, extra, cols):
         rng = random.Random(seed)
@@ -183,7 +192,7 @@ class TestModularCoordinates:
         assert pres.generator_matrix() == pres.relations.uinv_times(
             IntMatrix.unit_columns(3, pres.free_idx + pres.torsion_idx))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 10 ** 6))
     def test_homology_classes_match_exact_replay(self, seed):
         """On a finite H_0 of a random d_1, the classes of chains and of the
@@ -199,7 +208,7 @@ class TestModularCoordinates:
         G = pres.generator_matrix()
         assert pres.classes_of(G) == IntMatrix.identity(len(pres.structure.torsion))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 10 ** 6))
     def test_replays_through_a_nonzero_d_k(self, seed):
         """On a finite H_1 of a random complex with d_1 != 0, the classes of
@@ -233,6 +242,26 @@ class TestElements:
         assert g.element((0,), (1, 1)).order() == 6
         assert g.element((1,), (0, 0)).order() is None
         assert g.element((0,), (0, 0)).order() == 1
+
+
+class TestIntegerInputs:
+    """Each builder that takes plain values refuses one whose type is not
+    int, where it used to round it or keep it."""
+
+    @pytest.mark.parametrize("build, value", [
+        (lambda: IntMatrix.from_rows([[1.5, 2]]), "1.5"),
+        (lambda: IntMatrix.from_columns([[0.5]]), "0.5"),
+        (lambda: smith_normal_form(IntMatrix.from_columns([[0.5], [1.0]])), "0.5"),
+        (lambda: solve_in_lattice(IntMatrix.identity(1), [Fraction(1)]), "Fraction(1, 1)"),
+        (lambda: FgAbelianGroup(1, (2,)).element((2.7,), (1.9,)), "2.7"),
+        (lambda: from_divisors([True]), "True"),
+        (lambda: symmetry_defect([2.9, 3]), "2.9"),
+        (lambda: homology_presentation(IntMatrix.zero(0, 1), IntMatrix.zero(1, 0))
+         .class_of(["1"]), "'1'"),
+    ])
+    def test_refused(self, build, value):
+        with pytest.raises(ExactAlgError, match="^not an integer: %s$" % re.escape(value)):
+            build()
 
 
 class TestHomologyPresentation:
@@ -469,7 +498,7 @@ class TestHomStructure:
             rows[f + t][:f] = [rng.randint(-3, 3) for _ in range(f)]
         return GroupHom(g, g, IntMatrix.from_rows(rows) if n else IntMatrix.zero(0, 0))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 10 ** 6))
     def test_isomorphism_from_the_cokernel(self, seed):
         """is_isomorphism, read from the domain, the codomain and the cokernel

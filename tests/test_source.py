@@ -12,10 +12,12 @@ from functools import partial
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 import test_cli
 import test_tilings
 import tilecohom
-from tilecohom import dirlimit, groups
+from tilecohom import complexes, dirlimit, exactalg, groups
 from tilecohom.cli import run_command
 from tilecohom.complexes import (
     MODE_RIGID,
@@ -321,6 +323,7 @@ def _public_cases(tmp_path):
         (partial(IntMatrix, 1, 2, (1,)), "entry count 1 does not match 1x2"),
         (partial(IntMatrix.from_columns, []), "cannot infer row count from zero columns"),
         (partial(IntMatrix.from_columns, [(1,), (1, 2)]), "ragged columns"),
+        (partial(IntMatrix.from_rows, [[1.5, 2]]), "not an integer: 1.5"),
         (partial(two.__getitem__, (2, 0)), "index out of range"),
         (partial(two.__mul__, 2), "TypeError: can only multiply by IntMatrix"),
         (partial(two.__mul__, one), "shape mismatch in product"),
@@ -443,3 +446,26 @@ def test_every_raise_is_reached(tmp_path, int_digit_limit):
     assert [where(s) for s in sorted(sites) if s not in public | forged] == []
     assert [where(s) for s in sorted(sites) if s in forged - public
             and "internal invariant:" not in sites[s]] == []
+
+
+def test_recorded_wraps_every_binding_and_puts_it_back(recorded):
+    """The work-count tests' recorder wraps a routine in every module that
+    imports it and a method on its class, records each call made through any
+    of them, and restores every binding on exit, also when the block raises."""
+    holders = (exactalg, groups, complexes, dirlimit)
+    mul_vector = IntMatrix.mul_vector
+    A = IntMatrix.from_rows([[2]])
+    with recorded(smith_normal_form):
+        assert all(m.smith_normal_form is not smith_normal_form for m in holders)
+    assert all(m.smith_normal_form is smith_normal_form for m in holders)
+    with pytest.raises(ZeroDivisionError):
+        with recorded(smith_normal_form, IntMatrix.mul_vector) as calls:
+            assert all(m.smith_normal_form is not smith_normal_form for m in holders)
+            assert IntMatrix.mul_vector is not mul_vector
+            snf = groups.smith_normal_form(A)
+            assert A.mul_vector((3,)) == (6,)
+            assert calls == [("smith_normal_form", (A,), snf),
+                             ("IntMatrix.mul_vector", (A, (3,)), (6,))]
+            1 // 0
+    assert all(m.smith_normal_form is smith_normal_form for m in holders)
+    assert IntMatrix.mul_vector is mul_vector

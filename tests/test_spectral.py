@@ -113,7 +113,7 @@ class TestWindingChain:
                                                 r"must close up$"):
             winding_chain(respec_rotation(spec, rots))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_integer_lap_sums_match_fractions(self, data):
         """Laps summed as integers over the lcm of the denominators agree with

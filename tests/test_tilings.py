@@ -104,7 +104,7 @@ class TestRoundTrip:
         cplx = build_chain_complex(spec, MODE_RIGID)
         assert homology(cplx, 0).structure == FgAbelianGroup(2, (5,))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(spec=_generated_specs())
     def test_generated_specs_round_trip(self, spec):
         doc = save_spec(spec)
@@ -464,7 +464,7 @@ class TestSpecFuzz:
     value of another type: every command ends with exit 0, 1 or 2 and at most
     one `error:` line, never an uncaught exception."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_mutated_spec(self, data, time_limit):
         doc = json.loads(save_spec(builtin(data.draw(st.sampled_from(builtin_names())))))
