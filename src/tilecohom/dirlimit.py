@@ -221,8 +221,6 @@ def _rank_mod_p(rows, p: int) -> int:
                 f = a[i][col] * inv % p
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
-        if rank == len(a):
-            break
     return rank
 
 

@@ -1,13 +1,11 @@
 import argparse
 import copy
-import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -25,8 +23,8 @@ from tilecohom.tilings import (
     builtin,
     builtin_names,
     make_spec,
-    save_spec,
 )
+from toolkit import document, outcome, respec, spec_file
 
 
 def run(*argv):
@@ -40,17 +38,6 @@ class TestHomologyCommand:
             res = run("homology", "--builtin", "penrose-kite-dart",
                       "--mode", "rigid", "--degree", "0", *limit)
             assert (res.exit_code, res.stdout) == (0, "H_0 = Z^2 + Z/5\n"), limit
-
-    def test_fibonacci_limits(self):
-        res = run("homology", "--builtin", "fibonacci", "--mode", "translation",
-                  "--limit")
-        assert res.exit_code == 0
-        assert res.stdout == "H_0 = Z^2\nH_1 = Z\n"
-
-    def test_rigid_modified_mode(self):
-        res = run("homology", "--builtin", "penrose-kite-dart",
-                  "--mode", "rigid-modified")
-        assert res.stdout == "H_0 = Z^2\nH_1 = Z\nH_2 = Z\n"
 
     def test_json_document(self):
         res = run("homology", "--builtin", "thue-morse", "--mode", "translation",
@@ -66,68 +53,36 @@ class TestHomologyCommand:
 
     # int() alone reads "\u0661" (Arabic-Indic one) as 1, "0_0" as 0 and " 1" as 1.
     @pytest.mark.parametrize("degree", ["x", "\u0661", "0_0", " 1", "1.0"])
-    def test_degree_is_an_ascii_integer(self, capsys, degree):
-        res = run("homology", "--builtin", "fibonacci", "--mode", "translation",
-                  "--degree", degree)
-        assert (res.exit_code, res.stdout) == (2, "")
-        assert "argument --degree: invalid integer value" in capsys.readouterr().err
+    def test_degree_is_an_ascii_integer(self, degree):
+        code, out, err = outcome(["homology", "--builtin", "fibonacci", "--mode", "translation",
+                                  "--degree", degree])
+        assert (code, out) == (2, "")
+        assert "argument --degree: invalid integer value" in err
 
     def test_file_target(self, tmp_path):
         """A saved builtin reads as the builtin itself."""
-        path = tmp_path / "penrose.json"
-        path.write_text(save_spec(builtin("penrose-kite-dart")))
-        res = run("homology", str(path), "--mode", "rigid", "--degree", "0")
+        path = spec_file(tmp_path, builtin("penrose-kite-dart"))
+        res = run("homology", path, "--mode", "rigid", "--degree", "0")
         assert res.stdout == "H_0 = Z^2 + Z/5\n"
         for argv in (["check"], ["spectral"]):
-            res = run(argv[0], str(path))
+            res = run(argv[0], path)
             assert res.exit_code == 0
             assert res == run(argv[0], "--builtin", "penrose-kite-dart"), argv
 
 
-class TestSpectralCommand:
-    def test_penrose_json_cech(self):
-        res = run("spectral", "--builtin", "penrose-kite-dart", "--json")
-        doc = json.loads(res.stdout)
-        assert doc["cech"] == ["Z", "Z^2", "Z^3", "Z^2"]
-        assert doc["d2"]["order"] == "5"
-        assert doc["e2"]["q1"] == ["Z^2 + Z/5", "Z", "Z"]
-        assert doc["flags"] == [[], [], [], []]
-
-    def test_solenoid_aborts(self):
-        res = run("spectral", "--builtin", "triangle-solenoid-rigid")
-        assert res.exit_code == 1
-
-
 class TestCohomologyCommand:
-    def test_square_rigid_hull(self):
-        res = run("cohomology", "--builtin", "square-periodic-rigid",
-                  "--hull", "rigid")
-        assert "H^2 = Z + Z/2" in res.stdout
-
     def test_translation_hull(self):
         res = run("cohomology", "--builtin", "triangle-solenoid-translation",
                   "--hull", "translation", "--json")
         doc = json.loads(res.stdout)
         assert doc["cech"] == ["Z", "Z[1/2]^2", "Z[1/2]"]
 
-    def test_rotation_quotient(self):
-        res = run("cohomology", "--builtin", "penrose-kite-dart",
-                  "--hull", "rotation-quotient")
-        assert res.stdout == "H^0 = Z\nH^1 = Z\nH^2 = Z^2\n"
-
 
 class TestCheckCommand:
-    def test_valid_spec(self):
-        res = run("check", "--builtin", "penrose-kite-dart")
-        assert res.exit_code == 0
-        assert "ok" in res.stdout
-
     def test_corrupt_spec_file(self, tmp_path):
-        doc = json.loads(save_spec(builtin("penrose-kite-dart")))
+        doc = document("penrose-kite-dart")
         doc["boundaries"]["2"][2][0] *= -1
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        res = run("check", str(path))
+        res = run("check", spec_file(tmp_path, doc))
         assert res.exit_code == 1
         assert "boundary" in res.stdout
 
@@ -137,47 +92,40 @@ class TestCheckCommand:
         spec = builtin("triangle-solenoid-rigid")
         maps = dict(spec.substitution.maps)
         maps[2] = (((2, 2),), ((1, 1),))  # twice the fundamental class of H_2 = Z
-        bad = make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
-                        spec.boundaries, SubstitutionData("homology_map", maps),
-                        spec.rotation, spec.symmetric_tilings)
-        path = tmp_path / "bad-degree-2.json"
-        path.write_text(save_spec(bad))
-        res = run("check", str(path))
+        bad = respec(spec, substitution=SubstitutionData("homology_map", maps))
+        path = spec_file(tmp_path, bad)
+        res = run("check", path)
         assert res.exit_code == 1
         assert res.stdout.splitlines()[1:] == [
             "  substitution[rigid]: generator cycles do not generate the homology group"]
         good = run("homology", "--builtin", spec.name, "--mode", "rigid", "--degree", "0",
                    "--limit")
-        res = run("homology", str(path), "--mode", "rigid", "--degree", "0", "--limit")
+        res = run("homology", path, "--mode", "rigid", "--degree", "0", "--limit")
         assert (res.exit_code, res.stdout) == (0, good.stdout)
-        assert run("homology", str(path), "--mode", "rigid", "--limit").exit_code == 1
+        assert run("homology", path, "--mode", "rigid", "--limit").exit_code == 1
 
     @pytest.mark.parametrize("lap, issue", [
         ((("a", 1), ("b", -1)) * 12, "a 12 times (|d_1| = 6), b 12 times (|d_1| = 6)"),
         ((("c", -1), ("b", 1)) * 3,
          "a 0 times (|d_1| = 6), b 3 times (|d_1| = 6), c 3 times (|d_1| = 0)"),
     ], ids=["walked-twice", "edge-off-the-vertex"])
-    def test_lap_that_does_not_walk_around_its_vertex(self, tmp_path, capsys, lap, issue):
+    def test_lap_that_does_not_walk_around_its_vertex(self, tmp_path, lap, issue):
         """Both laps sum to whole turns, so the winding chain reads them, but a
         lap of V6 steps over each edge e |d_1[V6][e]| times: 6, 6 and 0 times
         over a, b and c."""
-        doc = json.loads(save_spec(builtin("triangle-periodic-rigid")))
+        doc = document("triangle-periodic-rigid")
         doc["rotation"]["vertex_stars"]["V6"] = [{"edge": e, "sign": s} for e, s in lap]
-        path = tmp_path / "lap.json"
-        path.write_text(json.dumps(doc))
-        res = run("check", str(path))
-        assert (res.exit_code, res.stdout) == (1, (
+        assert outcome(["check", spec_file(tmp_path, doc)]) == (1, (
             "triangle-periodic-rigid: invalid\n"
             "  rotation.vertex_stars.V6: lap steps over %s; a lap walks once around its vertex\n"
-            % issue))
-        assert capsys.readouterr().err == ""
+            % issue), "")
 
 
 def _penrose_variant(tmp_path, boundary=(), chain_map=(), bump=()):
     """The saved Penrose document with boundary and chain-map entries set,
     each given as (degree, row, col, value), and chain-map entries
     (degree, row, col) raised by one."""
-    doc = json.loads(save_spec(builtin("penrose-kite-dart")))
+    doc = document("penrose-kite-dart")
     cm = doc["substitution"]["chain_map"]
     for k, i, j, x in boundary:
         doc["boundaries"][str(k)][i][j] = x
@@ -185,9 +133,7 @@ def _penrose_variant(tmp_path, boundary=(), chain_map=(), bump=()):
         cm[str(k)][i][j] = x
     for k, i, j in bump:
         cm[str(k)][i][j] += 1
-    path = tmp_path / "variant.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return spec_file(tmp_path, doc)
 
 
 _D2_SQUARE = "boundary of boundary is nonzero at degree 2"
@@ -222,11 +168,10 @@ class TestChainLevelErrors:
         ("bumped", ["substitution[rigid]: " + _BUMP % (15, 10),
                     "substitution[rigid_modified]: " + _BUMP % (3, 2)]),
     ])
-    def test_check(self, tmp_path, capsys, variant, stdout):
-        res = run("check", _penrose_variant(tmp_path, **self.VARIANTS[variant]))
+    def test_check(self, tmp_path, variant, stdout):
         expected = "".join("  %s\n" % line for line in stdout)
-        assert (res.exit_code, res.stdout) == (1, "penrose-kite-dart: invalid\n" + expected)
-        assert capsys.readouterr() == ("", "")
+        assert outcome(["check", _penrose_variant(tmp_path, **self.VARIANTS[variant])]) == (
+            1, "penrose-kite-dart: invalid\n" + expected, "")
 
     @pytest.mark.parametrize("variant, mode, error", [
         ("boundary", "rigid", _D2_SQUARE),
@@ -236,22 +181,19 @@ class TestChainLevelErrors:
         ("bumped", "rigid", _BUMP % (15, 10)),
         ("bumped", "rigid-modified", _BUMP % (3, 2)),
     ])
-    def test_homology_limit(self, tmp_path, capsys, variant, mode, error):
+    def test_homology_limit(self, tmp_path, variant, mode, error):
         path = _penrose_variant(tmp_path, **self.VARIANTS[variant])
-        res = run("homology", path, "--mode", mode, "--limit")
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr() == ("", "error: %s\n" % error)
+        assert outcome(["homology", path, "--mode", mode, "--limit"]) == (
+            1, "", "error: %s\n" % error)
 
     @pytest.mark.parametrize("argv, error", [
         (["spectral"], _MISMATCH_RIGID),
         (["cohomology", "--hull", "rigid"], _MISMATCH_RIGID),
         (["cohomology", "--hull", "rotation-quotient"], _NOT_PRESERVED),
     ])
-    def test_hull_commands(self, tmp_path, capsys, argv, error):
+    def test_hull_commands(self, tmp_path, argv, error):
         path = _penrose_variant(tmp_path, **self.VARIANTS["chain-map"])
-        res = run(argv[0], path, *argv[1:])
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr() == ("", "error: %s\n" % error)
+        assert outcome([argv[0], path, *argv[1:]]) == (1, "", "error: %s\n" % error)
 
     @pytest.mark.parametrize("argv", [
         ["spectral"],
@@ -259,57 +201,40 @@ class TestChainLevelErrors:
         ["cohomology", "--hull", "rotation-quotient"],
     ])
     def test_hull_commands_need_chain_data_for_the_modified_complex(
-            self, tmp_path, capsys, argv):
+            self, tmp_path, argv):
         """Homology-level data whose rigid maps are isomorphisms still says
         nothing about the modified complex."""
-        doc = json.loads(save_spec(builtin("triangle-solenoid-rigid")))
+        doc = document("triangle-solenoid-rigid")
         degree_0 = doc["substitution"]["homology_map"]["0"]
         degree_0["images"] = degree_0["generators"]
-        path = tmp_path / "stationary.json"
-        path.write_text(json.dumps(doc))
-        res = run(argv[0], str(path), *argv[1:])
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr() == (
-            "", "error: modified-complex substitution maps require chain-level data\n")
-
-
-def _square_doc():
-    return json.loads(save_spec(builtin("square-periodic-rigid")))
-
-
-def _write(tmp_path, doc):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+        assert outcome([argv[0], spec_file(tmp_path, doc), *argv[1:]]) == (
+            1, "", "error: modified-complex substitution maps require chain-level data\n")
 
 
 class TestEachFaultOnce:
     """check prints each spec fault once, and an open lap reads the same from
     every command that applies the whole-turn rule."""
 
-    def test_square_boundary_of_boundary_fault_is_one_line(self, tmp_path, capsys):
+    def test_square_boundary_of_boundary_fault_is_one_line(self, tmp_path):
         """The modified boundaries are S^-1 d S of the rigid ones, so both
         builds fail at degree 2, and with no reversing edge the spec's own
         product is the rigid complex's: one issue names both modes."""
-        doc = _square_doc()
+        doc = document("square-periodic-rigid")
         doc["boundaries"]["2"][0][0] *= -1
-        res = run("check", _write(tmp_path, doc))
-        assert (res.exit_code, res.stdout) == (1, (
+        assert outcome(["check", spec_file(tmp_path, doc)]) == (1, (
             "square-periodic-rigid: invalid\n"
-            "  build[rigid, rigid_modified]: " + _D2_SQUARE + "\n"))
-        assert capsys.readouterr() == ("", "")
+            "  build[rigid, rigid_modified]: " + _D2_SQUARE + "\n"), "")
 
     @pytest.mark.parametrize("kept_fault", [False, True],
                              ids=["only-through-r", "also-in-the-complexes"])
-    def test_fault_through_a_reversing_edge_is_reported_once(self, tmp_path, capsys,
-                                                             kept_fault):
+    def test_fault_through_a_reversing_edge_is_reported_once(self, tmp_path, kept_fault):
         """A reversing edge r with d_1 r != 0 and r in the boundary of F1: the
         complexes drop r, so the builds check the spec's own product too.
         Whether or not the complexes' own d∘d also fails, check prints one
         build issue, and every command that builds a rigid complex stops at
         it.  r turns by 0 and each lap steps over it |d_1| times, so no other
         rule fails first."""
-        doc = _square_doc()
+        doc = document("square-periodic-rigid")
         doc["cells"]["1"].append({"id": "r", "symmetry": 1, "reverses_orientation": True})
         for row, x in zip(doc["boundaries"]["1"], (1, -1, 0)):
             row.append(x)
@@ -319,38 +244,33 @@ class TestEachFaultOnce:
         doc["rotation"]["edge_rotations"]["r"] = "0"
         doc["rotation"]["vertex_stars"]["V4a"].append({"edge": "r", "sign": 1})
         doc["rotation"]["vertex_stars"]["V2"].append({"edge": "r", "sign": -1})
-        path = _write(tmp_path, doc)
-        res = run("check", path)
-        assert (res.exit_code, res.stdout) == (
+        path = spec_file(tmp_path, doc)
+        assert outcome(["check", path]) == (
             1, "square-periodic-rigid: invalid\n  build[rigid, rigid_modified]: %s\n"
-            % _D2_SQUARE)
-        assert capsys.readouterr() == ("", "")
+            % _D2_SQUARE, "")
         for argv in (["spectral"], ["cohomology", "--hull", "rigid"],
                      ["cohomology", "--hull", "rotation-quotient"],
                      ["homology", "--mode", "rigid"], ["homology", "--mode", "rigid-modified"]):
-            assert run(argv[0], path, *argv[1:]) == cli.CommandResult(1, ""), argv
-            assert capsys.readouterr() == ("", "error: %s\n" % _D2_SQUARE), argv
+            assert outcome([argv[0], path, *argv[1:]]) == (1, "", "error: %s\n" % _D2_SQUARE), argv
 
     @pytest.mark.parametrize("rotations", [
         {"b": "1/5"},
         # Coprime denominators of 3,001 digits: the laps have about 6,000.
         {"a": "1/%d" % (10 ** 3000 + 1), "b": "1/%d" % (10 ** 3000 + 3)},
     ], ids=["short", "too-long-to-print"])
-    def test_open_lap_text_is_one_text(self, tmp_path, capsys, int_digit_limit, rotations):
+    def test_open_lap_text_is_one_text(self, tmp_path, int_digit_limit, rotations):
         """check lists every open lap; spectral and the rigid hull stop at the
         first, with the same text."""
-        doc = json.loads(save_spec(builtin("triangle-periodic-rigid")))
+        doc = document("triangle-periodic-rigid")
         doc["rotation"]["edge_rotations"].update(rotations)
-        path = _write(tmp_path, doc)
-        res = run("check", path)
-        assert res.exit_code == 1
-        first = res.stdout.splitlines()[1]
+        path = spec_file(tmp_path, doc)
+        code, out, err = outcome(["check", path])
+        assert (code, err) == (1, "")
+        first = out.splitlines()[1]
         assert re.fullmatch(r"  rotation\.vertex_stars\.V6: lap sums to (-1/5|a \d+-bit number) "
                             r"of a full turn; rotations must close up", first)
-        assert capsys.readouterr() == ("", "")
         for argv in (["spectral"], ["cohomology", "--hull", "rigid"]):
-            assert run(argv[0], path, *argv[1:]) == cli.CommandResult(1, "")
-            assert capsys.readouterr() == ("", "error: %s\n" % first[2:])
+            assert outcome([argv[0], path, *argv[1:]]) == (1, "", "error: %s\n" % first[2:])
 
 
 _RIGID_BUILTINS = [name for name in builtin_names() if builtin(name).geometry_mode == "rigid"]
@@ -417,16 +337,17 @@ class TestOneRuleSet:
     refused by no command except for a scope error, and a build fault that
     check names stops every command that builds that mode."""
 
-    def test_commands_refuse_what_check_refuses(self, tmp_path, capsys):
+    def test_commands_refuse_what_check_refuses(self, tmp_path):
         rng = random.Random(20141015)
-        docs = {name: json.loads(save_spec(builtin(name))) for name in _RIGID_BUILTINS}
+        docs = {name: document(name) for name in _RIGID_BUILTINS}
         seen = {"ok": 0, "build": 0, "build through r": 0}
         for draw in range(300):
             name = rng.choice(_RIGID_BUILTINS)
             kind, doc = _mutated(docs[name], rng)
-            path = _write(tmp_path, doc)
-            lines = run("check", path).stdout.splitlines()
-            assert capsys.readouterr() == ("", ""), (draw, kind)
+            path = spec_file(tmp_path, doc)
+            _, out, err = outcome(["check", path])
+            assert err == "", (draw, kind)
+            lines = out.splitlines()
             ok = lines == ["%s: ok" % name]
             faulty = set()
             for issue in lines[1:]:
@@ -439,14 +360,12 @@ class TestOneRuleSet:
             seen["build"] += bool(faulty)
             seen["build through r"] += bool(faulty) and kind == "reversing"
             for argv, modes in _BUILDS.items():
-                res = run(argv[0], path, *argv[1:])
-                err = capsys.readouterr().err
+                code, out, err = outcome([argv[0], path, *argv[1:]])
                 if ok:
-                    assert res.exit_code == 0 or (
-                        res.exit_code == 1 and err[len("error: "):-1] in _SCOPE_ERRORS), (
+                    assert code == 0 or (code == 1 and err[len("error: "):-1] in _SCOPE_ERRORS), (
                         draw, kind, argv, err)
                 if faulty & modes:
-                    assert (res.exit_code, res.stdout) == (1, ""), (draw, kind, argv)
+                    assert (code, out) == (1, ""), (draw, kind, argv)
         assert min(seen.values()) >= 20, seen
 
 
@@ -482,13 +401,6 @@ _UNPARSABLE_LIMITS = [
 
 
 class TestLimitCommand:
-    def test_square_solenoid_arithmetic(self):
-        # rows of the endomorphism matrix: (a, b, c) -> (4a, c, c)
-        res = run("limit", "--group", "Z + Z/2 + Z/4",
-                  "--matrix", "4,0,0;0,0,1;0,0,1")
-        assert res.exit_code == 0
-        assert res.stdout.splitlines()[0] == "limit = Z[1/2] + Z/4 (status verified_profile)"
-
     def test_pentagonal_arithmetic_json(self):
         res = run("limit", "--group", "Z^2", "--matrix", "1,0;0,6", "--json")
         doc = json.loads(res.stdout)
@@ -507,10 +419,9 @@ class TestLimitCommand:
         res = run("limit", "--group", "Z^2", "--matrix", "0,1;3,1")
         assert res.stdout.endswith("\nlattice rank 2, p-divisible ranks 3:1\n")
 
-    def test_ragged_matrix_is_one_error_line(self, capsys):
-        res = run("limit", "--group", "Z^2", "--matrix", "1,2;3")
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr() == ("", "error: ragged rows\n")
+    def test_ragged_matrix_is_one_error_line(self):
+        assert outcome(["limit", "--group", "Z^2", "--matrix", "1,2;3"]) == (
+            1, "", "error: ragged rows\n")
 
     def test_ill_defined_endo(self):
         res = run("limit", "--group", "Z/2", "--matrix", "1", "--json")
@@ -539,13 +450,11 @@ class TestLimitCommand:
         ("Z/%d + Z/%d" % (10 ** 4000 + 1, 10 ** 4000 + 3), "1,0;0,1",
          "2x2 given, 1x1 needed for Z/a 26576-bit number -> Z/a 26576-bit number"),
     ], ids=["blank-matrix", "trivial-group", "too-long-to-print"])
-    def test_wrong_matrix_shape_names_both_shapes(self, capsys, int_digit_limit, group,
-                                                  matrix, shapes):
+    def test_wrong_matrix_shape_names_both_shapes(self, int_digit_limit, group, matrix, shapes):
         """The shape error names both shapes and the group in normal form:
         Z/1 is 0, with no coordinates, and Z/a + Z/b is Z/ab for coprime a, b."""
-        res = run("limit", "--group", group, "--matrix", matrix)
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr().err == "error: hom matrix shape mismatch: %s\n" % shapes
+        assert outcome(["limit", "--group", group, "--matrix", matrix]) == (
+            1, "", "error: hom matrix shape mismatch: %s\n" % shapes)
 
     def test_unparsable_numbers_raise_domain_errors(self):
         with pytest.raises(GroupError, match="Z\\^x"):
@@ -558,12 +467,11 @@ class TestLimitCommand:
     @pytest.mark.parametrize("group, token", [
         ("Z^-1 + Z^2", "Z^-1"), ("Z^2 + Z^-1", "Z^-1"), ("Z^-3", "Z^-3"),
     ])
-    def test_negative_rank_is_rejected(self, capsys, group, token):
+    def test_negative_rank_is_rejected(self, group, token):
         """A negative rank is no rank, even where the ranks around it add up to
         a valid group."""
-        res = run("limit", "--group", group, "--matrix", "2")
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr().err == "error: cannot parse group token %r\n" % token
+        assert outcome(["limit", "--group", group, "--matrix", "2"]) == (
+            1, "", "error: cannot parse group token %r\n" % token)
 
     @pytest.mark.parametrize("matrix", ["-1,0;0,1", "-2,1;1,-1", "-3", "-1 0;0 1"])
     def test_negative_matrix_spaced_or_attached(self, matrix):
@@ -582,10 +490,9 @@ class TestLimitCommand:
         assert (res.exit_code, res.stdout) == (exit_code, stdout)
 
     @pytest.mark.parametrize("group, matrix", _UNPARSABLE_LIMITS)
-    def test_unparsable_input_is_one_error_line(self, capsys, group, matrix):
-        res = run("limit", "--group", group, "--matrix", matrix)
-        assert (res.exit_code, res.stdout) == (1, "")
-        err = capsys.readouterr().err
+    def test_unparsable_input_is_one_error_line(self, group, matrix):
+        code, out, err = outcome(["limit", "--group", group, "--matrix", matrix])
+        assert (code, out) == (1, "")
         assert err.startswith("error: cannot parse ") and err.count("\n") == 1
 
 
@@ -638,11 +545,10 @@ class TestUsageAndDeterminism:
         ([], "one of the arguments path --builtin is required"),
         (["x.json", "--builtin", "fibonacci"], "argument --builtin: not allowed with argument path"),
     ])
-    def test_argparse_owns_the_spec_target(self, capsys, argv, target, error):
+    def test_argparse_owns_the_spec_target(self, argv, target, error):
         """A missing or doubled spec target is argparse's usage error."""
-        res = run(*argv, *target)
-        err = capsys.readouterr().err
-        assert (res.exit_code, res.stdout) == (2, "")
+        code, out, err = outcome(argv + target)
+        assert (code, out) == (2, "")
         assert err.startswith("usage: tilecohom %s [-h] [--builtin BUILTIN]" % argv[0])
         assert [line for line in err.splitlines() if "error:" in line] == [
             "tilecohom %s: error: %s" % (argv[0], error)]
@@ -653,12 +559,11 @@ class TestUsageAndDeterminism:
         (["check", "", "--builtin", "fibonacci"], 2,
          "tilecohom check: error: argument --builtin: not allowed with argument path"),
     ])
-    def test_an_empty_target_is_a_target(self, capsys, argv, exit_code, error):
+    def test_an_empty_target_is_a_target(self, argv, exit_code, error):
         """An empty path or builtin name is given, not missing: it is read,
         and it conflicts with the other target."""
-        res = run_command(argv)
-        err = capsys.readouterr().err
-        assert (res.exit_code, res.stdout) == (exit_code, "")
+        code, out, err = outcome(argv)
+        assert (code, out) == (exit_code, "")
         assert [line for line in err.splitlines() if "error:" in line][0].startswith(error)
 
     def test_choices_are_library_names_with_dashes(self):
@@ -727,10 +632,6 @@ class TestUsageAndDeterminism:
             assert first.exit_code == second.exit_code == 0
             assert first.stdout.encode() == second.stdout.encode()
 
-    def test_json_single_document(self):
-        res = run("spectral", "--builtin", "square-periodic-rigid", "--json")
-        json.loads(res.stdout)  # would fail if more than one document
-
 
 def _text_fields(stdout):
     """The values that a command's text writes, keyed as in its JSON document;
@@ -791,7 +692,7 @@ def _text_and_json_argvs():
 class TestOneResultDocument:
     @pytest.mark.parametrize("argv", list(_text_and_json_argvs()),
                              ids=lambda argv: " ".join(argv)[:80])
-    def test_text_reads_the_json_document(self, capsys, int_digit_limit, argv):
+    def test_text_reads_the_json_document(self, int_digit_limit, argv):
         """Text and --json give the same exit code, and every value the text
         writes is the JSON document's field."""
         text, doc = run(*argv), run(*argv, "--json")
@@ -804,15 +705,13 @@ class TestOneResultDocument:
         keys = _TEXT_KEYS[argv[0]]
         assert {k: _text_fields(text.stdout).get(k) for k in keys} == {k: doc.get(k) for k in keys}
 
-    def test_limit_text_leaves_out_the_input_group(self, capsys, int_digit_limit):
+    def test_limit_text_leaves_out_the_input_group(self, int_digit_limit):
         """Z/a + Z/b is the group Z/ab, too long to print, and its limit
         under 0 is 0: only --json writes the input group."""
         argv = ["limit", "--group", "Z/%d + Z/%d" % (_A, _B), "--matrix", "0"]
-        assert run(*argv) == cli.CommandResult(0, "limit = 0 (status exact)\n")
-        assert capsys.readouterr() == ("", "")
-        assert run(*argv, "--json") == cli.CommandResult(1, "")
-        assert capsys.readouterr().err == (
-            "error: a 26576-bit number of the result is too long to print\n")
+        assert outcome(argv) == (0, "limit = 0 (status exact)\n", "")
+        assert outcome(argv + ["--json"]) == (
+            1, "", "error: a 26576-bit number of the result is too long to print\n")
 
 
 def _one_error_line(err):
@@ -821,7 +720,7 @@ def _one_error_line(err):
 
 def _penrose_rotations(rotations):
     """The penrose document with some edge rotations replaced."""
-    doc = json.loads(save_spec(builtin("penrose-kite-dart")))
+    doc = document("penrose-kite-dart")
     doc["rotation"]["edge_rotations"].update(rotations)
     return json.dumps(doc).encode()
 
@@ -867,48 +766,43 @@ class TestMalformedInput:
         b'{"name": "x"}',
     ], ids=["deep-nesting", "long-integer", "not-utf8", "exponent-rational",
             "huge-exponent-rational", "lap-too-long-to-print", "missing-keys"])
-    def test_spec_file(self, tmp_path, capsys, time_limit, content):
-        path = tmp_path / "spec.json"
-        path.write_bytes(content)
+    def test_spec_file(self, tmp_path, time_limit, content):
+        path = spec_file(tmp_path, content)
         # check reports open laps as issues (test_check_reports_each_open_lap).
         for command in ("spectral",) if content is _LONG_LAPS else ("check", "spectral"):
             with time_limit(5):
-                res = run(command, str(path))
-            assert (res.exit_code, res.stdout) == (1, ""), command
-            assert _one_error_line(capsys.readouterr().err), command
+                code, out, err = outcome([command, path])
+            assert (code, out) == (1, ""), command
+            assert _one_error_line(err), command
 
     @pytest.mark.parametrize("command", [
         ("check",), ("spectral",), ("cohomology", "--hull", "rigid"),
     ], ids=lambda c: c[0])
-    def test_reversing_vertex(self, tmp_path, capsys, command):
+    def test_reversing_vertex(self, tmp_path, command):
         """Only an edge can reverse orientation: the rigid complex would drop
         the vertex V2, while the winding chain reads every vertex."""
-        doc = json.loads(save_spec(builtin("square-periodic-rigid")))
+        doc = document("square-periodic-rigid")
         doc["cells"]["0"][1]["reverses_orientation"] = True
-        path = tmp_path / "reversing-vertex.json"
-        path.write_text(json.dumps(doc))
-        res = run(command[0], str(path), *command[1:])
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert capsys.readouterr().err == (
-            "error: cells.0[1].reverses_orientation: only an edge can reverse orientation\n")
+        assert outcome([command[0], spec_file(tmp_path, doc), *command[1:]]) == (1, "", (
+            "error: cells.0[1].reverses_orientation: only an edge can reverse orientation\n"))
 
     @pytest.mark.parametrize("command", [
         ("check",), ("homology", "--mode", "rigid"), ("cohomology", "--hull", "rigid"),
         ("spectral",),
     ], ids=lambda c: c[0])
-    def test_nul_byte_in_path(self, capsys, command):
-        res = run(command[0], "a\x00b", *command[1:])
-        assert (res.exit_code, res.stdout) == (1, "")
-        err = capsys.readouterr().err
+    def test_nul_byte_in_path(self, command):
+        code, out, err = outcome([command[0], "a\x00b", *command[1:]])
+        assert (code, out) == (1, "")
         assert _one_error_line(err) and "'a\\x00b'" in err
 
-    def test_limit_result_too_long_to_print(self, capsys):
+    def test_limit_result_too_long_to_print(self):
         # 2^14284 has 4,300 digits, the most int() reads; the limit inverts
         # the eigenvalue 2^14285, one digit more than str() writes.
         a = str(2 ** 14284)
-        res = run("limit", "--group", "Z^2", "--matrix", "%s,%s;%s,%s" % (a, a, a, a))
-        assert (res.exit_code, res.stdout) == (1, "")
-        assert _one_error_line(capsys.readouterr().err)
+        matrix = "%s,%s;%s,%s" % (a, a, a, a)
+        code, out, err = outcome(["limit", "--group", "Z^2", "--matrix", matrix])
+        assert (code, out) == (1, "")
+        assert _one_error_line(err)
 
 
 # Coprime, with 4,001 digits each: every input number is within Python's
@@ -987,46 +881,35 @@ class TestResultTooLongToPrint:
             "rigid-spectral", "rigid-spectral-json", "rigid-cohomology-rigid",
             "rigid-cohomology-rotation-quotient", "winding-spectral", "winding-spectral-json",
             "limit", "limit-json"])
-    def test_one_error_line(self, tmp_path, capsys, int_digit_limit, spec, argv):
+    def test_one_error_line(self, tmp_path, int_digit_limit, spec, argv):
         if spec is not None:
-            path = tmp_path / "spec.json"
-            path.write_text(json.dumps(_LONG_SPECS[spec]))
-            argv = [argv[0], str(path)] + argv[1:]
-        res = run(*argv)
-        assert (res.exit_code, res.stdout) == (1, "")
-        err = capsys.readouterr().err
+            argv = [argv[0], spec_file(tmp_path, _LONG_SPECS[spec])] + argv[1:]
+        code, out, err = outcome(argv)
+        assert (code, out) == (1, "")
         # A chain-map mismatch keeps its place and gives a long entry's size.
         tail = _CHAIN_MISMATCH if spec == "chain" else " of the result is too long to print"
         assert _one_error_line(err) and err.endswith(tail + "\n")
 
-    def test_text_stops_where_json_does(self, tmp_path, capsys, int_digit_limit):
+    def test_text_stops_where_json_does(self, tmp_path, int_digit_limit):
         """Text and --json read one document, so both name its first number
         too long to print: E-infinity's c, not the d2 image's 2c."""
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(_LONG_SPECS["windings"]))
-        for argv in (["spectral", str(path)], ["spectral", str(path), "--json"]):
-            assert run(*argv) == cli.CommandResult(1, "")
-            assert capsys.readouterr() == (
-                "", "error: a %d-bit number of the result is too long to print\n"
+        path = spec_file(tmp_path, _LONG_SPECS["windings"])
+        for argv in (["spectral", path], ["spectral", path, "--json"]):
+            assert outcome(argv) == (
+                1, "", "error: a %d-bit number of the result is too long to print\n"
                 % (10 ** 4300).bit_length())
 
-    def test_check_reports_the_mismatch_as_invalid(self, tmp_path, capsys, int_digit_limit):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(_LONG_SPECS["chain"]))
-        res = run("check", str(path))
-        assert res.exit_code == 1
-        assert res.stdout == ("chain: invalid\n  substitution[translation]: substitution chain "
-                              "data: " + _CHAIN_MISMATCH + "\n")
-        assert capsys.readouterr() == ("", "")
+    def test_check_reports_the_mismatch_as_invalid(self, tmp_path, int_digit_limit):
+        assert outcome(["check", spec_file(tmp_path, _LONG_SPECS["chain"])]) == (
+            1, "chain: invalid\n  substitution[translation]: substitution chain data: "
+            + _CHAIN_MISMATCH + "\n", "")
 
-    def test_check_reports_each_open_lap(self, tmp_path, capsys, int_digit_limit):
+    def test_check_reports_each_open_lap(self, tmp_path, int_digit_limit):
         """A lap too long to print is an issue naming its vertex and its size
         in bits; shorter laps keep their digits."""
-        path = tmp_path / "spec.json"
-        path.write_bytes(_LONG_LAPS)
-        res = run("check", str(path))
-        assert res.exit_code == 1
-        head, *issues = res.stdout.splitlines()
+        code, out, err = outcome(["check", spec_file(tmp_path, _LONG_LAPS)])
+        assert (code, err) == (1, "")
+        head, *issues = out.splitlines()
         assert head == "penrose-kite-dart: invalid"
         ids = [c.id for c in builtin("penrose-kite-dart").cells[0]]
         assert [issue.split(":")[0] for issue in issues] == [
@@ -1035,7 +918,6 @@ class TestResultTooLongToPrint:
                 "turn; rotations must close up") in issues
         assert all(re.fullmatch(r"  \S+: lap sums to (-?\d+/\d+|a \d+-bit number) of a full "
                                 r"turn; rotations must close up", issue) for issue in issues)
-        assert capsys.readouterr() == ("", "")
 
 
 _COMMANDS = ("check", "homology", "cohomology", "spectral", "limit", "builtin")
@@ -1061,11 +943,10 @@ class TestArgvFuzz:
                     max_size=4))
     def test_exit_code_and_one_error_line(self, time_limit, command, options):
         argv = [command] + [token for pair in options for token in pair if token is not None]
-        out, err = io.StringIO(), io.StringIO()
-        with time_limit(10), redirect_stdout(out), redirect_stderr(err):
-            res = run_command(argv)
-        assert res.exit_code in (0, 1, 2)
-        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+        with time_limit(10):
+            code, _, err = outcome(argv)
+        assert code in (0, 1, 2)
+        assert sum("error:" in line for line in err.splitlines()) <= 1
 
     @settings(max_examples=150)
     @given(st.sampled_from(_COMMANDS), st.integers(0, 8),
@@ -1083,11 +964,8 @@ class TestArgvFuzz:
         build = cli._build_parser
         outcomes = []
         for builder in (build, lambda argv: build(every_command)):
-            out, err = io.StringIO(), io.StringIO()
-            with (time_limit(10), mock.patch.object(cli, "_build_parser", builder),
-                  redirect_stdout(out), redirect_stderr(err)):
-                res = run_command(argv)
-            outcomes.append((res.exit_code, res.stdout, out.getvalue(), err.getvalue()))
+            with time_limit(10), mock.patch.object(cli, "_build_parser", builder):
+                outcomes.append(outcome(argv))
         assert outcomes[0] == outcomes[1]
 
 
@@ -1139,12 +1017,8 @@ class TestWorkCounts:
     def test_no_build_before_modified_map_error(self, builds, argv):
         """Homology-level data cannot give the modified complex's maps, and
         that is known before any presentation is built."""
-        err = io.StringIO()
-        with redirect_stderr(err):
-            res = run(*argv.split(), "--builtin", "triangle-solenoid-rigid")
-        assert res.exit_code == 1
-        assert err.getvalue() == ("error: modified-complex substitution maps "
-                                  "require chain-level data\n")
+        assert outcome([*argv.split(), "--builtin", "triangle-solenoid-rigid"]) == (
+            1, "", "error: modified-complex substitution maps require chain-level data\n")
         assert builds == []
 
 
@@ -1446,10 +1320,9 @@ class TestDenseBoundary:
     @staticmethod
     def _check_limit(n, tmp_path, time_limit):
         doc = _dense_spec(n)
-        path = tmp_path / "dense.json"
-        path.write_text(json.dumps(doc))
+        path = spec_file(tmp_path, doc)
         with time_limit(10):
-            res = run("homology", str(path), "--mode", "translation", "--limit")
+            res = run("homology", path, "--mode", "translation", "--limit")
         assert res.exit_code == 0
         # H_0 = Z/|det d_1| and H_1 = 0.  Multiplication by 2 kills the
         # 2-part of H_0 and is invertible on the rest, its limit.
@@ -1457,7 +1330,7 @@ class TestDenseBoundary:
         odd = det
         while odd % 2 == 0:
             odd //= 2
-        assert run("homology", str(path), "--mode", "translation").stdout == \
+        assert run("homology", path, "--mode", "translation").stdout == \
             "H_0 = Z/%d\nH_1 = 0\n" % det
         assert res.stdout == "H_0 = Z/%d\nH_1 = 0\n" % odd
 

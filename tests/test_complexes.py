@@ -25,26 +25,7 @@ from tilecohom.tilings import (
     make_spec,
     validate_spec,
 )
-
-
-def perturb(matrix, i, j, delta=1):
-    rows = matrix.to_rows()
-    rows[i][j] += delta
-    return IntMatrix.from_rows(rows)
-
-
-def spec_with_boundary(spec, degree, matrix):
-    boundaries = dict(spec.boundaries)
-    boundaries[degree] = matrix
-    return make_spec(spec.name, spec.dimension, spec.geometry_mode,
-                     spec.cells, boundaries, spec.substitution, spec.rotation,
-                     spec.symmetric_tilings)
-
-
-def spec_with_chain_map(spec, maps):
-    sub = SubstitutionData("chain_map", dict(enumerate(maps)))
-    return make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
-                     spec.boundaries, sub, spec.rotation, spec.symmetric_tilings)
+from toolkit import edited, respec
 
 
 class TestBuild:
@@ -86,12 +67,6 @@ class TestBuild:
         penrose = builtin("penrose-kite-dart")
         rigid = build_chain_complex(penrose, MODE_RIGID)
         assert all(rigid.boundary[k] is penrose.boundaries[k] for k in (1, 2))
-
-    def test_mode_spec_mismatch(self):
-        with pytest.raises(ComplexError):
-            build_chain_complex(builtin("penrose-kite-dart"), MODE_TRANSLATION)
-        with pytest.raises(ComplexError):
-            build_chain_complex(builtin("fibonacci"), MODE_RIGID)
 
     @pytest.mark.parametrize("name", builtin_names())
     @pytest.mark.parametrize("mode", complexes.MODES)
@@ -140,7 +115,8 @@ class TestBuild:
 
     def test_boundary_square_fuzz_detected(self):
         spec = builtin("penrose-kite-dart")
-        bad = spec_with_boundary(spec, 2, perturb(spec.boundaries[2], 2, 0))
+        d2 = spec.boundaries[2]
+        bad = respec(spec, boundaries={**spec.boundaries, 2: edited(d2, 2, 0, d2[2, 0] + 1)})
         with pytest.raises(ComplexError):
             build_chain_complex(bad, MODE_RIGID)
 
@@ -211,7 +187,8 @@ class TestChainMap:
     def test_identity_chain_map(self, mode):
         spec = builtin("triangle-periodic-rigid")
         identity = [IntMatrix.identity(len(spec.cells[k])) for k in range(spec.dimension + 1)]
-        analysis = Analysis(spec_with_chain_map(spec, identity), mode)
+        analysis = Analysis(respec(spec, substitution=SubstitutionData(
+            "chain_map", dict(enumerate(identity)))), mode)
         ranks = analysis.ranks
         assert analysis.chain_map == tuple(IntMatrix.identity(r) for r in ranks)
         for k, hom in analysis.substitution_maps.items():
@@ -224,9 +201,9 @@ class TestChainMap:
         assert [(m.rows, m.cols) for m in f] == [(r, r) for r in analysis.ranks]
 
     def test_perturbed_map_fails_with_location(self):
-        spec = builtin("fibonacci")
-        maps = [IntMatrix.identity(3), perturb(IntMatrix.identity(2), 0, 0)]
-        analysis = Analysis(spec_with_chain_map(spec, maps), MODE_TRANSLATION)
+        maps = {0: IntMatrix.identity(3), 1: edited(IntMatrix.identity(2), 0, 0, 2)}
+        analysis = Analysis(respec("fibonacci", substitution=SubstitutionData("chain_map", maps)),
+                            MODE_TRANSLATION)
         with pytest.raises(ComplexError, match=r"^substitution chain data: degree 1: "
                                                r"boundary/f mismatch at row \d+, col 0 "):
             analysis.chain_map
@@ -271,7 +248,8 @@ class TestBoundaryFuzz:
             degree = rng.choice([1, 2])
             b = spec.boundaries[degree]
             i, j = rng.randrange(b.rows), rng.randrange(b.cols)
-            bad = spec_with_boundary(spec, degree, perturb(b, i, j))
+            bad = respec(spec, boundaries={**spec.boundaries,
+                                           degree: edited(b, i, j, b[i, j] + 1)})
             with pytest.raises(ComplexError):
                 build_chain_complex(bad, MODE_RIGID)
 

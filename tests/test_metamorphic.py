@@ -17,23 +17,21 @@ Every sample is drawn from a fixed seed, so a failure reproduces.
 """
 
 import copy
-import io
 import json
 import random
 import re
 import sys
-from contextlib import redirect_stderr
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from tilecohom.cli import run_command
 from tilecohom.complexes import build_chain_complex
 from tilecohom.dirlimit import STATUS_UNDETERMINED, direct_limit
 from tilecohom.exactalg import IntMatrix, inverse_unimodular
 from tilecohom.groups import GroupHom, from_divisors
-from tilecohom.tilings import builtin, builtin_names, load_spec, save_spec
+from tilecohom.tilings import builtin_names, load_spec
+from toolkit import document, outcome, spec_file
 
 _HERE = Path(__file__).parent
 sys.path.insert(0, str(_HERE.parent / "perfbench"))
@@ -41,13 +39,15 @@ sys.path.insert(0, str(_HERE.parent / "perfbench"))
 import gen  # noqa: E402
 
 _FILES = ("p1_torus_rigid.json", "p2_pillowcase_rigid.json", "p3_rigid.json")
-# The benchmark's seed-101 `scale` specs of the smallest size of each variant:
-# four sparse complexes on 4 vertices and four dense ones on 6, each as a
-# translation spec with chain data and as a rigid spec with rotation data.
-_SMALLEST = {"%s-%d" % (size, i) for size in ("sparse-4", "dense-6") for i in range(4)}
-_GENERATED = [case for case in gen.scale_inputs(101) if case["name"] in _SMALLEST]
+# The benchmark's seed-101 `scale` specs of the two smallest sizes of each
+# variant: four sparse complexes on 4 and four on 6 vertices, four dense ones
+# on 6 and four on 8, each as a translation spec with chain data and as a rigid
+# spec with rotation data.
+_SMALL = {"%s-%d" % (size, i)
+             for size in ("sparse-4", "sparse-6", "dense-6", "dense-8") for i in range(4)}
+_GENERATED = [case for case in gen.scale_inputs(101) if case["name"] in _SMALL]
 DOCUMENTS = {
-    **{name: json.loads(save_spec(builtin(name))) for name in builtin_names()},
+    **{name: document(name) for name in builtin_names()},
     **{f: json.loads((_HERE / f).read_text()) for f in _FILES},
     **{case[kind]["name"]: case[kind] for case in _GENERATED
        for kind in ("translation", "rigid")},
@@ -71,15 +71,8 @@ _STEPS = re.compile(r"(lap steps over )(.*)(; a lap)")
 
 def _outcomes(tmp_path, doc, commands):
     """(command, exit code, stdout, stderr) of each command on doc."""
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    out = []
-    for argv in commands:
-        err = io.StringIO()
-        with redirect_stderr(err):
-            res = run_command([argv[0], str(path)] + argv[1:])
-        out.append((" ".join(argv), res.exit_code, res.stdout, err.getvalue()))
-    return out
+    path = spec_file(tmp_path, doc)
+    return [(" ".join(argv), *outcome([argv[0], path] + argv[1:])) for argv in commands]
 
 
 def _relabelled(doc, rng):

@@ -1,10 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
-import contextlib
 import importlib
-import io
-import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +15,6 @@ import test_cli
 import test_tilings
 import tilecohom
 from tilecohom import complexes, dirlimit, exactalg, groups
-from tilecohom.cli import run_command
 from tilecohom.complexes import (
     MODE_RIGID,
     MODE_RIGID_MODIFIED,
@@ -44,7 +40,8 @@ from tilecohom.groups import (
 )
 from tilecohom.record import TilecohomError, decimal
 from tilecohom.spectral import hull_cohomology, winding_chain
-from tilecohom.tilings import RotationData, SubstitutionData, builtin, load_spec, make_spec
+from tilecohom.tilings import RotationData, SubstitutionData, builtin, load_spec
+from toolkit import edited, outcome, respec, spec_file
 
 
 def test_no_assert_in_library():
@@ -254,57 +251,37 @@ def _run_traced(cases):
     return lines, wrong
 
 
-def _stderr(*argv):
-    """What one command writes to stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        run_command(list(argv))
-    return err.getvalue()
-
-
-def _respec(name, **changes):
-    """The builtin with some make_spec arguments changed."""
-    spec = builtin(name)
-    return make_spec(**{**{f: getattr(spec, f) for f in spec._fields}, **changes})
-
-
-def _edited(matrix, i, j, value):
-    rows = matrix.to_rows()
-    rows[i][j] = value
-    return IntMatrix.from_rows(rows)
-
-
 def _public_cases(tmp_path):
     """(call, expected text) cases that reach the input checks through public
     names: the schema table of test_tilings, the malformed-input tables of
     test_cli and one case for each check those do not reach."""
+    def stderr(*argv):
+        return lambda: outcome(argv)[2]
+
     cases = []
     for name, path, value, message, edit in test_tilings._SCHEMA_MESSAGES:
         if path is not None:
             cases.append((partial(load_spec, test_tilings._mutated(name, path, value)), message))
         if edit is not None:
-            spec = builtin(name)
-            args = {f: getattr(spec, f) for f in spec._fields}
-            cases.append((partial(make_spec, **{**args, **edit(args)}), message))
+            cases.append((partial(respec, name, **edit(builtin(name))), message))
     cases += [(compute, error.__name__ + ": ") for compute, error in test_cli._LAYER_ERRORS]
-    cases += [(partial(_stderr, "limit", "--group", group, "--matrix", matrix),
-               "error: cannot parse ") for group, matrix in test_cli._UNPARSABLE_LIMITS]
+    cases += [(stderr("limit", "--group", group, "--matrix", matrix), "error: cannot parse ")
+              for group, matrix in test_cli._UNPARSABLE_LIMITS]
 
-    not_utf8, winding = tmp_path / "not-utf8.json", tmp_path / "winding.json"
-    not_utf8.write_bytes(b'\xff\xfe{"name": "x"}')
-    winding.write_text(json.dumps(test_cli._LONG_SPECS["winding"]))
+    not_utf8 = spec_file(tmp_path, b'\xff\xfe{"name": "x"}', "not-utf8.json")
+    winding = spec_file(tmp_path, test_cli._LONG_SPECS["winding"], "winding.json")
     cases += [
-        (partial(_stderr, "limit", "--group", "Z^2", "--matrix", "1,2;3"), "error: ragged rows\n"),
-        (partial(_stderr, "limit", "--group", "Z^-1", "--matrix", "1"), "token 'Z^-1'"),
-        (partial(_stderr, "limit", "--group", "Q", "--matrix", "1"), "token 'Q'"),
-        (partial(_stderr, "homology", "--builtin", "pinwheel", "--mode", "rigid"),
+        (stderr("limit", "--group", "Z^2", "--matrix", "1,2;3"), "error: ragged rows\n"),
+        (stderr("limit", "--group", "Z^-1", "--matrix", "1"), "token 'Z^-1'"),
+        (stderr("limit", "--group", "Q", "--matrix", "1"), "token 'Q'"),
+        (stderr("homology", "--builtin", "pinwheel", "--mode", "rigid"),
          "error: unknown builtin 'pinwheel'"),
-        (partial(_stderr, "homology", "--builtin", "fibonacci", "--mode", "translation",
-                 "--degree", "2"), "error: degree 2 out of range 0..1"),
-        (partial(_stderr, "check", "a\x00b"), "error: 'a\\x00b': "),
-        (partial(_stderr, "check", str(not_utf8)), ": not UTF-8 text"),
-        (partial(_stderr, "spectral", str(winding), "--json"), "too long to print"),
-        (partial(_stderr, "spectral", "--builtin", "triangle-solenoid-rigid"),
+        (stderr("homology", "--builtin", "fibonacci", "--mode", "translation", "--degree", "2"),
+         "error: degree 2 out of range 0..1"),
+        (stderr("check", "a\x00b"), "error: 'a\\x00b': "),
+        (stderr("check", not_utf8), ": not UTF-8 text"),
+        (stderr("spectral", winding, "--json"), "too long to print"),
+        (stderr("spectral", "--builtin", "triangle-solenoid-rigid"),
          "error: non-stationary homology unsupported"),
     ]
 
@@ -314,7 +291,7 @@ def _public_cases(tmp_path):
     pres = homology_presentation(IntMatrix.zero(0, 1), z)
     penrose = builtin("penrose-kite-dart")
     bad_f = SubstitutionData("chain_map", {
-        **penrose.substitution.maps, 0: _edited(penrose.substitution.maps[0], 0, 2, 1)})
+        **penrose.substitution.maps, 0: edited(penrose.substitution.maps[0], 0, 2, 1)})
     triangle = builtin("triangle-periodic-rigid")
     open_lap = RotationData({**triangle.rotation.edge_rotations, "b": Fraction(1, 5)},
                             triangle.rotation.vertex_stars)
@@ -365,20 +342,20 @@ def _public_cases(tmp_path):
          "translation complex requires a translation-mode spec"),
         (partial(build_chain_complex, builtin("fibonacci"), MODE_RIGID),
          "rigid complex requires a rigid-mode spec"),
-        (partial(build_chain_complex, _respec(
-            "penrose-kite-dart", boundaries={**penrose.boundaries, 1: _edited(
+        (partial(build_chain_complex, respec(
+            "penrose-kite-dart", boundaries={**penrose.boundaries, 1: edited(
                 penrose.boundaries[1], 0, 2, 1)}), MODE_RIGID_MODIFIED),
          "non-integral rescaled boundary entry at degree 1, cell 'E3' over 'sun'"),
-        (partial(build_chain_complex, _respec(
-            "penrose-kite-dart", boundaries={**penrose.boundaries, 2: _edited(
+        (partial(build_chain_complex, respec(
+            "penrose-kite-dart", boundaries={**penrose.boundaries, 2: edited(
                 penrose.boundaries[2], 2, 0, -1)}), MODE_RIGID),
          "boundary of boundary is nonzero at degree 2"),
         (lambda: Analysis(builtin("fibonacci"), MODE_TRANSLATION).chain_map,
          "spec carries no chain-level substitution data"),
-        (lambda: Analysis(_respec("penrose-kite-dart", substitution=bad_f),
+        (lambda: Analysis(respec("penrose-kite-dart", substitution=bad_f),
                           MODE_RIGID_MODIFIED).chain_map,
          "substitution does not preserve the modified complex at degree 0 (0, 2)"),
-        (lambda: Analysis(_respec("penrose-kite-dart", substitution=bad_f), MODE_RIGID).chain_map,
+        (lambda: Analysis(respec("penrose-kite-dart", substitution=bad_f), MODE_RIGID).chain_map,
          "substitution chain data: degree 1: boundary/f mismatch at row 0, col 0"),
         (partial(Analysis(triangle, MODE_RIGID).substitution_map, 0),
          "spec carries no substitution data"),
@@ -390,9 +367,9 @@ def _public_cases(tmp_path):
         (partial(dirlimit.stable_rank_mod_p, IntMatrix.zero(1, 2), 2),
          "induced matrix must be square"),
         (partial(winding_chain, builtin("fibonacci")), "needs a 2-dimensional rigid spec"),
-        (partial(winding_chain, _respec("triangle-periodic-rigid", rotation=None)),
+        (partial(winding_chain, respec("triangle-periodic-rigid", rotation=None)),
          "spec carries no rotation data"),
-        (partial(winding_chain, _respec("triangle-periodic-rigid", rotation=open_lap)),
+        (partial(winding_chain, respec("triangle-periodic-rigid", rotation=open_lap)),
          "rotation.vertex_stars.V6: lap sums to -1/5 of a full turn; rotations must close up"),
         (partial(hull_cohomology, penrose, "translation"),
          "translation complex requires a translation-mode spec"),

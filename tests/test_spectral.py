@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom.cli import CommandResult, run_command
 from tilecohom.complexes import MODE_RIGID, ComplexError, build_chain_complex, homology
 from tilecohom.exactalg import IntMatrix
 from tilecohom.groups import FgAbelianGroup, quotient_by
@@ -24,14 +23,15 @@ from tilecohom.spectral import (
     winding_chain,
 )
 from tilecohom.tilings import (
+    CellType,
     RotationData,
     SubstitutionData,
     builtin,
     load_spec,
     make_spec,
-    save_spec,
     validate_spec,
 )
+from toolkit import document, edited, outcome, replaced, respec, spec_file
 
 Z = FgAbelianGroup.free(1)
 
@@ -66,14 +66,6 @@ FACE_SIDES = {
 }
 
 
-def respec_rotation(spec, edge_rotations):
-    return make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
-                     spec.boundaries, spec.substitution,
-                     RotationData(edge_rotations=edge_rotations,
-                                  vertex_stars=spec.rotation.vertex_stars),
-                     spec.symmetric_tilings)
-
-
 class TestWindingChain:
     def test_penrose(self):
         assert winding_chain(builtin("penrose-kite-dart")) == (1, 1, 0, 0, 0, -1, 0)
@@ -81,7 +73,8 @@ class TestWindingChain:
     def test_zero_rotations_give_zero_chain(self):
         spec = builtin("triangle-periodic-rigid")
         zero = {e: Fraction(0, 1) for e in spec.rotation.edge_rotations}
-        assert winding_chain(respec_rotation(spec, zero)) == (0, 0, 0)
+        assert winding_chain(respec(spec, rotation=replaced(
+            spec.rotation, edge_rotations=zero))) == (0, 0, 0)
 
     def test_triangle_class(self):
         spec = builtin("triangle-periodic-rigid")
@@ -92,26 +85,22 @@ class TestWindingChain:
         assert cls.free_coords == (0,)
 
     def test_requires_rotation_data(self):
-        spec = builtin("triangle-periodic-rigid")
-        bare = make_spec(spec.name, 2, "rigid", spec.cells, spec.boundaries)
         with pytest.raises(SpectralError):
-            winding_chain(bare)
+            winding_chain(respec("triangle-periodic-rigid", rotation=None))
 
     def test_open_lap_rejected(self):
         spec = builtin("triangle-periodic-rigid")
-        rots = dict(spec.rotation.edge_rotations)
-        rots["b"] = Fraction(1, 5)
+        rots = {**spec.rotation.edge_rotations, "b": Fraction(1, 5)}
         with pytest.raises(SpectralError):
-            winding_chain(respec_rotation(spec, rots))
+            winding_chain(respec(spec, rotation=replaced(spec.rotation, edge_rotations=rots)))
 
     def test_open_lap_too_long_to_print_names_its_vertex(self, int_digit_limit):
         spec = builtin("triangle-periodic-rigid")
-        rots = dict(spec.rotation.edge_rotations)
-        rots["b"] = Fraction(1, 10 ** 4400 + 1)
+        rots = {**spec.rotation.edge_rotations, "b": Fraction(1, 10 ** 4400 + 1)}
         with pytest.raises(SpectralError, match=r"^rotation\.vertex_stars\.\w+: lap sums to a "
                                                 r"\d+-bit number of a full turn; rotations "
                                                 r"must close up$"):
-            winding_chain(respec_rotation(spec, rots))
+            winding_chain(respec(spec, rotation=replaced(spec.rotation, edge_rotations=rots)))
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -123,9 +112,7 @@ class TestWindingChain:
         rots = {e: data.draw(fraction) for e in spec.rotation.edge_rotations}
         step = st.tuples(st.sampled_from(sorted(rots)), st.sampled_from((1, -1)))
         stars = {c.id: tuple(data.draw(st.lists(step, max_size=8))) for c in spec.cells[0]}
-        spec = make_spec(spec.name, 2, "rigid", spec.cells, spec.boundaries,
-                         rotation=RotationData(edge_rotations=rots, vertex_stars=stars),
-                         symmetric_tilings=spec.symmetric_tilings)
+        spec = respec(spec, rotation=RotationData(edge_rotations=rots, vertex_stars=stars))
         totals = [sum((sign * rots[e] for e, sign in stars[c.id]), Fraction(0))
                   for c in spec.cells[0]]
         assert [spec.rotation.lap_turns()[c.id] for c in spec.cells[0]] == totals
@@ -153,7 +140,8 @@ class TestWindingChain:
                     e: r + offset[sides[e][0]] - offset[sides[e][1]]
                     for e, r in spec.rotation.edge_rotations.items()
                 }
-                assert winding_chain(respec_rotation(spec, shifted)) == base, name
+                assert winding_chain(respec(spec, rotation=replaced(
+                    spec.rotation, edge_rotations=shifted))) == base, name
 
     def test_full_turn_lift_shifts_by_boundary_column(self):
         # the sign depends on which side of the edge carries its first face,
@@ -172,7 +160,8 @@ class TestWindingChain:
                 rots = dict(spec.rotation.edge_rotations)
                 eid = spec.cells[1][j].id
                 rots[eid] = rots[eid] + n
-                shifted = winding_chain(respec_rotation(spec, rots))
+                shifted = winding_chain(respec(spec, rotation=replaced(
+                    spec.rotation, edge_rotations=rots)))
                 diff = tuple(s - b for s, b in zip(shifted, base))
                 col = cplx.boundary[1].column(j)
                 assert diff in (tuple(n * x for x in col),
@@ -212,8 +201,7 @@ class TestE2Page:
 
     def test_needs_no_rotation_data(self):
         spec = builtin("penrose-kite-dart")
-        bare = make_spec(spec.name, 2, "rigid", spec.cells, spec.boundaries,
-                         spec.substitution, None, spec.symmetric_tilings)
+        bare = respec(spec, rotation=None)
         page = e2_page(bare)
         assert [page.entry(p, 1) for p in range(3)] == [
             FgAbelianGroup(2, (5,)), Z, Z]
@@ -298,9 +286,6 @@ class TestRigidHull:
         # synthetic complex whose degree-2 diagonal carries Z at (2,0) and
         # Z/2 at (1,1): the assembly is a direct sum only up to extension,
         # so the degree gets flagged
-        from tilecohom.exactalg import IntMatrix
-        from tilecohom.tilings import CellType
-
         spec = make_spec(
             "flag-probe", 2, "rigid",
             cells={0: (CellType("v", symmetry=2),),
@@ -326,9 +311,7 @@ class TestRigidHull:
                             "c": Fraction(0, 1)},
             vertex_stars={"V6": (("a", 1),), "V2": (("b", 1),),
                           "V3": (("c", 1),)})
-        synthetic = make_spec("triangle-synthetic", 2, "rigid", spec.cells,
-                              spec.boundaries, None, rot,
-                              spec.symmetric_tilings)
+        synthetic = respec(spec, name="triangle-synthetic", rotation=rot)
         sigma, order = d2_image(synthetic)
         assert order is None
         hc = rigid_hull_cohomology(synthetic)
@@ -349,10 +332,9 @@ class TestRigidTorus:
         assert ss.cohomology.extension_flags == ((),) * 4
         assert ss.cohomology.notes == ()
         assert ss.d2_order == 1
-        path = tmp_path / "torus.json"
-        path.write_text(save_spec(spec), encoding="utf-8")
-        assert run_command(["cohomology", str(path), "--hull", "rigid"]) == \
-            CommandResult(0, "H^0 = Z\nH^1 = Z^3\nH^2 = Z^3\nH^3 = Z\n")
+        path = spec_file(tmp_path, spec, "torus.json")
+        assert outcome(["cohomology", path, "--hull", "rigid"]) == (
+            0, "H^0 = Z\nH^1 = Z^3\nH^2 = Z^3\nH^3 = Z\n", "")
         # A second method: the two E2 rows have equal ranks (the modified
         # complex is the rigid one rescaled, so the same over Q), and d2 moves
         # rank between adjacent total degrees, so the Cech ranks have
@@ -379,12 +361,12 @@ class TestPeriodicOrbifolds:
         groups = spectral_sequence(spec).cohomology.groups
         assert tuple(g.render() for g in groups) == cech
         assert sum((-1) ** n * g.free_rank for n, g in enumerate(groups)) == 0
-        spectral = run_command(["spectral", str(path)])
-        assert spectral.exit_code == 0
-        assert spectral.stdout.splitlines()[-1] == "Cech: " + "  ".join(
+        code, out, _ = outcome(["spectral", str(path)])
+        assert code == 0
+        assert out.splitlines()[-1] == "Cech: " + "  ".join(
             "H^%d = %s" % (n, g) for n, g in enumerate(cech))
-        assert run_command(["cohomology", str(path), "--hull", "rigid"]) == CommandResult(
-            0, "".join("H^%d = %s\n" % (n, g) for n, g in enumerate(cech)))
+        assert outcome(["cohomology", str(path), "--hull", "rigid"]) == (
+            0, "".join("H^%d = %s\n" % (n, g) for n, g in enumerate(cech)), "")
 
 
 def _split_edge(doc, e):
@@ -425,8 +407,7 @@ def _split_edge(doc, e):
 
 _PERIODIC_DOCS = [json.loads(path.read_text(encoding="utf-8"))
                   for path in (P1_TORUS, P2_PILLOWCASE, P3)]
-_PERIODIC_DOCS += [json.loads(save_spec(builtin(name)))
-                   for name in ("square-periodic-rigid", "triangle-periodic-rigid")]
+_PERIODIC_DOCS += [document(name) for name in ("square-periodic-rigid", "triangle-periodic-rigid")]
 EDGE_SPLITS = [(doc, c["id"]) for doc in _PERIODIC_DOCS
                for c in doc["cells"]["1"] if c["symmetry"] == 1]
 
@@ -437,25 +418,21 @@ class TestEdgeSubdivision:
     leave the Cech line unchanged.  The E2 rows are the homology of the two
     complexes of that orbifold, so they do not move either."""
 
-    @staticmethod
-    def _outputs(doc, path):
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return [run_command(argv) for argv in (
-            ["check", str(path)], ["spectral", str(path)],
-            ["cohomology", str(path), "--hull", "rigid"])]
-
     def test_every_symmetry_one_edge_is_split(self):
         assert len(EDGE_SPLITS) == 20
 
     @pytest.mark.parametrize("doc, edge", EDGE_SPLITS,
                              ids=["%s-%s" % (doc["name"], e) for doc, e in EDGE_SPLITS])
     def test_split_keeps_the_cech_line(self, tmp_path, doc, edge):
-        _, spectral, cohomology = self._outputs(doc, tmp_path / "spec.json")
-        check, split_spectral, split_cohomology = self._outputs(
-            _split_edge(doc, edge), tmp_path / "split.json")
-        assert check == CommandResult(0, doc["name"] + ": ok\n")
-        assert split_spectral.exit_code == spectral.exit_code == 0
-        lines, split_lines = spectral.stdout.splitlines(), split_spectral.stdout.splitlines()
+        path = spec_file(tmp_path, doc)
+        split = spec_file(tmp_path, _split_edge(doc, edge), "split.json")
+        spectral, cohomology = (outcome(argv) for argv in (
+            ["spectral", path], ["cohomology", path, "--hull", "rigid"]))
+        check, split_spectral, split_cohomology = (outcome(argv) for argv in (
+            ["check", split], ["spectral", split], ["cohomology", split, "--hull", "rigid"]))
+        assert check == (0, doc["name"] + ": ok\n", "")
+        assert split_spectral[0] == spectral[0] == 0
+        lines, split_lines = spectral[1].splitlines(), split_spectral[1].splitlines()
         assert split_lines[-1] == lines[-1]
         assert split_lines[:2] == lines[:2]
         assert split_cohomology == cohomology
@@ -497,11 +474,6 @@ class TestHullCohomology:
             hull_cohomology(builtin("fibonacci"), "mystery")
 
 
-def _respec_substitution(spec, substitution):
-    return make_spec(spec.name, spec.dimension, spec.geometry_mode, spec.cells,
-                     spec.boundaries, substitution, spec.rotation, spec.symmetric_tilings)
-
-
 class TestChainLevelErrors:
     """The library class behind the hull commands' chain-level errors: bad
     chain-level data raises ComplexError from every spectral entry point,
@@ -509,11 +481,8 @@ class TestChainLevelErrors:
 
     def test_penrose_chain_map_that_breaks_both_complexes(self):
         spec = builtin("penrose-kite-dart")
-        f = dict(spec.substitution.maps)
-        rows = f[0].to_rows()
-        rows[0][2] = 1
-        f[0] = IntMatrix.from_rows(rows)
-        bad = _respec_substitution(spec, SubstitutionData("chain_map", f))
+        f = {**spec.substitution.maps, 0: edited(spec.substitution.maps[0], 0, 2, 1)}
+        bad = respec(spec, substitution=SubstitutionData("chain_map", f))
         for compute in (spectral_sequence, e2_page, rigid_hull_cohomology):
             with pytest.raises(ComplexError, match="boundary/f mismatch"):
                 compute(bad)
@@ -524,7 +493,7 @@ class TestChainLevelErrors:
         spec = builtin("triangle-solenoid-rigid")
         maps = dict(spec.substitution.maps)
         maps[0] = (maps[0][0], maps[0][0])
-        bad = _respec_substitution(spec, SubstitutionData("homology_map", maps))
+        bad = respec(spec, substitution=SubstitutionData("homology_map", maps))
         for compute in (spectral_sequence, e2_page, rigid_hull_cohomology,
                         lambda s: hull_cohomology(s, HULL_ROTATION_QUOTIENT)):
             with pytest.raises(ComplexError, match="require chain-level data"):

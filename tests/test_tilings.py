@@ -1,7 +1,4 @@
-import contextlib
-import io
 import json
-import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom.cli import run_command
 from tilecohom.complexes import MODE_RIGID, MODE_RIGID_MODIFIED, build_chain_complex, homology
 from tilecohom.exactalg import IntMatrix
 from tilecohom.groups import FgAbelianGroup, GroupHom, symmetry_defect
@@ -26,6 +22,7 @@ from tilecohom.tilings import (
     save_spec,
     validate_spec,
 )
+from toolkit import document, edited, outcome, replaced, respec, spec_file
 
 P2_PILLOWCASE = Path(__file__).with_name("p2_pillowcase_rigid.json")
 P3 = Path(__file__).with_name("p3_rigid.json")
@@ -76,10 +73,6 @@ def _generated_specs(draw):
 
 
 class TestRoundTrip:
-    def test_fibonacci_round_trip(self):
-        spec = builtin("fibonacci")
-        assert load_spec(save_spec(spec)) == spec
-
     def test_all_builtins_round_trip(self):
         for name in builtin_names():
             spec = builtin(name)
@@ -117,7 +110,7 @@ _DELETE = object()
 
 def _mutated(name, path, value):
     """The document of a builtin with the value at path replaced, or deleted."""
-    doc = json.loads(save_spec(builtin(name)))
+    doc = document(name)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -128,31 +121,26 @@ def _mutated(name, path, value):
     return json.dumps(doc)
 
 
-def _replaced(record, **changes):
-    """A copy of record with the given fields changed, built by its constructor."""
-    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
-
-
 def _cell(k, i, **changes):
-    def edit(args):
-        row = list(args["cells"][k])
-        row[i] = _replaced(row[i], **changes)
-        return {"cells": {**args["cells"], k: tuple(row)}}
+    def edit(spec):
+        row = list(spec.cells[k])
+        row[i] = replaced(row[i], **changes)
+        return {"cells": {**spec.cells, k: tuple(row)}}
     return edit
 
 
 def _substitution_map(k, value):
-    def edit(args):
-        sub = args["substitution"]
+    def edit(spec):
+        sub = spec.substitution
         return {"substitution": SubstitutionData(sub.kind, {**sub.maps, k: value})}
     return edit
 
 
 def _rotation(**changes):
     """changes: field of RotationData -> function of its current value."""
-    def edit(args):
-        rot = args["rotation"]
-        return {"rotation": _replaced(
+    def edit(spec):
+        rot = spec.rotation
+        return {"rotation": replaced(
             rot, **{f: change(getattr(rot, f)) for f, change in changes.items()})}
     return edit
 
@@ -168,21 +156,23 @@ def _without(key):
 
 # One row per `raise SpecError` site of the schema: the builtin, the document
 # path and the value that replaces it (or _DELETE), the exact message, and the
-# same violation as a make_spec argument edit where a library caller can make
-# it (None for rules about the JSON spelling alone).
+# same violation as make_spec arguments, a function of the builtin spec, where
+# a library caller can make it (None for rules about the JSON spelling alone).
 _PENROSE, _FIBONACCI = "penrose-kite-dart", "fibonacci"
 _SCHEMA_MESSAGES = [
-    (_FIBONACCI, ("name",), 5, "name: expected a string", lambda a: {"name": 5}),
+    (_FIBONACCI, ("name",), 5, "name: expected a string", lambda s: {"name": 5}),
     (_FIBONACCI, ("dimension",), True, "dimension: must be 1 or 2",
-     lambda a: {"dimension": True}),
+     lambda s: {"dimension": True}),
     (_FIBONACCI, ("geometry_mode",), "affine",
-     "geometry_mode: must be 'translation' or 'rigid'", lambda a: {"geometry_mode": "affine"}),
+     "geometry_mode: must be 'translation' or 'rigid'", lambda s: {"geometry_mode": "affine"}),
     (_FIBONACCI, ("cells", "2"), [], "cells.2: beyond the spec dimension",
-     lambda a: {"cells": {**a["cells"], 2: ()}}),
+     lambda s: {"cells": {**s.cells, 2: ()}}),
+    (_FIBONACCI, ("boundaries", "2"), [[1]], "boundaries.2: beyond the spec dimension",
+     lambda s: {"boundaries": {**s.boundaries, 2: IntMatrix.from_rows([[1]])}}),
     (_FIBONACCI, ("cells", "1"), _DELETE, "cells.1: missing",
-     lambda a: {"cells": {0: a["cells"][0]}}),
+     lambda s: {"cells": {0: s.cells[0]}}),
     (_FIBONACCI, None, None, "cells.0[0]: expected CellType",
-     lambda a: {"cells": {**a["cells"], 0: ("0.1",)}}),
+     lambda s: {"cells": {**s.cells, 0: ("0.1",)}}),
     (_PENROSE, ("cells", "0", 0, "id"), 5, "cells.0[0].id: expected a string",
      _cell(0, 0, id=5)),
     (_PENROSE, ("cells", "0", 0, "symmetry"), True, "cells.0[0].symmetry: expected an integer",
@@ -203,11 +193,11 @@ _SCHEMA_MESSAGES = [
      "cells.2[1].reverses_orientation: only an edge can reverse orientation",
      _cell(2, 1, reverses_orientation=True)),
     (_PENROSE, ("boundaries", "1"), [[1]], "boundaries.1: shape (1, 1) != expected (7, 7)",
-     lambda a: {"boundaries": {**a["boundaries"], 1: IntMatrix.from_rows([[1]])}}),
+     lambda s: {"boundaries": {**s.boundaries, 1: IntMatrix.from_rows([[1]])}}),
     (_PENROSE, ("substitution", "kind"), "cochain", "substitution.kind: unknown kind 'cochain'",
-     lambda a: {"substitution": SubstitutionData("cochain", {})}),
+     lambda s: {"substitution": SubstitutionData("cochain", {})}),
     (_PENROSE, ("substitution", "chain_map"), {}, "substitution.chain_map: missing",
-     lambda a: {"substitution": SubstitutionData("chain_map", {})}),
+     lambda s: {"substitution": SubstitutionData("chain_map", {})}),
     (_PENROSE, ("substitution", "chain_map", "0"), [[1]],
      "substitution.chain_map.0: expected 7x7 matrix",
      _substitution_map(0, IntMatrix.from_rows([[1]]))),
@@ -219,7 +209,7 @@ _SCHEMA_MESSAGES = [
      _substitution_map(1, (((1,),), ((1, 1),)))),
     (_FIBONACCI, ("rotation",), {"edge_rotations": {}, "vertex_stars": {}},
      "rotation: only meaningful for 2-dimensional rigid specs",
-     lambda a: {"rotation": RotationData({}, {})}),
+     lambda s: {"rotation": RotationData({}, {})}),
     (_PENROSE, ("rotation", "edge_rotations", "E9"), "1/5",
      "rotation.edge_rotations.E9: unknown edge",
      _rotation(edge_rotations=lambda rots: {**rots, "E9": Fraction(1, 5)})),
@@ -237,9 +227,10 @@ _SCHEMA_MESSAGES = [
      "rotation.vertex_stars.sun[0].sign: must be 1 or -1", _star("sun", 0, ("E1", 2))),
     (_PENROSE, ("symmetric_tilings",), [5, "5"],
      "symmetric_tilings: expected an array of integers",
-     lambda a: {"symmetric_tilings": (5, "5")}),
+     lambda s: {"symmetric_tilings": (5, "5")}),
     (_PENROSE, ("symmetric_tilings",), [1], "symmetric_tilings: orders must be >= 2",
-     lambda a: {"symmetric_tilings": (1,)}),
+     lambda s: {"symmetric_tilings": (1,)}),
+    (_FIBONACCI, ("colour",), "blue", "document.colour: unknown key", None),
     (_FIBONACCI, ("cells",), [], "cells: expected an object", None),
     (_FIBONACCI, ("cells", "0"), {}, "cells.0: expected an array", None),
     (_FIBONACCI, ("cells", "0", 0, "area"), 1, "cells.0[0].area: unknown key", None),
@@ -268,7 +259,7 @@ _SCHEMA_MESSAGES = [
     (_PENROSE, ("cells", "1", 6, "id"), 5, "cells.1[6].id: expected a string",
      _cell(1, 6, id=5)),
     (_PENROSE, None, None, "cells.1[6]: expected CellType",
-     lambda a: {"cells": {**a["cells"], 1: a["cells"][1][:6] + ("E7",)}}),
+     lambda s: {"cells": {**s.cells, 1: s.cells[1][:6] + ("E7",)}}),
     (_PENROSE, ("cells", "0", 6, "symmetry"), -1, "cells.0[6].symmetry: must be >= 1",
      _cell(0, 6, symmetry=-1)),
     (_PENROSE, ("cells", "2", 1, "id"), "sun", "cells.2[1]: duplicate id 'sun'",
@@ -287,26 +278,26 @@ _SCHEMA_MESSAGES = [
      _star("king", 4, ("E5", -1, 0))),
     # Container types only a library caller can get wrong: make_spec alone.
     (_FIBONACCI, None, None, "cells: expected a dict keyed by degree",
-     lambda a: {"cells": list(a["cells"].values())}),
+     lambda s: {"cells": list(s.cells.values())}),
     (_FIBONACCI, None, None, "cells.'0': degree is not an int",
-     lambda a: {"cells": {str(k): v for k, v in a["cells"].items()}}),
+     lambda s: {"cells": {str(k): v for k, v in s.cells.items()}}),
     (_FIBONACCI, None, None, "cells.0: expected a tuple of CellType",
-     lambda a: {"cells": {**a["cells"], 0: None}}),
+     lambda s: {"cells": {**s.cells, 0: None}}),
     (_FIBONACCI, None, None, "boundaries: expected a dict keyed by degree",
-     lambda a: {"boundaries": [a["boundaries"][1]]}),
+     lambda s: {"boundaries": [s.boundaries[1]]}),
     (_FIBONACCI, None, None, "boundaries.1: expected IntMatrix",
-     lambda a: {"boundaries": {1: a["boundaries"][1].to_rows()}}),
+     lambda s: {"boundaries": {1: s.boundaries[1].to_rows()}}),
     (_PENROSE, None, None, "substitution: expected SubstitutionData",
-     lambda a: {"substitution": {"kind": "chain_map"}}),
+     lambda s: {"substitution": {"kind": "chain_map"}}),
     (_PENROSE, None, None, "substitution.chain_map.0: expected IntMatrix",
-     lambda a: _substitution_map(0, a["substitution"].maps[0].to_rows())(a)),
+     lambda s: _substitution_map(0, s.substitution.maps[0].to_rows())(s)),
     (_FIBONACCI, None, None, "substitution.homology_map.1: expected a (generators, images) pair",
      _substitution_map(1, ((1, 1),))),
     (_FIBONACCI, None, None, "substitution.homology_map.1.images: expected a list of integer "
-     "vectors", lambda a: _substitution_map(1, (a["substitution"].maps[1][0], 5))(a)),
+     "vectors", lambda s: _substitution_map(1, (s.substitution.maps[1][0], 5))(s)),
     (_FIBONACCI, None, None, "substitution.homology_map.1.images[0]: expected an integer vector",
-     lambda a: _substitution_map(1, (a["substitution"].maps[1][0], ((1, True),)))(a)),
-    (_PENROSE, None, None, "rotation: expected RotationData", lambda a: {"rotation": {}}),
+     lambda s: _substitution_map(1, (s.substitution.maps[1][0], ((1, True),)))(s)),
+    (_PENROSE, None, None, "rotation: expected RotationData", lambda s: {"rotation": {}}),
     (_PENROSE, None, None, "rotation.edge_rotations: expected a dict",
      _rotation(edge_rotations=list)),
     (_PENROSE, None, None, "rotation.edge_rotations.E1: expected a Fraction",
@@ -327,38 +318,10 @@ _SCHEMA_MESSAGES = [
 
 
 class TestSchema:
-    def penrose_doc(self):
-        return json.loads(save_spec(builtin("penrose-kite-dart")))
-
-    def test_wrong_boundary_shape(self):
-        doc = self.penrose_doc()
-        doc["boundaries"]["1"] = [row[:6] for row in doc["boundaries"]["1"]]
-        with pytest.raises(SpecError, match="boundaries.1"):
-            load_spec(json.dumps(doc))
-
-    def test_unknown_top_level_key(self):
-        doc = self.penrose_doc()
-        doc["colour"] = "blue"
-        with pytest.raises(SpecError, match="colour"):
-            load_spec(json.dumps(doc))
-
-    def test_unknown_cell_key(self):
-        doc = self.penrose_doc()
-        doc["cells"]["0"][0]["area"] = 1
-        with pytest.raises(SpecError, match="cells.0"):
-            load_spec(json.dumps(doc))
-
-    def test_duplicate_ids(self):
-        doc = self.penrose_doc()
-        doc["cells"]["1"][1]["id"] = "E1"
-        with pytest.raises(SpecError, match="duplicate"):
-            load_spec(json.dumps(doc))
-
     def test_float_entries_rejected(self):
-        doc = self.penrose_doc()
-        doc["boundaries"]["1"][0][0] = 5.0
-        with pytest.raises(SpecError, match="integer"):
-            load_spec(json.dumps(doc))
+        with pytest.raises(SpecError) as err:
+            load_spec(_mutated("penrose-kite-dart", ("boundaries", "1", 0, 0), 5.0))
+        assert str(err.value) == "boundaries.1[0][0]: expected an integer"
 
     @pytest.mark.parametrize("where", [("boundaries", "1"),
                                        ("substitution", "chain_map", "0")])
@@ -374,31 +337,9 @@ class TestSchema:
             load_spec(_mutated("penrose-kite-dart", where, value))
         assert str(err.value) == message % ".".join(where)
 
-    def test_bad_fraction(self):
-        doc = self.penrose_doc()
-        doc["rotation"]["edge_rotations"]["E1"] = "0.2"
-        with pytest.raises(SpecError, match="edge_rotations"):
-            load_spec(json.dumps(doc))
-
-    def test_translation_spec_with_symmetry_rejected(self):
-        doc = json.loads(save_spec(builtin("fibonacci")))
-        doc["cells"]["0"][0]["symmetry"] = 5
-        with pytest.raises(SpecError, match="trivial cell symmetry"):
-            load_spec(json.dumps(doc))
-
     def test_invalid_json(self):
         with pytest.raises(SpecError, match="invalid JSON"):
             load_spec("{")
-
-    def test_degrees_beyond_dimension_rejected(self):
-        doc = json.loads(save_spec(builtin("fibonacci")))
-        doc["cells"]["2"] = [{"id": "ghost", "symmetry": 1}]
-        with pytest.raises(SpecError, match="beyond the spec dimension"):
-            load_spec(json.dumps(doc))
-        doc = json.loads(save_spec(builtin("fibonacci")))
-        doc["boundaries"]["2"] = [[1]]
-        with pytest.raises(SpecError, match="beyond the spec dimension"):
-            load_spec(json.dumps(doc))
 
     @pytest.mark.parametrize("name, path, value, message, edit", _SCHEMA_MESSAGES,
                              ids=[row[3] for row in _SCHEMA_MESSAGES])
@@ -409,17 +350,9 @@ class TestSchema:
                 load_spec(_mutated(name, path, value))
             assert str(err.value) == message
         if edit is not None:
-            spec = builtin(name)
-            args = {f: getattr(spec, f) for f in spec._fields}
             with pytest.raises(SpecError) as err:
-                make_spec(**{**args, **edit(args)})
+                respec(name, **edit(builtin(name)))
             assert str(err.value) == message
-
-    def test_star_referencing_unknown_edge(self):
-        doc = self.penrose_doc()
-        doc["rotation"]["vertex_stars"]["sun"][0]["edge"] = "E99"
-        with pytest.raises(SpecError, match="E99"):
-            load_spec(json.dumps(doc))
 
     @pytest.mark.parametrize("builtin_name, path, value", [
         ("penrose-kite-dart", ("substitution", "chain_map"), [[1]]),
@@ -432,13 +365,10 @@ class TestSchema:
         ("fibonacci", ("dimension",), True),
         ("penrose-kite-dart", ("boundaries", "1"), [[1], [1, 2]]),
     ])
-    def test_mistyped_values_rejected_by_check(self, tmp_path, capsys,
-                                               builtin_name, path, value):
-        spec_path = tmp_path / "bad.json"
-        spec_path.write_text(_mutated(builtin_name, path, value))
-        res = run_command(["check", str(spec_path)])
-        assert (res.exit_code, res.stdout) == (1, "")
-        err = capsys.readouterr().err
+    def test_mistyped_values_rejected_by_check(self, tmp_path, builtin_name, path, value):
+        code, out, err = outcome(["check", spec_file(
+            tmp_path, _mutated(builtin_name, path, value))])
+        assert (code, out) == (1, "")
         assert err.startswith("error: " + ".".join(str(k) for k in path[:2]))
         assert err.count("\n") == 1
 
@@ -467,32 +397,21 @@ class TestSpecFuzz:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_mutated_spec(self, data, time_limit):
-        doc = json.loads(save_spec(builtin(data.draw(st.sampled_from(builtin_names())))))
-        path = data.draw(st.sampled_from(list(_paths(doc))))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        value = data.draw(st.sampled_from(_MUTANT_VALUES))
-        if value is _DELETE:
-            del node[path[-1]]
-        else:
-            node[path[-1]] = value
+        name = data.draw(st.sampled_from(builtin_names()))
+        path = data.draw(st.sampled_from(list(_paths(document(name)))))
+        text = _mutated(name, path, data.draw(st.sampled_from(_MUTANT_VALUES)))
         mode = data.draw(st.sampled_from(("translation", "rigid", "rigid-modified")))
         hull = data.draw(st.sampled_from(("translation", "rotation-quotient", "rigid")))
         with tempfile.TemporaryDirectory() as tmp:
-            spec_path = os.path.join(tmp, "mutant.json")
-            with open(spec_path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+            spec_path = spec_file(tmp, text, "mutant.json")
             for argv in (["check", spec_path],
                          ["homology", spec_path, "--mode", mode, "--limit"],
                          ["cohomology", spec_path, "--hull", hull],
                          ["spectral", spec_path]):
-                err = io.StringIO()
-                with time_limit(10), contextlib.redirect_stderr(err):
-                    res = run_command(argv)
-                assert res.exit_code in (0, 1, 2), argv
-                errors = [line for line in err.getvalue().splitlines()
-                          if line.startswith("error:")]
+                with time_limit(10):
+                    code, _, err = outcome(argv)
+                assert code in (0, 1, 2), argv
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
                 assert len(errors) <= 1, argv
 
 
@@ -503,36 +422,22 @@ class TestValidate:
 
     def test_penrose_sign_flip_detected(self):
         spec = builtin("penrose-kite-dart")
-        rows = spec.boundaries[2].to_rows()
-        rows[2][0] = -rows[2][0]
-        from tilecohom.exactalg import IntMatrix
-
-        bad = make_spec(spec.name, 2, "rigid", spec.cells,
-                        {1: spec.boundaries[1], 2: IntMatrix.from_rows(rows)},
-                        spec.substitution, spec.rotation, spec.symmetric_tilings)
+        d2 = spec.boundaries[2]
+        bad = respec(spec, boundaries={**spec.boundaries, 2: edited(d2, 2, 0, -d2[2, 0])})
         assert any("boundary of boundary" in issue for issue in validate_spec(bad))
 
     def test_open_rotation_lap_detected(self):
         spec = builtin("triangle-periodic-rigid")
-        rot = RotationData(
-            edge_rotations=dict(spec.rotation.edge_rotations,
-                                b=Fraction(1, 5)),
-            vertex_stars=spec.rotation.vertex_stars)
-        bad = make_spec(spec.name, 2, "rigid", spec.cells, spec.boundaries,
-                        None, rot, spec.symmetric_tilings)
-        assert any("close up" in issue for issue in validate_spec(bad))
+        rot = replaced(spec.rotation, edge_rotations={**spec.rotation.edge_rotations,
+                                                      "b": Fraction(1, 5)})
+        assert any("close up" in issue for issue in validate_spec(respec(spec, rotation=rot)))
 
     def test_bad_homology_map_detected(self):
-        spec = builtin("fibonacci")
-        from tilecohom.tilings import SubstitutionData
-
         bad_sub = SubstitutionData(
             kind="homology_map",
             maps={0: (((1, 0, 0),), ((1, 0, 0),)),  # fails to generate
                   1: (((1, 1),), ((1, 1),))})
-        bad = make_spec(spec.name, 1, "translation", spec.cells,
-                        spec.boundaries, bad_sub)
-        assert validate_spec(bad)
+        assert validate_spec(respec("fibonacci", substitution=bad_sub))
 
 
 def ids(spec, degree):
