@@ -24,7 +24,7 @@ from tilecohom.tilings import (
     builtin_names,
     make_spec,
 )
-from toolkit import document, outcome, respec, spec_file
+from toolkit import columns, document, outcome, respec, spec_file
 
 
 def run(*argv):
@@ -1064,11 +1064,6 @@ class TestEliminationsPerBoundary:
         assert max((sum(A is b for A in made) for b in boundaries), default=0) <= 1
 
 
-def _columns(M):
-    """The columns of M, as tuples."""
-    return [M.column(j) for j in range(M.cols)]
-
-
 def _random_complex(boundary_cols, seed=7):
     """d_1 (6 x 12, entries in -1..1) and a d_2 with the given number of
     columns, each an integer combination of a kernel basis of d_1.  The first
@@ -1108,7 +1103,7 @@ class TestFactorizationCounts:
         snfs.clear()
         for j in range(d2.cols):
             assert pres.class_of(d2.column(j)).order() == 1
-        for g, cycle in zip(pres.structure.generators(), _columns(pres.generator_matrix())):
+        for g, cycle in zip(pres.structure.generators(), columns(pres.generator_matrix())):
             assert pres.class_of(cycle) == g
         assert snfs == []
 
@@ -1181,7 +1176,7 @@ class TestChainLevelMaps:
         """The bulk classes equal those of induced_hom, the per-generator route."""
         for k in range(analysis.top_dim + 1):
             f, p = analysis.chain_map[k], analysis.homology(k)
-            gens = _columns(p.generator_matrix())
+            gens = columns(p.generator_matrix())
             images = [f.mul_vector(g) for g in gens]
             bulk = p.classes_of(f * p.generator_matrix())
             assert bulk == groups.induced_hom(p, gens, images).matrix
@@ -1203,7 +1198,7 @@ class TestChainLevelMaps:
     def test_generator_matrix_columns_are_the_lifts(self):
         d1, d2 = _random_complex(20)
         pres = groups.homology_presentation(d1, d2)
-        assert _columns(pres.generator_matrix()) == \
+        assert columns(pres.generator_matrix()) == \
             [pres.lift(g) for g in pres.structure.generators()]
 
     @settings(max_examples=40)
@@ -1293,7 +1288,7 @@ class TestTransformBuilds:
     def test_presentation_never_builds_a_transform(self, snfs):
         d1, d2 = _random_complex(20)
         pres = groups.homology_presentation(d1, d2)
-        for g, cycle in zip(pres.structure.generators(), _columns(pres.generator_matrix())):
+        for g, cycle in zip(pres.structure.generators(), columns(pres.generator_matrix())):
             assert pres.class_of(cycle) == g
         assert snfs
         assert [n for *_, f in snfs for n in _TRANSFORMS if n in vars(f)] == []

@@ -19,7 +19,6 @@ from tilecohom.dirlimit import (
     _char_poly,
     _factorize,
     _power_mod,
-    _rank_mod_p,
     _splits_by_type,
     _stable_rank,
     direct_limit,
@@ -27,8 +26,10 @@ from tilecohom.dirlimit import (
     stable_rank_mod_p,
 )
 from tilecohom.cli import run_command
-from tilecohom.exactalg import IntMatrix, determinant, invariant_factors, smith_normal_form
+from tilecohom.exactalg import (IntMatrix, determinant, invariant_factors, kernel_basis,
+                                smith_normal_form)
 from tilecohom.groups import FgAbelianGroup, GroupHom, from_divisors, subgroup_structure
+from toolkit import columns, conjugate, gen, minor_factors, oracle
 
 TM = IntMatrix.from_rows([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
 
@@ -194,10 +195,8 @@ class TestDirectLimit:
         g = FgAbelianGroup.free(2)
         base = direct_limit(g, GroupHom(g, g, M))
         for _ in range(15):
-            a = rng.randint(-3, 3)
-            U = IntMatrix.from_rows([[1, a], [0, 1]])
-            Uinv = IntMatrix.from_rows([[1, -a], [0, 1]])
-            conj = U * M * Uinv
+            # U M U^-1 for the shear U = [[1, a], [0, 1]].
+            conj = conjugate(M.to_rows(), [(0, 1, rng.randint(-3, 3))])
             lim = direct_limit(g, GroupHom(g, g, conj))
             assert lim.free_summands == base.free_summands
             assert lim.status == base.status
@@ -213,24 +212,6 @@ class TestDirectLimit:
             M2 = M * M
             for p in (2, 3, 5):
                 assert stable_rank_mod_p(M, p) == stable_rank_mod_p(M2, p)
-
-
-def invariant_factors_by_minors(A):
-    """Independent invariant-factor computation via gcds of k x k minors."""
-    n = A.rows
-    prev = 1
-    out = []
-    for k in range(1, n + 1):
-        g = 0
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                sub = IntMatrix.from_rows([[A[i, j] for j in cols] for i in rows])
-                g = gcd(g, determinant(sub))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out
 
 
 def vp(n, p):
@@ -252,14 +233,9 @@ class TestDivisibilityOracle:
         r = M.rows
         det = determinant(M)
         assert det != 0
-        M6 = IntMatrix.identity(r)
-        for _ in range(6):
-            M6 = M6 * M
-        M12 = M6 * M6
-        f6 = invariant_factors_by_minors(M6)
-        f12 = invariant_factors_by_minors(M12)
-        f6 += [1] * (r - len(f6))
-        f12 += [1] * (r - len(f12))
+        M6 = _power(M.to_rows(), 6)
+        f6 = minor_factors(IntMatrix.from_rows(M6))
+        f12 = minor_factors(IntMatrix.from_rows(gen.matmul(M6, M6)))
         for p in (2, 3, 5, 7):
             if det % p != 0:
                 continue
@@ -314,37 +290,12 @@ class TestMixedLimits:
         assert lim.render() == "0"
 
 
-def _primes_dividing(n):
-    return [p for p in range(2, abs(n) + 1) if n % p == 0 and all(p % d for d in range(2, p))]
-
-
-def _radical(n):
-    return prod(_primes_dividing(n))
-
-
 _PRIMES_900S = tuple(p for p in range(900, 1000) if all(p % d for d in range(2, 32)))
 _NON_UNITS = (4, -12, 18, 25) + _PRIMES_900S + tuple(-p for p in _PRIMES_900S)
 _EIGENVALUES = (1, -1) + _NON_UNITS
-# Elementary column operations (i, j, c): column j += c * column i.
+# Elementary operations (i, j, c) of toolkit.unimodular.
 _UNIMODULAR_OPS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
                                      st.sampled_from((-2, -1, 1, 2))), max_size=8)
-
-
-def _conjugate(J, ops):
-    """P J P^-1 for P the product of the elementary operations (unimodular)."""
-    n = len(J)
-    P = [[int(i == j) for j in range(n)] for i in range(n)]
-    Pinv = [row[:] for row in P]
-    for i, j, c in ops:
-        i, j = i % n, j % n
-        if i == j:
-            continue
-        for row in P:
-            row[j] += c * row[i]
-        Pinv[i] = [x - c * y for x, y in zip(Pinv[i], Pinv[j])]
-    P, Pinv = IntMatrix.from_rows(P), IntMatrix.from_rows(Pinv)
-    assert (P * Pinv).entries == IntMatrix.identity(n).entries
-    return P * IntMatrix.from_rows(J) * Pinv
 
 
 def _diagonal(values):
@@ -359,14 +310,15 @@ class TestEigenvalueOracle:
     @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=1, max_size=4),
            ops=_UNIMODULAR_OPS)
     def test_diagonalizable(self, eigenvalues, ops):
-        lim = direct_limit(*free_endo(_conjugate(_diagonal(eigenvalues), ops)))
+        lim = direct_limit(*free_endo(conjugate(_diagonal(eigenvalues), ops)))
         if all(abs(lam) == 1 for lam in eigenvalues):
             assert (lim.status, lim.free_summands) == (STATUS_EXACT, ((1, len(eigenvalues)),))
             return
-        notes = ["inverted integer %d canonicalized to its radical %d" % (abs(lam), _radical(lam))
-                 for lam in sorted(eigenvalues) if _radical(lam) != abs(lam)]
+        notes = ["inverted integer %d canonicalized to its radical %d"
+                 % (abs(lam), gen.radical(lam))
+                 for lam in sorted(eigenvalues) if gen.radical(lam) != abs(lam)]
         assert lim.status == STATUS_VERIFIED
-        assert lim.free_summands == tuple(sorted(Counter(map(_radical, eigenvalues)).items()))
+        assert lim.free_summands == tuple(sorted(Counter(map(gen.radical, eigenvalues)).items()))
         assert lim.notes == tuple(dict.fromkeys(notes))
 
     @settings(max_examples=30)
@@ -375,34 +327,21 @@ class TestEigenvalueOracle:
     def test_jordan_block(self, lam, others, ops):
         J = _diagonal([lam, lam] + others)
         J[0][1] = 1
-        lim = direct_limit(*free_endo(_conjugate(J, ops)))
+        lim = direct_limit(*free_endo(conjugate(J, ops)))
         eigenvalues = [lam, lam] + others
-        primes = sorted({p for v in eigenvalues for p in _primes_dividing(v)})
+        primes = sorted({p for v in eigenvalues for p in gen.prime_factors(v)})
         assert lim.status == STATUS_UNDETERMINED
         assert lim.lattice_rank == len(eigenvalues)
         assert lim.p_divisible_ranks == tuple(
             (p, sum(1 for v in eigenvalues if v % p == 0)) for p in primes)
 
 
-def _rank_over_q(M):
-    """Rank over Q by fraction-free elimination, with no SNF."""
-    a = M.to_rows()
-    rank = 0
-    for col in range(M.cols):
-        pivot = next((i for i in range(rank, M.rows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        for i in range(rank + 1, M.rows):
-            a[i] = [a[rank][col] * x - a[i][col] * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
-def _power(M, e):
-    out = IntMatrix.identity(M.rows)
+def _power(rows, e):
+    """The matrix with these rows to the power e, by e products from the
+    identity on gen.matmul: no IntMatrix product."""
+    out = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
     for _ in range(e):
-        out = out * M
+        out = gen.matmul(out, rows)
     return out
 
 
@@ -434,20 +373,21 @@ def _jordan(blocks):
 
 class TestEventualKernelOracle:
     """eventual_data of P J P^-1 against ker F^r and the characteristic
-    polynomial, computed here without any SNF."""
+    polynomial, computed here without any SNF or IntMatrix product."""
 
     @settings(max_examples=60)
     @given(blocks=_JORDAN_BLOCKS, nilpotent=st.booleans(), ops=_UNIMODULAR_OPS)
     def test_kernel_and_induced_map(self, blocks, nilpotent, ops):
         if nilpotent:
             blocks = [(0, size) for _, size in blocks]
-        F = _conjugate(_jordan(blocks), ops)
+        F = conjugate(_jordan(blocks), ops)
         r = F.rows
         data = eventual_data(*free_endo(F))
         K, D = data.eventual_kernel, data.induced
         k = K.cols
-        assert _power(F, r) * K == IntMatrix.zero(r, k)
-        assert k == r - _rank_over_q(_power(F, r))
+        F_r = _power(F.to_rows(), r)
+        assert gen.matmul(F_r, K.to_rows()) == [[0] * k for _ in range(r)]
+        assert k == r - oracle.rank_q(F_r)
         assert D.rows == D.cols == r - k
         # Saturated: the k x k minors of K have gcd 1.
         minors = [determinant(K.submatrix(rows, range(k))) for rows in combinations(range(r), k)]
@@ -473,7 +413,7 @@ class TestNoMatrixPowers:
     @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=2, max_size=5),
            ops=_UNIMODULAR_OPS)
     def test_nonsingular_factors_only_f(self, recorded, eigenvalues, ops):
-        F = _conjugate(_diagonal(eigenvalues), ops)
+        F = conjugate(_diagonal(eigenvalues), ops)
         with recorded(smith_normal_form, invariant_factors) as made:
             data = eventual_data(*free_endo(F))
         assert [(name, A) for name, (A,), _ in made] == [("invariant_factors", F)]
@@ -495,9 +435,9 @@ class TestNoMatrixPowers:
         assert data.induced.entries == (2,)
 
 
-def _old_stable_rank(D, p):
+def _old_stable_rank(rows, p):
     """The integer route: D^n with n = dimension, then its rank mod p."""
-    return _rank_mod_p(_power(D, D.rows).to_rows(), p)
+    return oracle.rank_mod(_power(rows, len(rows)), p)
 
 
 class TestStableRankReference:
@@ -508,7 +448,7 @@ class TestStableRankReference:
            p=st.sampled_from((2, 3, 5, 7, 997, 10 ** 20 + 39)))
     def test_matches_integer_power(self, rows, p):
         D = IntMatrix(len(rows), len(rows), tuple(x for row in rows for x in row))
-        assert stable_rank_mod_p(D, p) == _old_stable_rank(D, p)
+        assert stable_rank_mod_p(D, p) == _old_stable_rank(rows, p)
 
     @settings(max_examples=60)
     @given(n=st.integers(1, 5), p=st.sampled_from((2, 3, 5, 7, 997, 10 ** 20 + 39)),
@@ -521,8 +461,8 @@ class TestStableRankReference:
                                         min_size=n - k, max_size=n - k),
                                min_size=n - k, max_size=n - k))
         J = _jordan([(p * c, k)])
-        D = _conjugate([row + [0] * (n - k) for row in J] + [[0] * k + row for row in B], ops)
-        expected = _old_stable_rank(D, p)
+        D = conjugate([row + [0] * (n - k) for row in J] + [[0] * k + row for row in B], ops)
+        expected = _old_stable_rank(D.to_rows(), p)
         assert expected <= n - k
         assert stable_rank_mod_p(D, p) == expected
         assert _stable_rank(D.to_rows(), p) == expected
@@ -536,7 +476,7 @@ def _old_is_diagonalizable(A, distinct_roots):
 def _type_blocks(roots):
     """The roots grouped by their radical over the primes of their product,
     as direct_limit groups the eigenvalues of D."""
-    primes = {p for lam in roots for p in _factorize(lam)[0]}
+    primes = {p for lam in roots for p in gen.prime_factors(lam)}
     blocks = {}
     for lam in roots:
         blocks.setdefault(prod(p for p in primes if lam % p == 0), []).append(lam)
@@ -551,11 +491,6 @@ def _shifted_product(D, roots):
         product = product * IntMatrix.from_rows(
             [[D[i, j] - (lam if i == j else 0) for j in range(n)] for i in range(n)])
     return product
-
-
-def _kernel_columns(A):
-    K = smith_normal_form(A).kernel()
-    return [K.column(j) for j in range(K.cols)]
 
 
 def _random_diagonalizable(rng, n):
@@ -599,7 +534,7 @@ class TestSplitsByType:
         if jordan:
             J[1][1] = J[0][0]
             J[0][1] = 1
-        D = _conjugate(J, ops)
+        D = conjugate(J, ops)
         roots = sorted(J[i][i] for i in range(len(J)))
         assert (_splits_by_type(D.to_rows(), _type_blocks(roots))
                 is _old_is_diagonalizable(D, sorted(set(roots))) is not jordan)
@@ -644,13 +579,13 @@ class TestSplitsByType:
                 A = _shifted_product(D, sorted(set(block)))
                 B = _shifted_product(D, sorted({mu for mu in roots if mu not in block}))
                 index = abs(determinant(IntMatrix.from_columns(
-                    _kernel_columns(A) + _kernel_columns(B), rows=D.rows)))
+                    columns(kernel_basis(A)) + columns(kernel_basis(B)), rows=D.rows)))
                 on_w = abs(prod(mu - lam for mu in roots if mu not in block
                                 for lam in set(block)))
                 assert prod(invariant_factors(A)) * index == on_w
                 identities.append(index == 1)
             kernels = [col for block in blocks.values()
-                       for col in _kernel_columns(_shifted_product(D, sorted(set(block))))]
+                       for col in columns(kernel_basis(_shifted_product(D, sorted(set(block)))))]
             spans = abs(determinant(IntMatrix.from_columns(kernels, rows=D.rows))) == 1
             assert all(identities) is spans
             radicals = sorted(blocks, reverse=True)
@@ -741,19 +676,6 @@ class TestTorsionLimitReference:
         assert eventual_data(g, e).torsion_limit == _old_torsion_limit(g, e)
 
 
-def _naive_power(rows, bound):
-    """D^e, with e the first power of 2 at least bound, by e products of
-    triple sums from the identity."""
-    n, e = len(rows), 1
-    while e < bound:
-        e *= 2
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(e):
-        out = [[sum(out[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
-    return out
-
-
 def _square_rows(entry, n):
     return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
 
@@ -761,6 +683,11 @@ def _square_rows(entry, n):
 # Entries mostly zero and +-1, dense and small, or up to 300 bits.
 _ENTRIES = st.sampled_from((st.sampled_from((0, 0, 0, 1, -1, 2)), st.integers(-9, 9),
                             st.integers(-(1 << 300), 1 << 300)))
+
+
+def _squarings(bound):
+    """The first power of 2 at least bound: _power_mod gives D to that power."""
+    return 1 << max(bound - 1, 0).bit_length()
 
 
 class TestPowerMod:
@@ -772,7 +699,7 @@ class TestPowerMod:
            m=st.sampled_from((2, 3, 997, 10 ** 20 + 39, (1 << 300) + 7)),
            bound=st.integers(0, 9))
     def test_one_modulus(self, rows, m, bound):
-        expected = [[x % m for x in row] for row in _naive_power(rows, bound)]
+        expected = [[x % m for x in row] for row in _power(rows, _squarings(bound))]
         assert _power_mod(rows, [m] * len(rows), bound) == expected
 
     @settings(max_examples=80)
@@ -785,7 +712,8 @@ class TestPowerMod:
         n, entry = len(torsion), data.draw(_ENTRIES)
         rows = [[torsion[i] // gcd(torsion[i], torsion[k]) * data.draw(entry) for k in range(n)]
                 for i in range(n)]
-        expected = [[x % d for x in row] for row, d in zip(_naive_power(rows, bound), torsion)]
+        power = _power(rows, _squarings(bound))
+        expected = [[x % d for x in row] for row, d in zip(power, torsion)]
         assert _power_mod(rows, torsion, bound) == expected
 
 
@@ -867,7 +795,7 @@ class TestEigenvalueCandidatesBasisFree:
             assert res.exit_code == 0
             return res.stdout
 
-        assert stdout(_conjugate(rows, ops)) == stdout(IntMatrix.from_rows(rows))
+        assert stdout(conjugate(rows, ops)) == stdout(IntMatrix.from_rows(rows))
 
 
 def _primes_up_to(n):

@@ -1,6 +1,4 @@
 import random
-from itertools import combinations
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,16 +16,7 @@ from tilecohom.exactalg import (
     smith_normal_form,
     solve_in_lattice,
 )
-
-PENROSE_D1 = IntMatrix.from_rows([
-    [5, 0, 0, 0, 0, 0, 0],
-    [0, -5, 0, 0, 0, 0, 0],
-    [-1, 0, -1, 1, 0, 0, 0],
-    [0, 1, 1, -1, 0, 0, 1],
-    [1, 0, 1, -1, -1, -1, 0],
-    [-1, 0, 0, 0, 1, 1, -2],
-    [0, -2, 0, 0, 1, 1, -1],
-])
+from toolkit import PENROSE_D1, minor_factors
 
 
 def matrices(max_dim=6, max_entry=9):
@@ -139,21 +128,7 @@ class TestSmithNormalForm:
     @given(matrices(max_dim=4, max_entry=5))
     def test_invariant_factors_match_minor_gcds(self, A):
         """Oracle: d_1 * ... * d_k equals the gcd of all k x k minors."""
-        snf = check_snf_contract(A)
-        factors = snf.invariant_factors
-        for k in range(1, min(A.rows, A.cols) + 1):
-            g = 0
-            for rows in combinations(range(A.rows), k):
-                for cols in combinations(range(A.cols), k):
-                    sub = IntMatrix.from_rows([[A[i, j] for j in cols] for i in rows])
-                    g = gcd(g, determinant(sub))
-            prod = 1
-            for d in factors[:k]:
-                prod *= d
-            if k <= len(factors):
-                assert g == prod
-            else:
-                assert g == 0
+        assert list(check_snf_contract(A).invariant_factors) == minor_factors(A)
 
 
 def _low_rank(max_dim=6, max_entry=9):

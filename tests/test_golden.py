@@ -16,18 +16,13 @@ import os
 import random
 import re
 import shlex
-import sys
 from pathlib import Path
 
 import pytest
 
-from toolkit import outcome
+from toolkit import outcome, workloads
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import workloads  # noqa: E402
-
 GOLDEN = ROOT / "perfbench" / "golden" / "corpus.json"
 OPS = json.loads(GOLDEN.read_text(encoding="utf-8"))["ops"]
 SEED = 101

@@ -30,16 +30,7 @@ from tilecohom.groups import (
     subgroup_structure,
     symmetry_defect,
 )
-
-PENROSE_D1 = IntMatrix.from_rows([
-    [5, 0, 0, 0, 0, 0, 0],
-    [0, -5, 0, 0, 0, 0, 0],
-    [-1, 0, -1, 1, 0, 0, 0],
-    [0, 1, 1, -1, 0, 0, 1],
-    [1, 0, 1, -1, -1, -1, 0],
-    [-1, 0, 0, 0, 1, 1, -2],
-    [0, -2, 0, 0, 1, 1, -1],
-])
+from toolkit import PENROSE_D1, automorphism_ops, random_group, random_hom, unimodular
 
 
 def add(x, y):
@@ -463,41 +454,6 @@ class TestHomStructure:
         assert hom.cokernel() == FgAbelianGroup(0, (3,))
         assert not hom.is_isomorphism()
 
-    @staticmethod
-    def _random_group(rng):
-        return from_divisors([rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 2))],
-                             extra_free=rng.randint(0, 2))
-
-    @staticmethod
-    def _random_hom(rng, dom, cod):
-        """A random well-defined hom: a torsion generator of order d maps to
-        0 in the free part and to a multiple of c / gcd(c, d) in Z/c."""
-        fd, fc = dom.free_rank, cod.free_rank
-        cols = [[rng.randint(-3, 3) for _ in range(fc)]
-                + [rng.randint(-3, 3) for _ in cod.torsion] for _ in range(fd)]
-        cols += [[0] * fc + [c // gcd(c, d) * rng.randint(-3, 3) for c in cod.torsion]
-                 for d in dom.torsion]
-        n = fc + len(cod.torsion)
-        return GroupHom(dom, cod, IntMatrix.from_columns(cols, rows=n)
-                        if cols else IntMatrix.zero(n, 0))
-
-    @staticmethod
-    def _random_automorphism(rng, g):
-        """Unimodular on the free part (row operations on I), a unit mod d on
-        each Z/d, and random free-to-torsion entries: block triangular with
-        invertible diagonal blocks."""
-        f, n = g.free_rank, g.free_rank + len(g.torsion)
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(3 * f):
-            i, k = rng.sample(range(f), 2) if f > 1 else (0, 0)
-            q = rng.randint(-2, 2)
-            if i != k:
-                rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
-        for t, d in enumerate(g.torsion):
-            rows[f + t][f + t] = rng.choice([u for u in range(1, d) if gcd(u, d) == 1])
-            rows[f + t][:f] = [rng.randint(-3, 3) for _ in range(f)]
-        return GroupHom(g, g, IntMatrix.from_rows(rows) if n else IntMatrix.zero(0, 0))
-
     @settings(max_examples=60)
     @given(seed=st.integers(0, 10 ** 6))
     def test_isomorphism_from_the_cokernel(self, seed):
@@ -506,11 +462,16 @@ class TestHomStructure:
         between different groups, and automorphisms."""
         rng = random.Random(seed)
         for _ in range(10):
-            dom = self._random_group(rng)
-            cod = dom if rng.random() < 0.5 else self._random_group(rng)
-            hom = self._random_hom(rng, dom, cod)
+            dom = random_group(rng)
+            cod = dom if rng.random() < 0.5 else random_group(rng)
+            hom = random_hom(rng, dom, cod)
             assert hom.is_isomorphism() == (hom.is_injective() and hom.cokernel().is_trivial)
-            auto = self._random_automorphism(rng, dom)
+            # [[A, 0], [B, U]]: A unimodular and U diagonal with a unit mod d on each Z/d.
+            f, n = dom.free_rank, dom.free_rank + len(dom.torsion)
+            rows = unimodular(n, automorphism_ops(rng, dom, 3 * f))[0]
+            for t, d in enumerate(dom.torsion):
+                rows[f + t][f + t] = rng.choice([u for u in range(1, d) if gcd(u, d) == 1])
+            auto = GroupHom(dom, dom, IntMatrix.from_rows(rows) if n else IntMatrix.zero(0, 0))
             assert auto.is_isomorphism()
             assert auto.is_injective() and auto.cokernel().is_trivial
 
@@ -522,8 +483,8 @@ class TestHomStructure:
         rng = random.Random(seed)
         seen = set()
         for _ in range(150):
-            dom, cod = self._random_group(rng), self._random_group(rng)
-            hom = self._random_hom(rng, dom, cod)
+            dom, cod = random_group(rng), random_group(rng)
+            hom = random_hom(rng, dom, cod)
             ker = kernel_basis(hom.matrix.hstack(relation_lattice(cod)))
             f, n = dom.free_rank, hom.matrix.cols
             kernel = subgroup_structure(dom, [dom.element(col[:f], col[f:n])

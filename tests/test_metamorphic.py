@@ -20,24 +20,19 @@ import copy
 import json
 import random
 import re
-import sys
-from math import gcd
 from pathlib import Path
 
 import pytest
 
 from tilecohom.complexes import build_chain_complex
 from tilecohom.dirlimit import STATUS_UNDETERMINED, direct_limit
-from tilecohom.exactalg import IntMatrix, inverse_unimodular
-from tilecohom.groups import GroupHom, from_divisors
+from tilecohom.exactalg import IntMatrix
+from tilecohom.groups import GroupHom
 from tilecohom.tilings import builtin_names, load_spec
-from toolkit import document, outcome, spec_file
+from toolkit import (automorphism_ops, conjugate, document, gen, outcome, random_group,
+                     random_hom, spec_file)
 
 _HERE = Path(__file__).parent
-sys.path.insert(0, str(_HERE.parent / "perfbench"))
-
-import gen  # noqa: E402
-
 _FILES = ("p1_torus_rigid.json", "p2_pillowcase_rigid.json", "p3_rigid.json")
 # The benchmark's seed-101 `scale` specs of the two smallest sizes of each
 # variant: four sparse complexes on 4 and four on 6 vertices, four dense ones
@@ -144,62 +139,18 @@ def test_relabelling_moves_the_cells():
     assert [c["id"] for c in relabelled["cells"]["0"]] != ids
 
 
-def _unimodular(n, rng):
-    """A random n x n integer matrix of determinant +-1: the identity under
-    random row additions, swaps and sign changes."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if i != j:
-            c = rng.randint(-2, 2)
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-            if rng.random() < 0.3:
-                rows[i], rows[j] = rows[j], rows[i]
-        if rng.random() < 0.3:
-            rows[i] = [-x for x in rows[i]]
-    return rows
-
-
-def _group_and_endomorphism(rng):
-    """G = Z^r + torsion in normal form, r in 1..3, and a random
-    endomorphism F of it: entries in -3..4, times what a torsion generator's
-    order needs to be well defined."""
-    r = rng.choice((1, 2, 2, 3, 3))
-    torsion = rng.sample((2, 3, 4, 6, 9), rng.choice((0, 0, 0, 1, 2)))
-    group = from_divisors(torsion, r)
-    f, ds = group.free_rank, group.torsion
-    n = f + len(ds)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if j < f:                 # a free generator may go anywhere
-                rows[i][j] = rng.randint(-3, 4)
-            elif i >= f:              # a torsion generator only into torsion
-                dj, di = ds[j - f], ds[i - f]
-                rows[i][j] = rng.randint(-3, 4) * (di // gcd(dj, di))
-    return group, IntMatrix.from_rows(rows)
-
-
-def _automorphism(group, rng):
-    """P = [[A, 0], [B, I]] with A unimodular on the free part and B any
-    map from the free part to the torsion, and its inverse."""
-    f, t = group.free_rank, len(group.torsion)
-    a = _unimodular(f, rng)
-    rows = [a[i] + [0] * t for i in range(f)]
-    rows += [[rng.randint(-3, 3) for _ in range(f)] + [int(i == j) for j in range(t)]
-             for i in range(t)]
-    p = IntMatrix.from_rows(rows)
-    return p, inverse_unimodular(p)
-
-
 def test_direct_limit_is_invariant_under_squaring_and_conjugation():
+    """G = Z^r + torsion, r in 1..3, a random endomorphism F of G and an
+    automorphism P = [[A, 0], [B, I]] of G, with A unimodular on the free
+    part, built with its inverse from the same operations."""
     rng = random.Random(20140101)
     compared = {"square": 0, "conjugate": 0}
     for _ in range(1500):
-        group, f = _group_and_endomorphism(rng)
-        p, p_inv = _automorphism(group, rng)
+        group = random_group(rng, free_ranks=(1, 2, 2, 3, 3))
+        f = random_hom(rng, group, group).matrix
+        conjugated = conjugate(f.to_rows(), automorphism_ops(rng, group, 2 * f.rows))
         lim = direct_limit(group, GroupHom(group, group, f))
-        for relation, matrix in (("square", f * f), ("conjugate", p * f * p_inv)):
+        for relation, matrix in (("square", f * f), ("conjugate", conjugated)):
             other = direct_limit(group, GroupHom(group, group, matrix))
             if STATUS_UNDETERMINED not in (lim.status, other.status):
                 compared[relation] += 1

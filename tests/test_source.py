@@ -77,6 +77,20 @@ def test_imports_are_stdlib_or_relative():
     assert outside == {}
 
 
+def test_only_the_toolkit_edits_sys_path():
+    """tests/toolkit.py puts perfbench/ on sys.path once, and every other
+    test module reaches the benchmark through it: none names sys.path or
+    monkeypatch.syspath_prepend."""
+    found = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "syspath_prepend" or node.attr == "path"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert list(found) == ["toolkit.py"] and len(found["toolkit.py"]) == 1, found
+
+
 def _traced():
     """The TRACED table of the benchmark tracer: (module, attribute, ...) rows."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
