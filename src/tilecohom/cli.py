@@ -12,6 +12,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
 import sys
 
@@ -310,8 +311,22 @@ def run_command(argv) -> CommandResult:
 
 def main(argv=None) -> int:
     result = run_command(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(result.stdout)
-    return result.exit_code
+    if not result.stdout:
+        return result.exit_code
+    problem = "stdout is closed"  # sys.stdout is None when fd 1 was closed at start
+    if sys.stdout is not None:
+        try:
+            sys.stdout.write(result.stdout)
+            sys.stdout.flush()
+            return result.exit_code
+        except BrokenPipeError as e:
+            # stdout's fd goes to devnull, or the flush at exit raises again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            problem = e
+    print("error: cannot write the result: %s" % problem, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -139,13 +139,6 @@ class TestHomology:
         assert [homology(cplx, k).structure for k in range(3)] == [
             FgAbelianGroup(2, ()), FgAbelianGroup(1, ()), FgAbelianGroup(1, ())]
 
-    def test_degree_out_of_range(self):
-        cplx = build_chain_complex(builtin("fibonacci"), MODE_TRANSLATION)
-        with pytest.raises(ComplexError):
-            homology(cplx, 2)
-        with pytest.raises(ComplexError):
-            homology(cplx, -1)
-
     def test_euler_characteristic_conservation(self):
         for name in builtin_names():
             spec = builtin(name)

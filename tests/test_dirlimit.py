@@ -108,10 +108,6 @@ class TestStableRank:
         with time_limit(5):
             assert stable_rank_mod_p(IntMatrix.from_rows([[p, 0], [0, 1]]), p) == 1
 
-    def test_rejects_non_square(self):
-        with pytest.raises(DirectLimitError, match="must be square"):
-            stable_rank_mod_p(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), 2)
-
 
 class TestDirectLimit:
     def test_fibonacci_exact(self):

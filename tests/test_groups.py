@@ -40,14 +40,6 @@ def add(x, y):
 
 
 class TestNormalForm:
-    def test_invariants_enforced(self):
-        with pytest.raises(GroupError):
-            FgAbelianGroup(0, (1,))
-        with pytest.raises(GroupError):
-            FgAbelianGroup(0, (4, 2))
-        with pytest.raises(GroupError):
-            FgAbelianGroup(-1, ())
-
     def test_rendering(self):
         assert FgAbelianGroup.trivial().render() == "0"
         assert FgAbelianGroup(1, ()).render() == "Z"
@@ -88,10 +80,6 @@ class TestCokernel:
     def test_penrose(self):
         g, _ = cokernel_structure(PENROSE_D1, 7)
         assert g == FgAbelianGroup(2, (5,))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ExactAlgError, match="shape mismatch in product"):
-            cokernel_structure(IntMatrix.zero(2, 1), 3)
 
     def test_coordinate_round_trip(self):
         g, pres = cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]), 3)
@@ -279,10 +267,6 @@ class TestHomologyPresentation:
         hom = GroupHom.from_columns(pres.structure, pres.structure, [a, b])
         assert hom.is_isomorphism()
 
-    def test_rejects_non_complex(self):
-        with pytest.raises(GroupError, match="corrupt chain complex"):
-            homology_presentation(IntMatrix.identity(2), IntMatrix.identity(2))
-
     @pytest.mark.parametrize("d_k, d_k1", [
         (IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1], [0]])),
         (IntMatrix.from_rows([[2, 4], [0, 0]]), IntMatrix.from_rows([[2, 1], [-1, 0]])),
@@ -318,12 +302,6 @@ class TestClassOf:
 
     def test_sun_is_free(self):
         assert self.pres.class_of((1, 0, 0, 0, 0, 0, 0)).order() is None
-
-    def test_non_cycle_rejected(self):
-        d1 = IntMatrix.from_rows([[1, -1], [-1, 1], [0, 0]])
-        pres = homology_presentation(d1, IntMatrix.zero(2, 0))
-        with pytest.raises(GroupError, match="not a cycle"):
-            pres.class_of((1, 0))  # not in ker d1
 
     @pytest.mark.parametrize("d1, chain", [
         (IntMatrix.from_rows([[2]]), (1,)),
@@ -385,20 +363,6 @@ class TestInducedHom:
         assert hom.apply(ct) == ct
         assert hom.is_isomorphism()
 
-    def test_non_generating_rejected(self):
-        pres = self.fib_pres()
-        with pytest.raises(GroupError):
-            induced_hom(pres, [(1, 0, 0)], [(1, 0, 0)])
-
-    def test_inconsistent_images_rejected(self):
-        pres = homology_presentation(IntMatrix.zero(0, 7), PENROSE_D1)
-        e1 = (1, 0, 0, 0, 0, 0, 0)
-        e2 = (0, 1, 0, 0, 0, 0, 0)
-        t = (1, 1, 0, 0, 0, -1, 0)
-        # sending the order-5 class to an infinite-order class violates 5t = 0
-        with pytest.raises(GroupError):
-            induced_hom(pres, [e1, e2, t], [e1, e2, e1])
-
 
 class TestQuotient:
     def test_kills_torsion_diagonal(self):
@@ -432,10 +396,6 @@ class TestSymmetryDefect:
 
     def test_six(self):
         assert symmetry_defect([6]) == FgAbelianGroup(0, (6,))
-
-    def test_rejects_small_orders(self):
-        with pytest.raises(GroupError):
-            symmetry_defect([1])
 
 
 class TestHomStructure:
@@ -492,12 +452,6 @@ class TestHomStructure:
             assert hom.is_injective() == kernel.is_trivial
             seen.add(kernel.is_trivial)
         assert seen == {True, False}
-
-    def test_torsion_well_definedness(self):
-        dom = FgAbelianGroup(0, (2,))
-        cod = FgAbelianGroup(1, ())
-        with pytest.raises(GroupError):
-            GroupHom(dom, cod, IntMatrix.from_rows([[1]]))
 
     def test_subgroup_structure(self):
         g = FgAbelianGroup(0, (2, 4))

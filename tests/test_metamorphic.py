@@ -34,12 +34,12 @@ from toolkit import (automorphism_ops, conjugate, document, gen, outcome, random
 
 _HERE = Path(__file__).parent
 _FILES = ("p1_torus_rigid.json", "p2_pillowcase_rigid.json", "p3_rigid.json")
-# The benchmark's seed-101 `scale` specs of the two smallest sizes of each
-# variant: four sparse complexes on 4 and four on 6 vertices, four dense ones
-# on 6 and four on 8, each as a translation spec with chain data and as a rigid
-# spec with rotation data.
-_SMALL = {"%s-%d" % (size, i)
-             for size in ("sparse-4", "sparse-6", "dense-6", "dense-8") for i in range(4)}
+# The benchmark's seed-101 `scale` specs of the three smallest sizes of each
+# variant: four sparse complexes on each of 4, 6 and 8 vertices and four dense
+# ones on each of 6, 8 and 10, each as a translation spec with chain data and
+# as a rigid spec with rotation data.
+_SMALL = {"%s-%d" % (size, i) for size in ("sparse-4", "sparse-6", "sparse-8", "dense-6",
+                                           "dense-8", "dense-10") for i in range(4)}
 _GENERATED = [case for case in gen.scale_inputs(101) if case["name"] in _SMALL]
 DOCUMENTS = {
     **{name: document(name) for name in builtin_names()},

@@ -15,6 +15,7 @@ import test_cli
 import test_tilings
 import tilecohom
 from tilecohom import complexes, dirlimit, exactalg, groups
+from tilecohom.cli import parse_group, parse_matrix
 from tilecohom.complexes import (
     MODE_RIGID,
     MODE_RIGID_MODIFIED,
@@ -39,7 +40,7 @@ from tilecohom.groups import (
     symmetry_defect,
 )
 from tilecohom.record import TilecohomError, decimal
-from tilecohom.spectral import hull_cohomology, winding_chain
+from tilecohom.spectral import HULL_ROTATION_QUOTIENT, e2_page, hull_cohomology, winding_chain
 from tilecohom.tilings import RotationData, SubstitutionData, builtin, load_spec
 from toolkit import edited, outcome, respec, spec_file
 
@@ -236,9 +237,10 @@ def _raise_sites():
 def _run_traced(cases):
     """Run each (call, expected) case under sys.settrace: the (file, line)
     pairs of the package that ran, and the (expected, outcome) pairs of the
-    cases whose outcome does not contain the expected text.  The outcome is
-    "<class>: <message>" of what the call raised, or the text of what it
-    returned."""
+    cases whose outcome does not match.  A call that returns matches when its
+    text contains the expected text.  A call that raises has the outcome
+    "<class>: <message>", and matches when expected is "<class>: <part>" of
+    that class and part is in the message; any other exception escapes."""
     package = str(Path(tilecohom.__file__).parent)
     lines, wrong = set(), []
 
@@ -256,9 +258,12 @@ def _run_traced(cases):
         for run, expected in cases:
             try:
                 outcome = str(run())
+                matched = expected in outcome
             except (TilecohomError, TypeError, AttributeError) as e:
                 outcome = "%s: %s" % (type(e).__name__, e)
-            if expected not in outcome:
+                name, _, part = expected.partition(": ")
+                matched = name == type(e).__name__ and part in str(e)
+            if not matched:
                 wrong.append((expected, outcome))
     finally:
         sys.settrace(previous)
@@ -268,17 +273,19 @@ def _run_traced(cases):
 def _public_cases(tmp_path):
     """(call, expected text) cases that reach the input checks through public
     names: the schema table of test_tilings, the malformed-input tables of
-    test_cli and one case for each check those do not reach."""
+    test_cli and one case for each check those do not reach.  This table is
+    the one owner of the class and the message of each error a public name
+    raises: a new error gets a row here, not a test of its own."""
     def stderr(*argv):
         return lambda: outcome(argv)[2]
 
     cases = []
     for name, path, value, message, edit in test_tilings._SCHEMA_MESSAGES:
         if path is not None:
-            cases.append((partial(load_spec, test_tilings._mutated(name, path, value)), message))
+            cases.append((partial(load_spec, test_tilings._mutated(name, path, value)),
+                          "SpecError: " + message))
         if edit is not None:
-            cases.append((partial(respec, name, **edit(builtin(name))), message))
-    cases += [(compute, error.__name__ + ": ") for compute, error in test_cli._LAYER_ERRORS]
+            cases.append((partial(respec, name, **edit(builtin(name))), "SpecError: " + message))
     cases += [(stderr("limit", "--group", group, "--matrix", matrix), "error: cannot parse ")
               for group, matrix in test_cli._UNPARSABLE_LIMITS]
 
@@ -297,6 +304,17 @@ def _public_cases(tmp_path):
         (stderr("spectral", winding, "--json"), "too long to print"),
         (stderr("spectral", "--builtin", "triangle-solenoid-rigid"),
          "error: non-stationary homology unsupported"),
+        # One domain error from each layer: the CLI's one except clause
+        # catches them all, and each keeps its own class.
+        (partial(load_spec, "{"), "SpecError: document: invalid JSON"),
+        (partial(parse_group, "Z/0"), "GroupError: divisors must be positive"),
+        (partial(parse_matrix, "1,x"), "ExactAlgError: cannot parse matrix row '1,x'"),
+        (partial(build_chain_complex, builtin("fibonacci"), "mystery"),
+         "ComplexError: unknown mode 'mystery'"),
+        (partial(hull_cohomology, builtin("fibonacci"), "mystery"),
+         "SpectralError: unknown hull 'mystery'"),
+        (partial(dirlimit.stable_rank_mod_p, IntMatrix.identity(2), 4),
+         "DirectLimitError: 4 is not a proven prime"),
     ]
 
     Z, Z2 = FgAbelianGroup.free(1), FgAbelianGroup.free(2)
@@ -310,86 +328,106 @@ def _public_cases(tmp_path):
     open_lap = RotationData({**triangle.rotation.edge_rotations, "b": Fraction(1, 5)},
                             triangle.rotation.vertex_stars)
     cases += [
-        (partial(IntMatrix, -1, 0, ()), "negative matrix dimension"),
-        (partial(IntMatrix, 1, 2, (1,)), "entry count 1 does not match 1x2"),
-        (partial(IntMatrix.from_columns, []), "cannot infer row count from zero columns"),
-        (partial(IntMatrix.from_columns, [(1,), (1, 2)]), "ragged columns"),
-        (partial(IntMatrix.from_rows, [[1.5, 2]]), "not an integer: 1.5"),
-        (partial(two.__getitem__, (2, 0)), "index out of range"),
+        (partial(IntMatrix, -1, 0, ()), "ExactAlgError: negative matrix dimension"),
+        (partial(IntMatrix, 1, 2, (1,)), "ExactAlgError: entry count 1 does not match 1x2"),
+        (partial(IntMatrix.from_columns, []),
+         "ExactAlgError: cannot infer row count from zero columns"),
+        (partial(IntMatrix.from_columns, [(1,), (1, 2)]), "ExactAlgError: ragged columns"),
+        (partial(IntMatrix.from_rows, [[1.5, 2]]), "ExactAlgError: not an integer: 1.5"),
+        (partial(two.__getitem__, (2, 0)), "ExactAlgError: index out of range"),
         (partial(two.__mul__, 2), "TypeError: can only multiply by IntMatrix"),
-        (partial(two.__mul__, one), "shape mismatch in product"),
-        (partial(two.mul_vector, (1,)), "vector length mismatch"),
-        (partial(two.hstack, one), "row mismatch in hstack"),
-        (partial(solve_in_lattice, two, (1,)), "shape mismatch in product"),
-        (partial(determinant, IntMatrix.zero(1, 2)), "determinant of non-square matrix"),
-        (partial(inverse_unimodular, IntMatrix.zero(1, 2)), "inverse of non-square matrix"),
-        (partial(inverse_unimodular, IntMatrix.from_rows([[2]])), "matrix is not unimodular"),
-        (partial(FgAbelianGroup, -1, ()), "negative free rank"),
-        (partial(FgAbelianGroup, 0, (1,)), "invariant factor 1 < 2"),
-        (partial(FgAbelianGroup, 0, (2, 3)), "violates divisibility"),
-        (partial(Z.element, (1, 2)), "coordinate length mismatch"),
-        (partial(quotient_by, Z, Z2.generators()), "element does not belong to the group"),
+        (partial(two.__mul__, one), "ExactAlgError: shape mismatch in product"),
+        (partial(two.mul_vector, (1,)), "ExactAlgError: vector length mismatch"),
+        (partial(two.hstack, one), "ExactAlgError: row mismatch in hstack"),
+        (partial(solve_in_lattice, two, (1,)), "ExactAlgError: shape mismatch in product"),
+        (partial(determinant, IntMatrix.zero(1, 2)),
+         "ExactAlgError: determinant of non-square matrix"),
+        (partial(inverse_unimodular, IntMatrix.zero(1, 2)),
+         "ExactAlgError: inverse of non-square matrix"),
+        (partial(inverse_unimodular, IntMatrix.from_rows([[2]])),
+         "ExactAlgError: matrix is not unimodular"),
+        (partial(FgAbelianGroup, -1, ()), "GroupError: negative free rank"),
+        (partial(FgAbelianGroup, 0, (1,)), "GroupError: invariant factor 1 < 2"),
+        (partial(FgAbelianGroup, 0, (2, 3)), "GroupError: violates divisibility"),
+        (partial(Z.element, (1, 2)), "GroupError: coordinate length mismatch"),
+        (partial(quotient_by, Z, Z2.generators()),
+         "GroupError: element does not belong to the group"),
         (partial(groups.express, Z, Z2.generators()[0], []),
-         "element does not belong to the group"),
+         "GroupError: element does not belong to the group"),
         (partial(GroupHom, Z, Z, two),
-         "hom matrix shape mismatch: 2x2 given, 1x1 needed for Z -> Z"),
+         "GroupError: hom matrix shape mismatch: 2x2 given, 1x1 needed for Z -> Z"),
         (partial(GroupHom, FgAbelianGroup(0, (2,)), Z, one),
-         "torsion generator maps to infinite-order element"),
+         "GroupError: torsion generator maps to infinite-order element"),
         (partial(GroupHom, FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (3,)), one),
-         "hom not well defined on torsion"),
-        (partial(GroupHom(Z, Z, one).apply, Z2.generators()[0]), "element not in the domain"),
-        (partial(symmetry_defect, [1]), "symmetry orders must be >= 2"),
-        (partial(pres.class_of, (1, 0)), "chain has length 2, ambient rank is 1"),
+         "GroupError: hom not well defined on torsion"),
+        (partial(GroupHom(Z, Z, one).apply, Z2.generators()[0]),
+         "GroupError: element not in the domain"),
+        (partial(symmetry_defect, [1]), "GroupError: symmetry orders must be >= 2"),
+        (partial(pres.class_of, (1, 0)), "GroupError: chain has length 2, ambient rank is 1"),
         (partial(homology_presentation(one, IntMatrix.zero(1, 0)).class_of, (1,)),
-         "chain is not a cycle"),
-        (partial(pres.lift, Z2.generators()[0]), "element does not belong to this quotient"),
-        (partial(homology_presentation, two, one), "shape mismatch in product"),
-        (partial(homology_presentation, one, one), "corrupt chain complex"),
-        (partial(cokernel_structure, two, 3), "shape mismatch in product"),
-        (partial(induced_hom, pres, [(1,)], []), "generator/image count mismatch"),
-        (partial(induced_hom, pres, [(1, 0)], [(1, 0)]), "ragged columns"),
+         "GroupError: chain is not a cycle"),
+        (partial(pres.lift, Z2.generators()[0]),
+         "GroupError: element does not belong to this quotient"),
+        (partial(homology_presentation, two, one), "ExactAlgError: shape mismatch in product"),
+        (partial(homology_presentation, one, one),
+         "GroupError: d_k * d_{k+1} != 0: corrupt chain complex"),
+        (partial(cokernel_structure, two, 3), "ExactAlgError: shape mismatch in product"),
+        (partial(induced_hom, pres, [(1,)], []), "GroupError: generator/image count mismatch"),
+        (partial(induced_hom, pres, [(1, 0)], [(1, 0)]), "ExactAlgError: ragged columns"),
         (partial(induced_hom, pres, [(1,), (1,)], [(1,), (0,)]),
-         "images violate a relation among the generators"),
+         "GroupError: images violate a relation among the generators"),
         (partial(induced_hom, pres, [(2,)], [(2,)]),
-         "generator cycles do not generate the homology group"),
+         "GroupError: generator cycles do not generate the homology group"),
         (partial(build_chain_complex, penrose, MODE_TRANSLATION),
-         "translation complex requires a translation-mode spec"),
+         "ComplexError: translation complex requires a translation-mode spec"),
         (partial(build_chain_complex, builtin("fibonacci"), MODE_RIGID),
-         "rigid complex requires a rigid-mode spec"),
+         "ComplexError: rigid complex requires a rigid-mode spec"),
         (partial(build_chain_complex, respec(
             "penrose-kite-dart", boundaries={**penrose.boundaries, 1: edited(
                 penrose.boundaries[1], 0, 2, 1)}), MODE_RIGID_MODIFIED),
-         "non-integral rescaled boundary entry at degree 1, cell 'E3' over 'sun'"),
+         "ComplexError: non-integral rescaled boundary entry at degree 1, cell 'E3' over "
+         "'sun'"),
         (partial(build_chain_complex, respec(
             "penrose-kite-dart", boundaries={**penrose.boundaries, 2: edited(
                 penrose.boundaries[2], 2, 0, -1)}), MODE_RIGID),
-         "boundary of boundary is nonzero at degree 2"),
+         "ComplexError: boundary of boundary is nonzero at degree 2"),
         (lambda: Analysis(builtin("fibonacci"), MODE_TRANSLATION).chain_map,
-         "spec carries no chain-level substitution data"),
+         "ComplexError: spec carries no chain-level substitution data"),
         (lambda: Analysis(respec("penrose-kite-dart", substitution=bad_f),
                           MODE_RIGID_MODIFIED).chain_map,
-         "substitution does not preserve the modified complex at degree 0 (0, 2)"),
+         "ComplexError: substitution does not preserve the modified complex at degree 0 "
+         "(0, 2)"),
         (lambda: Analysis(respec("penrose-kite-dart", substitution=bad_f), MODE_RIGID).chain_map,
-         "substitution chain data: degree 1: boundary/f mismatch at row 0, col 0"),
+         "ComplexError: substitution chain data: degree 1: boundary/f mismatch at row 0, "
+         "col 0"),
         (partial(Analysis(triangle, MODE_RIGID).substitution_map, 0),
-         "spec carries no substitution data"),
+         "ComplexError: spec carries no substitution data"),
         (partial(Analysis(builtin("triangle-solenoid-rigid"),
                           MODE_RIGID_MODIFIED).substitution_map, 0),
-         "modified-complex substitution maps require chain-level data"),
+         "ComplexError: modified-complex substitution maps require chain-level data"),
         (partial(dirlimit.eventual_data, Z, GroupHom(Z2, Z2, two)),
-         "endomorphism domain/codomain mismatch"),
+         "DirectLimitError: endomorphism domain/codomain mismatch"),
         (partial(dirlimit.stable_rank_mod_p, IntMatrix.zero(1, 2), 2),
-         "induced matrix must be square"),
-        (partial(winding_chain, builtin("fibonacci")), "needs a 2-dimensional rigid spec"),
+         "DirectLimitError: induced matrix must be square"),
+        (partial(winding_chain, builtin("fibonacci")),
+         "SpectralError: the rigid-hull pipeline needs a 2-dimensional rigid spec"),
+        (partial(e2_page, builtin("triangle-periodic-translation")),
+         "SpectralError: the rigid-hull pipeline needs a 2-dimensional rigid spec"),
         (partial(winding_chain, respec("triangle-periodic-rigid", rotation=None)),
-         "spec carries no rotation data"),
+         "SpectralError: spec carries no rotation data"),
         (partial(winding_chain, respec("triangle-periodic-rigid", rotation=open_lap)),
-         "rotation.vertex_stars.V6: lap sums to -1/5 of a full turn; rotations must close up"),
+         "SpectralError: rotation.vertex_stars.V6: lap sums to -1/5 of a full turn; "
+         "rotations must close up"),
         (partial(hull_cohomology, penrose, "translation"),
-         "translation complex requires a translation-mode spec"),
-        (partial(setattr, Z, "free_rank", 2), "cannot assign to field 'free_rank'"),
-        (partial(delattr, Z, "free_rank"), "cannot delete field 'free_rank'"),
-        (partial(decimal, 10 ** 4300), "a 14285-bit number of the result is too long to print"),
+         "ComplexError: translation complex requires a translation-mode spec"),
+        (partial(hull_cohomology, builtin("fibonacci"), HULL_ROTATION_QUOTIENT),
+         "SpectralError: the rigid-hull pipeline needs a 2-dimensional rigid spec"),
+        (partial(builtin, "pinwheel"), "SpecError: unknown builtin 'pinwheel'; available: "),
+        (partial(setattr, Z, "free_rank", 2),
+         "AttributeError: cannot assign to field 'free_rank'"),
+        (partial(delattr, Z, "free_rank"), "AttributeError: cannot delete field 'free_rank'"),
+        (partial(decimal, 10 ** 4300),
+         "TilecohomError: a 14285-bit number of the result is too long to print"),
     ]
     return cases
 
@@ -412,12 +450,12 @@ def _forged_cases():
     return [
         (patched("smith_normal_form", lambda A: wrong_snf(),
                  partial(dirlimit.eventual_data, Z2, GroupHom(Z2, Z2, ones))),
-         "internal invariant: phi does not preserve the eventual kernel"),
+         "DirectLimitError: internal invariant: phi does not preserve the eventual kernel"),
         (partial(dirlimit._char_poly, [[Fraction(1, 2)]]),
-         "internal invariant: char poly coefficient -1/2"),
+         "DirectLimitError: internal invariant: char poly coefficient -1/2"),
         (patched("_stable_rank", lambda rows, p: len(rows),
                  partial(dirlimit.direct_limit, Z, GroupHom(Z, Z, IntMatrix.from_rows([[2]])))),
-         "internal invariant: p=2 divisible rank 0 != eigenvalue count 1"),
+         "DirectLimitError: internal invariant: p=2 divisible rank 0 != eigenvalue count 1"),
     ]
 
 

@@ -84,16 +84,6 @@ class TestWindingChain:
         assert cls.order() == 6
         assert cls.free_coords == (0,)
 
-    def test_requires_rotation_data(self):
-        with pytest.raises(SpectralError):
-            winding_chain(respec("triangle-periodic-rigid", rotation=None))
-
-    def test_open_lap_rejected(self):
-        spec = builtin("triangle-periodic-rigid")
-        rots = {**spec.rotation.edge_rotations, "b": Fraction(1, 5)}
-        with pytest.raises(SpectralError):
-            winding_chain(respec(spec, rotation=replaced(spec.rotation, edge_rotations=rots)))
-
     def test_open_lap_too_long_to_print_names_its_vertex(self, int_digit_limit):
         spec = builtin("triangle-periodic-rigid")
         rots = {**spec.rotation.edge_rotations, "b": Fraction(1, 10 ** 4400 + 1)}
@@ -194,10 +184,6 @@ class TestE2Page:
         for name in ("triangle-solenoid-rigid", "square-solenoid-rigid"):
             with pytest.raises(SpectralError, match="non-stationary"):
                 e2_page(builtin(name))
-
-    def test_translation_spec_rejected(self):
-        with pytest.raises(SpectralError):
-            e2_page(builtin("triangle-periodic-translation"))
 
     def test_needs_no_rotation_data(self):
         spec = builtin("penrose-kite-dart")
@@ -458,20 +444,10 @@ class TestHullCohomology:
                              HULL_ROTATION_QUOTIENT)
         assert hc.render() == ("Z", "Z", "Z^2")
 
-    def test_mode_mismatch(self):
-        with pytest.raises(ComplexError, match="translation complex requires"):
-            hull_cohomology(builtin("penrose-kite-dart"), HULL_TRANSLATION)
-        with pytest.raises(SpectralError):
-            hull_cohomology(builtin("fibonacci"), HULL_ROTATION_QUOTIENT)
-
     def test_rotation_quotient_needs_chain_data_when_hierarchical(self):
         with pytest.raises(ComplexError, match="chain-level"):
             hull_cohomology(builtin("triangle-solenoid-rigid"),
                             HULL_ROTATION_QUOTIENT)
-
-    def test_unknown_hull(self):
-        with pytest.raises(SpectralError):
-            hull_cohomology(builtin("fibonacci"), "mystery")
 
 
 class TestChainLevelErrors:

@@ -446,10 +446,6 @@ def ids(spec, degree):
 
 
 class TestBuiltins:
-    def test_unknown_name(self):
-        with pytest.raises(SpecError, match="unknown builtin"):
-            builtin("pinwheel")
-
     def test_each_builtin_carries_its_name(self):
         assert len(builtin_names()) == 9
         for name in builtin_names():
