@@ -119,8 +119,8 @@ class IntMatrix(Record):
     def hstack(self, other):
         if self.rows != other.rows:
             raise ExactAlgError("row mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, self.cols + other.cols)
+        return _from_rows([self.row(i) + other.row(i) for i in range(self.rows)],
+                          self.cols + other.cols)
 
     def is_zero(self):
         return all(x == 0 for x in self.entries)

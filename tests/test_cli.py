@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tilecohom import cli, complexes, exactalg, groups, spectral
 from tilecohom.cli import main, parse_group, parse_matrix, run_command
-from tilecohom.exactalg import ExactAlgError, IntMatrix, kernel_basis
+from tilecohom.exactalg import ExactAlgError, IntMatrix
 from tilecohom.groups import FgAbelianGroup, GroupError
 from tilecohom.tilings import (
     CellType,
@@ -24,7 +24,7 @@ from tilecohom.tilings import (
     builtin_names,
     make_spec,
 )
-from toolkit import columns, document, outcome, respec, spec_file
+from toolkit import columns, diagonal, document, outcome, random_complex, respec, spec_file
 
 
 def run(*argv):
@@ -967,163 +967,6 @@ class TestArgvFuzz:
         assert outcomes[0] == outcomes[1]
 
 
-class TestWorkCounts:
-    """Each command builds a (mode, degree) homology presentation only where
-    it reads coordinates, and then exactly once: the substitution maps of a
-    hierarchical spec, and the d2 class in the rigid H_0.  Commands that print
-    only groups build none."""
-
-    @pytest.fixture
-    def builds(self, recorded):
-        with recorded(groups.presentation_from) as calls:
-            yield calls
-
-    @pytest.mark.parametrize("argv, expected", [
-        ("spectral", 6),
-        ("spectral --json", 6),
-        ("cohomology --hull rigid", 6),
-        ("cohomology --hull rotation-quotient", 3),
-        ("homology --mode rigid --limit", 3),
-        ("homology --mode rigid --degree 0 --limit", 1),
-        ("homology --mode rigid-modified --degree 2 --limit", 1),
-        ("homology --mode rigid --degree 0", 0),
-        ("homology --mode rigid", 0),
-    ])
-    def test_one_build_per_mode_and_degree(self, builds, argv, expected):
-        command, *options = argv.split()
-        res = run(command, "--builtin", "penrose-kite-dart", *options)
-        assert res.exit_code == 0
-        assert len(builds) == expected
-
-    @pytest.mark.parametrize("argv, expected", [
-        ("spectral --builtin square-periodic-rigid", 1),
-        ("cohomology --builtin square-periodic-rigid --hull rigid", 1),
-        ("cohomology --builtin square-periodic-rigid --hull rotation-quotient", 0),
-        ("homology --builtin fibonacci --mode translation", 0),
-        ("cohomology --builtin triangle-periodic-translation --hull translation", 0),
-    ])
-    def test_non_hierarchical_builds(self, builds, argv, expected):
-        res = run(*argv.split())
-        assert res.exit_code == 0
-        assert len(builds) == expected
-
-    @pytest.mark.parametrize("argv", [
-        "homology --mode rigid-modified --limit",
-        "homology --mode rigid-modified --degree 0 --limit",
-        "cohomology --hull rotation-quotient",
-    ])
-    def test_no_build_before_modified_map_error(self, builds, argv):
-        """Homology-level data cannot give the modified complex's maps, and
-        that is known before any presentation is built."""
-        assert outcome([*argv.split(), "--builtin", "triangle-solenoid-rigid"]) == (
-            1, "", "error: modified-complex substitution maps require chain-level data\n")
-        assert builds == []
-
-
-def _elimination_argvs():
-    """Commands that read coordinates as well as groups, on every builtin
-    they apply to."""
-    argvs = []
-    for name in builtin_names():
-        spec = builtin(name)
-        argvs.append(["check", "--builtin", name])
-        if spec.geometry_mode == "translation":
-            modes = ["translation"]
-            argvs.append(["cohomology", "--builtin", name, "--hull", "translation"])
-        elif spec.is_hierarchical and spec.substitution.kind != "chain_map":
-            # The modified complex needs chain-level substitution data.
-            modes = ["rigid"]
-        else:
-            modes = ["rigid", "rigid-modified"]
-            argvs.append(["spectral", "--builtin", name])
-            argvs.append(["cohomology", "--builtin", name, "--hull", "rotation-quotient"])
-        if spec.is_hierarchical:
-            argvs.extend(["homology", "--builtin", name, "--mode", mode, "--limit"]
-                         for mode in modes)
-    return argvs
-
-
-class TestEliminationsPerBoundary:
-    """Within one command, each boundary of each analysis is eliminated at
-    most once, by a logged SNF where coordinates are read or without
-    transforms where only its group is."""
-
-    @pytest.mark.parametrize("argv", _elimination_argvs(), ids=" ".join)
-    def test_each_boundary_at_most_once(self, recorded, argv):
-        with recorded(complexes.Analysis.__init__, exactalg.smith_normal_form,
-                      exactalg.invariant_factors) as calls:
-            res = run(*argv)
-        assert res.exit_code == 0
-        analyses = [args[0] for name, args, _ in calls if name == "Analysis.__init__"]
-        made = [args[0] for name, args, _ in calls if name != "Analysis.__init__"]
-        assert analyses
-        boundaries = [b for a in analyses for b in a.boundary[1:]]
-        assert len({id(b) for b in boundaries}) == len(boundaries)
-        assert max((sum(A is b for A in made) for b in boundaries), default=0) <= 1
-
-
-def _random_complex(boundary_cols, seed=7):
-    """d_1 (6 x 12, entries in -1..1) and a d_2 with the given number of
-    columns, each an integer combination of a kernel basis of d_1.  The first
-    kernel vector is never used and the second only with even coefficients,
-    so the homology has a free and a torsion part."""
-    rng = random.Random(seed)
-    d1 = IntMatrix.from_rows([[rng.randint(-1, 1) for _ in range(12)] for _ in range(6)])
-    K = kernel_basis(d1)
-    scale = [0, 2] + [1] * (K.cols - 2)
-    C = IntMatrix.from_rows([[s * rng.randint(-1, 1) for _ in range(boundary_cols)]
-                             for s in scale])
-    return d1, K * C
-
-
-@pytest.fixture
-def snfs(recorded):
-    """The logged SNFs run in the test, as (name, args, SnfResult)."""
-    with recorded(exactalg.smith_normal_form) as calls:
-        yield calls
-
-
-class TestFactorizationCounts:
-    """One factorization per matrix: a homology presentation factors d_k and
-    the boundary coordinates once each, and class_of reuses the
-    factorization of d_k."""
-
-    @pytest.mark.parametrize("boundary_cols", [20, 45])
-    def test_presentation_independent_of_boundary_count(self, snfs, boundary_cols):
-        d1, d2 = _random_complex(boundary_cols)
-        snfs.clear()
-        groups.homology_presentation(d1, d2)
-        assert len(snfs) == 2
-
-    def test_class_of_runs_no_snf(self, snfs):
-        """class_of runs no SNF of its own, and reading classes builds no
-        transform of the presentation's factorizations as a matrix."""
-        d1, d2 = _random_complex(20)
-        pres = groups.homology_presentation(d1, d2)
-        factored = list(snfs)
-        snfs.clear()
-        for j in range(d2.cols):
-            assert pres.class_of(d2.column(j)).order() == 1
-        for g, cycle in zip(pres.structure.generators(), columns(pres.generator_matrix())):
-            assert pres.class_of(cycle) == g
-        assert snfs == []
-        assert factored
-        assert [n for *_, f in factored for n in _TRANSFORMS if n in vars(f)] == []
-
-    @pytest.mark.parametrize("mode", [complexes.MODE_RIGID, complexes.MODE_RIGID_MODIFIED])
-    def test_chain_level_maps_factor_only_presentations(self, recorded, mode):
-        """Chain-level substitution maps read every class from the
-        presentations' factorizations, and no vector products.  Five SNFs:
-        d_0, d_1 and d_2 once each, and the relation matrices of H_1 and H_2;
-        H_0's relation matrix is d_1 itself."""
-        with recorded(exactalg.smith_normal_form, IntMatrix.mul_vector) as calls:
-            maps = complexes.Analysis(builtin("penrose-kite-dart"), mode).substitution_maps
-        assert sorted(maps) == [0, 1, 2]
-        names = [name for name, *_ in calls]
-        assert names.count("smith_normal_form") == 5
-        assert "IntMatrix.mul_vector" not in names
-
-
 def _chain_map_spec(d1, d2, maps):
     """A 2-dimensional translation spec on the complex d1, d2 whose chain-level
     substitution data is maps (degrees 0, 1, 2)."""
@@ -1143,7 +986,7 @@ def _homotopic_to_scalar(d1, d2, m, rng):
                                     for _ in range(rows)])
 
     def scalar(n):
-        return IntMatrix(n, n, tuple(m if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix.from_rows(diagonal([m] * n))
 
     def plus(*terms):
         return IntMatrix(terms[0].rows, terms[0].cols,
@@ -1164,15 +1007,13 @@ class TestChainLevelMaps:
     def test_homotopy_to_scalar_induces_scalar(self, seed, boundary_cols, m):
         """A chain map chain homotopic to m I induces m I on every H_k: an
         oracle that needs no factorization."""
-        d1, d2 = _random_complex(boundary_cols, seed)
+        d1, d2 = random_complex(boundary_cols, seed)
         maps = _homotopic_to_scalar(d1, d2, m, random.Random(seed))
         analysis = complexes.Analysis(_chain_map_spec(d1, d2, maps), complexes.MODE_TRANSLATION)
         for k, hom in analysis.substitution_maps.items():
             G = analysis.homology(k).structure
-            f, n = G.free_rank, G.free_rank + len(G.torsion)
-            diag = [m] * f + [m % d for d in G.torsion]
-            assert hom.matrix.to_rows() == [[diag[i] if i == j else 0 for j in range(n)]
-                                            for i in range(n)]
+            assert hom.matrix.to_rows() == diagonal([m] * G.free_rank +
+                                                    [m % d for d in G.torsion])
 
     @staticmethod
     def _check_reference_route(analysis):
@@ -1193,13 +1034,13 @@ class TestChainLevelMaps:
     @given(seed=st.integers(0, 10 ** 6), boundary_cols=st.integers(1, 6),
            m=st.integers(-6, 6))
     def test_random_chain_maps_match_reference_route(self, seed, boundary_cols, m):
-        d1, d2 = _random_complex(boundary_cols, seed)
+        d1, d2 = random_complex(boundary_cols, seed)
         maps = _homotopic_to_scalar(d1, d2, m, random.Random(seed))
         self._check_reference_route(
             complexes.Analysis(_chain_map_spec(d1, d2, maps), complexes.MODE_TRANSLATION))
 
     def test_generator_matrix_columns_are_the_lifts(self):
-        d1, d2 = _random_complex(20)
+        d1, d2 = random_complex(20)
         pres = groups.homology_presentation(d1, d2)
         assert columns(pres.generator_matrix()) == \
             [pres.lift(g) for g in pres.structure.generators()]
@@ -1212,7 +1053,7 @@ class TestChainLevelMaps:
         is not a cycle: a cycle plus V e_i for some i < rank d_1, whose only
         nonzero coordinate y_i can sit in any of the rows :r."""
         rng = random.Random(seed)
-        d1, d2 = _random_complex(rng.randint(1, 6), seed)
+        d1, d2 = random_complex(rng.randint(1, 6), seed)
         pres = groups.homology_presentation(d1, d2)
         snf = pres.d_k_snf
         K = snf.kernel()
@@ -1233,60 +1074,12 @@ class TestChainLevelMaps:
                 [pres.class_of(c).int_coords() for c in columns]
 
     def test_length_mismatch(self):
-        d1, d2 = _random_complex(20)
+        d1, d2 = random_complex(20)
         pres = groups.homology_presentation(d1, d2)
         with pytest.raises(GroupError, match="chain has length 11, ambient rank is 12"):
             pres.classes_of(IntMatrix.zero(11, 2))
         with pytest.raises(GroupError, match="chain has length 11, ambient rank is 12"):
             pres.class_of((0,) * 11)
-
-
-_TRANSFORMS = ("U", "V")
-
-
-class TestTransformBuilds:
-    """A factorization builds U and V from its logged operations only when
-    they are read."""
-
-    @pytest.fixture
-    def replays(self, recorded):
-        with recorded(exactalg.SnfResult.vinv_times) as calls:
-            yield calls
-
-    @pytest.fixture
-    def eliminations(self, recorded):
-        """The matrices diagonalized without transforms."""
-        with recorded(exactalg.invariant_factors) as calls:
-            yield calls
-
-    @pytest.mark.parametrize("argv, boundaries", [
-        ("homology --builtin penrose-kite-dart --mode rigid", 2),
-        ("homology --builtin fibonacci --mode translation", 1),
-        ("cohomology --builtin triangle-periodic-translation --hull translation", 2),
-        ("cohomology --builtin square-periodic-rigid --hull rotation-quotient", 2),
-    ])
-    def test_structure_only_commands_build_no_transform(self, snfs, replays,
-                                                         eliminations, argv, boundaries):
-        """A command that prints only groups diagonalizes each boundary
-        d_1 ... d_top once without transforms, and runs no logged SNF and no
-        V^-1 replay."""
-        res = run(*argv.split())
-        assert res.exit_code == 0
-        assert len(eliminations) == boundaries
-        assert snfs == []
-        assert replays == []
-
-    @pytest.mark.parametrize("argv", [
-        "homology --builtin fibonacci --mode translation --limit",
-        "spectral --builtin penrose-kite-dart",
-    ])
-    def test_coordinate_commands_build_no_transform(self, snfs, argv):
-        """Commands that read coordinates, kernels and lattice solves apply
-        every transform through its log and build none as a matrix."""
-        res = run(*argv.split())
-        assert res.exit_code == 0
-        assert snfs
-        assert [n for *_, f in snfs for n in _TRANSFORMS if n in vars(f)] == []
 
 
 def _dense_spec(n):
@@ -1295,7 +1088,7 @@ def _dense_spec(n):
     degrees."""
     rng = random.Random(5)
     d1 = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-    two = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    two = diagonal([2] * n)
 
     def cells(prefix):
         return [{"id": "%s%d" % (prefix, i), "symmetry": 1, "reverses_orientation": False}

@@ -2,7 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecohom import complexes
@@ -17,7 +17,7 @@ from tilecohom.complexes import (
     homology,
     substitution_homology_maps,
 )
-from tilecohom.exactalg import IntMatrix, invariant_factors, kernel_basis, smith_normal_form
+from tilecohom.exactalg import IntMatrix, kernel_basis
 from tilecohom.groups import FgAbelianGroup, homology_presentation
 from tilecohom.tilings import (
     CellType,
@@ -28,7 +28,7 @@ from tilecohom.tilings import (
     make_spec,
     validate_spec,
 )
-from toolkit import edited, gen, oracle, respec
+from toolkit import edited, gen, oracle, random_analyses, respec
 
 
 class TestBuild:
@@ -250,44 +250,6 @@ class TestBoundaryFuzz:
                 build_chain_complex(bad, MODE_RIGID)
 
 
-def _random_spec(seed, rigid):
-    """A random 2-dimensional spec whose homology has torsion in every mode.
-
-    Rigid specs give their 0- and 2-cells symmetry orders and make some edges
-    reverse orientation.  Row i of d_1 is a multiple of the order of vertex i,
-    so the modified complex is integral.  The columns of d_2 are combinations
-    of the cycles of the kept edges, the first never used and the second
-    only doubled, and d_2 is zero on the reversing edges, so d_1 d_2 = 0 in
-    every mode.
-    """
-    rng = random.Random(seed)
-    n0, n1, n2 = rng.randint(1, 4), rng.randint(2, 8), rng.randint(1, 6)
-    sym0 = [rng.choice((1, 2, 3, 4)) if rigid else 1 for _ in range(n0)]
-    sym2 = [rng.choice((1, 2, 3)) if rigid else 1 for _ in range(n2)]
-    reverses = [rigid and rng.random() < 0.25 for _ in range(n1)]
-    d1 = IntMatrix.from_rows([[sym0[i] * rng.randint(-1, 1) for _ in range(n1)]
-                              for i in range(n0)])
-    kept = [j for j in range(n1) if not reverses[j]]
-    K = kernel_basis(d1.submatrix(range(n0), kept))
-    scale = [0, 2] + [rng.randint(1, 3) for _ in range(K.cols)]
-    cycles = K * IntMatrix(K.cols, n2, tuple(scale[i] * rng.randint(-1, 1)
-                                             for i in range(K.cols) for _ in range(n2)))
-    rows = iter(cycles.to_rows())
-    d2 = IntMatrix.from_rows([[0] * n2 if reverses[j] else next(rows) for j in range(n1)])
-    cells = {0: tuple(CellType("v%d" % i, symmetry=s) for i, s in enumerate(sym0)),
-             1: tuple(CellType("e%d" % j, reverses_orientation=r)
-                      for j, r in enumerate(reverses)),
-             2: tuple(CellType("f%d" % j, symmetry=s) for j, s in enumerate(sym2))}
-    return make_spec("random", 2, "rigid" if rigid else "translation", cells,
-                     {1: d1, 2: d2})
-
-
-def _random_analyses(seed):
-    return [Analysis(_random_spec(seed, False), MODE_TRANSLATION),
-            Analysis(_random_spec(seed, True), MODE_RIGID),
-            Analysis(_random_spec(seed, True), MODE_RIGID_MODIFIED)]
-
-
 class TestStructureFromFactorizations:
     """Analysis.structure reads H_k from rank d_k and the invariant factors of
     d_{k+1}; the presentation's cokernel factorization must agree."""
@@ -298,7 +260,7 @@ class TestStructureFromFactorizations:
         """The cached presentation that homology(cplx, k) returns also gives
         the generator lifts and the classes of a fresh presentation of the
         same boundaries."""
-        for cplx in _random_analyses(seed):
+        for cplx in random_analyses(seed):
             top = cplx.top_dim
             for k in range(top + 1):
                 d_k1 = cplx.boundary[k + 1] if k < top else IntMatrix.zero(cplx.ranks[top], 0)
@@ -313,7 +275,7 @@ class TestStructureFromFactorizations:
 
     def test_random_specs_have_torsion_in_every_mode(self):
         torsion = [any(a.structure(k).torsion for k in range(3)) for seed in range(10)
-                   for a in _random_analyses(seed)]
+                   for a in random_analyses(seed)]
         assert all(any(torsion[m::3]) for m in range(3))
 
     def test_builtins_match_presentation(self):
@@ -362,76 +324,3 @@ class TestStructureFromFactorizations:
                 analysis.structure(k)
             with pytest.raises(ComplexError, match="degree %d out of range 0..1" % k):
                 analysis.homology(k)
-
-
-class TestOneFactorizationPerMatrix:
-    """Within one Analysis that reads coordinates before groups, each
-    boundary d_k is eliminated exactly once, and no other matrix twice.
-    Boundaries are told apart by identity, since two of them may be equal
-    matrices (d_1 = d_2 = [[0]]), each eliminated once."""
-
-    @staticmethod
-    def _read_everything(analysis):
-        top = analysis.top_dim
-        # Homology-level data factors its generator matrices, not the complex.
-        sub = analysis.spec.substitution
-        if sub is not None and sub.kind == "chain_map":
-            analysis.substitution_maps
-        for k in range(top + 1):
-            analysis.homology(k).generator_matrix()
-            analysis.structure(k)
-
-    @staticmethod
-    def _read_groups(analysis):
-        """Analysis.groups, with limits for chain-level data (homology-level
-        data factors its generator matrices, which may coincide).  The direct
-        limits, which factor matrices of their own, are left out: each
-        returns its group."""
-        sub = analysis.spec.substitution
-        limit = sub is not None and sub.kind == "chain_map"
-        original = complexes.direct_limit
-        complexes.direct_limit = lambda group, endo: group
-        try:
-            analysis.groups(None, limit)
-        finally:
-            complexes.direct_limit = original
-
-    def _check(self, recorded, analysis, read=None):
-        # The matrices eliminated, by a logged SNF or without transforms.
-        with recorded(smith_normal_form, invariant_factors) as calls:
-            (read or self._read_everything)(analysis)
-        made = [A for _, (A,), _ in calls]
-        # Empty matrices, such as d_0 and the relations of a degree whose cycles
-        # all bound, may coincide; factoring them costs nothing.
-        boundaries = analysis.boundary[1:]
-        keys = [(A.rows, A.cols, A.entries) for A in made
-                if A.entries and not any(A is b for b in boundaries)]
-        assert len(set(keys)) == len(keys)
-        for b in boundaries:
-            assert sum(A is b for A in made) == 1
-
-    @pytest.mark.parametrize("name", builtin_names())
-    def test_builtins(self, recorded, name):
-        spec = builtin(name)
-        modes = ([MODE_TRANSLATION] if spec.geometry_mode == "translation"
-                 else [MODE_RIGID, MODE_RIGID_MODIFIED])
-        for mode in modes:
-            self._check(recorded, Analysis(spec, mode))
-            self._check(recorded, Analysis(spec, mode), self._read_groups)
-
-    @settings(max_examples=30)
-    @given(seed=st.integers(0, 10 ** 6))
-    @example(seed=1027)
-    @example(seed=991615)
-    def test_random_complexes(self, recorded, seed):
-        for analysis in _random_analyses(seed):
-            self._check(recorded, analysis)
-        for analysis in _random_analyses(seed):
-            self._check(recorded, analysis, self._read_groups)
-
-    def test_structure_factors_only_the_boundaries(self, recorded):
-        analysis = Analysis(builtin("penrose-kite-dart"), MODE_RIGID)
-        with recorded(smith_normal_form, invariant_factors) as calls:
-            for k in range(3):
-                analysis.structure(k)
-        assert [id(A) for _, (A,), _ in calls] == [id(b) for b in analysis.boundary[1:]]

@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 from itertools import combinations
 from math import gcd, prod
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tilecohom import dirlimit as dirlimit_module
 from tilecohom.dirlimit import (
     DirectLimitError,
     EIGENVALUE_CANDIDATE_BOUND,
@@ -26,10 +24,10 @@ from tilecohom.dirlimit import (
     stable_rank_mod_p,
 )
 from tilecohom.cli import run_command
-from tilecohom.exactalg import (IntMatrix, determinant, invariant_factors, kernel_basis,
-                                smith_normal_form)
+from tilecohom.exactalg import IntMatrix, determinant, invariant_factors, kernel_basis
 from tilecohom.groups import FgAbelianGroup, GroupHom, from_divisors, subgroup_structure
-from toolkit import columns, conjugate, gen, minor_factors, oracle
+from toolkit import (EIGENVALUES, NON_UNITS, UNIMODULAR_OPS, columns, conjugate, diagonal,
+                     free_endo, gen, minor_factors, oracle)
 
 TM = IntMatrix.from_rows([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
 
@@ -38,11 +36,6 @@ def endo(group, columns):
     """Endomorphism from images of the canonical generators (integer coords)."""
     n = group.free_rank + len(group.torsion)
     return GroupHom(group, group, IntMatrix.from_columns(columns, rows=n))
-
-
-def free_endo(matrix):
-    g = FgAbelianGroup.free(matrix.rows)
-    return g, GroupHom(g, g, matrix)
 
 
 class TestEventualData:
@@ -286,27 +279,14 @@ class TestMixedLimits:
         assert lim.render() == "0"
 
 
-_PRIMES_900S = tuple(p for p in range(900, 1000) if all(p % d for d in range(2, 32)))
-_NON_UNITS = (4, -12, 18, 25) + _PRIMES_900S + tuple(-p for p in _PRIMES_900S)
-_EIGENVALUES = (1, -1) + _NON_UNITS
-# Elementary operations (i, j, c) of toolkit.unimodular.
-_UNIMODULAR_OPS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                                     st.sampled_from((-2, -1, 1, 2))), max_size=8)
-
-
-def _diagonal(values):
-    n = len(values)
-    return [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 class TestEigenvalueOracle:
     """Limits of P J P^-1 against the answer read off the eigenvalues of J."""
 
     @settings(max_examples=40)
-    @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=1, max_size=4),
-           ops=_UNIMODULAR_OPS)
+    @given(eigenvalues=st.lists(st.sampled_from(EIGENVALUES), min_size=1, max_size=4),
+           ops=UNIMODULAR_OPS)
     def test_diagonalizable(self, eigenvalues, ops):
-        lim = direct_limit(*free_endo(conjugate(_diagonal(eigenvalues), ops)))
+        lim = direct_limit(*free_endo(conjugate(diagonal(eigenvalues), ops)))
         if all(abs(lam) == 1 for lam in eigenvalues):
             assert (lim.status, lim.free_summands) == (STATUS_EXACT, ((1, len(eigenvalues)),))
             return
@@ -318,10 +298,10 @@ class TestEigenvalueOracle:
         assert lim.notes == tuple(dict.fromkeys(notes))
 
     @settings(max_examples=30)
-    @given(lam=st.sampled_from(_NON_UNITS),
-           others=st.lists(st.sampled_from(_EIGENVALUES), max_size=2), ops=_UNIMODULAR_OPS)
+    @given(lam=st.sampled_from(NON_UNITS),
+           others=st.lists(st.sampled_from(EIGENVALUES), max_size=2), ops=UNIMODULAR_OPS)
     def test_jordan_block(self, lam, others, ops):
-        J = _diagonal([lam, lam] + others)
+        J = diagonal([lam, lam] + others)
         J[0][1] = 1
         lim = direct_limit(*free_endo(conjugate(J, ops)))
         eigenvalues = [lam, lam] + others
@@ -358,7 +338,7 @@ def _jordan(blocks):
     sizes = [size for _, size in blocks]
     while sum(sizes) > 5:
         sizes.pop()
-    J = _diagonal([lam for (lam, _), size in zip(blocks, sizes) for _ in range(size)])
+    J = diagonal([lam for (lam, _), size in zip(blocks, sizes) for _ in range(size)])
     i = 0
     for size in sizes:
         for k in range(i, i + size - 1):
@@ -372,7 +352,7 @@ class TestEventualKernelOracle:
     polynomial, computed here without any SNF or IntMatrix product."""
 
     @settings(max_examples=60)
-    @given(blocks=_JORDAN_BLOCKS, nilpotent=st.booleans(), ops=_UNIMODULAR_OPS)
+    @given(blocks=_JORDAN_BLOCKS, nilpotent=st.booleans(), ops=UNIMODULAR_OPS)
     def test_kernel_and_induced_map(self, blocks, nilpotent, ops):
         if nilpotent:
             blocks = [(0, size) for _, size in blocks]
@@ -393,44 +373,6 @@ class TestEventualKernelOracle:
             assert _shifted_det(F, c) == c ** k * _shifted_det(D, c)
 
 
-# The Z^5 limit of tests/test_cli.py's _LIMIT_OUTCOMES: |det| = 919 * 937^2 * 997.
-_HEAVY = IntMatrix.from_rows([[-2811, -60, 1874, 0, -1814], [2812, -937, -1874, 0, 2812],
-                              [-936, 0, 937, 0, -936], [0, -1916, 0, 919, 1916],
-                              [2812, 60, -1874, 0, 1815]])
-
-
-class TestNoMatrixPowers:
-    """eventual_data eliminates F and the maps induced on the quotients of the
-    kernel chain, never a power of F, and keeps the logs of the singular
-    ones only: a logged smith_normal_form or a transform-free
-    invariant_factors for each."""
-
-    @settings(max_examples=30)
-    @given(eigenvalues=st.lists(st.sampled_from(_EIGENVALUES), min_size=2, max_size=5),
-           ops=_UNIMODULAR_OPS)
-    def test_nonsingular_factors_only_f(self, recorded, eigenvalues, ops):
-        F = conjugate(_diagonal(eigenvalues), ops)
-        with recorded(smith_normal_form, invariant_factors) as made:
-            data = eventual_data(*free_endo(F))
-        assert [(name, A) for name, (A,), _ in made] == [("invariant_factors", F)]
-        assert data.induced == F
-
-    def test_heavy_case_factors_only_f(self, recorded):
-        with recorded(smith_normal_form, invariant_factors) as made:
-            eventual_data(*free_endo(_HEAVY))
-        assert [(name, A) for name, (A,), _ in made] == [("invariant_factors", _HEAVY)]
-
-    def test_singular_factors_one_map_per_kernel_step(self, recorded):
-        # ker F < ker F^2 = ker F^3: F, then the 2x2 and 1x1 induced maps.
-        F = IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
-        with recorded(smith_normal_form, invariant_factors) as made:
-            data = eventual_data(*free_endo(F))
-        assert [(name, A.rows) for name, (A,), _ in made] == [
-            ("invariant_factors", 3), ("smith_normal_form", 3),
-            ("invariant_factors", 2), ("smith_normal_form", 2), ("invariant_factors", 1)]
-        assert data.induced.entries == (2,)
-
-
 def _old_stable_rank(rows, p):
     """The integer route: D^n with n = dimension, then its rank mod p."""
     return oracle.rank_mod(_power(rows, len(rows)), p)
@@ -448,7 +390,7 @@ class TestStableRankReference:
 
     @settings(max_examples=60)
     @given(n=st.integers(1, 5), p=st.sampled_from((2, 3, 5, 7, 997, 10 ** 20 + 39)),
-           c=st.integers(-3, 3), ops=_UNIMODULAR_OPS, data=st.data())
+           c=st.integers(-3, 3), ops=UNIMODULAR_OPS, data=st.data())
     def test_nilpotent_jordan_block_mod_p(self, n, p, c, ops, data):
         """P (J + B) P^-1 with J one Jordan block of eigenvalue p c, nilpotent
         mod p, so the rank mod p falls through the squarings."""
@@ -507,7 +449,7 @@ def _random_diagonalizable(rng, n):
         roots = [c + d * m for m in ms]
         if all(roots) and len(_type_blocks(roots)) > 1:
             break
-    D = P * IntMatrix.from_rows(_diagonal(ms)) * IntMatrix.from_rows(adj)
+    D = P * IntMatrix.from_rows(diagonal(ms)) * IntMatrix.from_rows(adj)
     return IntMatrix.from_rows([[D[i, j] + (c if i == j else 0) for j in range(n)]
                                 for i in range(n)]), sorted(roots)
 
@@ -523,9 +465,9 @@ class TestSplitsByType:
     @settings(max_examples=60)
     @given(values=st.lists(st.integers(-10 ** 6, 10 ** 6).filter(bool) | st.sampled_from((1, -1, 2)),
                            min_size=1, max_size=5),
-           jordan=st.booleans(), ops=_UNIMODULAR_OPS)
+           jordan=st.booleans(), ops=UNIMODULAR_OPS)
     def test_unimodular_conjugate_splits_exactly_when_diagonalizable(self, values, jordan, ops):
-        J = _diagonal(values)
+        J = diagonal(values)
         jordan = jordan and len(values) > 1
         if jordan:
             J[1][1] = J[0][0]
@@ -587,22 +529,6 @@ class TestSplitsByType:
             radicals = sorted(blocks, reverse=True)
             if any(a % b for a, b in zip(radicals, radicals[1:])):
                 assert _splits_by_type(D.to_rows(), blocks) is spans
-
-
-class TestEachPrimeProvenOnce:
-    def test_heavy_case_proves_in_factorize_only(self, monkeypatch):
-        original = dirlimit_module._is_prime
-        proven = []
-
-        def recording(n):
-            proven.append((sys._getframe(1).f_code.co_name, n))
-            return original(n)
-
-        monkeypatch.setattr(dirlimit_module, "_is_prime", recording)
-        lim = direct_limit(*free_endo(_HEAVY))
-        assert lim.render() == "Z + Z[1/919] + Z[1/937]^2 + Z[1/997]"
-        assert proven == [("_factorize", 804432950467), ("_factorize", 875335093),
-                          ("_factorize", 997)]
 
 
 class TestCharPolyReference:
@@ -775,11 +701,11 @@ class TestEigenvalueCandidatesBasisFree:
             "note: inverted integer 12939386460 canonicalized to its radical 6469693230\n"))
 
     @settings(max_examples=40)
-    @example(rows=_diagonal([_N, -_N, 7]), ops=[(0, 1, _N), (2, 0, 1)])
+    @example(rows=diagonal([_N, -_N, 7]), ops=[(0, 1, _N), (2, 0, 1)])
     @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
                st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
-           | st.lists(st.sampled_from(_EIGENVALUES + (_N, -_N)), min_size=1,
-                      max_size=3).map(_diagonal),
+           | st.lists(st.sampled_from(EIGENVALUES + (_N, -_N)), min_size=1,
+                      max_size=3).map(diagonal),
            ops=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
                                   st.sampled_from((-2, -1, 1, 2, _N))), max_size=6))
     def test_conjugation_leaves_stdout_unchanged(self, time_limit, rows, ops):

@@ -16,7 +16,7 @@ from tilecohom.exactalg import (
     smith_normal_form,
     solve_in_lattice,
 )
-from toolkit import PENROSE_D1, minor_factors
+from toolkit import PENROSE_D1, diagonal, minor_factors
 
 
 def matrices(max_dim=6, max_entry=9):
@@ -215,8 +215,7 @@ class TestInvariantFactors:
     @given(st.lists(st.integers(1, 60), max_size=6))
     def test_divisor_chain_is_the_diagonal_snf(self, values):
         chain = divisor_chain(values)
-        n = len(values)
-        D = IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+        D = IntMatrix.from_rows(diagonal(values))
         assert tuple(chain) == smith_normal_form(D).invariant_factors
 
 

@@ -30,7 +30,7 @@ from tilecohom.groups import (
     subgroup_structure,
     symmetry_defect,
 )
-from toolkit import PENROSE_D1, automorphism_ops, random_group, random_hom, unimodular
+from toolkit import PENROSE_D1, automorphism_ops, diagonal, random_group, random_hom, unimodular
 
 
 def add(x, y):
@@ -57,8 +57,7 @@ class TestNormalForm:
         """The pairwise (gcd, lcm) pass gives the invariant factors that the
         Smith normal form of diag(divisors) gives."""
         n = len(divisors)
-        diag = IntMatrix(n, n, tuple(divisors[i] if i == j else 0
-                                     for i in range(n) for j in range(n)))
+        diag = IntMatrix.from_rows(diagonal(divisors))
         g, _ = cokernel_structure(diag, n)
         assert from_divisors(divisors, extra_free=free) == FgAbelianGroup(free, g.torsion)
 

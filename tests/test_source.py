@@ -9,12 +9,10 @@ from functools import partial
 from pathlib import Path
 from unittest import mock
 
-import pytest
-
 import test_cli
 import test_tilings
 import tilecohom
-from tilecohom import complexes, dirlimit, exactalg, groups
+from tilecohom import dirlimit, groups
 from tilecohom.cli import parse_group, parse_matrix
 from tilecohom.complexes import (
     MODE_RIGID,
@@ -90,6 +88,19 @@ def test_only_the_toolkit_edits_sys_path():
                     and isinstance(node.value, ast.Name) and node.value.id == "sys"):
                 found.setdefault(path.name, []).append(node.lineno)
     assert list(found) == ["toolkit.py"] and len(found["toolkit.py"]) == 1, found
+
+
+def test_only_test_work_counts_calls():
+    """tests/test_work.py holds every test that counts calls through
+    conftest's recorder: no other test module names `recorded`, as a fixture
+    argument or otherwise."""
+    found = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if {getattr(node, key, None) for key in ("id", "arg", "attr", "name")} & {
+                    "recorded", "_recorded"}:
+                found.setdefault(path.name, []).append(node.lineno)
+    assert sorted(found) == ["conftest.py", "test_work.py"], found
 
 
 def _traced():
@@ -475,26 +486,3 @@ def test_every_raise_is_reached(tmp_path, int_digit_limit):
     assert [where(s) for s in sorted(sites) if s not in public | forged] == []
     assert [where(s) for s in sorted(sites) if s in forged - public
             and "internal invariant:" not in sites[s]] == []
-
-
-def test_recorded_wraps_every_binding_and_puts_it_back(recorded):
-    """The work-count tests' recorder wraps a routine in every module that
-    imports it and a method on its class, records each call made through any
-    of them, and restores every binding on exit, also when the block raises."""
-    holders = (exactalg, groups, complexes, dirlimit)
-    mul_vector = IntMatrix.mul_vector
-    A = IntMatrix.from_rows([[2]])
-    with recorded(smith_normal_form):
-        assert all(m.smith_normal_form is not smith_normal_form for m in holders)
-    assert all(m.smith_normal_form is smith_normal_form for m in holders)
-    with pytest.raises(ZeroDivisionError):
-        with recorded(smith_normal_form, IntMatrix.mul_vector) as calls:
-            assert all(m.smith_normal_form is not smith_normal_form for m in holders)
-            assert IntMatrix.mul_vector is not mul_vector
-            snf = groups.smith_normal_form(A)
-            assert A.mul_vector((3,)) == (6,)
-            assert calls == [("smith_normal_form", (A,), snf),
-                             ("IntMatrix.mul_vector", (A, (3,)), (6,))]
-            1 // 0
-    assert all(m.smith_normal_form is smith_normal_form for m in holders)
-    assert IntMatrix.mul_vector is mul_vector

@@ -8,16 +8,20 @@ whose generators and SNF-free oracles never import tilecohom."""
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import gcd
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from tilecohom.cli import run_command
-from tilecohom.exactalg import IntMatrix, determinant
-from tilecohom.groups import GroupHom, from_divisors
-from tilecohom.tilings import builtin, make_spec, save_spec
+from tilecohom.complexes import MODE_RIGID, MODE_RIGID_MODIFIED, MODE_TRANSLATION, Analysis
+from tilecohom.exactalg import IntMatrix, determinant, kernel_basis
+from tilecohom.groups import FgAbelianGroup, GroupHom, from_divisors
+from tilecohom.tilings import CellType, builtin, make_spec, save_spec
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -167,3 +171,78 @@ def random_hom(rng, dom, cod):
              for d in dom.torsion]
     matrix = IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zero(n, 0)
     return GroupHom(dom, cod, matrix)
+
+
+def free_endo(matrix):
+    """(Z^n, the endomorphism of Z^n with the n x n matrix)."""
+    g = FgAbelianGroup.free(matrix.rows)
+    return g, GroupHom(g, g, matrix)
+
+
+def diagonal(values):
+    """The rows of the diagonal matrix with the values on its diagonal."""
+    n = len(values)
+    return [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+_PRIMES_900S = tuple(p for p in range(900, 1000) if all(p % d for d in range(2, 32)))
+NON_UNITS = (4, -12, 18, 25) + _PRIMES_900S + tuple(-p for p in _PRIMES_900S)
+EIGENVALUES = (1, -1) + NON_UNITS
+# Elementary operations (i, j, c) of unimodular.
+UNIMODULAR_OPS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                    st.sampled_from((-2, -1, 1, 2))), max_size=8)
+
+
+def _cycles(rng, K, cols, scale):
+    """K C, cols integer combinations of the kernel basis K: row i of C is
+    drawn from -1..1, row by row, and multiplied by entry i of [0, 2] + scale.
+    The first kernel vector is never used and the second only doubled, so a
+    complex with these boundaries has homology with a free and a torsion
+    part."""
+    scale = [0, 2] + scale
+    return K * IntMatrix(K.cols, cols, tuple(scale[i] * rng.randint(-1, 1)
+                                             for i in range(K.cols) for _ in range(cols)))
+
+
+def random_complex(boundary_cols, seed=7):
+    """d_1 (6 x 12, entries in -1..1) and a d_2 of boundary_cols _cycles of
+    d_1's kernel, all scaled by 1 after the first two."""
+    rng = random.Random(seed)
+    d1 = IntMatrix.from_rows([[rng.randint(-1, 1) for _ in range(12)] for _ in range(6)])
+    K = kernel_basis(d1)
+    return d1, _cycles(rng, K, boundary_cols, [1] * (K.cols - 2))
+
+
+def random_spec(seed, rigid):
+    """A random 2-dimensional spec whose homology has torsion in every mode.
+
+    Rigid specs give their 0- and 2-cells symmetry orders and make some edges
+    reverse orientation.  Row i of d_1 is a multiple of the order of vertex i,
+    so the modified complex is integral.  The columns of d_2 are _cycles of
+    the kept edges, scaled by 1..3 after the first two, and d_2 is zero on
+    the reversing edges, so d_1 d_2 = 0 in every mode.
+    """
+    rng = random.Random(seed)
+    n0, n1, n2 = rng.randint(1, 4), rng.randint(2, 8), rng.randint(1, 6)
+    sym0 = [rng.choice((1, 2, 3, 4)) if rigid else 1 for _ in range(n0)]
+    sym2 = [rng.choice((1, 2, 3)) if rigid else 1 for _ in range(n2)]
+    reverses = [rigid and rng.random() < 0.25 for _ in range(n1)]
+    d1 = IntMatrix.from_rows([[sym0[i] * rng.randint(-1, 1) for _ in range(n1)]
+                              for i in range(n0)])
+    kept = [j for j in range(n1) if not reverses[j]]
+    K = kernel_basis(d1.submatrix(range(n0), kept))
+    rows = iter(_cycles(rng, K, n2, [rng.randint(1, 3) for _ in range(K.cols)]).to_rows())
+    d2 = IntMatrix.from_rows([[0] * n2 if reverses[j] else next(rows) for j in range(n1)])
+    cells = {0: tuple(CellType("v%d" % i, symmetry=s) for i, s in enumerate(sym0)),
+             1: tuple(CellType("e%d" % j, reverses_orientation=r)
+                      for j, r in enumerate(reverses)),
+             2: tuple(CellType("f%d" % j, symmetry=s) for j, s in enumerate(sym2))}
+    return make_spec("random", 2, "rigid" if rigid else "translation", cells,
+                     {1: d1, 2: d2})
+
+
+def random_analyses(seed):
+    """The Analyses of random_spec(seed, ...) in its three modes."""
+    return [Analysis(random_spec(seed, False), MODE_TRANSLATION),
+            Analysis(random_spec(seed, True), MODE_RIGID),
+            Analysis(random_spec(seed, True), MODE_RIGID_MODIFIED)]
