@@ -223,7 +223,8 @@ def _cmd_builtin(args):
 
 def _homology_arguments(p):
     _add_target(p)
-    p.add_argument("--mode", choices=["rigid", "rigid-modified", "translation"], required=True)
+    p.add_argument("--mode", required=True,
+                   choices=sorted(mode.replace("_", "-") for mode in complexes.MODES))
     p.add_argument("--degree", type=integer, default=None)
     p.add_argument("--limit", action="store_true",
                    help="substitution direct limits instead of approximant groups")
@@ -232,8 +233,8 @@ def _homology_arguments(p):
 
 def _cohomology_arguments(p):
     _add_target(p)
-    p.add_argument("--hull", choices=["translation", "rotation-quotient", "rigid"],
-                   required=True)
+    p.add_argument("--hull", required=True,
+                   choices=[hull.replace("_", "-") for hull in spectral.HULLS])
     p.add_argument("--json", action="store_true")
 
 

@@ -160,9 +160,8 @@ def rigid_hull_cohomology(spec) -> HullCohomology:
     return spectral_sequence(spec).cohomology
 
 
-HULL_TRANSLATION = "translation"
-HULL_ROTATION_QUOTIENT = "rotation_quotient"
-HULL_RIGID = "rigid"
+HULLS = ("translation", "rotation_quotient", "rigid")
+HULL_TRANSLATION, HULL_ROTATION_QUOTIENT, HULL_RIGID = HULLS
 
 
 def hull_cohomology(spec, hull) -> HullCohomology:

@@ -1,4 +1,3 @@
-import argparse
 import copy
 import json
 import os
@@ -13,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecohom import cli, complexes, exactalg, groups, spectral
+from tilecohom import cli, complexes, exactalg, groups
 from tilecohom.cli import main, parse_group, parse_matrix, run_command
-from tilecohom.exactalg import ExactAlgError, IntMatrix
+from tilecohom.exactalg import IntMatrix
 from tilecohom.groups import FgAbelianGroup, GroupError
 from tilecohom.tilings import (
     CellType,
@@ -24,7 +23,18 @@ from tilecohom.tilings import (
     builtin_names,
     make_spec,
 )
-from toolkit import columns, diagonal, document, outcome, random_complex, respec, spec_file
+from toolkit import (
+    BIG_A,
+    BIG_B,
+    LONG_SPECS,
+    columns,
+    diagonal,
+    document,
+    outcome,
+    random_complex,
+    respec,
+    spec_file,
+)
 
 
 def run(*argv):
@@ -395,19 +405,11 @@ _LIMIT_OUTCOMES = [
     ("Z^2", "2,0;0,7", 0, "limit = Z[1/2] + Z[1/7] (status verified_profile)\n"),
     ("Z^2", "1,2;3", 1, ""),
     # Z/ab with a, b of 4,001 digits: the limit is too long to print.
-    ("Z/%d + Z/%d" % (10 ** 4000 + 1, 10 ** 4000 + 3), "1", 1, ""),
+    ("Z/%d + Z/%d" % (BIG_A, BIG_B), "1", 1, ""),
     # |det| = 919 * 937^2 * 997.
     ("Z^5", "-2811,-60,1874,0,-1814;2812,-937,-1874,0,2812;-936,0,937,0,-936;"
             "0,-1916,0,919,1916;2812,60,-1874,0,1815", 0,
      "limit = Z + Z[1/919] + Z[1/937]^2 + Z[1/997] (status verified_profile)\n"),
-]
-
-# limit --group and --matrix values that do not parse.
-_UNPARSABLE_LIMITS = [
-    ("Z", "a"), ("Z^x", "1"),
-    # Integers are ASCII, as in spec files: int() alone reads "\u0663"
-    # (Arabic-Indic three) as 3 and "1_0" as 10.
-    ("Z", "\u0663"), ("Z", "1_0"), ("Z^\u0663", "1"),
 ]
 
 
@@ -429,10 +431,6 @@ class TestLimitCommand:
         assert doc["p_divisible_ranks"] == [[3, 1]]
         res = run("limit", "--group", "Z^2", "--matrix", "0,1;3,1")
         assert res.stdout.endswith("\nlattice rank 2, p-divisible ranks 3:1\n")
-
-    def test_ragged_matrix_is_one_error_line(self):
-        assert outcome(["limit", "--group", "Z^2", "--matrix", "1,2;3"]) == (
-            1, "", "error: ragged rows\n")
 
     def test_ill_defined_endo(self):
         res = run("limit", "--group", "Z/2", "--matrix", "1", "--json")
@@ -458,7 +456,7 @@ class TestLimitCommand:
     @pytest.mark.parametrize("group, matrix, shapes", [
         ("Z^2", "", "0x0 given, 2x2 needed for Z^2 -> Z^2"),
         ("Z/1", "1", "1x1 given, 0x0 needed for 0 -> 0"),
-        ("Z/%d + Z/%d" % (10 ** 4000 + 1, 10 ** 4000 + 3), "1,0;0,1",
+        ("Z/%d + Z/%d" % (BIG_A, BIG_B), "1,0;0,1",
          "2x2 given, 1x1 needed for Z/a 26576-bit number -> Z/a 26576-bit number"),
     ], ids=["blank-matrix", "trivial-group", "too-long-to-print"])
     def test_wrong_matrix_shape_names_both_shapes(self, int_digit_limit, group, matrix, shapes):
@@ -466,14 +464,6 @@ class TestLimitCommand:
         Z/1 is 0, with no coordinates, and Z/a + Z/b is Z/ab for coprime a, b."""
         assert outcome(["limit", "--group", group, "--matrix", matrix]) == (
             1, "", "error: hom matrix shape mismatch: %s\n" % shapes)
-
-    def test_unparsable_numbers_raise_domain_errors(self):
-        with pytest.raises(GroupError, match="Z\\^x"):
-            parse_group("Z^x")
-        with pytest.raises(GroupError):
-            parse_group("Z + Z/two")
-        with pytest.raises(ExactAlgError):
-            parse_matrix("1,a;0,1")
 
     @pytest.mark.parametrize("group, token", [
         ("Z^-1 + Z^2", "Z^-1"), ("Z^2 + Z^-1", "Z^-1"), ("Z^-3", "Z^-3"),
@@ -499,12 +489,6 @@ class TestLimitCommand:
         with time_limit(10):
             res = run("limit", "--group", group, "--matrix", matrix)
         assert (res.exit_code, res.stdout) == (exit_code, stdout)
-
-    @pytest.mark.parametrize("group, matrix", _UNPARSABLE_LIMITS)
-    def test_unparsable_input_is_one_error_line(self, group, matrix):
-        code, out, err = outcome(["limit", "--group", group, "--matrix", matrix])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: cannot parse ") and err.count("\n") == 1
 
 
 class TestUsageAndDeterminism:
@@ -550,10 +534,6 @@ class TestUsageAndDeterminism:
             assert res.returncode == 1
             assert _one_error_line(res.stderr), res.stderr
 
-    def test_unknown_builtin_is_domain_error(self):
-        res = run("homology", "--builtin", "pinwheel", "--mode", "rigid")
-        assert res.exit_code == 1
-
     def test_usage_errors(self):
         assert run().exit_code == 2
         assert run("homology", "--builtin", "fibonacci").exit_code == 2  # no mode
@@ -588,16 +568,10 @@ class TestUsageAndDeterminism:
         assert [line for line in err.splitlines() if "error:" in line][0].startswith(error)
 
     def test_choices_are_library_names_with_dashes(self):
-        """--mode and --hull spell a library name with '-' for '_'."""
-        parser = cli._build_parser(["homology", "cohomology"])
-        commands = next(a for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
-        choices = {option: action.choices for command in ("homology", "cohomology")
-                   for action in commands[command]._actions for option in action.option_strings}
-        assert choices["--mode"] == ["rigid", "rigid-modified", "translation"]
-        hulls = {getattr(spectral, n) for n in dir(spectral) if n.startswith("HULL_")}
-        assert {c.replace("-", "_") for c in choices["--mode"]} == set(complexes.MODES)
-        assert {c.replace("-", "_") for c in choices["--hull"]} == hulls
+        """--mode lists complexes.MODES sorted and --hull lists spectral.HULLS
+        in order, each with '-' for '_'."""
+        assert "{rigid,rigid-modified,translation}" in run("homology", "--help").stdout
+        assert "{translation,rotation-quotient,rigid}" in run("cohomology", "--help").stdout
 
     @pytest.mark.parametrize("argv, usage, listed", [
         (["--help"], "usage: tilecohom [-h]",
@@ -729,7 +703,7 @@ class TestOneResultDocument:
     def test_limit_text_leaves_out_the_input_group(self, int_digit_limit):
         """Z/a + Z/b is the group Z/ab, too long to print, and its limit
         under 0 is 0: only --json writes the input group."""
-        argv = ["limit", "--group", "Z/%d + Z/%d" % (_A, _B), "--matrix", "0"]
+        argv = ["limit", "--group", "Z/%d + Z/%d" % (BIG_A, BIG_B), "--matrix", "0"]
         assert outcome(argv) == (0, "limit = 0 (status exact)\n", "")
         assert outcome(argv + ["--json"]) == (
             1, "", "error: a 26576-bit number of the result is too long to print\n")
@@ -784,15 +758,6 @@ class TestMalformedInput:
         assert outcome([command[0], spec_file(tmp_path, doc), *command[1:]]) == (1, "", (
             "error: cells.0[1].reverses_orientation: only an edge can reverse orientation\n"))
 
-    @pytest.mark.parametrize("command", [
-        ("check",), ("homology", "--mode", "rigid"), ("cohomology", "--hull", "rigid"),
-        ("spectral",),
-    ], ids=lambda c: c[0])
-    def test_nul_byte_in_path(self, command):
-        code, out, err = outcome([command[0], "a\x00b", *command[1:]])
-        assert (code, out) == (1, "")
-        assert _one_error_line(err) and "'a\\x00b'" in err
-
     def test_limit_result_too_long_to_print(self):
         # 2^14284 has 4,300 digits, the most int() reads; the limit inverts
         # the eigenvalue 2^14285, one digit more than str() writes.
@@ -803,58 +768,9 @@ class TestMalformedInput:
         assert _one_error_line(err)
 
 
-# Coprime, with 4,001 digits each: every input number is within Python's
-# 4,300-digit limit, but the torsion factor a*b and the product a*a are not.
-_A, _B = 10 ** 4000 + 1, 10 ** 4000 + 3
-
-
-def _cells(prefix, n):
-    return [{"id": "%s%d" % (prefix, i), "symmetry": 1, "reverses_orientation": False}
-            for i in range(n)]
-
-
-_LONG_SPECS = {
-    # H_0 = Z/(a*b).
-    "diag": {"name": "diag", "dimension": 1, "geometry_mode": "translation",
-             "cells": {"0": _cells("v", 2), "1": _cells("e", 2)},
-             "boundaries": {"1": [[_A, 0], [0, _B]]}},
-    # d f_1 = a, f_0 d = a*a.
-    "chain": {"name": "chain", "dimension": 1, "geometry_mode": "translation",
-              "cells": {"0": _cells("v", 1), "1": _cells("e", 1)},
-              "boundaries": {"1": [[_A]]},
-              "substitution": {"kind": "chain_map",
-                               "chain_map": {"0": [[_A]], "1": [[1]]}}},
-    # H_0 = Z + Z/(a*b) in both rigid complexes.
-    "rigid": {"name": "rigid", "dimension": 2, "geometry_mode": "rigid",
-              "cells": {"0": _cells("v", 3), "1": _cells("e", 2), "2": _cells("f", 1)},
-              "boundaries": {"1": [[_A, 0], [0, _B], [0, 0]], "2": [[0], [0]]},
-              "rotation": {"edge_rotations": {"e0": "0/1", "e1": "0/1"},
-                           "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}],
-                                            "v1": [{"edge": "e1", "sign": 1}],
-                                            "v2": []}}},
-    # The winding chain (10^4300, 1) has infinite order in H_0 = Z^2, and
-    # E-infinity (0,1) = Z.  Only the d2 image's coordinate is too long.
-    "winding": {"name": "winding", "dimension": 2, "geometry_mode": "rigid",
-                "cells": {"0": _cells("v", 2), "1": _cells("e", 2), "2": _cells("f", 1)},
-                "boundaries": {"1": [[0, 0], [0, 0]], "2": [[0], [0]]},
-                "rotation": {"edge_rotations": {"e0": "%d/1" % 10 ** 4299, "e1": "1/1"},
-                             "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}] * 10,
-                                              "v1": [{"edge": "e1", "sign": 1}]}}},
-    # The d2 image is (2c, 3c) with c = 10^4300, so E-infinity (0,1) is
-    # Z + Z/c: both the image and E-infinity are too long to print.
-    "windings": {"name": "windings", "dimension": 2, "geometry_mode": "rigid",
-                 "cells": {"0": _cells("v", 2), "1": _cells("e", 2), "2": _cells("f", 1)},
-                 "boundaries": {"1": [[0, 0], [0, 0]], "2": [[0], [0]]},
-                 "rotation": {"edge_rotations": {"e0": "%d/1" % (2 * 10 ** 4299),
-                                                 "e1": "%d/1" % (3 * 10 ** 4299)},
-                              "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}] * 10,
-                                               "v1": [{"edge": "e1", "sign": 1}] * 10}}},
-}
-
-
 # d f_1 = a fits in str(), f_0 d = a*a does not.
 _CHAIN_MISMATCH = ("degree 1: boundary/f mismatch at row 0, col 0 (%d != a 26576-bit number)"
-                   % _A)
+                   % BIG_A)
 
 
 class TestResultTooLongToPrint:
@@ -872,16 +788,15 @@ class TestResultTooLongToPrint:
         ("rigid", ["cohomology", "--hull", "rigid"]),
         ("rigid", ["cohomology", "--hull", "rotation-quotient"]),
         ("winding", ["spectral"]),
-        ("winding", ["spectral", "--json"]),
-        (None, ["limit", "--group", "Z/%d + Z/%d" % (_A, _B), "--matrix", "1"]),
-        (None, ["limit", "--group", "Z/%d + Z/%d" % (_A, _B), "--matrix", "1", "--json"]),
+        (None, ["limit", "--group", "Z/%d + Z/%d" % (BIG_A, BIG_B), "--matrix", "1"]),
+        (None, ["limit", "--group", "Z/%d + Z/%d" % (BIG_A, BIG_B), "--matrix", "1", "--json"]),
     ], ids=["diag-homology", "diag-homology-json", "diag-cohomology", "chain-homology-limit",
             "rigid-spectral", "rigid-spectral-json", "rigid-cohomology-rigid",
-            "rigid-cohomology-rotation-quotient", "winding-spectral", "winding-spectral-json",
+            "rigid-cohomology-rotation-quotient", "winding-spectral",
             "limit", "limit-json"])
     def test_one_error_line(self, tmp_path, int_digit_limit, spec, argv):
         if spec is not None:
-            argv = [argv[0], spec_file(tmp_path, _LONG_SPECS[spec])] + argv[1:]
+            argv = [argv[0], spec_file(tmp_path, LONG_SPECS[spec])] + argv[1:]
         code, out, err = outcome(argv)
         assert (code, out) == (1, "")
         # A chain-map mismatch keeps its place and gives a long entry's size.
@@ -891,14 +806,14 @@ class TestResultTooLongToPrint:
     def test_text_stops_where_json_does(self, tmp_path, int_digit_limit):
         """Text and --json read one document, so both name its first number
         too long to print: E-infinity's c, not the d2 image's 2c."""
-        path = spec_file(tmp_path, _LONG_SPECS["windings"])
+        path = spec_file(tmp_path, LONG_SPECS["windings"])
         for argv in (["spectral", path], ["spectral", path, "--json"]):
             assert outcome(argv) == (
                 1, "", "error: a %d-bit number of the result is too long to print\n"
                 % (10 ** 4300).bit_length())
 
     def test_check_reports_the_mismatch_as_invalid(self, tmp_path, int_digit_limit):
-        assert outcome(["check", spec_file(tmp_path, _LONG_SPECS["chain"])]) == (
+        assert outcome(["check", spec_file(tmp_path, LONG_SPECS["chain"])]) == (
             1, "chain: invalid\n  substitution[translation]: substitution chain data: "
             + _CHAIN_MISMATCH + "\n", "")
 

@@ -225,16 +225,6 @@ class TestSubstitutionMaps:
         assert maps[0].matrix.to_rows() == [[1, 1], [1, 0]]
         assert maps[1].matrix.to_rows() == [[1]]
 
-    def test_modified_needs_chain_data(self):
-        with pytest.raises(ComplexError):
-            substitution_homology_maps(builtin("triangle-solenoid-rigid"),
-                                       MODE_RIGID_MODIFIED)
-
-    def test_no_substitution_data(self):
-        with pytest.raises(ComplexError):
-            substitution_homology_maps(builtin("triangle-periodic-rigid"),
-                                       MODE_RIGID)
-
 
 class TestBoundaryFuzz:
     def test_random_single_entry_fuzz_is_detected(self):

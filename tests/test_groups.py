@@ -227,7 +227,6 @@ class TestIntegerInputs:
     int, where it used to round it or keep it."""
 
     @pytest.mark.parametrize("build, value", [
-        (lambda: IntMatrix.from_rows([[1.5, 2]]), "1.5"),
         (lambda: IntMatrix.from_columns([[0.5]]), "0.5"),
         (lambda: smith_normal_form(IntMatrix.from_columns([[0.5], [1.0]])), "0.5"),
         (lambda: solve_in_lattice(IntMatrix.identity(1), [Fraction(1)]), "Fraction(1, 1)"),

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +10,8 @@ from functools import partial
 from pathlib import Path
 from unittest import mock
 
-import test_cli
-import test_tilings
+import pytest
+
 import tilecohom
 from tilecohom import dirlimit, groups
 from tilecohom.cli import parse_group, parse_matrix
@@ -20,6 +21,7 @@ from tilecohom.complexes import (
     MODE_TRANSLATION,
     Analysis,
     build_chain_complex,
+    substitution_homology_maps,
 )
 from tilecohom.exactalg import (
     IntMatrix,
@@ -39,8 +41,8 @@ from tilecohom.groups import (
 )
 from tilecohom.record import TilecohomError, decimal
 from tilecohom.spectral import HULL_ROTATION_QUOTIENT, e2_page, hull_cohomology, winding_chain
-from tilecohom.tilings import RotationData, SubstitutionData, builtin, load_spec
-from toolkit import edited, outcome, respec, spec_file
+from tilecohom.tilings import RotationData, SubstitutionData, builtin, builtin_names, load_spec
+from toolkit import DELETE, LONG_SPECS, edited, mutated, outcome, replaced, respec, spec_file
 
 
 def test_no_assert_in_library():
@@ -245,15 +247,21 @@ def _raise_sites():
     return sites
 
 
-def _run_traced(cases):
-    """Run each (call, expected) case under sys.settrace: the (file, line)
-    pairs of the package that ran, and the (expected, outcome) pairs of the
-    cases whose outcome does not match.  A call that returns matches when its
-    text contains the expected text.  A call that raises has the outcome
-    "<class>: <message>", and matches when expected is "<class>: <part>" of
-    that class and part is in the message; any other exception escapes."""
+def _outcome(run):
+    """What run gives: its return value, or "<Class>: <message>" of the
+    domain error, TypeError or AttributeError it raises.  Any other
+    exception escapes."""
+    try:
+        return run()
+    except (TilecohomError, TypeError, AttributeError) as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
+def _run_traced(rows):
+    """The (file, line) pairs of the package that run, under sys.settrace,
+    while the call of each (call, expected) row runs."""
     package = str(Path(tilecohom.__file__).parent)
-    lines, wrong = set(), []
+    lines = set()
 
     def line(frame, event, arg):
         if event == "line":
@@ -266,58 +274,304 @@ def _run_traced(cases):
     previous = sys.gettrace()
     sys.settrace(call)
     try:
-        for run, expected in cases:
-            try:
-                outcome = str(run())
-                matched = expected in outcome
-            except (TilecohomError, TypeError, AttributeError) as e:
-                outcome = "%s: %s" % (type(e).__name__, e)
-                name, _, part = expected.partition(": ")
-                matched = name == type(e).__name__ and part in str(e)
-            if not matched:
-                wrong.append((expected, outcome))
+        for run, _ in rows:
+            _outcome(run)
     finally:
         sys.settrace(previous)
-    return lines, wrong
+    return lines
 
 
-def _public_cases(tmp_path):
-    """(call, expected text) cases that reach the input checks through public
-    names: the schema table of test_tilings, the malformed-input tables of
-    test_cli and one case for each check those do not reach.  This table is
-    the one owner of the class and the message of each error a public name
-    raises: a new error gets a row here, not a test of its own."""
-    def stderr(*argv):
-        return lambda: outcome(argv)[2]
+def _error(run):
+    """The message of what run raises: a row that quotes the interpreter's
+    own text builds it from the same call, so it holds on every Python."""
+    try:
+        run()
+    except Exception as e:
+        return str(e)
+    raise AssertionError("%r raised nothing" % (run,))
 
-    cases = []
-    for name, path, value, message, edit in test_tilings._SCHEMA_MESSAGES:
+
+def _command(*argv, files=()):
+    """A row's call: write each (name, content) of files into the working
+    directory, then run argv; the (exit code, stdout, stderr) outcome."""
+    def call():
+        for name, content in files:
+            spec_file(".", content, name)
+        return outcome(argv)
+    return call
+
+
+def _failed(message):
+    """The outcome of a command that stops at a domain error."""
+    return 1, "", "error: %s\n" % message
+
+
+def _cell(k, i, **changes):
+    def edit(spec):
+        row = list(spec.cells[k])
+        row[i] = replaced(row[i], **changes)
+        return {"cells": {**spec.cells, k: tuple(row)}}
+    return edit
+
+
+def _substitution_map(k, value):
+    def edit(spec):
+        sub = spec.substitution
+        return {"substitution": SubstitutionData(sub.kind, {**sub.maps, k: value})}
+    return edit
+
+
+def _rotation(**changes):
+    """changes: field of RotationData -> function of its current value."""
+    def edit(spec):
+        rot = spec.rotation
+        return {"rotation": replaced(
+            rot, **{f: change(getattr(rot, f)) for f, change in changes.items()})}
+    return edit
+
+
+def _star(vid, i, step):
+    return _rotation(vertex_stars=lambda stars: {
+        **stars, vid: stars[vid][:i] + (step,) + stars[vid][i + 1:]})
+
+
+def _without(key):
+    return lambda mapping: {k: v for k, v in mapping.items() if k != key}
+
+
+# The raise table's schema rows, at least one per `raise SpecError` site of the
+# schema: the builtin, the document path and the value that replaces it (or
+# DELETE), the exact message, and the same violation as make_spec arguments, a
+# function of the builtin spec, where a library caller can make it (None for
+# rules about the JSON spelling alone).
+_PENROSE, _FIBONACCI = "penrose-kite-dart", "fibonacci"
+_SCHEMA_MESSAGES = [
+    (_FIBONACCI, ("name",), 5, "name: expected a string", lambda s: {"name": 5}),
+    (_FIBONACCI, ("dimension",), True, "dimension: must be 1 or 2",
+     lambda s: {"dimension": True}),
+    (_FIBONACCI, ("geometry_mode",), "affine",
+     "geometry_mode: must be 'translation' or 'rigid'", lambda s: {"geometry_mode": "affine"}),
+    (_FIBONACCI, ("cells", "2"), [], "cells.2: beyond the spec dimension",
+     lambda s: {"cells": {**s.cells, 2: ()}}),
+    (_FIBONACCI, ("boundaries", "2"), [[1]], "boundaries.2: beyond the spec dimension",
+     lambda s: {"boundaries": {**s.boundaries, 2: IntMatrix.from_rows([[1]])}}),
+    (_FIBONACCI, ("cells", "1"), DELETE, "cells.1: missing",
+     lambda s: {"cells": {0: s.cells[0]}}),
+    (_FIBONACCI, None, None, "cells.0[0]: expected CellType",
+     lambda s: {"cells": {**s.cells, 0: ("0.1",)}}),
+    (_PENROSE, ("cells", "0", 0, "id"), 5, "cells.0[0].id: expected a string",
+     _cell(0, 0, id=5)),
+    (_PENROSE, ("cells", "0", 0, "symmetry"), True, "cells.0[0].symmetry: expected an integer",
+     _cell(0, 0, symmetry=True)),
+    (_PENROSE, ("cells", "0", 0, "reverses_orientation"), 1,
+     "cells.0[0].reverses_orientation: expected a boolean",
+     _cell(0, 0, reverses_orientation=1)),
+    (_PENROSE, ("cells", "1", 1, "id"), "E1", "cells.1[1]: duplicate id 'E1'",
+     _cell(1, 1, id="E1")),
+    (_PENROSE, ("cells", "0", 0, "symmetry"), 0, "cells.0[0].symmetry: must be >= 1",
+     _cell(0, 0, symmetry=0)),
+    (_FIBONACCI, ("cells", "0", 0, "symmetry"), 5,
+     "cells.0[0]: translation specs have trivial cell symmetry", _cell(0, 0, symmetry=5)),
+    (_PENROSE, ("cells", "0", 1, "reverses_orientation"), True,
+     "cells.0[1].reverses_orientation: only an edge can reverse orientation",
+     _cell(0, 1, reverses_orientation=True)),
+    (_PENROSE, ("cells", "2", 1, "reverses_orientation"), True,
+     "cells.2[1].reverses_orientation: only an edge can reverse orientation",
+     _cell(2, 1, reverses_orientation=True)),
+    (_PENROSE, ("boundaries", "1"), [[1]], "boundaries.1: shape (1, 1) != expected (7, 7)",
+     lambda s: {"boundaries": {**s.boundaries, 1: IntMatrix.from_rows([[1]])}}),
+    (_PENROSE, ("substitution", "kind"), "cochain", "substitution.kind: unknown kind 'cochain'",
+     lambda s: {"substitution": SubstitutionData("cochain", {})}),
+    (_PENROSE, ("substitution", "chain_map"), {}, "substitution.chain_map: missing",
+     lambda s: {"substitution": SubstitutionData("chain_map", {})}),
+    (_PENROSE, ("substitution", "chain_map", "0"), [[1]],
+     "substitution.chain_map.0: expected 7x7 matrix",
+     _substitution_map(0, IntMatrix.from_rows([[1]]))),
+    (_FIBONACCI, ("substitution", "homology_map", "1", "images"), [],
+     "substitution.homology_map.1: generator/image count mismatch",
+     _substitution_map(1, (((1, 1),), ()))),
+    (_FIBONACCI, ("substitution", "homology_map", "1", "generators"), [[1]],
+     "substitution.homology_map.1.generators[0]: length 1 != 2 chain coordinates",
+     _substitution_map(1, (((1,),), ((1, 1),)))),
+    (_FIBONACCI, ("rotation",), {"edge_rotations": {}, "vertex_stars": {}},
+     "rotation: only meaningful for 2-dimensional rigid specs",
+     lambda s: {"rotation": RotationData({}, {})}),
+    (_PENROSE, ("rotation", "edge_rotations", "E9"), "1/5",
+     "rotation.edge_rotations.E9: unknown edge",
+     _rotation(edge_rotations=lambda rots: {**rots, "E9": Fraction(1, 5)})),
+    (_PENROSE, ("rotation", "vertex_stars", "sun"), DELETE,
+     "rotation.vertex_stars: missing ['sun'], unknown []",
+     _rotation(vertex_stars=_without("sun"))),
+    (_PENROSE, ("rotation", "vertex_stars", "sun", 0, "edge"), 5,
+     "rotation.vertex_stars.sun[0].edge: expected a string", _star("sun", 0, (5, -1))),
+    (_PENROSE, ("rotation", "vertex_stars", "sun", 0, "edge"), "E99",
+     "rotation.vertex_stars.sun[0].edge: unknown edge 'E99'", _star("sun", 0, ("E99", -1))),
+    (_PENROSE, ("rotation", "edge_rotations", "E1"), DELETE,
+     "rotation.vertex_stars.sun[0].edge: no rotation assigned to 'E1'",
+     _rotation(edge_rotations=_without("E1"))),
+    (_PENROSE, ("rotation", "vertex_stars", "sun", 0, "sign"), 2,
+     "rotation.vertex_stars.sun[0].sign: must be 1 or -1", _star("sun", 0, ("E1", 2))),
+    (_PENROSE, ("symmetric_tilings",), [5, "5"],
+     "symmetric_tilings: expected an array of integers",
+     lambda s: {"symmetric_tilings": (5, "5")}),
+    (_PENROSE, ("symmetric_tilings",), [1], "symmetric_tilings: orders must be >= 2",
+     lambda s: {"symmetric_tilings": (1,)}),
+    (_FIBONACCI, ("colour",), "blue", "document.colour: unknown key", None),
+    (_FIBONACCI, ("cells",), [], "cells: expected an object", None),
+    (_FIBONACCI, ("cells", "0"), {}, "cells.0: expected an array", None),
+    (_FIBONACCI, ("cells", "0", 0, "area"), 1, "cells.0[0].area: unknown key", None),
+    (_FIBONACCI, ("cells", "0", 0, "symmetry"), DELETE, "cells.0[0].symmetry: missing", None),
+    (_FIBONACCI, ("cells", "3"), [], "cells.3: unknown degree", None),
+    (_PENROSE, ("boundaries", "1"), [[1], 2], "boundaries.1: expected a list of integer rows",
+     None),
+    (_PENROSE, ("boundaries", "1"), [[1.5]], "boundaries.1[0][0]: expected an integer", None),
+    (_PENROSE, ("boundaries", "1"), [],
+     "boundaries.1: empty matrix needs explicit shape; declare cells instead", None),
+    (_PENROSE, ("boundaries", "1"), [[1], [1, 2]], "boundaries.1[1]: row has 2 entries, row 0 has 1",
+     None),
+    (_PENROSE, ("boundaries", "1", 0, 0), 5.0, "boundaries.1[0][0]: expected an integer", None),
+    (_PENROSE, ("boundaries", "1"), [[1, 0], [0, True]],
+     "boundaries.1[1][1]: expected an integer", None),
+    # A chain map is read by the same matrix rules.
+    (_PENROSE, ("substitution", "chain_map", "0"), [[1, 0], [0, True]],
+     "substitution.chain_map.0[1][1]: expected an integer", None),
+    (_PENROSE, ("substitution", "chain_map", "0"), [[1.5]],
+     "substitution.chain_map.0[0][0]: expected an integer", None),
+    (_PENROSE, ("substitution", "chain_map", "0"), [[1], 2],
+     "substitution.chain_map.0: expected a list of integer rows", None),
+    (_PENROSE, ("substitution", "chain_map", "0"), [],
+     "substitution.chain_map.0: empty matrix needs explicit shape; declare cells instead", None),
+    (_PENROSE, ("substitution", "chain_map", "0"), [[1], [1, 2]],
+     "substitution.chain_map.0[1]: row has 2 entries, row 0 has 1", None),
+    (_FIBONACCI, ("substitution", "homology_map", "0", "generators"), 5,
+     "substitution.homology_map.0.generators: expected a list of integer vectors", None),
+    (_FIBONACCI, ("substitution", "homology_map", "0", "generators", 0), [1, True, 0],
+     "substitution.homology_map.0.generators[0]: expected an integer vector", None),
+    (_PENROSE, ("substitution", "homology_map"), {}, "substitution.homology_map: unknown key",
+     None),
+    (_PENROSE, ("substitution", "kind"), DELETE, "substitution.kind: missing", None),
+    (_PENROSE, ("rotation", "edge_rotations", "E1"), "0.2",
+     "rotation.edge_rotations.E1: rationals are reduced-fraction strings", None),
+    (_PENROSE, ("rotation", "edge_rotations", "E1"), "1/0",
+     "rotation.edge_rotations.E1: cannot parse rational '1/0'", None),
+    # The bad cell or step last in its row, and an id repeated across
+    # degrees: each loop names the item it stops at.
+    (_PENROSE, ("cells", "1", 6, "id"), 5, "cells.1[6].id: expected a string",
+     _cell(1, 6, id=5)),
+    (_PENROSE, None, None, "cells.1[6]: expected CellType",
+     lambda s: {"cells": {**s.cells, 1: s.cells[1][:6] + ("E7",)}}),
+    (_PENROSE, ("cells", "0", 6, "symmetry"), -1, "cells.0[6].symmetry: must be >= 1",
+     _cell(0, 6, symmetry=-1)),
+    (_PENROSE, ("cells", "2", 1, "id"), "sun", "cells.2[1]: duplicate id 'sun'",
+     _cell(2, 1, id="sun")),
+    (_FIBONACCI, ("cells", "1", 1, "reverses_orientation"), True,
+     "cells.1[1]: translation specs have trivial cell symmetry",
+     _cell(1, 1, reverses_orientation=True)),
+    (_PENROSE, ("cells", "0", 6, "area"), 1, "cells.0[6].area: unknown key", None),
+    (_PENROSE, ("rotation", "vertex_stars", "king", 4, "sign"), 2,
+     "rotation.vertex_stars.king[4].sign: must be 1 or -1", _star("king", 4, ("E5", 2))),
+    (_PENROSE, ("rotation", "vertex_stars", "king", 4, "edge"), "E99",
+     "rotation.vertex_stars.king[4].edge: unknown edge 'E99'", _star("king", 4, ("E99", -1))),
+    (_PENROSE, ("rotation", "vertex_stars", "king", 4, "sign"), DELETE,
+     "rotation.vertex_stars.king[4].sign: missing", None),
+    (_PENROSE, None, None, "rotation.vertex_stars.king[4]: expected an (edge, sign) pair",
+     _star("king", 4, ("E5", -1, 0))),
+    # Container types only a library caller can get wrong: make_spec alone.
+    (_FIBONACCI, None, None, "cells: expected a dict keyed by degree",
+     lambda s: {"cells": list(s.cells.values())}),
+    (_FIBONACCI, None, None, "cells.'0': degree is not an int",
+     lambda s: {"cells": {str(k): v for k, v in s.cells.items()}}),
+    (_FIBONACCI, None, None, "cells.0: expected a tuple of CellType",
+     lambda s: {"cells": {**s.cells, 0: None}}),
+    (_FIBONACCI, None, None, "boundaries: expected a dict keyed by degree",
+     lambda s: {"boundaries": [s.boundaries[1]]}),
+    (_FIBONACCI, None, None, "boundaries.1: expected IntMatrix",
+     lambda s: {"boundaries": {1: s.boundaries[1].to_rows()}}),
+    (_PENROSE, None, None, "substitution: expected SubstitutionData",
+     lambda s: {"substitution": {"kind": "chain_map"}}),
+    (_PENROSE, None, None, "substitution.chain_map.0: expected IntMatrix",
+     lambda s: _substitution_map(0, s.substitution.maps[0].to_rows())(s)),
+    (_FIBONACCI, None, None, "substitution.homology_map.1: expected a (generators, images) pair",
+     _substitution_map(1, ((1, 1),))),
+    (_FIBONACCI, None, None, "substitution.homology_map.1.images: expected a list of integer "
+     "vectors", lambda s: _substitution_map(1, (s.substitution.maps[1][0], 5))(s)),
+    (_FIBONACCI, None, None, "substitution.homology_map.1.images[0]: expected an integer vector",
+     lambda s: _substitution_map(1, (s.substitution.maps[1][0], ((1, True),)))(s)),
+    (_PENROSE, None, None, "rotation: expected RotationData", lambda s: {"rotation": {}}),
+    (_PENROSE, None, None, "rotation.edge_rotations: expected a dict",
+     _rotation(edge_rotations=list)),
+    (_PENROSE, None, None, "rotation.edge_rotations.E1: expected a Fraction",
+     _rotation(edge_rotations=lambda rots: {**rots, "E1": 0.2})),
+    (_PENROSE, None, None, "rotation.vertex_stars: expected a dict",
+     _rotation(vertex_stars=lambda stars: list(stars.items()))),
+    (_PENROSE, None, None, "rotation.vertex_stars: missing [], unknown [5, 'zz']",
+     _rotation(vertex_stars=lambda stars: {**stars, 5: (), "zz": ()})),
+    (_PENROSE, None, None, "rotation.vertex_stars.sun: expected a list of (edge, sign) pairs",
+     _rotation(vertex_stars=lambda stars: {**stars, "sun": None})),
+    (_PENROSE, None, None, "rotation.vertex_stars.sun[0]: expected an (edge, sign) pair",
+     _star("sun", 0, "E1")),
+    (_PENROSE, None, None, "rotation.vertex_stars.sun[0].edge: expected a string",
+     _star("sun", 0, (["E1"], -1))),
+    (_PENROSE, None, None, "rotation.vertex_stars.ace[1].sign: must be 1 or -1",
+     _star("ace", 1, ("E1", [1]))),
+]
+
+
+def _public_cases():
+    """(call, expected) rows that reach the input checks through public
+    names: the schema table, through load_spec and make_spec, and one row
+    for each check that it does not reach.  This table is the one owner of
+    the class and the whole text of each error a public name raises: a new
+    error gets a row here, not a test of its own.  A call that raises
+    expects "<Class>: <message>", and a command its whole (exit code,
+    stdout, stderr) outcome."""
+    rows = []
+    for name, path, value, message, edit in _SCHEMA_MESSAGES:
         if path is not None:
-            cases.append((partial(load_spec, test_tilings._mutated(name, path, value)),
-                          "SpecError: " + message))
+            rows.append((partial(load_spec, mutated(name, path, value)), "SpecError: " + message))
         if edit is not None:
-            cases.append((partial(respec, name, **edit(builtin(name))), "SpecError: " + message))
-    cases += [(stderr("limit", "--group", group, "--matrix", matrix), "error: cannot parse ")
-              for group, matrix in test_cli._UNPARSABLE_LIMITS]
+            rows.append((partial(respec, name, **edit(builtin(name))), "SpecError: " + message))
 
-    not_utf8 = spec_file(tmp_path, b'\xff\xfe{"name": "x"}', "not-utf8.json")
-    winding = spec_file(tmp_path, test_cli._LONG_SPECS["winding"], "winding.json")
-    cases += [
-        (stderr("limit", "--group", "Z^2", "--matrix", "1,2;3"), "error: ragged rows\n"),
-        (stderr("limit", "--group", "Z^-1", "--matrix", "1"), "token 'Z^-1'"),
-        (stderr("limit", "--group", "Q", "--matrix", "1"), "token 'Q'"),
-        (stderr("homology", "--builtin", "pinwheel", "--mode", "rigid"),
-         "error: unknown builtin 'pinwheel'"),
-        (stderr("homology", "--builtin", "fibonacci", "--mode", "translation", "--degree", "2"),
-         "error: degree 2 out of range 0..1"),
-        (stderr("check", "a\x00b"), "error: 'a\\x00b': "),
-        (stderr("check", not_utf8), ": not UTF-8 text"),
-        (stderr("spectral", winding, "--json"), "too long to print"),
-        (stderr("spectral", "--builtin", "triangle-solenoid-rigid"),
-         "error: non-stationary homology unsupported"),
+    not_utf8 = b'\xff\xfe{"name": "x"}'
+    nul = _error(partial(open, "a\x00b"))
+    unknown_builtin = "unknown builtin 'pinwheel'; available: " + ", ".join(builtin_names())
+    rows += [
+        (_command("limit", "--group", "Z", "--matrix", "a"),
+         _failed("cannot parse matrix row 'a'")),
+        (_command("limit", "--group", "Z^x", "--matrix", "1"),
+         _failed("cannot parse group token 'Z^x'")),
+        # Integers are ASCII, as in spec files: int() alone reads "\u0663"
+        # (Arabic-Indic three) as 3 and "1_0" as 10.
+        (_command("limit", "--group", "Z", "--matrix", "\u0663"),
+         _failed("cannot parse matrix row '\u0663'")),
+        (_command("limit", "--group", "Z", "--matrix", "1_0"),
+         _failed("cannot parse matrix row '1_0'")),
+        (_command("limit", "--group", "Z^\u0663", "--matrix", "1"),
+         _failed("cannot parse group token 'Z^\u0663'")),
+        (_command("limit", "--group", "Z^2", "--matrix", "1,2;3"), _failed("ragged rows")),
+        (_command("limit", "--group", "Z^-1", "--matrix", "1"),
+         _failed("cannot parse group token 'Z^-1'")),
+        (_command("limit", "--group", "Q", "--matrix", "1"),
+         _failed("cannot parse group token 'Q'")),
+        (_command("homology", "--builtin", "pinwheel", "--mode", "rigid"),
+         _failed(unknown_builtin)),
+        (_command("homology", "--builtin", "fibonacci", "--mode", "translation", "--degree", "2"),
+         _failed("degree 2 out of range 0..1")),
+        (_command("check", "a\x00b"), _failed("'a\\x00b': " + nul)),
+        (_command("homology", "a\x00b", "--mode", "rigid"), _failed("'a\\x00b': " + nul)),
+        (_command("cohomology", "a\x00b", "--hull", "rigid"), _failed("'a\\x00b': " + nul)),
+        (_command("spectral", "a\x00b"), _failed("'a\\x00b': " + nul)),
+        (_command("check", "not-utf8.json", files=[("not-utf8.json", not_utf8)]),
+         _failed("not-utf8.json: not UTF-8 text (%s)" % _error(partial(not_utf8.decode, "utf-8")))),
+        (_command("spectral", "winding.json", "--json",
+                  files=[("winding.json", LONG_SPECS["winding"])]),
+         _failed("an integer of the result is too long to print")),
+        (_command("spectral", "--builtin", "triangle-solenoid-rigid"),
+         _failed("non-stationary homology unsupported")),
         # One domain error from each layer: the CLI's one except clause
         # catches them all, and each keeps its own class.
-        (partial(load_spec, "{"), "SpecError: document: invalid JSON"),
+        (partial(load_spec, "{"),
+         "SpecError: document: invalid JSON (%s)" % _error(partial(json.loads, "{"))),
         (partial(parse_group, "Z/0"), "GroupError: divisors must be positive"),
         (partial(parse_matrix, "1,x"), "ExactAlgError: cannot parse matrix row '1,x'"),
         (partial(build_chain_complex, builtin("fibonacci"), "mystery"),
@@ -326,6 +580,10 @@ def _public_cases(tmp_path):
          "SpectralError: unknown hull 'mystery'"),
         (partial(dirlimit.stable_rank_mod_p, IntMatrix.identity(2), 4),
          "DirectLimitError: 4 is not a proven prime"),
+        (partial(parse_group, "Z^x"), "GroupError: cannot parse group token 'Z^x'"),
+        # The first bad token of a sum, and the first bad row of several.
+        (partial(parse_group, "Z + Z/two"), "GroupError: cannot parse group token 'Z/two'"),
+        (partial(parse_matrix, "1,a;0,1"), "ExactAlgError: cannot parse matrix row '1,a'"),
     ]
 
     Z, Z2 = FgAbelianGroup.free(1), FgAbelianGroup.free(2)
@@ -335,10 +593,10 @@ def _public_cases(tmp_path):
     penrose = builtin("penrose-kite-dart")
     bad_f = SubstitutionData("chain_map", {
         **penrose.substitution.maps, 0: edited(penrose.substitution.maps[0], 0, 2, 1)})
-    triangle = builtin("triangle-periodic-rigid")
+    triangle, solenoid = builtin("triangle-periodic-rigid"), builtin("triangle-solenoid-rigid")
     open_lap = RotationData({**triangle.rotation.edge_rotations, "b": Fraction(1, 5)},
                             triangle.rotation.vertex_stars)
-    cases += [
+    rows += [
         (partial(IntMatrix, -1, 0, ()), "ExactAlgError: negative matrix dimension"),
         (partial(IntMatrix, 1, 2, (1,)), "ExactAlgError: entry count 1 does not match 1x2"),
         (partial(IntMatrix.from_columns, []),
@@ -359,7 +617,7 @@ def _public_cases(tmp_path):
          "ExactAlgError: matrix is not unimodular"),
         (partial(FgAbelianGroup, -1, ()), "GroupError: negative free rank"),
         (partial(FgAbelianGroup, 0, (1,)), "GroupError: invariant factor 1 < 2"),
-        (partial(FgAbelianGroup, 0, (2, 3)), "GroupError: violates divisibility"),
+        (partial(FgAbelianGroup, 0, (2, 3)), "GroupError: torsion (2, 3) violates divisibility"),
         (partial(Z.element, (1, 2)), "GroupError: coordinate length mismatch"),
         (partial(quotient_by, Z, Z2.generators()),
          "GroupError: element does not belong to the group"),
@@ -410,11 +668,12 @@ def _public_cases(tmp_path):
          "(0, 2)"),
         (lambda: Analysis(respec("penrose-kite-dart", substitution=bad_f), MODE_RIGID).chain_map,
          "ComplexError: substitution chain data: degree 1: boundary/f mismatch at row 0, "
-         "col 0"),
-        (partial(Analysis(triangle, MODE_RIGID).substitution_map, 0),
+         "col 0 (10 != 29)"),
+        (partial(substitution_homology_maps, triangle, MODE_RIGID),
          "ComplexError: spec carries no substitution data"),
-        (partial(Analysis(builtin("triangle-solenoid-rigid"),
-                          MODE_RIGID_MODIFIED).substitution_map, 0),
+        (partial(substitution_homology_maps, solenoid, MODE_RIGID_MODIFIED),
+         "ComplexError: modified-complex substitution maps require chain-level data"),
+        (partial(hull_cohomology, solenoid, HULL_ROTATION_QUOTIENT),
          "ComplexError: modified-complex substitution maps require chain-level data"),
         (partial(dirlimit.eventual_data, Z, GroupHom(Z2, Z2, two)),
          "DirectLimitError: endomorphism domain/codomain mismatch"),
@@ -433,18 +692,18 @@ def _public_cases(tmp_path):
          "ComplexError: translation complex requires a translation-mode spec"),
         (partial(hull_cohomology, builtin("fibonacci"), HULL_ROTATION_QUOTIENT),
          "SpectralError: the rigid-hull pipeline needs a 2-dimensional rigid spec"),
-        (partial(builtin, "pinwheel"), "SpecError: unknown builtin 'pinwheel'; available: "),
+        (partial(builtin, "pinwheel"), "SpecError: " + unknown_builtin),
         (partial(setattr, Z, "free_rank", 2),
          "AttributeError: cannot assign to field 'free_rank'"),
         (partial(delattr, Z, "free_rank"), "AttributeError: cannot delete field 'free_rank'"),
         (partial(decimal, 10 ** 4300),
          "TilecohomError: a 14285-bit number of the result is too long to print"),
     ]
-    return cases
+    return rows
 
 
 def _forged_cases():
-    """(call, expected text) cases that reach each internal invariant with an
+    """(call, expected) rows that reach each internal invariant with an
     input that no public name can give."""
     Z, Z2 = FgAbelianGroup.free(1), FgAbelianGroup.free(2)
     ones = IntMatrix.from_rows([[1, 1], [1, 1]])
@@ -470,14 +729,29 @@ def _forged_cases():
     ]
 
 
-def test_every_raise_is_reached(tmp_path, int_digit_limit):
-    """Every raise of the package is an input check that a case reaches
+_ROWS = _public_cases() + _forged_cases()
+
+
+# A row's test id is its expected message, or its command's error line.
+@pytest.mark.parametrize("run, expected", _ROWS, ids=[
+    (e if isinstance(e, str) else e[2].strip())[:72] for _, e in _ROWS])
+def test_row_outcome(tmp_path, monkeypatch, int_digit_limit, run, expected):
+    """Each row of the raise table gives exactly what it expects: the class
+    and the whole message of what its call raises, or the exit code, stdout
+    and stderr of its command.  Spec files are written to the test's own
+    working directory, so a message that names one is the same every run."""
+    monkeypatch.chdir(tmp_path)
+    assert _outcome(run) == expected
+
+
+def test_every_raise_is_reached(tmp_path, monkeypatch, int_digit_limit):
+    """Every raise of the package is an input check that a row reaches
     through a public name, or an internal invariant, labelled so, that only
-    a forged input to a private routine reaches.  Each case raises or writes
-    the text it expects; a raise no case reaches fails with its place."""
-    public, public_wrong = _run_traced(_public_cases(tmp_path))
-    forged, forged_wrong = _run_traced(_forged_cases())
-    assert public_wrong == forged_wrong == []
+    a forged input to a private routine reaches: a raise no row reaches
+    fails with its place.  test_row_outcome checks what each row gives."""
+    monkeypatch.chdir(tmp_path)
+    public = _run_traced(_public_cases())
+    forged = _run_traced(_forged_cases())
     sites = _raise_sites()
 
     def where(site):

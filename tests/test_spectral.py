@@ -444,11 +444,6 @@ class TestHullCohomology:
                              HULL_ROTATION_QUOTIENT)
         assert hc.render() == ("Z", "Z", "Z^2")
 
-    def test_rotation_quotient_needs_chain_data_when_hierarchical(self):
-        with pytest.raises(ComplexError, match="chain-level"):
-            hull_cohomology(builtin("triangle-solenoid-rigid"),
-                            HULL_ROTATION_QUOTIENT)
-
 
 class TestChainLevelErrors:
     """The library class behind the hull commands' chain-level errors: bad

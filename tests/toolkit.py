@@ -1,6 +1,8 @@
 """One way for every test to build a spec variant, write a spec file, run a
-command and build random algebra.  A plain module, not fixtures: parametrize
-tables and module-level constants build their variants at import time.
+command and build random algebra, and the home of every input that two test
+modules share: no test module imports another's names.  A plain module, not
+fixtures: parametrize tables and module-level constants build their variants
+at import time.
 
 It is also the one place where tests reach the benchmark: it puts
 `perfbench/` on sys.path and re-exports `gen`, `oracle` and `workloads`,
@@ -56,6 +58,23 @@ def document(name):
     return json.loads(save_spec(builtin(name)))
 
 
+DELETE = object()
+
+
+def mutated(name, path, value):
+    """The document of a builtin, as JSON text, with the value at path
+    replaced, or deleted if value is DELETE."""
+    doc = document(name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(doc)
+
+
 def spec_file(directory, spec_or_doc, name="spec.json"):
     """directory/name, written from a spec, a document, or the raw text or
     bytes of a file; the path as a string."""
@@ -78,6 +97,56 @@ def outcome(argv):
     if out.getvalue():
         raise AssertionError("wrote to sys.stdout: %r" % out.getvalue())
     return result.exit_code, result.stdout, err.getvalue()
+
+
+# Coprime, with 4,001 digits each: every input number is within Python's
+# 4,300-digit limit, but the torsion factor a*b and the product a*a are not.
+BIG_A, BIG_B = 10 ** 4000 + 1, 10 ** 4000 + 3
+
+
+def _cells(prefix, n):
+    return [{"id": "%s%d" % (prefix, i), "symmetry": 1, "reverses_orientation": False}
+            for i in range(n)]
+
+
+# Spec documents whose results hold a number too long to print.
+LONG_SPECS = {
+    # H_0 = Z/(a*b).
+    "diag": {"name": "diag", "dimension": 1, "geometry_mode": "translation",
+             "cells": {"0": _cells("v", 2), "1": _cells("e", 2)},
+             "boundaries": {"1": [[BIG_A, 0], [0, BIG_B]]}},
+    # d f_1 = a, f_0 d = a*a.
+    "chain": {"name": "chain", "dimension": 1, "geometry_mode": "translation",
+              "cells": {"0": _cells("v", 1), "1": _cells("e", 1)},
+              "boundaries": {"1": [[BIG_A]]},
+              "substitution": {"kind": "chain_map",
+                               "chain_map": {"0": [[BIG_A]], "1": [[1]]}}},
+    # H_0 = Z + Z/(a*b) in both rigid complexes.
+    "rigid": {"name": "rigid", "dimension": 2, "geometry_mode": "rigid",
+              "cells": {"0": _cells("v", 3), "1": _cells("e", 2), "2": _cells("f", 1)},
+              "boundaries": {"1": [[BIG_A, 0], [0, BIG_B], [0, 0]], "2": [[0], [0]]},
+              "rotation": {"edge_rotations": {"e0": "0/1", "e1": "0/1"},
+                           "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}],
+                                            "v1": [{"edge": "e1", "sign": 1}],
+                                            "v2": []}}},
+    # The winding chain (10^4300, 1) has infinite order in H_0 = Z^2, and
+    # E-infinity (0,1) = Z.  Only the d2 image's coordinate is too long.
+    "winding": {"name": "winding", "dimension": 2, "geometry_mode": "rigid",
+                "cells": {"0": _cells("v", 2), "1": _cells("e", 2), "2": _cells("f", 1)},
+                "boundaries": {"1": [[0, 0], [0, 0]], "2": [[0], [0]]},
+                "rotation": {"edge_rotations": {"e0": "%d/1" % 10 ** 4299, "e1": "1/1"},
+                             "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}] * 10,
+                                              "v1": [{"edge": "e1", "sign": 1}]}}},
+    # The d2 image is (2c, 3c) with c = 10^4300, so E-infinity (0,1) is
+    # Z + Z/c: both the image and E-infinity are too long to print.
+    "windings": {"name": "windings", "dimension": 2, "geometry_mode": "rigid",
+                 "cells": {"0": _cells("v", 2), "1": _cells("e", 2), "2": _cells("f", 1)},
+                 "boundaries": {"1": [[0, 0], [0, 0]], "2": [[0], [0]]},
+                 "rotation": {"edge_rotations": {"e0": "%d/1" % (2 * 10 ** 4299),
+                                                 "e1": "%d/1" % (3 * 10 ** 4299)},
+                              "vertex_stars": {"v0": [{"edge": "e0", "sign": 1}] * 10,
+                                               "v1": [{"edge": "e1", "sign": 1}] * 10}}},
+}
 
 
 # --------------------------------------------------------------------------
