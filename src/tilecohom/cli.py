@@ -266,9 +266,11 @@ _COMMANDS = (
 
 
 def _build_parser(argv):
-    """The parser, with the arguments of only the subcommands argv names:
-    argparse runs a subcommand on its exact name alone, so every parse, help
-    text and usage error is the full parser's."""
+    """The parser, with the arguments, -h included, and the handler of only
+    the subcommands argv names.  argparse runs a subcommand on its exact name
+    alone, and the top-level help and the invalid-choice error read only the
+    subcommand names and their help, never an unnamed subparser, so every
+    parse, help text and usage error is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="tilecohom",
         formatter_class=_HELP_FORMAT,
@@ -276,10 +278,11 @@ def _build_parser(argv):
                     "sequences for combinatorial tiling specs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, add_arguments, handler in _COMMANDS:
-        p = sub.add_parser(name, help=summary, formatter_class=_HELP_FORMAT)
-        if name in argv:
+        named = name in argv
+        p = sub.add_parser(name, help=summary, formatter_class=_HELP_FORMAT, add_help=named)
+        if named:
             add_arguments(p)
-        p.set_defaults(func=handler)
+            p.set_defaults(func=handler)
     return parser
 
 

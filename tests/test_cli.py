@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -453,27 +454,6 @@ class TestLimitCommand:
         res = run("limit", "--group", group, "--matrix", "")
         assert (res.exit_code, res.stdout) == (0, "limit = 0 (status exact)\n")
 
-    @pytest.mark.parametrize("group, matrix, shapes", [
-        ("Z^2", "", "0x0 given, 2x2 needed for Z^2 -> Z^2"),
-        ("Z/1", "1", "1x1 given, 0x0 needed for 0 -> 0"),
-        ("Z/%d + Z/%d" % (BIG_A, BIG_B), "1,0;0,1",
-         "2x2 given, 1x1 needed for Z/a 26576-bit number -> Z/a 26576-bit number"),
-    ], ids=["blank-matrix", "trivial-group", "too-long-to-print"])
-    def test_wrong_matrix_shape_names_both_shapes(self, int_digit_limit, group, matrix, shapes):
-        """The shape error names both shapes and the group in normal form:
-        Z/1 is 0, with no coordinates, and Z/a + Z/b is Z/ab for coprime a, b."""
-        assert outcome(["limit", "--group", group, "--matrix", matrix]) == (
-            1, "", "error: hom matrix shape mismatch: %s\n" % shapes)
-
-    @pytest.mark.parametrize("group, token", [
-        ("Z^-1 + Z^2", "Z^-1"), ("Z^2 + Z^-1", "Z^-1"), ("Z^-3", "Z^-3"),
-    ])
-    def test_negative_rank_is_rejected(self, group, token):
-        """A negative rank is no rank, even where the ranks around it add up to
-        a valid group."""
-        assert outcome(["limit", "--group", group, "--matrix", "2"]) == (
-            1, "", "error: cannot parse group token %r\n" % token)
-
     @pytest.mark.parametrize("matrix", ["-1,0;0,1", "-2,1;1,-1", "-3", "-1 0;0 1"])
     def test_negative_matrix_spaced_or_attached(self, matrix):
         spaced = run("limit", "--group", "Z^%d" % (matrix.count(";") + 1),
@@ -868,9 +848,10 @@ class TestArgvFuzz:
                                         st.text(max_size=6))),
                     max_size=4))
     def test_same_outcome_as_the_full_parser(self, time_limit, command, at, options):
-        """run_command adds the arguments of only the subcommands that argv
-        names, and exits, prints and errs as a parser with the arguments of
-        every subcommand would, wherever the command name stands."""
+        """run_command adds the arguments, -h and handler of only the
+        subcommands that argv names, and exits, prints and errs as the full
+        parser, built for every subcommand, would, wherever the command name
+        stands."""
         argv = [token for pair in options for token in pair if token is not None]
         argv.insert(at, command)
         every_command = [name for name, *_ in cli._COMMANDS]
@@ -880,6 +861,22 @@ class TestArgvFuzz:
             with time_limit(10), mock.patch.object(cli, "_build_parser", builder):
                 outcomes.append(outcome(argv))
         assert outcomes[0] == outcomes[1]
+
+
+class TestParserOfOneCommand:
+    @pytest.mark.parametrize("name", [c[0] for c in cli._COMMANDS])
+    def test_only_the_named_command_has_help_and_a_handler(self, name):
+        """A call builds two -h actions, the top level's and its command's:
+        every other subparser only lends its name and help to the top-level
+        parser, with no action and no handler."""
+        parser = cli._build_parser([name])
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = [p.prog for p in (parser, *subparsers.choices.values())
+                 for a in p._actions if a.option_strings == ["-h", "--help"]]
+        assert helps == ["tilecohom", "tilecohom " + name]
+        others = {other: (p._actions, p.get_default("func"))
+                  for other, p in subparsers.choices.items() if other != name}
+        assert others == dict.fromkeys(others, ([], None))
 
 
 def _chain_map_spec(d1, d2, maps):

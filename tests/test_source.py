@@ -42,7 +42,18 @@ from tilecohom.groups import (
 from tilecohom.record import TilecohomError, decimal
 from tilecohom.spectral import HULL_ROTATION_QUOTIENT, e2_page, hull_cohomology, winding_chain
 from tilecohom.tilings import RotationData, SubstitutionData, builtin, builtin_names, load_spec
-from toolkit import DELETE, LONG_SPECS, edited, mutated, outcome, replaced, respec, spec_file
+from toolkit import (
+    BIG_A,
+    BIG_B,
+    DELETE,
+    LONG_SPECS,
+    edited,
+    mutated,
+    outcome,
+    replaced,
+    respec,
+    spec_file,
+)
 
 
 def test_no_assert_in_library():
@@ -117,11 +128,12 @@ def _traced():
 def _fresh_modules(statement):
     """The sys.modules names after statement in a fresh isolated interpreter
     that finds tilecohom in this checkout.  -S keeps site's .pth files from
-    importing anything first."""
+    importing anything first, and -B writes no bytecode into the checkout,
+    since -I ignores PYTHONDONTWRITEBYTECODE."""
     src = str(Path(tilecohom.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); %s; print(' '.join(sorted(sys.modules)))"
             % (src, statement))
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     return set(out.split())
 
@@ -551,6 +563,23 @@ def _public_cases():
         (_command("limit", "--group", "Z^2", "--matrix", "1,2;3"), _failed("ragged rows")),
         (_command("limit", "--group", "Z^-1", "--matrix", "1"),
          _failed("cannot parse group token 'Z^-1'")),
+        # A negative rank is no rank, even where the ranks around it add up
+        # to a valid group.
+        (_command("limit", "--group", "Z^-1 + Z^2", "--matrix", "2"),
+         _failed("cannot parse group token 'Z^-1'")),
+        (_command("limit", "--group", "Z^2 + Z^-1", "--matrix", "2"),
+         _failed("cannot parse group token 'Z^-1'")),
+        (_command("limit", "--group", "Z^-3", "--matrix", "2"),
+         _failed("cannot parse group token 'Z^-3'")),
+        # The shape error names both shapes and the group in normal form:
+        # Z/1 is 0, with no coordinates, and Z/a + Z/b is Z/ab for coprime a, b.
+        (_command("limit", "--group", "Z^2", "--matrix", ""),
+         _failed("hom matrix shape mismatch: 0x0 given, 2x2 needed for Z^2 -> Z^2")),
+        (_command("limit", "--group", "Z/1", "--matrix", "1"),
+         _failed("hom matrix shape mismatch: 1x1 given, 0x0 needed for 0 -> 0")),
+        (_command("limit", "--group", "Z/%d + Z/%d" % (BIG_A, BIG_B), "--matrix", "1,0;0,1"),
+         _failed("hom matrix shape mismatch: 2x2 given, 1x1 needed for "
+                  "Z/a 26576-bit number -> Z/a 26576-bit number")),
         (_command("limit", "--group", "Q", "--matrix", "1"),
          _failed("cannot parse group token 'Q'")),
         (_command("homology", "--builtin", "pinwheel", "--mode", "rigid"),
